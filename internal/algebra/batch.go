@@ -363,11 +363,7 @@ func NewBatchColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) 
 // up to size rows — NewBatchColScan with the full column list and no
 // pruning. Batches are segment-aligned and rows arrive in row-ID order.
 func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
-	cols := make([]int, len(t.Schema().Attrs))
-	for i := range cols {
-		cols[i] = i
-	}
-	return NewBatchColScan(t, size, cols, nil)
+	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
 }
 
 func (s *batchColScan) Schema() *schema.Schema { return s.t.Schema() }

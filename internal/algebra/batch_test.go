@@ -27,7 +27,7 @@ func TestBatchScanMatchesSerial(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+57)
 	want := drain(t, NewTableScan(tbl))
 	for _, size := range batchSizes {
-		before := settleClones(t)
+		before := storage.TupleClones()
 		got := drain(t, NewFromBatch(NewBatchTableScan(tbl, size), size))
 		if d := storage.TupleClones() - before; d != 0 {
 			t.Fatalf("batch=%d: scan cloned %d tuples, want 0", size, d)
@@ -136,7 +136,7 @@ func TestBatchAggregateMatchesScalar(t *testing.T) {
 // zero-copy fast path end to end.
 func TestBatchCountOnlyNeverClones(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
-	before := settleClones(t)
+	before := storage.TupleClones()
 	agg, err := NewBatchAggregate(NewBatchTableScan(tbl, DefaultBatchSize),
 		[]AggSpec{{Fn: AggCount, As: "n"}}, ctx(), DefaultBatchSize, true)
 	if err != nil {
@@ -250,7 +250,7 @@ func TestToBatchRoundTrip(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+9)
 	want := drain(t, NewTableScan(tbl))
 	for _, size := range batchSizes {
-		pit, err := NewSharedParallelScan(tbl, 4, nil, ctx(), true)
+		pit, err := NewParallelScan(tbl, 4, nil, ctx(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,34 +259,38 @@ func TestToBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSharedScansMatchAndSkipClones: the shared scan variants return the
-// same rows as the cloning ones with a zero clone delta.
-func TestSharedScansMatchAndSkipClones(t *testing.T) {
+// TestTableScansSkipClones: the serial and parallel row scans return the
+// rows the cloning storage Scan visits, with a zero clone delta.
+func TestTableScansSkipClones(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+100)
-	want := drain(t, NewTableScan(tbl))
+	want := relation.New(tbl.Schema())
+	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
+		want.Tuples = append(want.Tuples, tup)
+		return true
+	})
 
-	before := settleClones(t)
-	got := drain(t, NewSharedTableScan(tbl))
+	before := storage.TupleClones()
+	got := drain(t, NewTableScan(tbl))
 	if d := storage.TupleClones() - before; d != 0 {
-		t.Fatalf("shared serial scan cloned %d tuples", d)
+		t.Fatalf("serial scan cloned %d tuples", d)
 	}
-	sameRelation(t, want, got, "shared serial scan")
+	sameRelation(t, want, got, "serial scan")
 
-	before = settleClones(t)
-	pit, err := NewSharedParallelScan(tbl, 3, nil, ctx(), true)
+	before = storage.TupleClones()
+	pit, err := NewParallelScan(tbl, 3, nil, ctx(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = drain(t, pit)
 	if d := storage.TupleClones() - before; d != 0 {
-		t.Fatalf("shared parallel scan cloned %d tuples", d)
+		t.Fatalf("parallel scan cloned %d tuples", d)
 	}
-	sameRelation(t, want, got, "shared parallel scan")
+	sameRelation(t, want, got, "parallel scan")
 
 	// A fused predicate makes the cardinality unknown: the scan must not
 	// advertise the full table size, or Collect would pre-allocate a
 	// table-sized buffer for a selective query.
-	filtered, err := NewSharedParallelScan(tbl, 3, batchPred(), ctx(), true)
+	filtered, err := NewParallelScan(tbl, 3, batchPred(), ctx(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,7 @@ func TestSharedScansMatchAndSkipClones(t *testing.T) {
 // tuple slice once at the hinted capacity.
 func TestCollectPreSizes(t *testing.T) {
 	tbl := bigTable(t, 1000)
-	out, err := Collect(NewLimit(NewSharedTableScan(tbl), 10, 0))
+	out, err := Collect(NewLimit(NewTableScan(tbl), 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +314,7 @@ func TestCollectPreSizes(t *testing.T) {
 	if c := cap(out.Tuples); c != 10 {
 		t.Fatalf("Collect capacity %d, want exactly the limit hint 10", c)
 	}
-	hint := sizeHint(NewSharedTableScan(tbl))
+	hint := sizeHint(NewTableScan(tbl))
 	if hint != tbl.Len() {
 		t.Fatalf("scan SizeHint = %d, want %d", hint, tbl.Len())
 	}

@@ -16,32 +16,29 @@ import (
 // ---- Serial table scan (lazy, segment-streamed) ----
 
 type tableScan struct {
-	t      *storage.Table
-	shared bool
-	nSeg   int
-	seg    int
-	rows   []relation.Tuple
-	pos    int
+	t    *storage.Table
+	cols []int
+	nSeg int
+	seg  int
+	cs   storage.ColSeg
+	rows []relation.Tuple
+	pos  int
 }
 
-// NewTableScan streams a storage table lazily: it snapshots one heap
-// segment at a time (a short read lock per segment) and yields its rows
-// before touching the next, so a consumer that stops early — LIMIT, an
-// early-exiting join probe — clones O(rows consumed + SegmentSize) tuples,
-// not the whole table. Rows arrive in row-ID order; each segment is a
-// consistent snapshot, the stream as a whole is not a point-in-time copy.
+// NewTableScan streams a storage table lazily: it takes one heap segment's
+// column view at a time (a short read lock per segment) and yields its
+// rows before touching the next, so a consumer that stops early — LIMIT,
+// an early-exiting join probe — materializes O(rows consumed +
+// SegmentSize) rows, not the whole table. Rows arrive in row-ID order;
+// each segment is a consistent view, the stream as a whole is not a
+// point-in-time copy.
+//
+// Yielded tuples share one cell arena per segment and are never counted as
+// clones. Consumers must treat them as read-only and rebuild the cell
+// slice before a row escapes — projections, joins, aggregates; every QQL
+// pipeline qualifies, handing rows straight to an end user does not.
 func NewTableScan(t *storage.Table) Iterator {
-	return &tableScan{t: t, nSeg: t.Segments()}
-}
-
-// NewSharedTableScan is NewTableScan without the per-row cell-slice clone:
-// the yielded tuples share cell storage with the table heap
-// (storage.ScanSegmentRowsShared). Safe only for read-only consumers that
-// rebuild the cell slice before a row escapes — projections, joins,
-// aggregates; every QQL pipeline qualifies, handing rows straight to an
-// end user does not.
-func NewSharedTableScan(t *storage.Table) Iterator {
-	return &tableScan{t: t, shared: true, nSeg: t.Segments()}
+	return &tableScan{t: t, cols: t.Schema().ColIndexes(), nSeg: t.Segments()}
 }
 
 func (s *tableScan) Schema() *schema.Schema { return s.t.Schema() }
@@ -50,20 +47,35 @@ func (s *tableScan) SizeHint() int { return s.t.Len() }
 
 func (s *tableScan) Next() (relation.Tuple, bool, error) {
 	for s.pos >= len(s.rows) {
-		if s.seg >= s.nSeg {
+		if s.seg >= s.nSeg || !s.t.ScanSegmentCols(s.seg, s.cols, &s.cs) {
 			return relation.Tuple{}, false, nil
 		}
-		if s.shared {
-			s.rows = s.t.ScanSegmentRowsShared(s.seg)
-		} else {
-			s.rows = s.t.ScanSegmentRows(s.seg)
-		}
+		s.rows = segmentRows(&s.cs, s.rows)
 		s.seg++
 		s.pos = 0
 	}
 	t := s.rows[s.pos]
 	s.pos++
 	return t, true, nil
+}
+
+// segmentRows materializes the live rows of one segment view into a fresh
+// cell arena — one allocation per segment rather than one per row — and
+// appends their headers to buf[:0]. The arena is never reused, so rows
+// stay valid after the next refill; the headers in buf do not.
+func segmentRows(cs *storage.ColSeg, buf []relation.Tuple) []relation.Tuple {
+	n, w := cs.Live(), len(cs.Cols)
+	rows := buf[:0]
+	if cap(rows) < n {
+		rows = make([]relation.Tuple, 0, n)
+	}
+	arena := make([]relation.Cell, n*w)
+	for k := 0; k < n; k++ {
+		cells := arena[k*w : (k+1)*w : (k+1)*w]
+		cs.RowInto(k, cells)
+		rows = append(rows, relation.Tuple{Cells: cells})
+	}
+	return rows
 }
 
 // ---- Index scan (lazy over the row-ID list) ----
@@ -126,7 +138,6 @@ type segResult struct {
 type parallelScan struct {
 	t      *storage.Table
 	degree int
-	shared bool
 	pred   Predicate // optional fused predicate, compiled once, shared by workers
 	ctx    *EvalContext
 
@@ -149,29 +160,18 @@ type parallelScan struct {
 // NewParallelScan fans a table scan out across degree workers, one heap
 // segment at a time, and merges the per-segment results back in segment
 // (therefore row-ID) order — the output is byte-identical to the serial
-// NewTableScan. When pred is non-nil it is fused into the workers: each
-// worker filters its segment's rows (interpreted Truth, the Volcano
-// tier's evaluation mode) before handing them to the merge, so predicate
-// evaluation parallelizes along with the copy. pred must be bindable
-// against t's schema; evaluation must be read-only after Bind (every
-// algebra.Expr and Compiled closure is). degree <= 1, or a table small
-// enough to fit one segment, degrades to the serial scan (with the
+// NewTableScan, under the same read-only-consumer contract. Each worker
+// takes its segment's column view and materializes the rows outside the
+// table lock. When pred is non-nil it is fused into the workers: each
+// worker filters its segment's rows before handing them to the merge, so
+// predicate evaluation parallelizes along with the materialization;
+// compiled picks CompilePredicate over the interpreted Truth, so the
+// planner's expression-compilation knob reaches the workers. pred must be
+// bindable against t's schema; evaluation must be read-only after Bind
+// (every algebra.Expr and Compiled closure is). degree <= 1, or a table
+// small enough to fit one segment, degrades to the serial scan (with the
 // predicate applied via Select, preserving semantics).
-func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext) (Iterator, error) {
-	return newParallelScan(t, degree, pred, ctx, false, false)
-}
-
-// NewSharedParallelScan is NewParallelScan over zero-clone segment reads —
-// yielded tuples share cell storage with the heap, under the same
-// read-only-consumer contract as NewSharedTableScan — with the fused
-// predicate's evaluation mode chosen by compiled (CompilePredicate versus
-// the interpreted Truth), so the planner's expression-compilation knob
-// reaches the workers.
-func NewSharedParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext, compiled bool) (Iterator, error) {
-	return newParallelScan(t, degree, pred, ctx, true, compiled)
-}
-
-func newParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext, shared, compiled bool) (Iterator, error) {
+func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext, compiled bool) (Iterator, error) {
 	var pf Predicate
 	if pred != nil {
 		if err := pred.Bind(t.Schema()); err != nil {
@@ -188,18 +188,13 @@ func newParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext, 
 		degree = nSeg
 	}
 	if degree <= 1 {
-		var it Iterator
-		if shared {
-			it = NewSharedTableScan(t)
-		} else {
-			it = NewTableScan(t)
-		}
+		it := NewTableScan(t)
 		if pred != nil {
 			return NewSelect(it, pred, ctx)
 		}
 		return it, nil
 	}
-	return &parallelScan{t: t, degree: degree, shared: shared, pred: pf, ctx: ctx, nSeg: nSeg,
+	return &parallelScan{t: t, degree: degree, pred: pf, ctx: ctx, nSeg: nSeg,
 		done: make(chan struct{})}, nil
 }
 
@@ -246,8 +241,8 @@ func (s *parallelScan) SizeHint() int {
 // stop releases the workers: any worker waiting for an in-flight token
 // exits instead of scanning further segments. Called when the stream ends
 // (exhaustion or error) and by a finalizer if the consumer abandons the
-// iterator mid-stream, so workers never clone the rest of the table for
-// nobody.
+// iterator mid-stream, so workers never materialize the rest of the table
+// for nobody.
 func (s *parallelScan) stop() {
 	s.closed.Do(func() { close(s.done) })
 }
@@ -264,7 +259,8 @@ func (s *parallelScan) stop() {
 // abandoned iterator becomes unreachable and its finalizer runs stop().
 func (s *parallelScan) start() {
 	s.started = true
-	t, pred, ctx, nSeg, degree, shared := s.t, s.pred, s.ctx, s.nSeg, s.degree, s.shared
+	t, pred, ctx, nSeg, degree := s.t, s.pred, s.ctx, s.nSeg, s.degree
+	cols := t.Schema().ColIndexes()
 	budget := 2 * degree
 	if budget > nSeg {
 		budget = nSeg
@@ -283,6 +279,7 @@ func (s *parallelScan) start() {
 	for w := 0; w < degree; w++ {
 		mySegs := &s.workerSegs[w] // capture the counter, not s (finalizer)
 		go func() {
+			var cs storage.ColSeg // worker-local; rows get a fresh arena per segment
 			for {
 				select {
 				case <-tokens:
@@ -295,10 +292,8 @@ func (s *parallelScan) start() {
 				}
 				mySegs.Add(1)
 				var rows []relation.Tuple
-				if shared {
-					rows = t.ScanSegmentRowsShared(seg)
-				} else {
-					rows = t.ScanSegmentRows(seg)
+				if t.ScanSegmentCols(seg, cols, &cs) {
+					rows = segmentRows(&cs, nil)
 				}
 				if pred != nil {
 					kept := rows[:0]

@@ -4,7 +4,7 @@
 // repo has already paid for once in bugs — lock-scope discipline in
 // storage, deterministic release of pooled batches, pointer-based Value
 // comparison on hot paths, construction-time metrics registration, and
-// zero-clone shared scans on the query path.
+// zero-clone column-view reads on the query path.
 //
 // The framework deliberately mirrors x/tools shapes (an Analyzer owns a
 // Run func over a Pass carrying files, type info and a Report sink) so the

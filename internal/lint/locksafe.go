@@ -25,7 +25,7 @@ import (
 //   - function values passed as arguments to other calls (the callee may
 //     invoke them under the lock). Function literals are exempt from both
 //     rules but their bodies are analyzed as part of the locked region,
-//     which is what blesses the forEachLiveLocked(func(...){...}) visitor
+//     which is what blesses the btree.Range(lo, hi, func(...){...}) visitor
 //     idiom and sort.Slice with an inline comparator;
 //   - calls to same-package functions that (transitively, within the
 //     package) acquire any lock — nested acquisition is how the

@@ -2,37 +2,24 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
-	"regexp"
 )
 
-// Sharedscan keeps the query path on the zero-clone readers. PR 5's
-// vectorized tier earns its throughput by scanning segments through
-// ScanSegmentRowsShared[Into], and the columnar tier goes further with
-// ScanSegmentCols — column vectors alias the heap's immutable runs,
-// consumers are read-only, and BENCH_VEC gates clones-per-query to zero
-// in CI. A cloning scan reintroduced anywhere on the query path silently
-// pays O(rows) allocations per query and the gate only catches the
-// specific shapes the bench runs.
+// Sharedscan keeps the query path on the zero-clone column views. A table
+// has one bulk read — ScanSegmentCols for one segment, SnapshotCols for
+// the whole table at one instant — whose column vectors alias the heap's
+// immutable runs, and tuple_clones_per_query is held at zero by the
+// benchmark. Table.Scan, the one reader left that copies every row it
+// visits, exists for tooling outside the engine; reintroduced anywhere on
+// the query path it silently pays O(rows) allocations per statement.
 //
-// The analyzer flags calls to the cloning storage readers — ScanSegment,
-// ScanSegmentRows, Scan, Snapshot, SnapshotRows — from the query-path
-// packages (algebra, qql, server), with two structural escapes that are
-// exactly the places cloning is the contract:
-//
-//   - DML and persistence functions (names matching insert/update/
-//     delete/snapshot/persist/load/save): collect-then-apply needs a
-//     stable copy precisely because it will mutate the table while
-//     holding the row set;
-//   - methods on dual-mode iterator types that declare a `shared bool`
-//     field (tableScan, parallelScan): the cloning branch there is the
-//     documented opt-out the planner chooses for non-read-only
-//     consumers.
+// The analyzer flags calls to Table.Scan from the query-path packages
+// (algebra, qql, server). There is no escape: DML, checkpoints and the
+// quality gauges all read column views. That nobody writes through a view
+// is enforced by convention and -race, not by this analyzer.
 var Sharedscan = &Analyzer{
 	Name: "sharedscan",
-	Doc: "report cloning table reads (ScanSegmentRows, Scan, Snapshot...) " +
-		"on the query path; use the zero-clone Shared readers or the " +
-		"columnar ScanSegmentCols",
+	Doc: "report the cloning Table.Scan on the query path; read the " +
+		"zero-clone column views (ScanSegmentCols, SnapshotCols)",
 	Match: matchAny("internal/algebra", "internal/qql", "internal/server"),
 	Run:   runSharedscan,
 }
@@ -40,71 +27,27 @@ var Sharedscan = &Analyzer{
 // cloningReaders are the *storage.Table methods that clone every row they
 // return.
 var cloningReaders = map[string]bool{
-	"ScanSegment":     true,
-	"ScanSegmentRows": true,
-	"Scan":            true,
-	"Snapshot":        true,
-	"SnapshotRows":    true,
+	"Scan": true,
 }
-
-// dmlFuncRE matches function names whose job is to mutate or persist —
-// the call sites where a stable cloned row set is the point.
-var dmlFuncRE = regexp.MustCompile(`(?i)(insert|update|delete|snapshot|persist|load|save|backup)`)
 
 func runSharedscan(pass *Pass) error {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Signature().Recv() == nil || !cloningReaders[fn.Name()] {
-			return true
-		}
-		if !isNamed(fn.Signature().Recv().Type(), "internal/storage", "Table") {
-			return true
-		}
-		fd, fname := enclosingFunc(stack)
-		if dmlFuncRE.MatchString(fname) {
-			return true
-		}
-		if fd != nil && receiverHasSharedKnob(pass, fd) {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"Table.%s clones every row it returns; on the query path use ScanSegmentRowsShared[Into] or the columnar ScanSegmentCols (read-only contract) — cloning reads belong in DML/persistence functions (PR 5 zero-clone rule)",
-			fn.Name())
-		return true
-	})
-	return nil
-}
-
-// receiverHasSharedKnob reports whether fd is a method on a type that
-// declares a `shared bool` field — the dual-mode iterator pattern whose
-// cloning branch is deliberate.
-func receiverHasSharedKnob(pass *Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	tv, ok := pass.Info.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return false
-	}
-	n := namedType(tv.Type)
-	if n == nil {
-		return false
-	}
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == "shared" {
-			if b, ok := f.Type().(*types.Basic); ok && b.Kind() == types.Bool {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-		}
+			fn := calleeFunc(pass.Info, call)
+			if fn == nil || fn.Signature().Recv() == nil || !cloningReaders[fn.Name()] {
+				return true
+			}
+			if isNamed(fn.Signature().Recv().Type(), "internal/storage", "Table") {
+				pass.Reportf(call.Pos(),
+					"Table.%s clones every row it returns; on the query path read the column views ScanSegmentCols or SnapshotCols (read-only contract)",
+					fn.Name())
+			}
+			return true
+		})
 	}
-	return false
+	return nil
 }

@@ -73,7 +73,7 @@ func (t *table) each(visit func(int)) {
 }
 
 // literalOK: function literals passed under the lock are analyzed inline,
-// not reported — the forEachLiveLocked / sort.Slice idiom.
+// not reported — the btree.Range / sort.Slice idiom.
 func (t *table) literalOK() int {
 	total := 0
 	t.mu.RLock()

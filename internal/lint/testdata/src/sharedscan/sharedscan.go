@@ -1,6 +1,6 @@
 // Package sharedscantest exercises the sharedscan analyzer: the query
-// path rides the zero-clone shared readers; cloning reads are reserved
-// for DML/persistence and for dual-mode iterators.
+// path reads tables through the zero-clone column views; the cloning
+// Table.Scan is flagged wherever it appears, DML-shaped code included.
 package sharedscantest
 
 import (
@@ -8,18 +8,9 @@ import (
 	"repro/internal/storage"
 )
 
-// countShared is the query-path shape: zero-clone segment scans.
-func countShared(t *storage.Table) int {
-	n := 0
-	for i, segs := 0, t.Segments(); i < segs; i++ {
-		n += len(t.ScanSegmentRowsShared(i))
-	}
-	return n
-}
-
-// countCols is the columnar query-path shape: ScanSegmentCols reads the
-// requested column vectors straight off the heap's immutable runs — the
-// deepest zero-clone reader, never flagged.
+// countCols is the streaming query-path shape: ScanSegmentCols reads the
+// requested column vectors straight off the heap's immutable runs, one
+// segment at a time — never flagged.
 func countCols(t *storage.Table) int {
 	n := 0
 	var cs storage.ColSeg
@@ -29,10 +20,18 @@ func countCols(t *storage.Table) int {
 	return n
 }
 
-// countBad clones every row just to count them.
-func countBad(t *storage.Table) int {
-	_, rows := t.SnapshotRows() // want `Table.SnapshotRows clones every row`
-	return len(rows)
+// collectForUpdate is the DML shape: one SnapshotCols capture sees the
+// whole table at one instant, and a scratch row is refilled per live slot
+// — never flagged.
+func collectForUpdate(t *storage.Table) []storage.RowID {
+	var ids []storage.RowID
+	cells := make([]relation.Cell, 1)
+	for _, cs := range t.SnapshotCols([]int{0}) {
+		for k := 0; k < cs.Live(); k++ {
+			ids = append(ids, cs.RowInto(k, cells))
+		}
+	}
+	return ids
 }
 
 // visitBad uses the cloning visitor scan on a read-only pass.
@@ -45,23 +44,12 @@ func visitBad(t *storage.Table) int {
 	return n
 }
 
-// collectForUpdate is DML-shaped: collect-then-apply needs a stable copy
-// because it will mutate the table while holding the row set.
-func collectForUpdate(t *storage.Table) []relation.Tuple {
-	_, rows := t.SnapshotRows()
-	return rows
-}
-
-// iter is a dual-mode iterator: the `shared bool` knob marks the cloning
-// branch as the documented opt-out for non-read-only consumers.
-type iter struct {
-	t      *storage.Table
-	shared bool
-}
-
-func (it *iter) segment(i int) int {
-	if it.shared {
-		return len(it.t.ScanSegmentRowsShared(i))
-	}
-	return len(it.t.ScanSegmentRows(i))
+// deleteBad shows DML gets no escape: a cloning collect is flagged too.
+func deleteBad(t *storage.Table) []storage.RowID {
+	var ids []storage.RowID
+	t.Scan(func(id storage.RowID, _ relation.Tuple) bool { // want `Table.Scan clones every row`
+		ids = append(ids, id)
+		return true
+	})
+	return ids
 }

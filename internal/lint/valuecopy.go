@@ -17,8 +17,8 @@ import (
 // that occur lexically inside a for/range body or inside a function
 // literal, in the three hot-path packages (value, storage, algebra).
 // Function literals count because that is what per-row code looks like
-// here: sort comparators, B-tree search closures, forEachLiveLocked
-// visitors, compiled expression evaluators — all invoked once per row or
+// here: sort comparators, B-tree search closures, index range visitors,
+// compiled expression evaluators — all invoked once per row or
 // once per comparison. Straight-line uses in constructors and planners
 // (bind-time constant folding, a one-off bound check) stay legal.
 var Valuecopy = &Analyzer{

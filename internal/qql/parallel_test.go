@@ -51,7 +51,7 @@ func TestPlanRoutesLargeScansThroughParallelScan(t *testing.T) {
 		t.Errorf("bare scan plan:\n%s", res[0].Plan)
 	}
 	// A bare LIMIT stops pulling early: the lazy serial scan (one segment
-	// cloned at a time) must win over fan-out workers that would eagerly
+	// materialized at a time) must win over fan-out workers that would eagerly
 	// copy the whole table.
 	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE qty >= 500 LIMIT 5`)
 	if !strings.Contains(res[0].Plan, "TableScan(big)") {

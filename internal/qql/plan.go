@@ -482,15 +482,8 @@ func segPrunes(conjuncts []algebra.Expr, sch *schema.Schema) []algebra.SegPrune 
 // COUNT(*) legitimately requests zero columns: the batches then carry
 // only their row count.
 func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr, hasAgg bool) []int {
-	full := func() []int {
-		cols := make([]int, len(sch.Attrs))
-		for i := range cols {
-			cols[i] = i
-		}
-		return cols
-	}
 	if !hasAgg && len(st.OrderBy) > 0 {
-		return full()
+		return sch.ColIndexes()
 	}
 	seen := make(map[int]bool, len(sch.Attrs))
 	cols := []int{}
@@ -539,7 +532,7 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 		}
 	}
 	if all {
-		return full()
+		return sch.ColIndexes()
 	}
 	sort.Ints(cols)
 	return cols
@@ -770,9 +763,9 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		}
 	}
 	// A scan feeding a Sort or an Aggregate is always drained; under a bare
-	// LIMIT the consumer stops early, and the lazy serial scan (which clones
-	// one segment at a time) beats fan-out workers that would eagerly copy
-	// the whole table into their output buffers.
+	// LIMIT the consumer stops early, and the lazy serial scan (which
+	// materializes one segment at a time) beats fan-out workers that would
+	// eagerly copy the whole table into their output buffers.
 	consumesAll := st.Limit < 0 || len(st.OrderBy) > 0 || hasAgg
 
 	whereConjuncts, whereNever := simplifyFilter(st.Where)
@@ -810,7 +803,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 				// Workers produce filtered segments, the merge stays
 				// row-ID-ordered, and batching picks up at the merge output.
 				fused := andAll(all)
-				pit, err := algebra.NewSharedParallelScan(baseTable, degree, fused, s.ctx, s.vecComp)
+				pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx, s.vecComp)
 				if err != nil {
 					return nil, err
 				}
@@ -836,7 +829,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			// Select, so their conjunction pushes down as one predicate —
 			// interpreted, like every other Volcano-tier evaluation).
 			fused := andAll(all)
-			pit, err := algebra.NewSharedParallelScan(baseTable, degree, fused, s.ctx, false)
+			pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx, false)
 			if err != nil {
 				return nil, err
 			}
@@ -850,7 +843,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			it = p.tapIt(desc, pit, 0)
 			whereConjuncts, qualityConjuncts = nil, nil
 		} else {
-			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewSharedTableScan(baseTable), 0)
+			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewTableScan(baseTable), 0)
 		}
 		if st.From.Alias != st.From.Table {
 			if bit != nil {
@@ -876,7 +869,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			bit = nb
 		}
 		if bit == nil {
-			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewSharedTableScan(baseTable), 0)
+			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewTableScan(baseTable), 0)
 			var err error
 			it, err = algebra.NewRename(it, st.From.Alias, nil)
 			if err != nil {
@@ -887,7 +880,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 				if !ok {
 					return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
 				}
-				right, err := algebra.NewRename(algebra.NewSharedTableScan(rtbl), j.Ref.Alias, nil)
+				right, err := algebra.NewRename(algebra.NewTableScan(rtbl), j.Ref.Alias, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -1263,7 +1256,7 @@ func (s *Session) planBatchJoin(st *SelectStmt, tables map[string]*storage.Table
 	// filters above the join still run batch-native.
 	var left algebra.BatchIterator
 	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		pit, err := algebra.NewSharedParallelScan(baseTable, degree, nil, s.ctx, s.vecComp)
+		pit, err := algebra.NewParallelScan(baseTable, degree, nil, s.ctx, s.vecComp)
 		if err != nil {
 			return nil, err
 		}

@@ -629,22 +629,12 @@ func (s *Session) execDelete(st *DeleteStmt) (Result, error) {
 			return Result{}, err
 		}
 	}
-	// SnapshotRows, not Scan: the collect phase must see one consistent
-	// table state, or a key deleted and reinserted by a concurrent writer
-	// could match at two row IDs in a single statement.
-	allIDs, rows := tbl.SnapshotRows()
 	var ids []storage.RowID
-	for i, id := range allIDs {
-		if pred != nil {
-			keep, err := algebra.Truth(pred, rows[i], s.ctx)
-			if err != nil {
-				return Result{}, err
-			}
-			if !keep {
-				continue
-			}
-		}
+	if err := s.forEachMatch(tbl, pred, func(id storage.RowID, _ relation.Tuple) error {
 		ids = append(ids, id)
+		return nil
+	}); err != nil {
+		return Result{}, err
 	}
 	for _, id := range ids {
 		if err := s.applyDelete(tbl, st.Table, id); err != nil {
@@ -673,53 +663,40 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 		tup relation.Tuple
 	}
 	var changes []change
-	// SnapshotRows for the same reason as execDelete: one consistent
-	// collect phase per statement.
-	allIDs, rows := tbl.SnapshotRows()
-	for i, id := range allIDs {
-		tup := rows[i]
-		if pred != nil {
-			keep, err := algebra.Truth(pred, tup, s.ctx)
-			if err != nil {
-				return Result{}, err
-			}
-			if !keep {
-				continue
-			}
-		}
+	err := s.forEachMatch(tbl, pred, func(id storage.RowID, tup relation.Tuple) error {
 		updated := tup.Clone()
 		for _, set := range st.Sets {
 			col := sc.ColIndex(set.Col)
 			if col < 0 {
-				return Result{}, fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
+				return fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
 			}
 			cell := updated.Cells[col]
 			if set.Expr != nil {
 				if err := set.Expr.Bind(sc); err != nil {
-					return Result{}, err
+					return err
 				}
 				v, err := set.Expr.Eval(tup, s.ctx)
 				if err != nil {
-					return Result{}, err
+					return err
 				}
 				cell.V = v
 			}
 			for _, ta := range set.Tags {
 				if err := ta.Expr.Bind(sc); err != nil {
-					return Result{}, err
+					return err
 				}
 				tv, err := ta.Expr.Eval(tup, s.ctx)
 				if err != nil {
-					return Result{}, err
+					return err
 				}
 				cell.Tags = cell.Tags.With(ta.Name, tv)
 				for _, m := range ta.Meta {
 					if err := m.Expr.Bind(sc); err != nil {
-						return Result{}, err
+						return err
 					}
 					mv, err := m.Expr.Eval(tup, s.ctx)
 					if err != nil {
-						return Result{}, err
+						return err
 					}
 					cell = cell.WithMetaTag(ta.Name, m.Name, mv)
 				}
@@ -727,6 +704,10 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 			updated.Cells[col] = cell
 		}
 		changes = append(changes, change{id: id, tup: updated})
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	for _, ch := range changes {
 		if err := s.applyUpdate(tbl, st.Table, ch.id, ch.tup); err != nil {
@@ -735,6 +716,36 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	}
 	s.info.Rows = len(changes)
 	return Result{Msg: fmt.Sprintf("updated %d row(s) in %s", len(changes), st.Table)}, nil
+}
+
+// forEachMatch is DML's collect phase: it calls fn for every live row of
+// tbl that pred (bound; nil matches all) accepts, in row-ID order. The rows
+// come from one SnapshotCols capture — one consistent table state, so a key
+// deleted and reinserted by a concurrent writer can never match at two row
+// IDs in a single statement. row is one scratch tuple refilled per row: fn
+// must clone whatever it keeps.
+func (s *Session) forEachMatch(tbl *storage.Table, pred algebra.Expr, fn func(id storage.RowID, row relation.Tuple) error) error {
+	cols := tbl.Schema().ColIndexes()
+	row := relation.Tuple{Cells: make([]relation.Cell, len(cols))}
+	views := tbl.SnapshotCols(cols)
+	for v := range views {
+		for k := 0; k < views[v].Live(); k++ {
+			id := views[v].RowInto(k, row.Cells)
+			if pred != nil {
+				keep, err := algebra.Truth(pred, row, s.ctx)
+				if err != nil {
+					return err
+				}
+				if !keep {
+					continue
+				}
+			}
+			if err := fn(id, row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (s *Session) execTagTable(st *TagTableStmt) (Result, error) {

@@ -31,12 +31,10 @@ func TestTagTableAndShowTags(t *testing.T) {
 	if found["population_method"] != "batch_load" || found["record_count"] != "42" {
 		t.Errorf("tags = %v", found)
 	}
-	// Table-level tags flow into snapshots (and thus query results'
-	// provenance context).
+	// Table-level tags live on the storage table itself.
 	tbl, _ := s.Catalog().Get("t")
-	snap := tbl.Snapshot()
-	if !snap.TableTags.Has("population_method") {
-		t.Error("snapshot lost table tags")
+	if !tbl.TableTags().Has("population_method") {
+		t.Error("storage table lost table tags")
 	}
 	// Errors.
 	if _, err := s.Exec(`TAG TABLE ghost {a: 1}`); err == nil {

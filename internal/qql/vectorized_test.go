@@ -228,9 +228,8 @@ func TestSimplifiedPlans(t *testing.T) {
 }
 
 // TestVectorizedScalarPathsSkipClones is the clone-traffic satellite:
-// COUNT(*) and projected scans clone nothing in either tier — the shared
-// zero-clone segment reads carry both — while DML keeps its snapshot
-// clones.
+// COUNT(*) and projected scans clone nothing in either tier — the
+// zero-clone column views carry both.
 func TestVectorizedScalarPathsSkipClones(t *testing.T) {
 	cat := vecCatalog(t, storage.SegmentSize+200)
 	for _, mode := range []struct {

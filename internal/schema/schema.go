@@ -143,6 +143,16 @@ func (s *Schema) KeyIndexes() []int {
 	return out
 }
 
+// ColIndexes returns every column position, 0..len(Attrs)-1 — the column
+// list that reads whole rows out of a table's column views.
+func (s *Schema) ColIndexes() []int {
+	out := make([]int, len(s.Attrs))
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // AttrNames returns the attribute names in column order.
 func (s *Schema) AttrNames() []string {
 	out := make([]string, len(s.Attrs))

@@ -5,13 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/storage"
+	"repro/internal/tag"
+	"repro/internal/value"
 )
 
 // scrapeMetrics GETs /metrics from the server's observability handler and
@@ -86,6 +92,116 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, `source="estimate"`) {
 		t.Errorf("vanished source still exposed after DELETE:\n%s", body)
+	}
+}
+
+// qualityGaugeCatalog builds the storage shapes the quality gauges must
+// read through: a table spanning two segments with deletes and
+// copy-on-write updates in both, nulls, source/creation_time tags, polygen
+// sources and meta tags, beside an untagged table.
+func qualityGaugeCatalog(t *testing.T) *storage.Catalog {
+	t.Helper()
+	cat := storage.NewCatalog()
+	sc := schema.MustNew("golden", []schema.Attr{
+		{Name: "co_name", Kind: value.KindString, Required: true},
+		{Name: "employees", Kind: value.KindInt, Indicators: []tag.Indicator{
+			{Name: "creation_time", Kind: value.KindTime}, {Name: "source", Kind: value.KindString}}},
+		{Name: "address", Kind: value.KindString, Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
+	}, "co_name")
+	tbl, err := cat.Create(sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Date(1991, 1, 1, 0, 0, 0, 0, time.UTC)
+	row := func(i int, src string) relation.Tuple {
+		emp := relation.Cell{V: value.Int(int64(i))}
+		if i%4 != 0 {
+			emp.Tags = tag.NewSet(
+				tag.Tag{Indicator: "creation_time", Value: value.Time(epoch.Add(time.Duration(i) * time.Hour))},
+				tag.Tag{Indicator: "source", Value: value.Str(src)})
+		}
+		if i%6 == 0 {
+			emp.V = value.Null
+		}
+		if i%9 == 0 && !emp.Tags.IsEmpty() {
+			emp = emp.WithMetaTag("source", "credibility", value.Str("high"))
+		}
+		addr := relation.Cell{V: value.Str(fmt.Sprintf("%d Main St", i))}
+		if i%5 == 0 {
+			addr.Sources = tag.NewSources("census", []string{"feed", src}[i%2])
+		}
+		if i%7 == 0 {
+			addr.Tags = tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str("Nexis")})
+		}
+		if i%10 == 7 {
+			addr.V = value.Null
+		}
+		return relation.Tuple{Cells: []relation.Cell{{V: value.Str(fmt.Sprintf("co-%05d", i))}, emp, addr}}
+	}
+	srcs := []string{"Nexis", "estimate", "sales"}
+	const n = storage.SegmentSize + 40
+	for i := 0; i < n; i++ {
+		if _, err := tbl.Insert(row(i, srcs[i%3])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 2; i < n; i += 11 {
+		if err := tbl.Delete(storage.RowID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{3, 1000, storage.SegmentSize + 5, n - 1} {
+		if err := tbl.Update(storage.RowID(i), row(i, "audit")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, err := cat.Create(schema.MustNew("plain", []schema.Attr{{Name: "x", Kind: value.KindInt}}), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := plain.Insert(relation.NewTuple(value.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plain.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestQualityGaugesPinned pins every qqld_table_* series for
+// qualityGaugeCatalog. The expected lines were produced by the
+// row-materialising gauge pass; walking the column runs must agree exactly.
+func TestQualityGaugesPinned(t *testing.T) {
+	srv := server.New(qualityGaugeCatalog(t), server.Config{})
+	var got []string
+	for _, line := range strings.Split(scrapeMetrics(t, srv), "\n") {
+		if strings.HasPrefix(line, "qqld_table_") {
+			got = append(got, line)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		`qqld_table_cells{table="golden"} 11280`,
+		`qqld_table_cells{table="plain"} 4`,
+		`qqld_table_newest_creation_seconds{table="golden"} 677574000`,
+		`qqld_table_oldest_creation_seconds{table="golden"} 662691600`,
+		`qqld_table_rows{table="golden"} 3760`,
+		`qqld_table_rows{table="plain"} 4`,
+		`qqld_table_source_rows{table="golden",source="Nexis"} 1342`,
+		`qqld_table_source_rows{table="golden",source="audit"} 3`,
+		`qqld_table_source_rows{table="golden",source="census"} 753`,
+		`qqld_table_source_rows{table="golden",source="estimate"} 939`,
+		`qqld_table_source_rows{table="golden",source="feed"} 377`,
+		`qqld_table_source_rows{table="golden",source="sales"} 939`,
+		`qqld_table_tag_completeness{table="golden"} 0.2976063829787234`,
+		`qqld_table_tag_completeness{table="plain"} 0`,
+		`qqld_table_tagged_cells{table="golden"} 3357`,
+		`qqld_table_tagged_cells{table="plain"} 0`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("qqld_table_* gauges:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

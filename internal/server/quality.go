@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tag"
 	"repro/internal/value"
@@ -61,25 +60,34 @@ func (q *qualityCollector) profile(name string, tbl *storage.Table) *tableQualit
 func computeQuality(tbl *storage.Table, ver uint64) *tableQuality {
 	tq := &tableQuality{ver: ver, sources: make(map[string]int64)}
 	var rowSources []string
-	// The profiler only reads cells, so it rides the zero-clone shared
-	// scan and recycles one segment buffer for the whole pass.
-	var buf []relation.Tuple
-	for si, n := 0, tbl.Segments(); si < n; si++ {
-		buf = tbl.ScanSegmentRowsSharedInto(si, buf)
-		for ri := range buf {
-			row := &buf[ri]
-			tq.rows++
+	// One zero-clone capture of the whole table; the pass reads only the
+	// tag and polygen-source runs beside the values and never builds a row.
+	views := tbl.SnapshotCols(tbl.Schema().ColIndexes())
+	for i := range views {
+		cs := &views[i]
+		live := cs.Live()
+		tq.rows += int64(live)
+		tq.cells += int64(live * len(cs.Cols))
+		for k := 0; k < live; k++ {
+			off := k
+			if cs.Sel != nil {
+				off = int(cs.Sel[k])
+			}
 			rowSources = rowSources[:0]
-			for _, c := range row.Cells {
-				tq.cells++
-				if !c.Tags.IsEmpty() {
-					tq.tagged++
+			for j := range cs.Cols {
+				r := &cs.Cols[j]
+				if r.Srcs != nil {
+					rowSources = append(rowSources, r.Srcs[off]...)
 				}
-				if v, ok := c.Tags.Get("source"); ok && v.Kind() == value.KindString {
+				if r.Tags == nil || r.Tags[off].IsEmpty() {
+					continue
+				}
+				tags := r.Tags[off]
+				tq.tagged++
+				if v, ok := tags.Get("source"); ok && v.Kind() == value.KindString {
 					rowSources = append(rowSources, v.AsString())
 				}
-				rowSources = append(rowSources, c.Sources...)
-				if v, ok := c.Tags.Get("creation_time"); ok && v.Kind() == value.KindTime {
+				if v, ok := tags.Get("creation_time"); ok && v.Kind() == value.KindTime {
 					t := v.AsTime()
 					if tq.oldest.IsZero() || t.Before(tq.oldest) {
 						tq.oldest = t

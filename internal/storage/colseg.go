@@ -189,8 +189,10 @@ func (r *ColRun) Cell(off int) relation.Cell {
 }
 
 // ColSeg is a zero-clone columnar view of one segment: N row slots, the
-// live-slot selection, and one ColRun per requested column. Reuse one
-// ColSeg across ScanSegmentCols calls to recycle its internal buffers.
+// live-slot selection, and one ColRun per requested column. It is the only
+// bulk read of a table — ScanSegmentCols fills one segment's view,
+// SnapshotCols every segment's at one instant. Reuse one ColSeg across
+// ScanSegmentCols calls to recycle its internal buffers.
 type ColSeg struct {
 	// N is the number of row slots in the view (live and dead).
 	N int
@@ -214,23 +216,66 @@ func (s *ColSeg) Live() int {
 	return s.N
 }
 
+// RowInto fills cells (len(cells) == len(s.Cols)) with the k-th live row of
+// the view, 0 <= k < Live(), and returns its row ID. The cells copy the
+// run entries, so the caller may keep them; tag sets, sources and meta maps
+// are shared immutable values.
+func (s *ColSeg) RowInto(k int, cells []relation.Cell) RowID {
+	off := k
+	if s.Sel != nil {
+		off = int(s.Sel[k])
+	}
+	for j := range s.Cols {
+		cells[j] = s.Cols[j].Cell(off)
+	}
+	return s.Base + RowID(off)
+}
+
 // ScanSegmentCols fills buf with a zero-clone columnar view of segment i,
 // materializing only the requested columns (schema column indexes). It
 // returns false for an out-of-range segment. The returned runs alias heap
 // storage under the column-run immutability contract: treat them as
 // read-only. No tuple is cloned and no per-row work is done beyond the
 // live-slot selection (skipped entirely for segments with no deletes), so
-// this is the batch tier's scan primitive.
+// this is the scan primitive of both execution tiers.
 func (t *Table) ScanSegmentCols(i int, colIdxs []int, buf *ColSeg) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if i < 0 || i >= len(t.segs) {
 		return false
 	}
+	t.viewLocked(i, colIdxs, buf)
+	return true
+}
+
+// SnapshotCols returns one view per segment, in segment order, all
+// captured under a single read lock: the whole table at one instant, which
+// a run of ScanSegmentCols calls is not — a row deleted from one segment
+// and reinserted into a later one between two calls would be seen twice.
+// It costs O(segments) slice headers plus a selection list per segment
+// with deletes; no cell is copied, because runs are copy-on-write and the
+// views stay valid after the lock is released. Callers that must see each
+// row once (DML collection, checkpoints, whole-table statistics) read this.
+func (t *Table) SnapshotCols(colIdxs []int) []ColSeg {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]ColSeg, len(t.segs))
+	for i := range out {
+		t.viewLocked(i, colIdxs, &out[i])
+	}
+	return out
+}
+
+// viewLocked fills buf with the view of segment i (in range); the caller
+// must hold t.mu.
+func (t *Table) viewLocked(i int, colIdxs []int, buf *ColSeg) {
 	seg := t.segs[i]
 	buf.N = seg.n
 	buf.Base = RowID(i * SegmentSize)
 	buf.Cols = buf.Cols[:0]
+	if cap(buf.Cols) < len(colIdxs) {
+		buf.Cols = make([]ColRun, 0, len(colIdxs))
+	}
 	for _, c := range colIdxs {
 		r := &seg.cols[c]
 		buf.Cols = append(buf.Cols, ColRun{
@@ -244,9 +289,14 @@ func (t *Table) ScanSegmentCols(i int, colIdxs []int, buf *ColSeg) bool {
 	}
 	if seg.nDead == 0 {
 		buf.Sel = nil
-		return true
+		return
 	}
+	// A nil Sel means "all live", so a fully dead segment must get an
+	// empty non-nil list — slicing a nil selBuf would yield nil.
 	sel := buf.selBuf[:0]
+	if live := seg.n - seg.nDead; sel == nil || cap(sel) < live {
+		sel = make([]int32, 0, live)
+	}
 	for off := 0; off < seg.n; off++ {
 		if seg.live[off] {
 			sel = append(sel, int32(off))
@@ -254,5 +304,4 @@ func (t *Table) ScanSegmentCols(i int, colIdxs []int, buf *ColSeg) bool {
 	}
 	buf.selBuf = sel
 	buf.Sel = sel
-	return true
 }

@@ -205,28 +205,38 @@ func (c *Catalog) Save(w io.Writer) error {
 				Attr: ix.Target.Attr, Indicator: ix.Target.Indicator, Kind: kind})
 		}
 		jt.Rows = [][]jsonCell{}
-		// Snapshot, not Scan: Scan streams segment-wise without a whole-table
-		// lock, so a concurrent writer could make a saved file contain a
-		// state (e.g. a deleted-and-reinserted key twice) no table ever had.
-		for _, tup := range tbl.Snapshot().Tuples {
-			row := make([]jsonCell, len(tup.Cells))
-			for i, cell := range tup.Cells {
-				jc := jsonCell{V: encodeValue(cell.V), Tags: encodeTagSet(cell.Tags), Sources: cell.Sources}
-				if len(cell.Meta) > 0 {
-					jc.Meta = make(map[string]jsonTagSet, len(cell.Meta))
-					for ind, ms := range cell.Meta {
-						jc.Meta[ind] = encodeTagSet(ms)
-					}
+		// One SnapshotCols capture, not per-segment views: a concurrent
+		// writer could otherwise make a saved file contain a state (e.g. a
+		// deleted-and-reinserted key twice) no table ever had. Cells are
+		// encoded straight from the immutable runs; no row is cloned.
+		views := tbl.SnapshotCols(sc.ColIndexes())
+		cells := make([]relation.Cell, len(sc.Attrs))
+		for v := range views {
+			for k := 0; k < views[v].Live(); k++ {
+				views[v].RowInto(k, cells)
+				row := make([]jsonCell, len(cells))
+				for i, cell := range cells {
+					row[i] = encodeCell(cell)
 				}
-				row[i] = jc
+				jt.Rows = append(jt.Rows, row)
 			}
-			jt.Rows = append(jt.Rows, row)
 		}
 		doc.Tables = append(doc.Tables, jt)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
+}
+
+func encodeCell(cell relation.Cell) jsonCell {
+	jc := jsonCell{V: encodeValue(cell.V), Tags: encodeTagSet(cell.Tags), Sources: cell.Sources}
+	if len(cell.Meta) > 0 {
+		jc.Meta = make(map[string]jsonTagSet, len(cell.Meta))
+		for ind, ms := range cell.Meta {
+			jc.Meta[ind] = encodeTagSet(ms)
+		}
+	}
+	return jc
 }
 
 // LoadCatalog reads a catalog written by Save.

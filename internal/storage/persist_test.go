@@ -2,6 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +87,16 @@ func buildRichCatalog(t *testing.T) *Catalog {
 	return cat
 }
 
+// scanRows collects the table's live rows in row-ID order.
+func scanRows(tbl *Table) []relation.Tuple {
+	var rows []relation.Tuple
+	tbl.Scan(func(_ RowID, tup relation.Tuple) bool {
+		rows = append(rows, tup)
+		return true
+	})
+	return rows
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cat := buildRichCatalog(t)
 	var buf bytes.Buffer
@@ -107,10 +122,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("schema doc lost")
 	}
 	// Rows identical, including tags, sources, meta, and nanosecond times.
-	as, bs := a.Snapshot(), b.Snapshot()
-	for i := range as.Tuples {
-		if !as.Tuples[i].Equal(bs.Tuples[i]) {
-			t.Fatalf("row %d differs:\n  %v\n  %v", i, as.Tuples[i], bs.Tuples[i])
+	as, bs := scanRows(a), scanRows(b)
+	for i := range as {
+		if !as[i].Equal(bs[i]) {
+			t.Fatalf("row %d differs:\n  %v\n  %v", i, as[i], bs[i])
 		}
 	}
 	// Table tags survive.
@@ -127,7 +142,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("indicator index after load: %v, %v", ids, err)
 	}
 	// Keys enforced after load.
-	if _, err := b.Insert(relation.Tuple{Cells: as.Tuples[0].Cells}); err == nil {
+	if _, err := b.Insert(as[0]); err == nil {
 		t.Error("duplicate key accepted after load")
 	}
 	// Save(load(x)) is stable.
@@ -141,6 +156,131 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if buf2.String() != buf3.String() {
 		t.Error("save is not a fixpoint of load∘save")
+	}
+}
+
+// mutateRichCatalog leaves dead slots and copy-on-write replaced runs in
+// both tables of buildRichCatalog, so Save must skip tombstones and read
+// the runs an Update published rather than the ones it displaced.
+func mutateRichCatalog(t *testing.T, cat *Catalog) {
+	t.Helper()
+	rich, _ := cat.Get("rich")
+	gone := relation.Tuple{Cells: []relation.Cell{
+		{V: value.Int(3)},
+		{V: value.Str("Pear Co"), Tags: tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str("wsj")}),
+			Sources: tag.NewSources("wsj")},
+		{V: value.Float(1)}, {V: value.Null}, {V: value.Null}, {V: value.Bool(false)},
+	}}
+	id, err := rich.Insert(gone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rich.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	id2, _ := rich.LookupKey(value.Int(2))
+	upd := relation.Tuple{Cells: []relation.Cell{
+		{V: value.Int(2)},
+		relation.Cell{V: value.Str("Nut Co"), Tags: tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str("audit")}),
+			Sources: tag.NewSources("audit", "estimate")}.WithMetaTag("source", "credibility", value.Str("low")),
+		{V: value.Float(7.25)}, {V: value.Null}, {V: value.Duration(time.Second)}, {V: value.Null},
+	}}
+	if err := rich.Update(id2, upd); err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := cat.Get("plain")
+	for _, id := range []RowID{1, 3} {
+		if err := plain.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plain.Update(4, relation.NewTuple(value.Int(40))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSaveGolden pins Save's exact bytes for a catalog with deletes,
+// copy-on-write updated runs, nulls, tags, polygen sources and meta tags.
+// The golden file was written by the row-materialising Save the column
+// views replaced; any change to how Save reads a table must keep it.
+func TestSaveGolden(t *testing.T) {
+	cat := buildRichCatalog(t)
+	mutateRichCatalog(t, cat)
+	var buf bytes.Buffer
+	if err := cat.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "save.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Save output drifted from testdata/save.golden.json:\n%s", buf.String())
+	}
+}
+
+// TestSaveDigestMultiSegment pins Save's bytes, by SHA-256, for a table
+// spanning two segments with deletes and copy-on-write updates in both —
+// too large to keep as a readable golden file.
+func TestSaveDigestMultiSegment(t *testing.T) {
+	cat := NewCatalog()
+	sc := schema.MustNew("many", []schema.Attr{
+		{Name: "id", Kind: value.KindInt, Required: true},
+		{Name: "name", Kind: value.KindString,
+			Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
+		{Name: "qty", Kind: value.KindInt,
+			Indicators: []tag.Indicator{{Name: "creation_time", Kind: value.KindTime}}},
+	}, "id")
+	tbl, err := cat.Create(sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	when := time.Date(1991, 1, 1, 0, 0, 0, 0, time.UTC)
+	row := func(i int, tweak int64) relation.Tuple {
+		name := relation.Cell{V: value.Str(fmt.Sprintf("n%d", i%17+int(tweak)*100))}
+		if i%3 == 0 {
+			name.Tags = tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str([]string{"a", "b"}[i%2])})
+		}
+		if i%7 == 0 {
+			name.Sources = tag.NewSources("feed", fmt.Sprintf("s%d", i%4))
+		}
+		if i%11 == 0 && !name.Tags.IsEmpty() {
+			name = name.WithMetaTag("source", "credibility", value.Str("high"))
+		}
+		qty := relation.Cell{V: value.Int(int64(i)*3 + tweak),
+			Tags: tag.NewSet(tag.Tag{Indicator: "creation_time", Value: value.Time(when.Add(time.Duration(i) * time.Hour))})}
+		if i%5 == 0 {
+			qty.V = value.Null
+		}
+		return relation.Tuple{Cells: []relation.Cell{{V: value.Int(int64(i))}, name, qty}}
+	}
+	const n = SegmentSize + 50
+	for i := 0; i < n; i++ {
+		if _, err := tbl.Insert(row(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 13 {
+		if err := tbl.Delete(RowID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{1, 2000, SegmentSize + 1, n - 1} {
+		if err := tbl.Update(RowID(i), row(i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tbl.Segments() != 2 {
+		t.Fatalf("Segments = %d, want 2", tbl.Segments())
+	}
+	var buf bytes.Buffer
+	if err := cat.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "5dcc641bf7e781a61b43f4a819c2df1b5cdacf9f489b774e6d7edb4fafe020fa"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("Save digest = %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }
 

@@ -39,37 +39,39 @@ func TestSegmentedHeapLayout(t *testing.T) {
 			t.Fatalf("id[%d] = %d", i, id)
 		}
 	}
-	gotIDs, rows := tbl.ScanSegment(0)
-	if len(gotIDs) != SegmentSize || len(rows) != SegmentSize {
-		t.Fatalf("segment 0 has %d rows, want %d", len(gotIDs), SegmentSize)
+	var cs ColSeg
+	if !tbl.ScanSegmentCols(0, []int{2}, &cs) || cs.Live() != SegmentSize || cs.Base != 0 {
+		t.Fatalf("segment 0 has %d rows at base %d, want %d at 0", cs.Live(), cs.Base, SegmentSize)
 	}
-	gotIDs, rows = tbl.ScanSegment(1)
-	if len(gotIDs) != 100 {
-		t.Fatalf("segment 1 has %d rows, want 100", len(gotIDs))
+	if !tbl.ScanSegmentCols(1, []int{2}, &cs) || cs.Live() != 100 {
+		t.Fatalf("segment 1 has %d rows, want 100", cs.Live())
 	}
-	if gotIDs[0] != RowID(SegmentSize) || rows[0].Cells[2].V.AsInt() != SegmentSize {
-		t.Errorf("segment 1 starts at id %d row %v", gotIDs[0], rows[0].Cells[0].V)
+	if cs.Base != RowID(SegmentSize) || cs.Cols[0].Vals[0].AsInt() != SegmentSize {
+		t.Errorf("segment 1 starts at id %d row %v", cs.Base, cs.Cols[0].Vals[0])
 	}
-	// Out-of-range segments are empty, not a panic.
-	if ids2, rows2 := tbl.ScanSegment(2); ids2 != nil || rows2 != nil {
-		t.Errorf("ScanSegment(2) = %v, %v", ids2, rows2)
-	}
-	if ids2, _ := tbl.ScanSegment(-1); ids2 != nil {
-		t.Errorf("ScanSegment(-1) = %v", ids2)
+	// Out-of-range segments report absent, not a panic.
+	if tbl.ScanSegmentCols(2, []int{2}, &cs) || tbl.ScanSegmentCols(-1, []int{2}, &cs) {
+		t.Error("out-of-range segment reported present")
 	}
 	// Deletions disappear from their segment; others keep row-ID order.
 	if err := tbl.Delete(ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, _ = tbl.ScanSegment(0)
-	if len(gotIDs) != SegmentSize-1 || gotIDs[0] != ids[0] || gotIDs[1] != ids[2] {
-		t.Errorf("after delete segment 0 starts %v", gotIDs[:3])
+	views := tbl.SnapshotCols([]int{0})
+	if len(views) != 2 || views[0].Live() != SegmentSize-1 || views[1].Live() != 100 {
+		t.Fatalf("after delete: %d views", len(views))
 	}
-	// ScanSegment returns copies: mutating them leaves the table intact.
-	_, rows = tbl.ScanSegment(1)
-	rows[0].Cells[0] = relation.Cell{V: value.Str("clobbered")}
-	if got, _ := tbl.Get(RowID(SegmentSize)); got.Cells[0].V.AsString() == "clobbered" {
-		t.Error("ScanSegment aliased table storage")
+	cells := make([]relation.Cell, 1)
+	if id := views[0].RowInto(0, cells); id != ids[0] {
+		t.Errorf("live row 0 is id %d, want %d", id, ids[0])
+	}
+	if id := views[0].RowInto(1, cells); id != ids[2] || cells[0].V.AsString() != "co-000002" {
+		t.Errorf("live row 1 is id %d %v, want %d", id, cells[0].V, ids[2])
+	}
+	// RowInto fills caller-owned cells: mutating them leaves the table intact.
+	cells[0] = relation.Cell{V: value.Str("clobbered")}
+	if got, _ := tbl.Get(ids[2]); got.Cells[0].V.AsString() == "clobbered" {
+		t.Error("RowInto aliased table storage")
 	}
 	// Cross-segment Get/Update/Delete still address the right slots.
 	last := ids[len(ids)-1]
@@ -84,6 +86,20 @@ func TestSegmentedHeapLayout(t *testing.T) {
 	}
 	if tbl.Len() != n-1 {
 		t.Errorf("Len = %d, want %d", tbl.Len(), n-1)
+	}
+	// A fully dead segment reads as empty, not as all-live, even through a
+	// fresh view whose selection buffer has never been allocated.
+	for _, id := range ids[SegmentSize:] {
+		if err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh ColSeg
+	if !tbl.ScanSegmentCols(1, []int{0}, &fresh) || fresh.Live() != 0 {
+		t.Errorf("dead segment view has %d live rows", fresh.Live())
+	}
+	if views := tbl.SnapshotCols(nil); views[1].Live() != 0 || len(views[1].Cols) != 0 {
+		t.Errorf("dead segment snapshot has %d live rows", views[1].Live())
 	}
 }
 

@@ -15,15 +15,16 @@ import (
 
 // SegmentSize is the number of row slots per heap segment. Row IDs map to
 // (segment, offset) as id/SegmentSize, id%SegmentSize; a table's heap is a
-// sequence of fixed-size segments so readers can snapshot one segment at a
-// time under a short read lock and scans can fan segments out across cores.
+// sequence of fixed-size segments so readers can take one segment's column
+// view at a time under a short read lock and scans can fan segments out
+// across cores.
 const SegmentSize = 4096
 
 // tupleClones counts protective row copies handed out of tables (Get,
-// ScanSegment, Snapshot) — materializations the caller may freely mutate
-// and retain. It is process-wide instrumentation for tests and benchmarks
-// asserting that lazy scan paths copy O(rows consumed), not O(table);
-// zero-clone reads (ScanSegmentCols, the shared row scans) never bump it.
+// Scan) — materializations the caller may freely mutate and retain. It is
+// process-wide instrumentation for tests and benchmarks asserting that
+// query paths copy O(rows returned), not O(table); the column views
+// (ScanSegmentCols, SnapshotCols) never bump it.
 var tupleClones atomic.Int64
 
 // TupleClones reports the process-wide count of tuples cloned out of
@@ -118,22 +119,18 @@ func newSegment(width int) *segment {
 // rowAt materializes slot off as a fresh row; the caller must hold t.mu.
 func (s *segment) rowAt(off int) relation.Tuple {
 	cells := make([]relation.Cell, len(s.cols))
-	s.rowInto(off, cells)
-	return relation.Tuple{Cells: cells}
-}
-
-// rowInto materializes slot off into cells (len == len(s.cols)).
-func (s *segment) rowInto(off int, cells []relation.Cell) {
 	for j := range s.cols {
 		cells[j] = s.cols[j].cell(off)
 	}
+	return relation.Tuple{Cells: cells}
 }
 
 // Table is a concurrent heap table with secondary indexes and primary-key
 // enforcement. Row IDs are stable for the life of a row. The heap is a
-// sequence of fixed-size segments (SegmentSize row slots each); readers may
-// snapshot segments independently, so a scan never holds the table lock
-// while its caller processes rows.
+// sequence of fixed-size segments (SegmentSize row slots each) stored as
+// immutable column runs; readers capture column views of them under a
+// short read lock (ScanSegmentCols, SnapshotCols), so a scan never holds
+// the table lock while its caller processes rows.
 type Table struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
@@ -213,117 +210,12 @@ func (t *Table) Len() int {
 }
 
 // Segments reports the number of heap segments. Segment indexes
-// 0..Segments()-1 are valid arguments to ScanSegment; rows with IDs in
+// 0..Segments()-1 are valid arguments to ScanSegmentCols; rows with IDs in
 // [i*SegmentSize, (i+1)*SegmentSize) live in segment i.
 func (t *Table) Segments() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.segs)
-}
-
-// ScanSegment copies the live rows of segment i (ids and tuples, in
-// ascending row-ID order) under a short read lock and returns them. An
-// out-of-range segment yields empty slices. Concatenating ScanSegment(0..n)
-// reproduces a full scan in row-ID order, one segment's consistency at a
-// time — callers process the copies without holding any table lock.
-func (t *Table) ScanSegment(i int) ([]RowID, []relation.Tuple) {
-	return t.scanSegment(i, true, true)
-}
-
-// ScanSegmentRows is ScanSegment for callers that do not need the row IDs;
-// it skips the per-segment ID slice allocation on the scan hot path.
-func (t *Table) ScanSegmentRows(i int) []relation.Tuple {
-	_, rows := t.scanSegment(i, false, true)
-	return rows
-}
-
-// ScanSegmentRowsShared is ScanSegmentRows without the protective per-row
-// clone: rows are materialized from the segment's column runs into one
-// shared arena per segment rather than one heap allocation per row, and
-// the materialization is not counted as a clone. Callers must treat the
-// rows as read-only and rebuild the cell slice (projection, join
-// concatenation, aggregation) before any row escapes to code that might
-// mutate or retain it — mutating a shared row corrupts every other row in
-// its arena's lifetime, and retaining one pins the whole arena. Query
-// pipelines qualify; handing these tuples straight to an end user does
-// not. Columnar consumers should prefer ScanSegmentCols, which skips row
-// materialization entirely.
-func (t *Table) ScanSegmentRowsShared(i int) []relation.Tuple {
-	_, rows := t.scanSegment(i, false, false)
-	return rows
-}
-
-// ScanSegmentRowsSharedInto is ScanSegmentRowsShared appending into buf
-// (reset to length zero), so a streaming reader can recycle one segment
-// buffer for a whole scan instead of allocating per segment — the returned
-// slice is only valid until the next refill. Same zero-clone, read-only
-// contract as ScanSegmentRowsShared.
-func (t *Table) ScanSegmentRowsSharedInto(i int, buf []relation.Tuple) []relation.Tuple {
-	if buf == nil {
-		buf = []relation.Tuple{}
-	}
-	_, rows := t.scanSegmentInto(i, false, false, buf)
-	return rows
-}
-
-func (t *Table) scanSegment(i int, withIDs, clone bool) ([]RowID, []relation.Tuple) {
-	return t.scanSegmentInto(i, withIDs, clone, nil)
-}
-
-// scanSegmentInto is the one row-shaped segment-read core: every row scan
-// variant — cloned or shared, with or without row IDs, allocating or
-// recycling its buffer — funnels through this loop, so liveness and
-// locking semantics cannot diverge between them. Rows are materialized
-// from the segment's column runs: clone mode gives each row its own cell
-// slice (callers may mutate and retain), shared mode packs the segment's
-// rows into one arena (read-only, transient). A nil buf allocates a fresh
-// row slice; a non-nil buf is reset and appended into.
-func (t *Table) scanSegmentInto(i int, withIDs, clone bool, buf []relation.Tuple) ([]RowID, []relation.Tuple) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.segs) {
-		return nil, buf[:0]
-	}
-	seg := t.segs[i]
-	live := seg.n - seg.nDead
-	var ids []RowID
-	rows := buf[:0]
-	if live > 0 {
-		if withIDs {
-			ids = make([]RowID, 0, live)
-		}
-		if buf == nil {
-			rows = make([]relation.Tuple, 0, live)
-		}
-	}
-	w := len(seg.cols)
-	var arena []relation.Cell
-	if !clone && live > 0 {
-		arena = make([]relation.Cell, live*w)
-	}
-	for off := 0; off < seg.n; off++ {
-		if !seg.live[off] {
-			continue
-		}
-		var cells []relation.Cell
-		if clone {
-			cells = make([]relation.Cell, w)
-		} else {
-			k := len(rows) * w
-			cells = arena[k : k+w : k+w]
-		}
-		seg.rowInto(off, cells)
-		if withIDs {
-			ids = append(ids, RowID(i*SegmentSize+off))
-		}
-		rows = append(rows, relation.Tuple{Cells: cells})
-	}
-	if clone {
-		// One batched add per segment: a per-row atomic RMW would have every
-		// parallel scan worker ping-ponging the counter's cache line.
-		tupleClones.Add(int64(len(rows)))
-	}
-	return ids, rows
 }
 
 // locate returns the slot for id; the caller must hold t.mu. ok is false
@@ -335,24 +227,6 @@ func (t *Table) locate(id RowID) (seg *segment, off int, ok bool) {
 	seg = t.segs[int(id)/SegmentSize]
 	off = int(id) % SegmentSize
 	return seg, off, seg.live[off]
-}
-
-// forEachLiveLocked visits live rows in row-ID order, materializing each
-// row fresh from its segment's column runs; the caller must hold t.mu.
-// Visited rows own their cells and may escape the lock. Single-column
-// readers (index builds, unindexed lookups) should walk the column runs
-// directly instead of paying whole-row materialization.
-func (t *Table) forEachLiveLocked(fn func(id RowID, row relation.Tuple) bool) {
-	for si, seg := range t.segs {
-		for off := 0; off < seg.n; off++ {
-			if !seg.live[off] {
-				continue
-			}
-			if !fn(RowID(si*SegmentSize+off), seg.rowAt(off)) {
-				return
-			}
-		}
-	}
 }
 
 // appendLocked appends a row slot, copying the tuple's cells into the tail
@@ -588,21 +462,25 @@ func (t *Table) LookupKey(keyVals ...value.Value) (RowID, bool) {
 	return id, ok
 }
 
-// Scan visits every live row in row-ID order. Visit receives a copy; it
-// returns false to stop the scan.
+// Scan visits every live row in row-ID order. Visit receives a copy it may
+// mutate and keep; it returns false to stop the scan.
 //
-// The scan snapshots one segment at a time and invokes visit with no table
-// lock held, so a visitor may freely call back into the table (Get,
-// LookupEq, even Insert) without deadlocking behind a queued writer — the
-// sync.RWMutex hazard the old whole-scan lock had. The price is that a scan
-// is consistent per segment, not across the whole table: rows written to
-// segments not yet visited may or may not be seen.
+// The rows come from one SnapshotCols capture, so a scan sees the table at
+// one instant, and visit runs with no table lock held: a visitor may freely
+// call back into the table (Get, LookupEq, even Insert) without
+// deadlocking behind a queued writer — the sync.RWMutex hazard the old
+// whole-scan lock had. Writes made during the scan are not seen.
 func (t *Table) Scan(visit func(id RowID, tup relation.Tuple) bool) {
-	n := t.Segments()
-	for si := 0; si < n; si++ {
-		ids, rows := t.ScanSegment(si)
-		for i, id := range ids {
-			if !visit(id, rows[i]) {
+	copies := 0
+	defer func() { tupleClones.Add(int64(copies)) }()
+	views := t.SnapshotCols(t.schema.ColIndexes())
+	for i := range views {
+		cs := &views[i]
+		for k := 0; k < cs.Live(); k++ {
+			cells := make([]relation.Cell, len(cs.Cols))
+			id := cs.RowInto(k, cells)
+			copies++
+			if !visit(id, relation.Tuple{Cells: cells}) {
 				return
 			}
 		}
@@ -739,42 +617,6 @@ func (t *Table) LookupRange(target IndexTarget, lo, hi Bound) ([]RowID, error) {
 		}
 	}
 	return out, nil
-}
-
-// Snapshot copies the live rows into a relation.Relation, in row-ID order,
-// under one read lock — a consistent point-in-time copy of the whole table.
-// Query scans do not use it (they stream segment-wise); it remains for
-// callers that need whole-table consistency, e.g. persistence.
-func (t *Table) Snapshot() *relation.Relation {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := relation.New(t.schema)
-	out.TableTags = t.tableTags
-	t.forEachLiveLocked(func(_ RowID, row relation.Tuple) bool {
-		out.Tuples = append(out.Tuples, row) // forEachLiveLocked rows are fresh copies
-		return true
-	})
-	tupleClones.Add(int64(len(out.Tuples)))
-	return out
-}
-
-// SnapshotRows copies the live rows and their IDs, in row-ID order, under
-// one read lock — Snapshot for callers that need to address rows
-// afterwards (DELETE/UPDATE collect-then-apply). Unlike segment-wise Scan,
-// a row cannot appear at two IDs in one SnapshotRows (e.g. deleted and
-// reinserted by a concurrent writer mid-scan).
-func (t *Table) SnapshotRows() ([]RowID, []relation.Tuple) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]RowID, 0, t.nLive)
-	rows := make([]relation.Tuple, 0, t.nLive)
-	t.forEachLiveLocked(func(id RowID, row relation.Tuple) bool {
-		ids = append(ids, id)
-		rows = append(rows, row) // forEachLiveLocked rows are fresh copies
-		return true
-	})
-	tupleClones.Add(int64(len(rows)))
-	return ids, rows
 }
 
 // Load bulk-inserts all tuples of a relation, returning the first error.

@@ -212,17 +212,26 @@ func TestTableScanAndSnapshot(t *testing.T) {
 	if n != 3 {
 		t.Errorf("early-stop scan visited %d", n)
 	}
-	snap := tbl.Snapshot()
-	if snap.Len() != 10 {
-		t.Errorf("snapshot len = %d", snap.Len())
+	snap := tbl.SnapshotCols([]int{0, 2})
+	if len(snap) != 1 || snap[0].Live() != 10 {
+		t.Fatalf("snapshot = %d views", len(snap))
 	}
-	// Snapshot isolation: mutating the table does not affect the snapshot.
+	// Snapshot isolation: neither a delete nor a copy-on-write update
+	// reaches a captured view.
 	id, _ := tbl.LookupKey(value.Str("a"))
 	if err := tbl.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Len() != 10 {
-		t.Error("snapshot aliased live table")
+	id, _ = tbl.LookupKey(value.Str("b"))
+	if err := tbl.Update(id, custTuple("b", "addr", 99, t0, "s")); err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]relation.Cell, 2)
+	if snap[0].Live() != 10 || snap[0].RowInto(1, cells) != id || cells[1].V.AsInt() != 1 {
+		t.Errorf("snapshot aliased live table: live %d, row 1 = %v", snap[0].Live(), cells)
+	}
+	if now := tbl.SnapshotCols([]int{0, 2}); now[0].Live() != 9 || now[0].RowInto(0, cells) != id || cells[1].V.AsInt() != 99 {
+		t.Errorf("fresh snapshot missed the writes: live %d, row 0 = %v", now[0].Live(), cells)
 	}
 }
 
