@@ -1,5 +1,5 @@
-// Benchmarks, one per reproduced artifact and ablation (see EXPERIMENTS.md
-// for the experiment index). Run with:
+// Benchmarks, one per reproduced artifact and ablation (the experiment
+// index is `go run ./cmd/benchrunner -list`). Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test

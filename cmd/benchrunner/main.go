@@ -1,5 +1,6 @@
 // Command benchrunner regenerates every table and figure of the paper plus
-// the quantitative ablations documented in EXPERIMENTS.md.
+// the quantitative ablations listed by -list. It reproduces the paper; the
+// engine's performance is measured by the benchmark in ./bench.
 //
 //	benchrunner            # run every experiment
 //	benchrunner -exp T2    # run one (T1 T2 F1 F2 F3 F4 F5 A X1 X2 X3 X4 AB1 AB2 AB3 AB4 AB5)
@@ -7,8 +8,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,9 +24,7 @@ import (
 	"repro/internal/qql"
 	"repro/internal/quality"
 	"repro/internal/relation"
-	"repro/internal/server"
 	"repro/internal/storage"
-	"repro/internal/storage/wal"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -37,33 +34,6 @@ type experiment struct {
 	title string
 	run   func() error
 }
-
-// PAR / PIPE experiment knobs (package-level so the experiment closures
-// see the parsed values).
-var (
-	parRows   = flag.Int("par-rows", 100000, "PAR: customer table size")
-	parDegree = flag.Int("par-degree", 0, "PAR: parallel fan-out (0 = GOMAXPROCS)")
-	parIters  = flag.Int("par-iters", 0, "PAR: measured runs per query per mode (0 = default)")
-	parOut    = flag.String("par-out", "BENCH_PAR.json", "PAR: machine-readable output path ('' to skip)")
-
-	pipeRows  = flag.Int("pipe-rows", 5000, "PIPE: INSERT statements per ingest mode")
-	pipeDepth = flag.Int("pipe-depth", 16, "PIPE: pipelined mode's in-flight window")
-	pipeBatch = flag.Int("pipe-batch", 50, "PIPE: statements per batch frame")
-	pipeOut   = flag.String("pipe-out", "BENCH_PIPE.json", "PIPE: machine-readable output path ('' to skip)")
-
-	cacheRows  = flag.Int("cache-rows", 20000, "CACHE: customer table size")
-	cacheIters = flag.Int("cache-iters", 3000, "CACHE: measured executions per cache mode")
-	cacheOut   = flag.String("cache-out", "BENCH_CACHE.json", "CACHE: machine-readable output path ('' to skip)")
-
-	vecRows  = flag.Int("vec-rows", 100000, "VEC: customer table size")
-	vecIters = flag.Int("vec-iters", 0, "VEC: measured runs per query per mode (0 = default)")
-	vecOut   = flag.String("vec-out", "BENCH_VEC.json", "VEC: machine-readable output path ('' to skip)")
-
-	walRows    = flag.Int("wal-rows", 4000, "WAL: INSERT statements per fsync policy")
-	walClients = flag.Int("wal-clients", 16, "WAL: concurrent batched connections")
-	walBatch   = flag.Int("wal-batch", 1, "WAL: statements per batch frame (one commit each)")
-	walOut     = flag.String("wal-out", "BENCH_WAL.json", "WAL: machine-readable output path ('' to skip)")
-)
 
 func main() {
 	expFlag := flag.String("exp", "", "experiment id to run (default: all)")
@@ -115,347 +85,7 @@ func experiments() []experiment {
 		{"AB3", "ablation: polygen source propagation cost vs join size", runAB3},
 		{"AB4", "ablation: view integration scaling", runAB4},
 		{"AB5", "ablation: SPC detection of injected defect bursts", runAB5},
-		{"SRV", "server mode: concurrent clients vs qqld over TCP", runSRV},
-		{"PAR", "parallel scans: segmented heap fan-out vs serial", runPAR},
-		{"PIPE", "wire v2 ingest: serial vs pipelined vs batched", runPIPE},
-		{"CACHE", "plan cache: cold vs AST-cached vs bound-plan-cached hot query", runCACHE},
-		{"VEC", "vectorized execution: scalar vs batch vs batch+compiled expressions", runVEC},
-		{"WAL", "durability: fsync per commit vs group commit vs no fsync", runWAL},
 	}
-}
-
-// runVEC measures the same scan-heavy queries through the Volcano tier and
-// the vectorized tier (interpreted and compiled expressions), all serial so
-// the comparison isolates execution style, and writes BENCH_VEC.json so the
-// execution-engine trajectory is recorded across PRs.
-func runVEC() error {
-	cfg := workload.VecBenchConfig{Rows: *vecRows, Seed: 7, Iters: *vecIters}
-	cat, err := workload.VecBenchCatalog(cfg)
-	if err != nil {
-		return err
-	}
-	mkSession := func(vec, compiled bool) *qql.Session {
-		s := qql.NewSession(cat)
-		s.SetNow(workload.Epoch)
-		s.SetParallelism(1)
-		s.SetVectorized(vec)
-		s.SetCompiledExprs(compiled)
-		return s
-	}
-	report, err := workload.RunVecBench(cfg,
-		mkSession(false, false), mkSession(true, false), mkSession(true, true))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d-row customer table, no indexes; serial, batch size %d, %d iterations per query per mode, %d core(s)\n",
-		report.Rows, report.BatchSize, report.Iters, report.Cores)
-	fmt.Printf("%-24s %-10s %-12s %-12s %-12s %-9s %s\n",
-		"case", "rows", "scalar p50", "vec p50", "vec+comp", "speedup", "clones s/v/c")
-	for _, c := range report.Cases {
-		fmt.Printf("%-24s %-10d %-12s %-12s %-12s %-9s %d/%d/%d\n",
-			c.Name, c.Rows,
-			time.Duration(c.Scalar.P50*1000).String(),
-			time.Duration(c.Vectorized.P50*1000).String(),
-			time.Duration(c.Compiled.P50*1000).String(),
-			fmt.Sprintf("%.2fx", c.SpeedupCompiled),
-			c.Scalar.ClonesPerQuery, c.Vectorized.ClonesPerQuery, c.Compiled.ClonesPerQuery)
-	}
-	if *vecOut != "" {
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*vecOut, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *vecOut)
-	}
-	fmt.Println("shape:", report.Note)
-	return nil
-}
-
-// runWAL ingests the same concurrent batched INSERT stream into three
-// durable servers differing only in WAL fsync policy and writes the
-// machine-readable BENCH_WAL.json so the durability-cost trajectory is
-// recorded across PRs. The headline number is group commit's speedup over
-// per-commit fsync at identical durability for acknowledged writes.
-func runWAL() error {
-	report, err := workload.RunWALBench(workload.WALBenchConfig{
-		Rows: *walRows, Clients: *walClients, Batch: *walBatch,
-		StartServer: func(l *wal.Log) (string, func() error, error) {
-			srv := server.New(l.Catalog(), server.Config{
-				Addr: "127.0.0.1:0", MaxConns: *walClients + 4, Now: workload.Epoch, WAL: l})
-			if err := srv.Listen(); err != nil {
-				return "", nil, err
-			}
-			go srv.Serve()
-			stop := func() error {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				return srv.Shutdown(ctx)
-			}
-			return srv.Addr().String(), stop, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d INSERTs per policy from %d connections, %d statements per batch commit, %d core(s)\n",
-		report.Rows, report.Clients, report.Batch, report.Cores)
-	fmt.Printf("%-14s %-10s %-10s %-10s %-10s %-10s %s\n",
-		"mode", "stmts/s", "commits", "fsyncs", "grp max", "wal MiB", "errors")
-	for _, m := range report.Modes {
-		fmt.Printf("%-14s %-10.0f %-10d %-10d %-10d %-10.1f %d\n",
-			m.Name, m.StmtsPerSec, m.Commits, m.Fsyncs, m.GroupMax,
-			float64(m.WALBytes)/(1<<20), m.Errors)
-	}
-	fmt.Printf("speedup vs fsync-always: group %.2fx, off %.2fx\n",
-		report.SpeedupGroupVsAlways, report.SpeedupOffVsAlways)
-	if *walOut != "" {
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*walOut, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *walOut)
-	}
-	fmt.Println("shape:", report.Note)
-	return nil
-}
-
-// runCACHE measures one hot indexed SELECT under the three cache
-// configurations — no cache, AST tier only, AST + bound-plan tiers — and
-// writes the machine-readable BENCH_CACHE.json so the compile-path
-// trajectory is recorded across PRs.
-func runCACHE() error {
-	cfg := workload.CacheBenchConfig{Rows: *cacheRows, Iters: *cacheIters}
-	cat, query, err := workload.CacheBenchCatalog(cfg)
-	if err != nil {
-		return err
-	}
-	mkSession := func(cache *qql.PlanCache) *qql.Session {
-		s := qql.NewSession(cat)
-		s.SetNow(workload.Epoch)
-		if cache != nil {
-			s.SetPlanCache(cache)
-		}
-		return s
-	}
-	hits := func(c *qql.PlanCache) func() (uint64, uint64) {
-		return func() (uint64, uint64) {
-			st := c.Stats()
-			return st.Hits, st.PlanHits
-		}
-	}
-	astCache := qql.NewPlanCache(qql.DefaultCacheSize)
-	astCache.SetPlanTier(false)
-	planCache := qql.NewPlanCache(qql.DefaultCacheSize)
-	report, err := workload.RunCacheBench(cfg, query, []workload.CacheBenchMode{
-		{Name: "cold", Q: mkSession(nil)},
-		{Name: "ast-cached", Q: mkSession(astCache), CacheHits: hits(astCache)},
-		{Name: "plan-cached", Q: mkSession(planCache), CacheHits: hits(planCache)},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d-row customer table, hash index on co_name; %d iterations per mode, %d core(s)\n",
-		report.Rows, report.Iters, report.Cores)
-	fmt.Printf("%-14s %-10s %-11s %-11s %-11s %-9s %s\n",
-		"mode", "q/s", "p50", "p95", "p99", "ast hits", "plan hits")
-	for _, m := range report.Modes {
-		fmt.Printf("%-14s %-10.0f %-11s %-11s %-11s %-9d %d\n",
-			m.Name, m.QPS,
-			time.Duration(m.P50MS*float64(time.Millisecond)).Round(time.Microsecond),
-			time.Duration(m.P95MS*float64(time.Millisecond)).Round(time.Microsecond),
-			time.Duration(m.P99MS*float64(time.Millisecond)).Round(time.Microsecond),
-			m.ASTHits, m.PlanHits)
-	}
-	fmt.Printf("speedups: ast/cold %.2fx, plan/cold %.2fx, plan/ast %.2fx\n",
-		report.SpeedupASTVsCold, report.SpeedupPlanVsCold, report.SpeedupPlanVsAST)
-	if *cacheOut != "" {
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*cacheOut, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *cacheOut)
-	}
-	fmt.Println("shape:", report.Note)
-	return nil
-}
-
-// runPIPE measures the same INSERT stream over wire v1 (one round-trip per
-// statement), wire v2 pipelined (request IDs, N in flight) and wire v2
-// batched (one multi-statement frame), and writes the machine-readable
-// BENCH_PIPE.json so the ingest-path trajectory is recorded across PRs.
-func runPIPE() error {
-	srv := server.New(storage.NewCatalog(), server.Config{Addr: "127.0.0.1:0", MaxConns: 16, Now: workload.Epoch})
-	if err := srv.Listen(); err != nil {
-		return err
-	}
-	go srv.Serve()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: shutdown: %v\n", err)
-		}
-	}()
-
-	report, err := workload.RunPipelineBench(workload.PipelineBenchConfig{
-		Addr: srv.Addr().String(), Rows: *pipeRows, Depth: *pipeDepth, Batch: *pipeBatch,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d INSERTs per mode over one conn each; depth %d, batch %d, %d core(s)\n",
-		report.Rows, report.Depth, report.Batch, report.Cores)
-	fmt.Printf("%-14s %-10s %-10s %-11s %-11s %-11s %s\n",
-		"mode", "requests", "stmts/s", "p50", "p95", "p99", "errors")
-	for _, m := range report.Modes {
-		fmt.Printf("%-14s %-10d %-10.0f %-11s %-11s %-11s %d\n",
-			m.Name, m.Requests, m.StmtsPerSec,
-			time.Duration(m.P50MS*float64(time.Millisecond)).Round(time.Microsecond),
-			time.Duration(m.P95MS*float64(time.Millisecond)).Round(time.Microsecond),
-			time.Duration(m.P99MS*float64(time.Millisecond)).Round(time.Microsecond),
-			m.Errors)
-	}
-	fmt.Printf("speedup vs v1-serial: pipelined %.2fx, batched %.2fx\n",
-		report.SpeedupPipelined, report.SpeedupBatched)
-	if *pipeOut != "" {
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*pipeOut, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *pipeOut)
-	}
-	fmt.Println("shape:", report.Note)
-	return nil
-}
-
-// runPAR measures serial vs parallel segmented heap scans over a large
-// unindexed customer table — with and without a predicate fused into the
-// scan workers — and writes the machine-readable BENCH_PAR.json so the
-// perf trajectory is recorded across PRs.
-func runPAR() error {
-	cfg := workload.ParallelBenchConfig{Rows: *parRows, Seed: 7, Degree: *parDegree, Iters: *parIters}
-	cat, err := workload.ParallelBenchCatalog(cfg)
-	if err != nil {
-		return err
-	}
-	mkSession := func(degree int) *qql.Session {
-		s := qql.NewSession(cat)
-		s.SetNow(workload.Epoch)
-		s.SetParallelism(degree)
-		return s
-	}
-	report, err := workload.RunParallelBench(cfg, mkSession(1), mkSession(*parDegree))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d-row customer table, no indexes; %d cores, fan-out ×%d (effective ×%d), segment size %d\n",
-		report.Rows, report.Cores, report.Degree, report.EffectiveDegree, report.SegmentSize)
-	if report.EffectiveDegree <= 1 {
-		fmt.Println("note: parallel session degraded to a serial scan (one core or single-segment table); speedups are noise")
-	}
-	fmt.Printf("%-24s %-10s %-12s %-12s %-12s %s\n", "case", "rows", "serial p50", "par p50", "par p99", "speedup")
-	for _, c := range report.Cases {
-		fmt.Printf("%-24s %-10d %-12s %-12s %-12s %.2fx\n",
-			c.Name, c.Rows,
-			time.Duration(c.Serial.P50*1000).String(),
-			time.Duration(c.Parallel.P50*1000).String(),
-			time.Duration(c.Parallel.P99*1000).String(),
-			c.Speedup)
-	}
-	if *parOut != "" {
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*parOut, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *parOut)
-	}
-	fmt.Println("shape: fan-out wins when segments outnumber workers and cores are real; on one core the merge overhead shows")
-	return nil
-}
-
-// runSRV starts an in-process qqld over a generated customer table and
-// drives it with concurrent client connections, reporting throughput,
-// latency percentiles and plan-cache effectiveness — the serving-layer
-// counterpart of X1's in-process quality filtering.
-func runSRV() error {
-	cat := storage.NewCatalog()
-	rel := workload.Customers(workload.CustomerConfig{N: 20000, Seed: 11})
-	tbl, err := cat.Create(rel.Schema, false)
-	if err != nil {
-		return err
-	}
-	if err := tbl.Load(rel); err != nil {
-		return err
-	}
-	if err := tbl.CreateIndex(storage.IndexTarget{Attr: "employees"}, storage.IndexBTree); err != nil {
-		return err
-	}
-	srv := server.New(cat, server.Config{Addr: "127.0.0.1:0", MaxConns: 128, Now: workload.Epoch})
-	if err := srv.Listen(); err != nil {
-		return err
-	}
-	go srv.Serve()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: shutdown: %v\n", err)
-		}
-	}()
-
-	fmt.Printf("20000-row customer table behind qqld at %s\n", srv.Addr())
-	fmt.Printf("%-8s %-10s %-10s %-10s %-10s %s\n", "clients", "q/s", "p50", "p95", "p99", "cache hit%")
-	prev := srv.Cache().Stats()
-	for _, nClients := range []int{1, 8, 32} {
-		res, err := workload.RunServerBench(workload.ServerBenchConfig{
-			Addr:       srv.Addr().String(),
-			Clients:    nClients,
-			Requests:   200,
-			Statements: workload.ServerStatements(),
-		})
-		if err != nil {
-			return err
-		}
-		if res.Errors > 0 {
-			return fmt.Errorf("server bench: %d statement errors", res.Errors)
-		}
-		// Per-round cache effectiveness across both tiers: delta against the
-		// previous round (hot SELECTs land in the bound-plan tier, DML in
-		// the AST tier).
-		cs := srv.Cache().Stats()
-		hits := (cs.Hits - prev.Hits) + (cs.PlanHits - prev.PlanHits)
-		total := hits + (cs.Misses - prev.Misses) + (cs.PlanMisses - prev.PlanMisses)
-		prev = cs
-		rate := 0.0
-		if total > 0 {
-			rate = float64(hits) / float64(total)
-		}
-		fmt.Printf("%-8d %-10.0f %-10v %-10v %-10v %.1f%%\n",
-			nClients, res.QPS, res.P50.Round(time.Microsecond),
-			res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond),
-			100*rate)
-	}
-	st := srv.Stats()
-	fmt.Printf("server: %d conns accepted, %d queries, %d errors, mean latency %v\n",
-		st.Accepted, st.Queries, st.Errors,
-		(st.TotalLatency / time.Duration(max(st.Queries, 1))).Round(time.Microsecond))
-	fmt.Println("shape: shared plan cache takes re-parsing off the hot path; throughput scales with connections until the catalog's write lock saturates")
-	return nil
 }
 
 func runT1() error {

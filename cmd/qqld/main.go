@@ -1,9 +1,9 @@
 // Command qqld serves QQL over TCP: the network daemon in front of the
 // quality-tagged store. Clients speak the wire protocol of
 // internal/server/wire — v2 length-prefixed frames with pipelined request
-// IDs and JSON or binary payloads via internal/server/client, or the
-// legacy v1 line-delimited JSON ({"q": "<qql>"} per line, auto-detected)
-// via netcat or anything that can write a line of JSON.
+// IDs and JSON or binary payloads — via internal/server/client (or
+// cmd/qqlload from the shell). A connection that does not open with a
+// frame gets one error frame and is closed.
 //
 //	qqld                                # listen on :7583
 //	qqld -addr 127.0.0.1:9000           # custom address

@@ -37,6 +37,28 @@ func TestLockorderTestdata(t *testing.T) {
 	})
 }
 
+// TestIOSensitiveOwner pins the packages whose locks lockorder forbids
+// holding across I/O. The match is on whole path elements: the WAL holds
+// its flush lock across fsync by design, and a sibling package whose name
+// merely starts with "storage" is not the storage layer.
+func TestIOSensitiveOwner(t *testing.T) {
+	for owner, want := range map[string]bool{
+		"repro/internal/storage":        true,
+		"repro/internal/server":         true,
+		"repro/internal/server/client":  true,
+		"internal/server/client":        true,
+		"repro/internal/storage/wal":    false,
+		"repro/internal/server/wire":    false,
+		"repro/internal/qql":            false,
+		"repro/internal/storagex":       false,
+		"repro/x/internal/serverclient": false,
+	} {
+		if got := ioSensitiveOwner(owner); got != want {
+			t.Errorf("ioSensitiveOwner(%q) = %v, want %v", owner, got, want)
+		}
+	}
+}
+
 func TestAtomicmixTestdata(t *testing.T) {
 	runTestdataProgram(t, Atomicmix, "atomicmix", []testdataPkg{
 		{subdir: "counter", importPath: "test/atomicmix/counter"},

@@ -8,11 +8,10 @@
 //   - re-acquisition of a held mutex (sync.Mutex does not recurse);
 //   - blocking while holding a lock: a channel send/receive, select,
 //     sync.WaitGroup/Cond.Wait or time.Sleep under any lock, and network
-//     or file I/O under a lock owned by internal/storage or
-//     internal/server (the engine's shared-state layers, where one stalled
-//     syscall would stall every other request; protocol code like the
-//     client's lockstep v1 path serializes I/O under its own lock by
-//     design and is deliberately out of scope).
+//     or file I/O under a lock owned by internal/storage, internal/server
+//     or internal/server/client (the engine's shared-state layers and the
+//     pipelined client, where one stalled syscall would stall every other
+//     request sharing the lock).
 //
 // Effects propagate across function and package boundaries: each function
 // exports a fact listing the lock classes it (transitively) acquires and
@@ -566,7 +565,8 @@ func (w *lockWalker) block(b lockBlock, pos token.Pos) {
 // ioSensitiveOwner reports whether a lock's declaring package is one whose
 // locks must never be held across I/O.
 func ioSensitiveOwner(owner string) bool {
-	return hasPathSuffix(owner, "internal/storage") || hasPathSuffix(owner, "internal/server")
+	return hasPathSuffix(owner, "internal/storage") || hasPathSuffix(owner, "internal/server") ||
+		hasPathSuffix(owner, "internal/server/client")
 }
 
 // lockClass names the lock behind a mu.Lock() selector by its declaring

@@ -1,15 +1,13 @@
 // Package client is the Go client for qqld. A Client owns one TCP
-// connection and, on the default wire v2 protocol, runs an asynchronous
-// core: a writer goroutine streams request frames onto the socket while a
-// reader goroutine demultiplexes responses by request ID, so many requests
-// can be in flight on the one connection at once (pipelining). Do, Query
-// and Exec remain synchronous wrappers — each sends and waits for its own
-// response — but concurrent callers no longer serialize on a round-trip
-// mutex, and DoAsync/ExecBatch expose the pipeline directly. With
-// Options{Version: 1} the Client instead speaks the legacy line-JSON
-// protocol, where calls are serialized in lockstep.
+// connection speaking wire v2 and runs an asynchronous core: a writer
+// goroutine streams request frames onto the socket while a reader goroutine
+// demultiplexes responses by request ID, so many requests can be in flight
+// on the one connection at once (pipelining). Do, Query and Exec are
+// synchronous wrappers — each sends and waits for its own response — but
+// concurrent callers do not serialize on a round-trip mutex, and
+// DoAsync/ExecBatch expose the pipeline directly.
 //
-// A v2 Client survives its connection: when the transport fails, in-flight
+// A Client survives its connection: when the transport fails, in-flight
 // calls fail with an error wrapping ErrConnClosed, and the next call
 // transparently dials a fresh connection (with Options.Retry's jittered
 // exponential backoff). Failed calls are never re-sent automatically — the
@@ -48,13 +46,10 @@ type Retry struct {
 	MaxBackoff time.Duration
 }
 
-// Options tunes a connection; the zero value means wire v2, binary
-// payloads, pipeline depth 64, 5s dial timeout, no dial retries.
+// Options tunes a connection; the zero value means binary payloads,
+// pipeline depth 64, 5s dial timeout, no dial retries.
 type Options struct {
-	// Version selects the protocol: 2 (default, framed + pipelined) or 1
-	// (legacy line-delimited JSON, one request in flight).
-	Version int
-	// Encoding selects the v2 request payload encoding: "binary"
+	// Encoding selects the request payload encoding: "binary"
 	// (default) or "json". Responses are decoded by their frame header,
 	// whatever the server chose.
 	Encoding string
@@ -71,9 +66,9 @@ type Options struct {
 var ErrClosed = errors.New("client: closed")
 
 // ErrConnClosed marks transport failures: the connection a call was using
-// is gone (reset, EOF, timeout-poisoned v1 stream). Test with
-// errors.Is(err, ErrConnClosed). On wire v2 the next call dials a fresh
-// connection; the failed call itself is not replayed.
+// is gone (reset, EOF, refused by the server). Test with
+// errors.Is(err, ErrConnClosed). The next call dials a fresh connection;
+// the failed call itself is not replayed.
 var ErrConnClosed = errors.New("client: connection closed")
 
 // result is one demultiplexed reply.
@@ -84,9 +79,9 @@ type result struct {
 }
 
 // Client is a reusable handle to a qqld server. It is safe for concurrent
-// use; on wire v2, concurrent calls pipeline onto one socket instead of
-// queueing behind each other's round-trips, and a broken socket is
-// replaced on the next call.
+// use; concurrent calls pipeline onto one socket instead of queueing behind
+// each other's round-trips, and a broken socket is replaced on the next
+// call.
 type Client struct {
 	addr string
 	opts Options
@@ -94,24 +89,14 @@ type Client struct {
 
 	closed atomic.Bool
 
-	// v1 (legacy) state: one request/response round-trip at a time, no
-	// reconnect (the stream has no request IDs to resynchronize on).
-	v1    bool
-	mu    sync.Mutex
-	conn  net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	jenc  *json.Encoder
-	v1Err error // sticky poison; wraps ErrConnClosed
-
-	// v2: the current connection core and the reconnect single-flight.
+	// The current connection core and the reconnect single-flight.
 	coreMu    sync.Mutex
 	cur       *core
 	redialing chan struct{} // non-nil while one goroutine redials
 	dialErr   error         // outcome of the last finished redial
 }
 
-// core is one v2 connection's asynchronous machinery. A Client replaces
+// core is one connection's asynchronous machinery. A Client replaces
 // its core on reconnect; in-flight requests stay bound to the core that
 // carried them.
 type core struct {
@@ -131,7 +116,7 @@ type core struct {
 }
 
 // Dial connects to a qqld server at addr ("host:port") with default
-// Options: wire v2, binary encoding, pipelined.
+// Options: binary encoding, pipelined.
 func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, Options{})
 }
@@ -141,7 +126,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return DialOptions(addr, Options{DialTimeout: timeout})
 }
 
-// DialOptions connects with explicit protocol options.
+// DialOptions connects with explicit options.
 func DialOptions(addr string, o Options) (*Client, error) {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -159,18 +144,6 @@ func DialOptions(addr string, o Options) (*Client, error) {
 		return nil, fmt.Errorf("client: unknown encoding %q (want binary or json)", o.Encoding)
 	}
 	c := &Client{addr: addr, opts: o, enc: enc}
-	if o.Version == 1 {
-		conn, err := c.dialConn()
-		if err != nil {
-			return nil, err
-		}
-		c.v1 = true
-		c.conn = conn
-		c.bw = bufio.NewWriter(conn)
-		c.br = bufio.NewReaderSize(conn, 64*1024)
-		c.jenc = json.NewEncoder(c.bw)
-		return c, nil
-	}
 	co, err := c.dialCore()
 	if err != nil {
 		return nil, err
@@ -305,9 +278,6 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if c.v1 {
-		return c.conn.Close()
-	}
 	c.coreMu.Lock()
 	co := c.cur
 	c.coreMu.Unlock()
@@ -346,35 +316,34 @@ func (co *core) writeLoop(bw *bufio.Writer) {
 }
 
 // readLoop demultiplexes response frames to their waiting callers by
-// request ID. A first byte that is not the frame magic means the server
-// spoke line JSON at us (e.g. the too-many-connections rejection); its
-// error is surfaced as the connection error.
+// request ID. Requests are numbered from 1, so a frame with ID 0 is the
+// server refusing the connection (too many connections, a stream it cannot
+// read); its error becomes the connection error.
 func (co *core) readLoop(br *bufio.Reader) {
 	for {
-		first, err := br.Peek(1)
-		if err != nil {
-			co.fail(fmt.Errorf("client: recv: %w", err))
-			return
-		}
-		if first[0] != wire.Magic {
-			line, err := br.ReadBytes('\n')
-			var resp wire.Response
-			if jerr := json.Unmarshal(line, &resp); jerr == nil && resp.Err != "" {
-				co.fail(errors.New(resp.Err))
-			} else if err != nil {
-				co.fail(fmt.Errorf("client: recv: %w", err))
-			} else {
-				co.fail(fmt.Errorf("client: recv: unframed response %q", line))
-			}
-			return
-		}
 		f, err := wire.ReadFrame(br, wire.MaxFrameBytes)
 		if err != nil {
 			co.fail(fmt.Errorf("client: recv: %w", err))
 			return
 		}
-		co.deliver(f.ID, decodeResponseFrame(f))
+		res := decodeResponseFrame(f)
+		if f.ID == 0 {
+			co.fail(refusal(res))
+			return
+		}
+		co.deliver(f.ID, res)
 	}
+}
+
+// refusal is the connection error carried by an ID-0 frame.
+func refusal(res result) error {
+	switch {
+	case res.err != nil:
+		return res.err
+	case res.resp != nil && res.resp.Err != "":
+		return errors.New(res.resp.Err)
+	}
+	return errors.New("client: recv: response frame with ID 0")
 }
 
 // decodeResponseFrame turns one response frame into a result, honouring
@@ -569,15 +538,10 @@ func (c *Client) Do(q string) (*wire.Response, error) {
 	return c.DoContext(context.Background(), q)
 }
 
-// DoContext is Do with a per-request deadline. On wire v2 a timed-out
-// request is abandoned without stranding the connection: the slot is
-// freed and the late response is dropped by ID. On wire v1 the protocol
-// has no request IDs, so a timeout or cancellation closes and poisons the
-// connection (subsequent calls fail fast with ErrConnClosed).
+// DoContext is Do with a per-request deadline. A timed-out request is
+// abandoned without stranding the connection: the slot is freed and the
+// late response is dropped by ID.
 func (c *Client) DoContext(ctx context.Context, q string) (*wire.Response, error) {
-	if c.v1 {
-		return c.doV1(ctx, q)
-	}
 	p, err := c.DoAsyncContext(ctx, q)
 	if err != nil {
 		return nil, err
@@ -586,7 +550,7 @@ func (c *Client) DoContext(ctx context.Context, q string) (*wire.Response, error
 }
 
 // DoAsync enqueues one request on the pipeline and returns immediately;
-// call Wait on the result. Not available on wire v1.
+// call Wait on the result.
 func (c *Client) DoAsync(q string) (*Pending, error) {
 	return c.DoAsyncContext(context.Background(), q)
 }
@@ -594,9 +558,6 @@ func (c *Client) DoAsync(q string) (*Pending, error) {
 // DoAsyncContext is DoAsync honouring ctx while waiting for a free
 // in-flight slot.
 func (c *Client) DoAsyncContext(ctx context.Context, q string) (*Pending, error) {
-	if c.v1 {
-		return nil, errors.New("client: DoAsync requires wire v2")
-	}
 	payload, err := c.encodeExec(q)
 	if err != nil {
 		return nil, fmt.Errorf("client: send: %w", err)
@@ -610,7 +571,7 @@ func (c *Client) DoAsyncContext(ctx context.Context, q string) (*Pending, error)
 
 // ExecBatch ships qs as one batch frame and returns one Response per
 // statement (Resps[i].Err carries statement i's error; a failing statement
-// does not stop the rest). On wire v1 it degrades to sequential Do calls.
+// does not stop the rest).
 func (c *Client) ExecBatch(qs []string) ([]wire.Response, error) {
 	return c.ExecBatchContext(context.Background(), qs)
 }
@@ -619,17 +580,6 @@ func (c *Client) ExecBatch(qs []string) ([]wire.Response, error) {
 func (c *Client) ExecBatchContext(ctx context.Context, qs []string) ([]wire.Response, error) {
 	if len(qs) == 0 {
 		return nil, nil
-	}
-	if c.v1 {
-		resps := make([]wire.Response, 0, len(qs))
-		for _, q := range qs {
-			resp, err := c.doV1(ctx, q)
-			if err != nil {
-				return resps, err
-			}
-			resps = append(resps, *resp)
-		}
-		return resps, nil
 	}
 	var payload []byte
 	if c.enc == wire.EncBinary {
@@ -663,62 +613,6 @@ func (c *Client) ExecBatchContext(ctx context.Context, qs []string) ([]wire.Resp
 		return nil, errors.New("client: batch request answered by non-batch response")
 	}
 	return res.batch, nil
-}
-
-// doV1 is the legacy lockstep round-trip. The line protocol has no
-// request IDs, so once a request is on the wire the only way to honour
-// ctx is to close the connection — a late response could never be told
-// apart from the next call's. The watcher goroutine does exactly that,
-// and the resulting read error poisons the client.
-func (c *Client) doV1(ctx context.Context, q string) (*wire.Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.v1Err != nil {
-		return nil, c.v1Err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.conn.Close()
-			case <-stop:
-			}
-		}()
-	}
-	fail := func(stage string, err error) (*wire.Response, error) {
-		// Any transport error desyncs the lockstep protocol; close and
-		// poison the client so later calls fail fast instead of reading
-		// a stale response.
-		if cause := ctx.Err(); cause != nil {
-			err = cause
-		}
-		c.conn.Close()
-		c.v1Err = fmt.Errorf("client: %s: %v (v1 stream desynced: %w)", stage, err, ErrConnClosed)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, c.v1Err
-	}
-	if err := c.jenc.Encode(wire.Request{Q: q}); err != nil {
-		return fail("send", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail("send", err)
-	}
-	line, err := c.br.ReadBytes('\n')
-	if err != nil {
-		return fail("recv", err)
-	}
-	var resp wire.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return fail("bad response", err)
-	}
-	return &resp, nil
 }
 
 // Query runs a script and returns the final result set. A server-side

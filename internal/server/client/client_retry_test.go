@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -159,94 +158,5 @@ func TestConnClosedTyped(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Do(`SELECT 1`); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("want ErrConnClosed, got %v", err)
-	}
-}
-
-// stalledV1Server accepts connections and reads forever without ever
-// answering — the shape of a wedged legacy server.
-func stalledV1Server(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestV1TimeoutPoisonsConnection: on the line protocol a timed-out
-// request cannot be abandoned in place — there are no request IDs to
-// discard the late response by — so DoContext must return promptly at the
-// deadline and the NEXT call must fail fast with ErrConnClosed instead of
-// reading the stale response.
-func TestV1TimeoutPoisonsConnection(t *testing.T) {
-	addr := stalledV1Server(t)
-	c, err := DialOptions(addr, Options{Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = c.DoContext(ctx, `SELECT 1`)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("DoContext ignored the deadline for %v", elapsed)
-	}
-
-	start = time.Now()
-	_, err = c.Do(`SELECT 1`)
-	if !errors.Is(err, ErrConnClosed) {
-		t.Fatalf("second call after timeout: want ErrConnClosed, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("poisoned client took %v to fail", elapsed)
-	}
-}
-
-// TestV1CancelUnblocks: pure cancellation (no deadline) also unblocks a
-// stuck v1 round-trip. This was the PR 3 wart: only deadlines were
-// honoured, a cancelled context hung forever.
-func TestV1CancelUnblocks(t *testing.T) {
-	addr := stalledV1Server(t)
-	c, err := DialOptions(addr, Options{Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.DoContext(ctx, `SELECT 1`)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled DoContext never returned")
-	}
-	if _, err := c.Do(`SELECT 1`); !errors.Is(err, ErrConnClosed) {
-		t.Fatalf("after cancel: want ErrConnClosed, got %v", err)
 	}
 }

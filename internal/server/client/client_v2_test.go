@@ -10,63 +10,6 @@ import (
 	"repro/internal/value"
 )
 
-// TestLegacyV1ProtocolSuite re-runs the core client flows over the legacy
-// line-JSON protocol (Options{Version: 1}) against the v2 server: the
-// acceptance criterion that a v1 client passes the existing suite
-// unchanged.
-func TestLegacyV1ProtocolSuite(t *testing.T) {
-	addr := startServer(t)
-	c, err := DialOptions(addr, Options{Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	msg, err := c.Exec(`CREATE TABLE t (a int, b string)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "created table t") {
-		t.Errorf("Exec msg = %q", msg)
-	}
-	if _, err := c.Exec(`INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')`); err != nil {
-		t.Fatal(err)
-	}
-	cols, rows, err := c.Query(`SELECT a, b FROM t WHERE a >= 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || len(rows) != 2 || rows[0][1] != "'y'" {
-		t.Errorf("cols = %v rows = %v", cols, rows)
-	}
-	n, err := c.QueryInt(`SELECT COUNT(*) AS n FROM t`)
-	if err != nil || n != 3 {
-		t.Errorf("QueryInt = %d, %v", n, err)
-	}
-	// Server-side errors don't poison the legacy connection.
-	if _, err := c.Exec(`THIS IS NOT QQL`); err == nil {
-		t.Fatal("parse error not surfaced")
-	}
-	if _, err := c.Exec(`INSERT INTO t VALUES (4, 'w')`); err != nil {
-		t.Fatalf("conn dead after error: %v", err)
-	}
-	// ExecBatch degrades to sequential round-trips on v1.
-	resps, err := c.ExecBatch([]string{
-		`INSERT INTO t VALUES (5, 'v')`,
-		`SELECT COUNT(*) AS n FROM t`,
-	})
-	if err != nil || len(resps) != 2 {
-		t.Fatalf("v1 ExecBatch = %d resps, %v", len(resps), err)
-	}
-	if resps[1].Rows[0][0] != "5" {
-		t.Errorf("v1 batch count = %v", resps[1].Rows)
-	}
-	// DoAsync is a v2 feature.
-	if _, err := c.DoAsync(`SELECT 1`); err == nil {
-		t.Error("DoAsync on v1 should fail")
-	}
-}
-
 func TestDoAsyncPipeline(t *testing.T) {
 	addr := startServer(t)
 	c, err := DialOptions(addr, Options{MaxInFlight: 8})

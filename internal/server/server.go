@@ -1,8 +1,7 @@
 // Package server implements qqld, the QQL network daemon: a TCP server
 // speaking the wire protocol of package wire — v2 length-prefixed frames
-// with pipelined request IDs and a JSON or binary payload encoding, with
-// legacy v1 line-JSON clients auto-detected by their first byte and served
-// unchanged. Each accepted connection gets its own qql.Session — sessions
+// with pipelined request IDs and a JSON or binary payload encoding. Each
+// accepted connection gets its own qql.Session — sessions
 // are single-threaded by design, so a connection's requests execute in
 // arrival order — while all sessions share one storage.Catalog and one
 // qql.PlanCache, so concurrent clients see the same data and hot statements
@@ -39,7 +38,7 @@ type Config struct {
 	// Addr is the listen address, e.g. ":7583" or "127.0.0.1:0".
 	Addr string
 	// MaxConns caps concurrently served connections; excess connections are
-	// sent one error response and closed. Default 64.
+	// sent one ID-0 error frame and closed. Default 64.
 	MaxConns int
 	// CacheSize is the shared plan cache's per-tier entry cap; 0 (the zero
 	// value) means the default, a negative value disables caching entirely
@@ -60,9 +59,8 @@ type Config struct {
 	MaxInFlight int
 	// MaxResultBytes caps one encoded response (per statement); a larger
 	// result is replaced by a structured error response and the connection
-	// stays usable. 0 means the protocol cap (wire.MaxLineBytes on v1,
-	// wire.MaxFrameBytes on v2); the protocol cap always applies as a
-	// ceiling.
+	// stays usable. 0 means the protocol cap, wire.MaxFrameBytes, which
+	// always applies as a ceiling.
 	MaxResultBytes int
 	// Encoding selects the v2 response payload encoding: "auto" (default)
 	// mirrors each request's encoding, "json" or "binary" force one.
@@ -200,9 +198,7 @@ func (s *Server) registerMetrics() {
 		r.Help("qqld_wal_recovery_replayed", "Log records replayed by crash recovery at boot.")
 	}
 	registerQualityHelp(r)
-	for _, proto := range []string{"v1", "v2"} {
-		r.Counter("qqld_requests_total", metrics.L("proto", proto))
-	}
+	r.Counter("qqld_requests_total", metrics.L("proto", "v2"))
 	for _, kind := range qql.StmtKinds {
 		r.Counter("qqld_statements_total", metrics.L("kind", kind))
 		r.Counter("qqld_statement_errors_total", metrics.L("kind", kind))
@@ -272,12 +268,9 @@ func (s *Server) Serve() error {
 		}
 		if s.active.Load() >= int64(s.cfg.MaxConns) {
 			s.rejected.Add(1)
-			// One parting error line, then close: clients get a reason
-			// instead of a silent RST. The line form is readable by both
-			// protocol versions — v2 clients fall back to line JSON when
-			// the first response byte is not the frame magic.
-			enc := json.NewEncoder(conn)
-			_ = enc.Encode(wire.Response{Err: "server: too many connections"})
+			// One parting ID-0 error frame, then close: clients get a
+			// reason instead of a silent RST.
+			s.refuse(bufio.NewWriter(conn), "server: too many connections")
 			conn.Close()
 			continue
 		}
@@ -393,75 +386,6 @@ func (s *Server) statRows() []qql.StatRow {
 	}
 }
 
-// handle dispatches one connection by its first byte: wire.Magic starts the
-// v2 frame loop, anything else (in practice '{') the legacy v1 line loop.
-// This is the version negotiation: a v1 client never sees a frame and a v2
-// client declares its version in every frame header.
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.track(conn, false)
-		s.active.Add(-1)
-		s.wg.Done()
-	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wire.Magic {
-		s.handleV2(conn, br)
-		return
-	}
-	s.handleV1(conn, br)
-}
-
-// handleV1 serves the legacy line-delimited JSON protocol: one request
-// line, one response line, in lockstep.
-func (s *Server) handleV1(conn net.Conn, br *bufio.Reader) {
-	sess := s.newSession()
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64*1024), wire.MaxLineBytes)
-	out := bufio.NewWriter(conn)
-	writeLine := func(resp *wire.Response) error {
-		raw, err := json.Marshal(resp)
-		if err != nil {
-			return err
-		}
-		if max := s.resultCap(wire.MaxLineBytes); len(raw)+1 > max {
-			if raw, err = json.Marshal(oversized(resp, len(raw), max)); err != nil {
-				return err
-			}
-		}
-		if _, err := out.Write(append(raw, '\n')); err != nil {
-			return err
-		}
-		return out.Flush()
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req wire.Request
-		var resp *wire.Response
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp = &wire.Response{Err: "server: bad request: " + err.Error()}
-		} else {
-			resp = s.execute(sess, req.Q, "v1").Response()
-		}
-		if err := writeLine(resp); err != nil {
-			return
-		}
-	}
-	// Scan failures (most commonly a line over wire.MaxLineBytes) get a
-	// best-effort error line so the client sees why the conn is closing;
-	// shutdown's read-deadline expiry arrives here too, silently.
-	if err := sc.Err(); err != nil && !s.closed.Load() {
-		_ = writeLine(&wire.Response{Err: "server: read: " + err.Error()})
-	}
-}
-
 // frameItem is one unit handed from the connection's reader goroutine to
 // its executor: a well-formed frame, or a frame header whose payload was
 // discarded (oversized), or a terminal read error.
@@ -470,14 +394,15 @@ type frameItem struct {
 	err error
 }
 
-// handleV2 serves the framed protocol. A reader goroutine pulls frames off
-// the socket into a bounded queue — the per-connection in-flight bound —
-// while this goroutine executes them in arrival order and writes responses
+// handle serves one connection. A reader goroutine pulls frames off the
+// socket into a bounded queue — the per-connection in-flight bound — while
+// this goroutine executes them in arrival order and writes responses
 // tagged with their request IDs. The output buffer is flushed only when the
 // queue is momentarily empty, so a pipelined burst pays one syscall, not
 // one per response.
-func (s *Server) handleV2(conn net.Conn, br *bufio.Reader) {
+func (s *Server) handle(conn net.Conn) {
 	sess := s.newSession()
+	br := bufio.NewReaderSize(conn, 64*1024)
 	out := bufio.NewWriterSize(conn, 64*1024)
 	frames := make(chan frameItem, s.cfg.MaxInFlight)
 	go func() {
@@ -497,6 +422,9 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader) {
 		conn.Close()
 		for range frames {
 		}
+		s.track(conn, false)
+		s.active.Add(-1)
+		s.wg.Done()
 	}()
 
 	for it := range frames {
@@ -506,11 +434,10 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader) {
 			// while the queue is non-empty), so flush before exiting:
 			// a client that pipelines N requests and half-closes, and
 			// Shutdown's deadline expiry, both still get every answer. A
-			// stream desync (bad magic) also gets a best-effort
-			// diagnostic frame.
+			// stream that is not v2 frames (bad magic: a line-JSON client,
+			// or a desync) is refused with a diagnostic frame.
 			if !s.closed.Load() && errors.Is(it.err, wire.ErrBadMagic) {
-				_ = s.writeResp(out, wire.EncJSON, 0,
-					&wire.TypedResponse{Err: "server: read: " + it.err.Error()})
+				s.refuse(out, "server: read: "+it.err.Error())
 			}
 			_ = out.Flush()
 			return
@@ -547,7 +474,7 @@ func (s *Server) serveFrame(out *bufio.Writer, sess *qql.Session, f *wire.Frame,
 		if err != nil {
 			return s.writeResp(out, enc, f.ID, &wire.TypedResponse{Err: "server: bad request: " + err.Error()})
 		}
-		return s.writeResp(out, enc, f.ID, s.execute(sess, q, "v2"))
+		return s.writeResp(out, enc, f.ID, s.execute(sess, q))
 	case wire.FrameBatch:
 		qs, err := decodeBatch(f)
 		if err != nil {
@@ -562,7 +489,7 @@ func (s *Server) serveFrame(out *bufio.Writer, sess *qql.Session, f *wire.Frame,
 		sess.SetDeferCommit(true)
 		resps := make([]*wire.TypedResponse, len(qs))
 		for i, q := range qs {
-			resps[i] = s.execute(sess, q, "v2")
+			resps[i] = s.execute(sess, q)
 		}
 		sess.SetDeferCommit(false)
 		if err := sess.CommitDurable(); err != nil {
@@ -617,22 +544,29 @@ func (s *Server) respEncoding(reqEnc wire.Encoding) wire.Encoding {
 	return wire.EncJSON
 }
 
-// resultCap is the effective per-response size limit under protocol cap
-// protoMax.
-func (s *Server) resultCap(protoMax int) int {
-	if s.cfg.MaxResultBytes > 0 && s.cfg.MaxResultBytes < protoMax {
+// resultCap is the effective per-response size limit.
+func (s *Server) resultCap() int {
+	if s.cfg.MaxResultBytes > 0 && s.cfg.MaxResultBytes < wire.MaxFrameBytes {
 		return s.cfg.MaxResultBytes
 	}
-	return protoMax
+	return wire.MaxFrameBytes
 }
 
 // oversized builds the structured error substituted for a response too
-// large to ship, preserving the statement count so the client still learns
-// how much of the script ran.
-func oversized(resp *wire.Response, size, max int) *wire.Response {
-	return &wire.Response{N: resp.N, Err: fmt.Sprintf(
+// large to ship, preserving the statement count n so the client still
+// learns how much of the script ran.
+func oversized(n, size, max int) *wire.TypedResponse {
+	return &wire.TypedResponse{N: n, Err: fmt.Sprintf(
 		"server: result too large: %d bytes > %d cap (narrow the query, or raise the server's MaxResultBytes)",
 		size, max)}
+}
+
+// refuse writes the one ID-0 JSON error frame a connection gets before the
+// server closes it unserved. Requests are numbered from 1, so a client
+// reads ID 0 as the refusal and its err as the reason.
+func (s *Server) refuse(out *bufio.Writer, reason string) {
+	_ = s.writeResp(out, wire.EncJSON, 0, &wire.TypedResponse{Err: reason})
+	_ = out.Flush()
 }
 
 // encodeResp renders one response payload in enc, substituting a
@@ -645,12 +579,12 @@ func (s *Server) encodeResp(enc wire.Encoding, t *wire.TypedResponse) ([]byte, e
 	} else if payload, err = json.Marshal(t.Response()); err != nil {
 		return nil, err
 	}
-	if max := s.resultCap(wire.MaxFrameBytes); len(payload) > max {
-		over := oversized(&wire.Response{N: t.N}, len(payload), max)
+	if max := s.resultCap(); len(payload) > max {
+		over := oversized(t.N, len(payload), max)
 		if enc == wire.EncBinary {
-			return wire.AppendTypedResponse(nil, &wire.TypedResponse{N: over.N, Err: over.Err}), nil
+			return wire.AppendTypedResponse(nil, over), nil
 		}
-		return json.Marshal(over)
+		return json.Marshal(over.Response())
 	}
 	return payload, nil
 }
@@ -698,7 +632,7 @@ func (s *Server) writeBatchResp(out *bufio.Writer, enc wire.Encoding, id uint64,
 	// each over-budget statement result — not the whole batch — becomes a
 	// structured error, preserving Resps[i]-answers-Qs[i]. If the rebuild
 	// is somehow still too big the batch is replaced wholesale.
-	if limit := s.resultCap(wire.MaxFrameBytes); len(payload) > limit {
+	if limit := s.resultCap(); len(payload) > limit {
 		budget := limit / max(len(resps), 1)
 		capped := make([]*wire.TypedResponse, len(resps))
 		for i, t := range resps {
@@ -707,8 +641,7 @@ func (s *Server) writeBatchResp(out *bufio.Writer, enc wire.Encoding, id uint64,
 				return err
 			}
 			if size > budget {
-				over := oversized(&wire.Response{N: t.N}, size, budget)
-				capped[i] = &wire.TypedResponse{N: over.N, Err: over.Err}
+				capped[i] = oversized(t.N, size, budget)
 			} else {
 				capped[i] = t
 			}
@@ -720,7 +653,7 @@ func (s *Server) writeBatchResp(out *bufio.Writer, enc wire.Encoding, id uint64,
 			// Still too big (batch wrapper overhead, or many results each
 			// just under budget): error out every element, keeping the
 			// Resps[i]-answers-Qs[i] contract intact.
-			over := oversized(&wire.Response{}, len(payload), limit)
+			over := oversized(0, len(payload), limit)
 			errs := make([]*wire.TypedResponse, len(resps))
 			for i, t := range resps {
 				errs[i] = &wire.TypedResponse{N: t.N, Err: over.Err}
@@ -742,9 +675,8 @@ func (s *Server) writeBatchResp(out *bufio.Writer, enc wire.Encoding, id uint64,
 }
 
 // execute runs one request script and shapes the response with typed
-// cells; encoders render it per the connection's encoding. proto names the
-// wire protocol version that carried the request, for accounting.
-func (s *Server) execute(sess *qql.Session, src, proto string) *wire.TypedResponse {
+// cells; encoders render it per the connection's encoding.
+func (s *Server) execute(sess *qql.Session, src string) *wire.TypedResponse {
 	start := time.Now()
 	results, err := sess.Exec(src)
 	dur := time.Since(start)
@@ -766,20 +698,20 @@ func (s *Server) execute(sess *qql.Session, src, proto string) *wire.TypedRespon
 		s.errs.Add(1)
 		resp.Err = err.Error()
 	}
-	s.record(sess, src, proto, dur, err)
+	s.record(sess, src, dur, err)
 	return resp
 }
 
 // record feeds the metrics registry and the slow-query log for one served
 // request. A multi-statement script is accounted under its last statement's
 // kind — the one whose result shaped the response.
-func (s *Server) record(sess *qql.Session, src, proto string, dur time.Duration, err error) {
+func (s *Server) record(sess *qql.Session, src string, dur time.Duration, err error) {
 	info := sess.LastExecInfo()
 	kind := info.Kind
 	if kind == "" {
 		kind = "other"
 	}
-	s.reg.Counter("qqld_requests_total", metrics.L("proto", proto)).Inc()
+	s.reg.Counter("qqld_requests_total", metrics.L("proto", "v2")).Inc()
 	s.reg.Counter("qqld_statements_total", metrics.L("kind", kind)).Inc()
 	if err != nil {
 		s.reg.Counter("qqld_statement_errors_total", metrics.L("kind", kind)).Inc()
@@ -807,7 +739,7 @@ func (s *Server) record(sess *qql.Session, src, proto string, dur time.Duration,
 }
 
 // typedRelation extracts a relation's header and typed cells; rendering to
-// QQL literals happens only on the JSON/v1 paths.
+// QQL literals happens only on the JSON path.
 func typedRelation(rel *relation.Relation) (cols []string, rows [][]value.Value) {
 	cols = make([]string, len(rel.Schema.Attrs))
 	for i, a := range rel.Schema.Attrs {

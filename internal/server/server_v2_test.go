@@ -4,90 +4,82 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 )
 
-// TestLegacyLineJSONClientAgainstV2Server is the mixed-version test: a raw
-// v1 client — line-delimited JSON with no frame header, what netcat would
-// send — must be auto-detected and served by the v2 server.
-func TestLegacyLineJSONClientAgainstV2Server(t *testing.T) {
+// TestLineJSONClientRefused: a client that writes a line of JSON instead
+// of frames gets exactly one ID-0 JSON error frame naming the bad magic,
+// then EOF — even when the line is shorter than a frame header — and the
+// server goes on serving frame clients.
+func TestLineJSONClientRefused(t *testing.T) {
 	srv := startServer(t, server.Config{})
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// 13 bytes: shorter than a frame header, so the refusal must come from
+	// the first byte alone.
+	if _, err := conn.Write([]byte(`{"q":"SHOW"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
 	br := bufio.NewReader(conn)
-	roundtrip := func(q string) wire.Response {
-		t.Helper()
-		if err := json.NewEncoder(conn).Encode(wire.Request{Q: q}); err != nil {
-			t.Fatal(err)
-		}
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatalf("bad response line %q: %v", line, err)
-		}
-		return resp
+	f, err := wire.ReadFrame(br, wire.MaxFrameBytes)
+	if err != nil {
+		t.Fatalf("no refusal frame: %v", err)
+	}
+	if f.ID != 0 || f.Type != wire.FrameResult || f.Encoding != wire.EncJSON {
+		t.Fatalf("refusal frame = id %d type 0x%02x encoding %d, want an ID-0 JSON result", f.ID, f.Type, f.Encoding)
+	}
+	var resp wire.Response
+	if err := json.Unmarshal(f.Payload, &resp); err != nil {
+		t.Fatalf("refusal payload %q: %v", f.Payload, err)
+	}
+	if !strings.Contains(resp.Err, wire.ErrBadMagic.Error()) {
+		t.Errorf("refusal err = %q, want it to name %q", resp.Err, wire.ErrBadMagic)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Errorf("after the refusal frame: %v, want EOF", err)
 	}
 
-	if resp := roundtrip(`CREATE TABLE t (a int, b string)`); resp.Err != "" {
-		t.Fatalf("create: %+v", resp)
-	}
-	if resp := roundtrip(`INSERT INTO t VALUES (1, 'x'), (2, 'y')`); resp.Err != "" {
-		t.Fatalf("insert: %+v", resp)
-	}
-	resp := roundtrip(`SELECT a, b FROM t WHERE a >= 2`)
-	if resp.Err != "" || len(resp.Rows) != 1 || resp.Rows[0][1] != "'y'" {
-		t.Fatalf("select: %+v", resp)
-	}
-	// Errors ride in err and the line connection survives them.
-	if resp := roundtrip(`SELECT * FROM missing`); !strings.Contains(resp.Err, "unknown table") {
-		t.Fatalf("error response: %+v", resp)
-	}
-	if resp := roundtrip(`SELECT COUNT(*) AS n FROM t`); resp.Err != "" || resp.Rows[0][0] != "2" {
-		t.Fatalf("count after error: %+v", resp)
+	c := dial(t, srv)
+	if _, err := c.Exec(`CREATE TABLE t (a int)`); err != nil {
+		t.Fatalf("frame client after a refused line client: %v", err)
 	}
 }
 
-// TestV1AndV2ClientsShareAServer drives both protocol versions and both v2
-// encodings against one server concurrently-ish over the same catalog.
-func TestV1AndV2ClientsShareAServer(t *testing.T) {
+// TestJSONAndBinaryClientsShareAServer drives both payload encodings
+// against one server over the same catalog.
+func TestJSONAndBinaryClientsShareAServer(t *testing.T) {
 	srv := startServer(t, server.Config{})
-	v1, err := client.DialOptions(srv.Addr().String(), client.Options{Version: 1})
+	bin := dial(t, srv)
+	js, err := client.DialOptions(srv.Addr().String(), client.Options{Encoding: "json"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v2bin := dial(t, srv)
-	v2json, err := client.DialOptions(srv.Addr().String(), client.Options{Encoding: "json"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2json.Close()
+	defer js.Close()
 
-	if _, err := v1.Exec(`CREATE TABLE t (a int); INSERT INTO t VALUES (1)`); err != nil {
+	if _, err := bin.Exec(`CREATE TABLE t (a int); INSERT INTO t VALUES (1)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2bin.Exec(`INSERT INTO t VALUES (2)`); err != nil {
+	if _, err := js.Exec(`INSERT INTO t VALUES (2)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2json.Exec(`INSERT INTO t VALUES (3)`); err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string]*client.Client{"v1": v1, "v2-binary": v2bin, "v2-json": v2json} {
+	for name, c := range map[string]*client.Client{"binary": bin, "json": js} {
 		n, err := c.QueryInt(`SELECT COUNT(*) AS n FROM t`)
-		if err != nil || n != 3 {
+		if err != nil || n != 2 {
 			t.Errorf("%s count = %d, %v", name, n, err)
 		}
 	}
@@ -99,19 +91,14 @@ func TestV1AndV2ClientsShareAServer(t *testing.T) {
 // old behavior of failing mid-write.
 func TestOversizedResultStructuredError(t *testing.T) {
 	srv := startServer(t, server.Config{MaxResultBytes: 4096})
-	for name, c := range map[string]*client.Client{
-		"v2": dial(t, srv),
-		"v1": func() *client.Client {
-			c, err := client.DialOptions(srv.Addr().String(), client.Options{Version: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c
-		}(),
-	} {
+	js, err := client.DialOptions(srv.Addr().String(), client.Options{Encoding: "json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	for name, c := range map[string]*client.Client{"v2": dial(t, srv), "v2-json": js} {
 		t.Run(name, func(t *testing.T) {
-			tbl := "big_" + name
+			tbl := "big_" + strings.ReplaceAll(name, "-", "_")
 			if _, err := c.Exec(fmt.Sprintf(`CREATE TABLE %s (id string REQUIRED, payload string) KEY (id)`, tbl)); err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,8 @@ import (
 //	offset 16  payload
 const (
 	// Magic is the first byte of every v2 frame. It is not valid anywhere
-	// in a line of UTF-8 JSON text, so the server can tell a v2 client from
-	// a legacy v1 client by the first byte of the connection.
+	// in UTF-8 JSON text, so a stream of JSON lines fails at its first
+	// byte.
 	Magic byte = 0xF7
 	// V2 is the current protocol version, carried in every frame header.
 	V2 byte = 2
@@ -36,8 +36,8 @@ type Encoding byte
 
 // Payload encodings.
 const (
-	// EncJSON marshals the payload structs as JSON (compatible shapes with
-	// the v1 line protocol).
+	// EncJSON marshals the payload structs as JSON, the human-readable
+	// form.
 	EncJSON Encoding = 0
 	// EncBinary uses the compact typed-cell codec of binary.go.
 	EncBinary Encoding = 1
@@ -125,11 +125,20 @@ func ReadFrame(r io.Reader, max int) (*Frame, error) {
 		max = MaxFrameBytes
 	}
 	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The magic byte is checked before the rest of the header is awaited,
+	// so a stream that is not frames is refused however short its first
+	// message.
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return nil, err
 	}
 	if hdr[0] != Magic {
 		return nil, fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
 	f := &Frame{
 		Version:  hdr[1],

@@ -1,19 +1,12 @@
-// Package wire defines the qqld wire protocol.
-//
-// Two protocol versions share one TCP port, distinguished by the first byte
-// a client sends:
-//
-//   - v1 (legacy): one JSON object per line in each direction. The client
-//     sends a Request — {"q": "<qql script>"} — terminated by '\n' and the
-//     server replies with exactly one Response line. First byte is '{', so
-//     v1 clients are auto-detected and served unchanged.
-//   - v2 (framed): length-prefixed frames, each carrying a version byte, a
-//     payload encoding (EncJSON or EncBinary), a frame type, and a
-//     client-chosen request ID. Because responses are tagged with the ID of
-//     the request they answer, a client may pipeline many requests on one
-//     socket; the server executes them in arrival order per connection and
-//     streams the responses back. First byte is Magic (0xF7), which can
-//     never begin JSON text.
+// Package wire defines the qqld wire protocol, v2: length-prefixed frames,
+// each carrying a version byte, a payload encoding (EncJSON or EncBinary),
+// a frame type, and a client-chosen request ID. Because responses are
+// tagged with the ID of the request they answer, a client may pipeline many
+// requests on one socket; the server executes them in arrival order per
+// connection and streams the responses back. Every frame starts with Magic
+// (0xF7), which can never begin JSON text, so a client writing anything
+// else — a line of JSON, say — is refused at its first byte with one ID-0
+// error frame.
 //
 // A request payload is either a Request (FrameExec: one script) or a
 // BatchRequest (FrameBatch: several statements executed in order with
@@ -40,7 +33,7 @@ type Request struct {
 	Q string `json:"q"`
 }
 
-// BatchRequest is a v2 client->server message carrying several statements
+// BatchRequest is a client->server message carrying several statements
 // to execute in order on the connection's session, with one Response per
 // statement. Batching amortizes the per-request round-trip: an ingest
 // client ships hundreds of INSERTs in one frame.
@@ -68,10 +61,7 @@ type BatchResponse struct {
 	Resps []Response `json:"resps"`
 }
 
-// MaxLineBytes bounds one v1 protocol line in either direction (1 MiB).
-const MaxLineBytes = 1 << 20
-
-// MaxFrameBytes bounds one v2 frame payload in either direction (4 MiB).
+// MaxFrameBytes bounds one frame payload in either direction (4 MiB).
 // The server substitutes a structured error Response for results that would
 // exceed the cap (or the stricter server.Config.MaxResultBytes), keeping
 // the connection usable.

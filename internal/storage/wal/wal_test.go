@@ -351,60 +351,91 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestConcurrentGroupCommit hammers the group path from many
-// goroutines; every acknowledged insert must be durable on reopen.
+// TestConcurrentGroupCommit hammers Commit from many goroutines under
+// each fsync policy and checks the policy's fsync accounting: always pays
+// at least one fsync per commit, group never more than one, off none
+// before Close. Under always and group no commit is acknowledged before the
+// records appended ahead of it are durable, and under every policy each
+// acknowledged insert is present on reopen.
 func TestConcurrentGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CreateTable(customerSchema(t), true); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	const writers, per = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := int64(w*per + i + 1)
-				if err := l.Insert("customer", taggedRow(id, "c")); err != nil {
-					errs <- err
-					return
+	for _, tc := range []struct {
+		name string
+		mode FsyncMode
+	}{
+		{"always", FsyncAlways},
+		{"group", FsyncGroup},
+		{"off", FsyncOff},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, Options{Fsync: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.CreateTable(customerSchema(t), true); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			const writers, per = 8, 25
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						id := int64(w*per + i + 1)
+						if err := l.Insert("customer", taggedRow(id, "c")); err != nil {
+							errs <- err
+							return
+						}
+						appended := l.Stats().AppendedSeq
+						if err := l.Commit(); err != nil {
+							errs <- err
+							return
+						}
+						if durable := l.Stats().DurableSeq; tc.mode != FsyncOff && durable < appended {
+							errs <- fmt.Errorf("commit acknowledged at durable seq %d before appended seq %d", durable, appended)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			st := l.Stats()
+			switch tc.mode {
+			case FsyncAlways:
+				if st.Fsyncs < st.Commits {
+					t.Errorf("fsyncs %d < commits %d", st.Fsyncs, st.Commits)
 				}
-				if err := l.Commit(); err != nil {
-					errs <- err
-					return
+			case FsyncGroup:
+				if st.Fsyncs > st.Commits {
+					t.Errorf("fsyncs %d > commits %d", st.Fsyncs, st.Commits)
+				}
+			case FsyncOff:
+				if st.Fsyncs != 0 {
+					t.Errorf("fsyncs = %d before Close, want 0", st.Fsyncs)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Fsyncs > st.Commits {
-		t.Fatalf("fsyncs %d > commits %d", st.Fsyncs, st.Commits)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	tbl, _ := l2.Catalog().Get("customer")
-	if tbl.Len() != writers*per {
-		t.Fatalf("rows = %d, want %d", tbl.Len(), writers*per)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			tbl, _ := l2.Catalog().Get("customer")
+			if tbl.Len() != writers*per {
+				t.Fatalf("rows = %d, want %d", tbl.Len(), writers*per)
+			}
+		})
 	}
 }
 

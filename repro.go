@@ -32,8 +32,7 @@
 // Two access paths share the same engine. The embedded path above links the
 // store into your process; the server path puts it behind qqld, a TCP
 // daemon speaking the framed wire v2 protocol (pipelined request IDs, JSON
-// or binary payloads; legacy v1 line-JSON clients are auto-detected), with
-// one qql.Session per connection over a shared catalog and a shared
+// or binary payloads), with one qql.Session per connection over a shared catalog and a shared
 // prepared-plan cache:
 //
 //	db := repro.NewDatabase()
@@ -182,8 +181,8 @@ type (
 	// Do/Query/Exec are synchronous, DoAsync/ExecBatch expose the
 	// pipeline.
 	Client = client.Client
-	// ClientOptions selects the client's protocol version (2 framed /
-	// pipelined, 1 legacy line JSON), payload encoding and pipeline depth.
+	// ClientOptions selects the client's payload encoding, pipeline depth,
+	// dial timeout and dial retries.
 	ClientOptions = client.Options
 	// ClientPending is an in-flight pipelined request; Wait blocks for its
 	// response.
@@ -211,12 +210,12 @@ const (
 func NewServer(d *Database, cfg ServerConfig) *Server { return server.New(d.Catalog, cfg) }
 
 // Dial connects to a qqld server at addr ("host:port") with the default
-// options: wire v2, binary encoding, pipelined.
+// options: binary encoding, pipelined.
 func Dial(addr string) (*Client, error) { return client.Dial(addr) }
 
-// DialOptions connects with explicit protocol options — e.g.
-// ClientOptions{Version: 1} for the legacy line-JSON protocol, or
-// ClientOptions{MaxInFlight: 64} to deepen the pipeline.
+// DialOptions connects with explicit options — e.g.
+// ClientOptions{Encoding: WireEncodingJSON} for human-readable payloads, or
+// ClientOptions{MaxInFlight: 256} to deepen the pipeline.
 func DialOptions(addr string, o ClientOptions) (*Client, error) { return client.DialOptions(addr, o) }
 
 // Core methodology types (internal/core).

@@ -73,7 +73,7 @@ func TestServerAccessPathThroughFacade(t *testing.T) {
 	}
 
 	// The batch API ships several statements in one frame with
-	// per-statement results, and a legacy v1 client shares the catalog.
+	// per-statement results, and a JSON-encoding client shares the catalog.
 	resps, err := c.ExecBatch([]string{
 		`INSERT INTO customer VALUES ('Batch Co', 9 @ {creation_time: t'1991-12-02T00:00:00Z', source: 'sales'})`,
 		`SELECT COUNT(*) AS n FROM customer`,
@@ -84,12 +84,12 @@ func TestServerAccessPathThroughFacade(t *testing.T) {
 	if len(resps) != 2 || resps[0].Err != "" || resps[1].Rows[0][0] != "4" {
 		t.Fatalf("batch resps = %+v", resps)
 	}
-	legacy, err := repro.DialOptions(srv.Addr().String(), repro.ClientOptions{Version: 1})
+	jc, err := repro.DialOptions(srv.Addr().String(), repro.ClientOptions{Encoding: repro.WireEncodingJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if n, err := legacy.QueryInt(`SELECT COUNT(*) AS n FROM customer`); err != nil || n != 4 {
-		t.Errorf("legacy client count = %d, %v, want 4", n, err)
+	defer jc.Close()
+	if n, err := jc.QueryInt(`SELECT COUNT(*) AS n FROM customer`); err != nil || n != 4 {
+		t.Errorf("JSON client count = %d, %v, want 4", n, err)
 	}
 }
