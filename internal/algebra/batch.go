@@ -279,12 +279,12 @@ type SegPrune struct {
 	K   value.Value
 }
 
-// skip reports whether a segment whose column summarizes to st can be
+// Skips reports whether a segment whose column summarizes to st can be
 // skipped: no value in [Min, Max] could make the comparison definitely
 // true. A column with no non-null values (!st.OK) is always skippable —
 // comparisons against null are never true. Stats are a conservative
-// superset of the live values, so skip errs toward scanning.
-func (p *SegPrune) skip(st storage.ColStats) bool {
+// superset of the live values, so Skips errs toward scanning.
+func (p *SegPrune) Skips(st storage.ColStats) bool {
 	if !st.OK {
 		return true
 	}
@@ -386,7 +386,7 @@ func (s *batchColScan) Stop() {
 
 func (s *batchColScan) pruned() bool {
 	for i := range s.prunes {
-		if s.prunes[i].skip(s.cs.Cols[s.prAt[i]].Stats) {
+		if s.prunes[i].Skips(s.cs.Cols[s.prAt[i]].Stats) {
 			return true
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 // ---- Serial table scan (lazy, segment-streamed) ----
@@ -91,19 +90,9 @@ type indexScan struct {
 // quality indicator (attr@indicator). Only the matching row-ID list is
 // materialized up front; tuples are fetched (and cloned) one at a time as
 // the consumer pulls, so LIMIT 1 over a million matches copies one tuple.
-//
-// A degenerate range — both bounds inclusive on one value — is routed
-// through LookupEq rather than LookupRange: equality can use a hash index,
-// while the range path needs a B-tree and would silently degrade a
-// hash-indexed point lookup to a full scan.
+// The row-ID list comes from one Table.Lookup.
 func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound) (Iterator, error) {
-	var ids []storage.RowID
-	var err error
-	if !lo.Unbounded && !hi.Unbounded && lo.Inclusive && hi.Inclusive && value.Equal(lo.Value, hi.Value) {
-		ids, err = t.LookupEq(target, lo.Value)
-	} else {
-		ids, err = t.LookupRange(target, lo, hi)
-	}
+	ids, err := t.Lookup(target, lo, hi)
 	if err != nil {
 		return nil, err
 	}

@@ -22,10 +22,28 @@ import (
 // A reader that released the table lock between segments could see the key
 // in segment 0 and again in the tail; no capture or saved file may hold a
 // key twice, and no UPDATE may match more than one row. Run with -race.
+// With no index on co_name the UPDATE collects through a SnapshotCols
+// capture.
 func TestWholeTableReadsSeeEachRowOnce(t *testing.T) {
+	testWholeTableReads(t, false)
+}
+
+// TestWholeTableReadsSeeEachRowOnceIndexed is the same check with a hash
+// index on co_name, so the UPDATE collects through an index probe against
+// the writer that moves keys between segments.
+func TestWholeTableReadsSeeEachRowOnceIndexed(t *testing.T) {
+	testWholeTableReads(t, true)
+}
+
+func testWholeTableReads(t *testing.T, indexed bool) {
 	cat := storage.NewCatalog()
 	s := NewSession(cat)
 	s.MustExec(`CREATE TABLE customer (co_name string REQUIRED, employees int) KEY (co_name)`)
+	wantPath := "SnapshotScan("
+	if indexed {
+		s.MustExec(`CREATE INDEX ON customer (co_name) USING HASH`)
+		wantPath = "IndexScan("
+	}
 	tbl, _ := cat.Get("customer")
 	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
 	const n = storage.SegmentSize + 100
@@ -154,6 +172,10 @@ func TestWholeTableReadsSeeEachRowOnce(t *testing.T) {
 			}
 			if rows > 1 {
 				t.Errorf("UPDATE of %s matched %d rows", k, rows)
+				return
+			}
+			if path := us.LastExecInfo().PlanShape; !strings.HasPrefix(path, wantPath) {
+				t.Errorf("UPDATE collected via %q, want %s...", path, wantPath)
 				return
 			}
 		}

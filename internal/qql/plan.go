@@ -339,12 +339,21 @@ func flipOp(op algebra.CmpOp) algebra.CmpOp {
 	}
 }
 
-// chooseIndexScan picks an indexed access path from the conjuncts of the
-// WHERE and WITH QUALITY clauses. It returns the iterator and a
-// description, or ok=false when no index applies. The conjuncts it prunes
-// by are not consumed: the caller re-checks them in a Select, since the
-// lazy index scan fetches rows at pull time.
-func chooseIndexScan(tbl *storage.Table, conjuncts []algebra.Expr) (algebra.Iterator, string, bool) {
+// indexPath is an indexed access path: the index target, the [lo, hi]
+// range to probe it with (storage.Table.Lookup), and the step description.
+type indexPath struct {
+	target storage.IndexTarget
+	lo, hi storage.Bound
+	desc   string
+}
+
+// chooseIndexPath picks an indexed access path from a table's filter
+// conjuncts — the one access-path decision of both SELECT (which wraps it
+// in algebra.NewIndexScan) and DML collection (which probes it for a
+// row-ID list). ok is false when no index applies. The conjuncts it prunes
+// by are not consumed: callers re-check the whole predicate on every
+// fetched row, since rows are fetched after the probe and may have changed.
+func chooseIndexPath(tbl *storage.Table, conjuncts []algebra.Expr) (indexPath, bool) {
 	type candidate struct {
 		target storage.IndexTarget
 		sargs  []sarg
@@ -390,7 +399,7 @@ func chooseIndexScan(tbl *storage.Table, conjuncts []algebra.Expr) (algebra.Iter
 		chosen = byTarget[order[0]]
 	}
 	if chosen == nil {
-		return nil, "", false
+		return indexPath{}, false
 	}
 	lo, hi := storage.Unbounded, storage.Unbounded
 	var descParts []string
@@ -414,12 +423,8 @@ func chooseIndexScan(tbl *storage.Table, conjuncts []algebra.Expr) (algebra.Iter
 			break // equality pins the range; stop accumulating
 		}
 	}
-	it, err := algebra.NewIndexScan(tbl, chosen.target, lo, hi)
-	if err != nil {
-		return nil, "", false
-	}
 	desc := fmt.Sprintf("IndexScan(%s on %s: %s)", tbl.Schema().Name, chosen.target, strings.Join(descParts, " AND "))
-	return it, desc, true
+	return indexPath{target: chosen.target, lo: lo, hi: hi, desc: desc}, true
 }
 
 func tighterLow(a, b storage.Bound) storage.Bound {
@@ -783,13 +788,17 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			// rows: skip the access path entirely.
 			it = p.tapIt(fmt.Sprintf("EmptyScan(%s)", st.From.Table), algebra.NewEmptyScan(baseTable.Schema()), 0)
 			whereConjuncts, qualityConjuncts = nil, nil
-		} else if ix, desc, ok := chooseIndexScan(baseTable, all); ok {
+		} else if ip, ok := chooseIndexPath(baseTable, all); ok {
 			// The sarg conjuncts stay in the Select below even though the
 			// index already pruned by them: the lazy index scan fetches
 			// tuples at pull time, so a row updated after the index lookup
 			// could otherwise slip into the result no longer satisfying the
 			// predicate. Re-checking is cheap relative to the pruning win.
-			it = p.tapIt(desc, ix, 0)
+			ix, err := algebra.NewIndexScan(baseTable, ip.target, ip.lo, ip.hi)
+			if err != nil {
+				return nil, err
+			}
+			it = p.tapIt(ip.desc, ix, 0)
 		} else if s.vec {
 			// Vectorized tier: batch-at-a-time over zero-clone segment
 			// reads. Safe because every row that reaches the result passes

@@ -78,8 +78,10 @@ type ExecInfo struct {
 	// CacheTier is the bound-plan cache outcome for SELECTs (hit, miss,
 	// bypass); empty for non-SELECT statements.
 	CacheTier string
-	// PlanShape is the compact " -> "-joined operator pipeline for SELECTs;
-	// empty otherwise.
+	// PlanShape is the compact " -> "-joined operator pipeline for SELECTs,
+	// and the row-collection path for UPDATE/DELETE — IndexScan(...) for an
+	// index probe, SnapshotScan(... segments skipped=N of M) for a scan,
+	// EmptyScan(...) for a WHERE that is never true; empty otherwise.
 	PlanShape string
 	// Rows is the number of rows returned (queries) or affected (DML).
 	Rows int
@@ -622,20 +624,15 @@ func (s *Session) execDelete(st *DeleteStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("qql: unknown table %q", st.Table)
 	}
-	var pred algebra.Expr
-	if st.Where != nil {
-		pred = st.Where
-		if err := pred.Bind(tbl.Schema()); err != nil {
-			return Result{}, err
-		}
-	}
 	var ids []storage.RowID
-	if err := s.forEachMatch(tbl, pred, func(id storage.RowID, _ relation.Tuple) error {
+	shape, err := s.collectMatches(tbl, st.Where, func(id storage.RowID, _ relation.Tuple) error {
 		ids = append(ids, id)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return Result{}, err
 	}
+	s.info.PlanShape = shape
 	for _, id := range ids {
 		if err := s.applyDelete(tbl, st.Table, id); err != nil {
 			return Result{}, err
@@ -650,58 +647,22 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("qql: unknown table %q", st.Table)
 	}
-	sc := tbl.Schema()
-	var pred algebra.Expr
-	if st.Where != nil {
-		pred = st.Where
-		if err := pred.Bind(sc); err != nil {
-			return Result{}, err
-		}
+	// The SET clauses are checked and bound once per statement, before any
+	// row is collected: an unknown column is an error even when no row
+	// matches.
+	cols, err := bindSets(st.Sets, tbl.Schema())
+	if err != nil {
+		return Result{}, err
 	}
 	type change struct {
 		id  storage.RowID
 		tup relation.Tuple
 	}
 	var changes []change
-	err := s.forEachMatch(tbl, pred, func(id storage.RowID, tup relation.Tuple) error {
-		updated := tup.Clone()
-		for _, set := range st.Sets {
-			col := sc.ColIndex(set.Col)
-			if col < 0 {
-				return fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
-			}
-			cell := updated.Cells[col]
-			if set.Expr != nil {
-				if err := set.Expr.Bind(sc); err != nil {
-					return err
-				}
-				v, err := set.Expr.Eval(tup, s.ctx)
-				if err != nil {
-					return err
-				}
-				cell.V = v
-			}
-			for _, ta := range set.Tags {
-				if err := ta.Expr.Bind(sc); err != nil {
-					return err
-				}
-				tv, err := ta.Expr.Eval(tup, s.ctx)
-				if err != nil {
-					return err
-				}
-				cell.Tags = cell.Tags.With(ta.Name, tv)
-				for _, m := range ta.Meta {
-					if err := m.Expr.Bind(sc); err != nil {
-						return err
-					}
-					mv, err := m.Expr.Eval(tup, s.ctx)
-					if err != nil {
-						return err
-					}
-					cell = cell.WithMetaTag(ta.Name, m.Name, mv)
-				}
-			}
-			updated.Cells[col] = cell
+	shape, err := s.collectMatches(tbl, st.Where, func(id storage.RowID, tup relation.Tuple) error {
+		updated, err := s.updatedRow(st.Sets, cols, tup)
+		if err != nil {
+			return err
 		}
 		changes = append(changes, change{id: id, tup: updated})
 		return nil
@@ -709,6 +670,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	s.info.PlanShape = shape
 	for _, ch := range changes {
 		if err := s.applyUpdate(tbl, st.Table, ch.id, ch.tup); err != nil {
 			return Result{}, err
@@ -718,34 +680,159 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	return Result{Msg: fmt.Sprintf("updated %d row(s) in %s", len(changes), st.Table)}, nil
 }
 
-// forEachMatch is DML's collect phase: it calls fn for every live row of
-// tbl that pred (bound; nil matches all) accepts, in row-ID order. The rows
-// come from one SnapshotCols capture — one consistent table state, so a key
-// deleted and reinserted by a concurrent writer can never match at two row
-// IDs in a single statement. row is one scratch tuple refilled per row: fn
-// must clone whatever it keeps.
-func (s *Session) forEachMatch(tbl *storage.Table, pred algebra.Expr, fn func(id storage.RowID, row relation.Tuple) error) error {
-	cols := tbl.Schema().ColIndexes()
-	row := relation.Tuple{Cells: make([]relation.Cell, len(cols))}
-	views := tbl.SnapshotCols(cols)
-	for v := range views {
-		for k := 0; k < views[v].Live(); k++ {
-			id := views[v].RowInto(k, row.Cells)
-			if pred != nil {
-				keep, err := algebra.Truth(pred, row, s.ctx)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+// bindSets checks every SET column exists and binds each clause's value,
+// tag and meta-tag expressions against sc. It returns the clauses' column
+// indexes.
+func bindSets(sets []SetClause, sc *schema.Schema) ([]int, error) {
+	cols := make([]int, len(sets))
+	for i, set := range sets {
+		if cols[i] = sc.ColIndex(set.Col); cols[i] < 0 {
+			return nil, fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
+		}
+		if set.Expr != nil {
+			if err := set.Expr.Bind(sc); err != nil {
+				return nil, err
 			}
-			if err := fn(id, row); err != nil {
-				return err
+		}
+		for _, ta := range set.Tags {
+			if err := ta.Expr.Bind(sc); err != nil {
+				return nil, err
+			}
+			for _, m := range ta.Meta {
+				if err := m.Expr.Bind(sc); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return nil
+	return cols, nil
+}
+
+// updatedRow applies bound SET clauses (cols from bindSets) to a copy of
+// tup. Every expression reads tup as collected, so SET a = b, b = a swaps.
+func (s *Session) updatedRow(sets []SetClause, cols []int, tup relation.Tuple) (relation.Tuple, error) {
+	updated := tup.Clone()
+	for i, set := range sets {
+		cell := updated.Cells[cols[i]]
+		if set.Expr != nil {
+			v, err := set.Expr.Eval(tup, s.ctx)
+			if err != nil {
+				return relation.Tuple{}, err
+			}
+			cell.V = v
+		}
+		for _, ta := range set.Tags {
+			tv, err := ta.Expr.Eval(tup, s.ctx)
+			if err != nil {
+				return relation.Tuple{}, err
+			}
+			cell.Tags = cell.Tags.With(ta.Name, tv)
+			for _, m := range ta.Meta {
+				mv, err := m.Expr.Eval(tup, s.ctx)
+				if err != nil {
+					return relation.Tuple{}, err
+				}
+				cell = cell.WithMetaTag(ta.Name, m.Name, mv)
+			}
+		}
+		updated.Cells[cols[i]] = cell
+	}
+	return updated, nil
+}
+
+// collectMatches is DML's collect phase: it binds where (nil matches all)
+// against tbl, calls fn for every live row it accepts, in row-ID order, and
+// returns the path it took for ExecInfo.PlanShape. The path is SELECT's
+// access-path decision over the simplified WHERE:
+//
+//   - a WHERE that can never be true reads no row at all;
+//   - when chooseIndexPath finds an indexed sarg, the row IDs come from one
+//     Table.Lookup, each row is fetched with Get (rows deleted since are
+//     skipped) and the whole predicate is re-checked on it, as SELECT's
+//     Select over IndexScan does;
+//   - otherwise one SnapshotCols capture is read, skipping segments whose
+//     min/max statistics refute a sarg and testing rows with the compiled
+//     predicate.
+//
+// Either way no statement matches a row twice: the probe's row-ID list,
+// like the capture, is the table at one instant, so a key a concurrent
+// writer deletes and reinserts cannot match at two row IDs. row is
+// read-only and may be a scratch tuple refilled per row: fn must clone
+// whatever it keeps.
+func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func(id storage.RowID, row relation.Tuple) error) (string, error) {
+	sc := tbl.Schema()
+	if where != nil {
+		if err := where.Bind(sc); err != nil {
+			return "", err
+		}
+	}
+	conjuncts, neverTrue := simplifyFilter(where)
+	if neverTrue {
+		return fmt.Sprintf("EmptyScan(%s)", sc.Name), nil
+	}
+	pred := andAll(conjuncts)
+	keep := func(relation.Tuple, *algebra.EvalContext) (bool, error) { return true, nil }
+	if pred != nil {
+		keep = algebra.CompilePredicate(pred)
+	}
+	if ip, ok := chooseIndexPath(tbl, conjuncts); ok {
+		ids, err := tbl.Lookup(ip.target, ip.lo, ip.hi)
+		if err != nil {
+			return "", err
+		}
+		for _, id := range ids {
+			row, live := tbl.Get(id)
+			if !live {
+				continue
+			}
+			if err := s.emitIf(keep, id, row, fn); err != nil {
+				return "", err
+			}
+		}
+		return ip.desc, nil
+	}
+	prunes := segPrunes(conjuncts, sc)
+	row := relation.Tuple{Cells: make([]relation.Cell, len(sc.Attrs))}
+	views := tbl.SnapshotCols(sc.ColIndexes())
+	skipped := 0
+	for v := range views {
+		cs := &views[v]
+		if refuted(cs, prunes) {
+			skipped++
+			continue
+		}
+		for k := 0; k < cs.Live(); k++ {
+			id := cs.RowInto(k, row.Cells)
+			if err := s.emitIf(keep, id, row, fn); err != nil {
+				return "", err
+			}
+		}
+	}
+	desc := "SnapshotScan(" + sc.Name
+	if pred != nil {
+		desc += ": " + pred.String()
+	}
+	return fmt.Sprintf("%s, segments skipped=%d of %d)", desc, skipped, len(views)), nil
+}
+
+// emitIf calls fn(id, row) when keep accepts row.
+func (s *Session) emitIf(keep algebra.Predicate, id storage.RowID, row relation.Tuple, fn func(storage.RowID, relation.Tuple) error) error {
+	ok, err := keep(row, s.ctx)
+	if err != nil || !ok {
+		return err
+	}
+	return fn(id, row)
+}
+
+// refuted reports whether a segment view (of every column, in schema
+// order) can be skipped because its min/max statistics refute a prune.
+func refuted(cs *storage.ColSeg, prunes []algebra.SegPrune) bool {
+	for i := range prunes {
+		if prunes[i].Skips(cs.Cols[prunes[i].Col].Stats) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Session) execTagTable(st *TagTableStmt) (Result, error) {

@@ -380,6 +380,10 @@ func TestExecErrors(t *testing.T) {
 		`DELETE FROM nosuch`,
 		`UPDATE nosuch SET x = 1`,
 		`UPDATE customer SET nosuch = 1`,
+		// SET clauses are checked before collection, so a WHERE matching
+		// no row does not hide them.
+		`UPDATE customer SET nosuch = 1 WHERE co_name = 'absent'`,
+		`UPDATE customer SET employees = nosuch + 1 WHERE co_name = 'absent'`,
 		`DESCRIBE nosuch`,
 		`SELECT co_name FROM customer WHERE employees = co_name@nope AND nosuchfn(1) = 2`,
 	}

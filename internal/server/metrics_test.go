@@ -343,6 +343,44 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogNamesDMLPath checks an UPDATE's slow-query line says how
+// it collected its rows: an index probe when a sarg has an index, a snapshot
+// scan otherwise.
+func TestSlowQueryLogNamesDMLPath(t *testing.T) {
+	var buf bytes.Buffer
+	srv := startServer(t, server.Config{SlowQuery: time.Nanosecond, SlowQueryLog: &buf})
+	c := dial(t, srv)
+	for _, q := range []string{
+		`CREATE TABLE slow (id int REQUIRED, n int) KEY (id)`,
+		`CREATE INDEX ON slow (id) USING HASH`,
+		`INSERT INTO slow VALUES (1, 0), (2, 0), (3, 0)`,
+		`UPDATE slow SET n = 1 WHERE id = 2`,
+		`UPDATE slow SET n = 2 WHERE n = 1`,
+	} {
+		if _, err := c.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := map[string]string{}
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if i := strings.Index(l, "stmt=UPDATE"); i >= 0 {
+			lines[l[i+len("stmt="):]] = l
+		}
+	}
+	for stmt, want := range map[string]string{
+		"UPDATE slow SET n = 1 WHERE id = 2": `plan="IndexScan(slow on id: (id = 2))"`,
+		"UPDATE slow SET n = 2 WHERE n = 1":  `plan="SnapshotScan(slow: (n = 1), segments skipped=0 of 1)"`,
+	} {
+		line, ok := lines[stmt]
+		if !ok {
+			t.Fatalf("no slow-query line for %s:\n%s", stmt, buf.String())
+		}
+		if !strings.Contains(line, want) || !strings.Contains(line, "rows=1") {
+			t.Errorf("slow-query line missing %s or rows=1: %s", want, line)
+		}
+	}
+}
+
 func TestShowStatsOverWire(t *testing.T) {
 	srv := startServer(t, server.Config{})
 	c := dial(t, srv)

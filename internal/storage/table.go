@@ -523,6 +523,22 @@ func (t *Table) isLiveLocked(id RowID) bool {
 	return ok
 }
 
+// Lookup returns the row IDs whose target lies in [lo, hi] per bound
+// inclusivity, in ascending row-ID order, read under one read lock — the
+// table at one instant, so no ID appears twice. It is the one entry point
+// of every planned index probe (SELECT's index scan, DML collection).
+//
+// A degenerate range — both bounds inclusive on one value — is routed
+// through LookupEq rather than LookupRange: equality can use a hash index,
+// while the range path needs a B-tree and would silently degrade a
+// hash-indexed point lookup to a full scan.
+func (t *Table) Lookup(target IndexTarget, lo, hi Bound) ([]RowID, error) {
+	if !lo.Unbounded && !hi.Unbounded && lo.Inclusive && hi.Inclusive && value.EqualPtr(&lo.Value, &hi.Value) {
+		return t.LookupEq(target, lo.Value)
+	}
+	return t.LookupRange(target, lo, hi)
+}
+
 // LookupEq returns the row IDs whose target equals key, using an index when
 // one exists, otherwise scanning. Results are in ascending row-ID order.
 func (t *Table) LookupEq(target IndexTarget, key value.Value) ([]RowID, error) {
