@@ -244,14 +244,14 @@ func BenchmarkPolygenJoin(b *testing.B) {
 	ctx := &algebra.EvalContext{Now: workload.Epoch}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := algebra.NewHashJoin(
-			algebra.NewRelationScan(data.Trades), algebra.NewRelationScan(data.Stocks),
+		j, err := algebra.NewBatchHashJoin(
+			algebra.NewToBatch(algebra.NewRelationScan(data.Trades), 0), algebra.NewToBatch(algebra.NewRelationScan(data.Stocks), 0),
 			&algebra.ColRef{Name: "company_stock_ticker_symbol"}, &algebra.ColRef{Name: "ticker_symbol"},
-			nil, ctx)
+			nil, ctx, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := algebra.Collect(j)
+		out, err := algebra.Collect(algebra.NewFromBatch(j, 0))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -318,14 +318,14 @@ func runAB3() error {
 	for _, n := range []int{1000, 5000, 20000} {
 		data := workload.Trading(workload.TradingConfig{Clients: 100, Stocks: 16, Trades: n, Seed: 9})
 		t0 := time.Now()
-		j, err := algebra.NewHashJoin(
-			algebra.NewRelationScan(data.Trades), algebra.NewRelationScan(data.Stocks),
+		j, err := algebra.NewBatchHashJoin(
+			algebra.NewToBatch(algebra.NewRelationScan(data.Trades), 0), algebra.NewToBatch(algebra.NewRelationScan(data.Stocks), 0),
 			&algebra.ColRef{Name: "company_stock_ticker_symbol"}, &algebra.ColRef{Name: "ticker_symbol"},
-			nil, ctx)
+			nil, ctx, 0)
 		if err != nil {
 			return err
 		}
-		out, err := algebra.Collect(j)
+		out, err := algebra.Collect(algebra.NewFromBatch(j, 0))
 		if err != nil {
 			return err
 		}

@@ -9,15 +9,16 @@ import (
 )
 
 // NewBatchGroupedAggregate groups a batch stream by the groupBy
-// expressions and computes the aggregates per group — the batch-native
-// counterpart of NewAggregate's grouped case, with identical output:
-// same schema (aggOutputSchema), same key encoding and group order
-// (sorted key literals), same first-seen key cells and provenance
-// folding. Plain-column group keys and aggregate arguments read straight
-// off the column vectors; computed expressions evaluate over a scratch
-// row holding only their referenced columns. The input is drained
-// eagerly in the constructor; compiled selects compiled evaluation.
-func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int, compiled bool) (Iterator, error) {
+// expressions and computes the aggregates per group. Output columns are
+// the group keys (named by their expression strings unless the key is a
+// plain column, see aggOutputSchema) followed by the aggregates. Groups
+// come out in sorted key-literal order; each keeps its first-seen key
+// cells, and aggregate cells carry tags intersected and sources unioned
+// across their inputs. Plain-column group keys and aggregate arguments
+// read straight off the column vectors; computed expressions evaluate over
+// a scratch row holding only their referenced columns. The input is
+// drained eagerly in the constructor.
+func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (Iterator, error) {
 	inS := in.Schema()
 	for _, g := range groupBy {
 		if err := g.Bind(inS); err != nil {
@@ -53,11 +54,7 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 		}
 		keyRefs[i] = ReferencedCols(g)
 		addRefs(keyRefs[i])
-		if compiled {
-			keyEvals[i] = Compile(g)
-		} else {
-			keyEvals[i] = g.Eval
-		}
+		keyEvals[i] = Compile(g)
 	}
 	argRefs := make([][]int, len(aggs))
 	evals := make([]Compiled, len(aggs))
@@ -67,11 +64,7 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 		}
 		argRefs[i] = ReferencedCols(aggs[i].Arg)
 		addRefs(argRefs[i])
-		if compiled {
-			evals[i] = Compile(aggs[i].Arg)
-		} else {
-			evals[i] = aggs[i].Arg.Eval
-		}
+		evals[i] = Compile(aggs[i].Arg)
 	}
 
 	type group struct {
@@ -169,5 +162,5 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 		}
 		rows = append(rows, relation.Tuple{Cells: cells})
 	}
-	return &aggregateOp{out: outS, rows: rows}, nil
+	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}), nil
 }

@@ -19,8 +19,8 @@ import (
 type OpStats struct {
 	// Rows is the number of tuples the operator produced.
 	Rows int64
-	// Batches is the number of non-empty batches produced (batch tier
-	// only; zero for Volcano operators).
+	// Batches is the number of non-empty batches produced (batch
+	// operators only; zero for row operators).
 	Batches int64
 	// Nanos is the cumulative wall time spent inside Next/NextBatch calls
 	// on this operator, including its children (inclusive time).
@@ -40,7 +40,7 @@ type ExtraStats interface {
 	ExtraStats() string
 }
 
-// instrumentIt wraps a Volcano iterator, counting rows and inclusive time.
+// instrumentIt wraps a row iterator, counting rows and inclusive time.
 type instrumentIt struct {
 	in Iterator
 	st *OpStats

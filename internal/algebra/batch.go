@@ -11,18 +11,17 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the vectorized execution tier: batch-at-a-time iterators
-// that move column vectors instead of rows, beside the row-at-a-time
-// Volcano tier in ops.go. A batch is a window of column runs — for table
-// scans the runs alias the heap's immutable per-segment column storage, so
-// a scan→select→project pipeline touches only the columns the query names
-// and never materializes a row. The two tiers produce byte-identical
-// output; the planner picks per plan shape. ToBatch/FromBatch adapt
-// between them, so unported operators (sorts, distinct, set ops) keep
-// working unchanged on either side of a batch pipeline.
+// This file is the execution engine: batch-at-a-time iterators that move
+// column vectors instead of rows. A batch is a window of column runs — for
+// table scans the runs alias the heap's immutable per-segment column
+// storage, so a scan→select→project pipeline touches only the columns the
+// query names and never materializes a row. ToBatch/FromBatch adapt to and
+// from the row iterators in ops.go: the index scan and the empty scan feed
+// batch operators through ToBatch, and the sort/distinct tail reads the
+// batch pipeline through FromBatch.
 
-// DefaultBatchSize is the rows-per-batch the vectorized tier uses unless a
-// caller asks otherwise: large enough to amortize per-batch dispatch to
+// DefaultBatchSize is the rows-per-batch the engine uses unless a caller
+// asks otherwise: large enough to amortize per-batch dispatch to
 // noise, small enough that a batch's column windows stay cache-resident.
 const DefaultBatchSize = 1024
 
@@ -98,7 +97,7 @@ func (v *ColVec) release() {
 	v.reset()
 }
 
-// Batch is one unit of vectorized data flow: n row slots of column
+// Batch is one unit of batch data flow: n row slots of column
 // vectors plus an optional selection vector listing the live slots in
 // order. Vectors may alias producer-owned storage (segment column runs, an
 // upstream buffer) and are valid only until the next NextBatch call on the
@@ -217,7 +216,7 @@ func (b *Batch) setOwned(cols []ColVec, n int) {
 }
 
 // batchPool recycles batch buffers across plans. Batches hold column
-// buffers a kilorow long; recycling them keeps the vectorized hot path
+// buffers a kilorow long; recycling them keeps the engine's hot path
 // allocation-free once warm.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
@@ -248,7 +247,7 @@ func putBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// BatchIterator is the pull-based batch stream the vectorized operators
+// BatchIterator is the pull-based batch stream the batch operators
 // implement. NextBatch refills b — columns, selection, possibly aliasing
 // storage owned by the producer and valid until the next call — and
 // reports false at end of stream. A delivered batch always has at least
@@ -490,33 +489,29 @@ func (r *batchRename) Stop()                            { stopIfStopper(r.in) }
 type batchSelect struct {
 	in   BatchIterator
 	kern ColPred   // column kernel, when the predicate compiles to one
-	pred Predicate // scalar fallback over scratch rows
+	pred Predicate // per-row fallback over scratch rows
 	refs []int
 	ctx  *EvalContext
 }
 
 // NewBatchSelect keeps the rows whose predicate is definitely true,
 // refining each batch's selection vector in place — columns are not copied
-// or compacted, the vector just skips the losers. When compiled and the
-// predicate is an AND/OR tree of column⊗constant comparisons, it runs as a
-// type-specialized column kernel: the constant's comparison is specialized
-// once (value.CompareFn) and applied straight down the value vector, with
-// no row assembly at all. Everything else evaluates per live row over a
-// scratch row holding only the predicate's referenced columns.
-func NewBatchSelect(in BatchIterator, pred Expr, ctx *EvalContext, compiled bool) (BatchIterator, error) {
+// or compacted, the vector just skips the losers. When the predicate is an
+// AND/OR tree of column⊗constant comparisons, it runs as a type-specialized
+// column kernel: the constant's comparison is specialized once
+// (value.CompareFn) and applied straight down the value vector, with no row
+// assembly at all. Everything else runs the compiled predicate per live row
+// over a scratch row holding only the predicate's referenced columns.
+func NewBatchSelect(in BatchIterator, pred Expr, ctx *EvalContext) (BatchIterator, error) {
 	if err := pred.Bind(in.Schema()); err != nil {
 		return nil, err
 	}
 	s := &batchSelect{in: in, ctx: ctx, refs: ReferencedCols(pred)}
-	if compiled {
-		if k, ok := CompileColPred(pred, len(in.Schema().Attrs)); ok {
-			s.kern = k
-			return s, nil
-		}
-		s.pred = CompilePredicate(pred)
+	if k, ok := CompileColPred(pred, len(in.Schema().Attrs)); ok {
+		s.kern = k
 		return s, nil
 	}
-	s.pred = InterpretedPredicate(pred)
+	s.pred = CompilePredicate(pred)
 	return s, nil
 }
 
@@ -588,9 +583,9 @@ type batchProject struct {
 // output batch just re-points at the input's column vectors in output
 // order, keeping the input's selection. Projections with computed items
 // materialize dense output columns, deriving provenance cells exactly like
-// the scalar operator.
-func NewBatchProject(in BatchIterator, items []ProjectItem, ctx *EvalContext, size int, compiled bool) (BatchIterator, error) {
-	proj, err := bindProjection(in.Schema(), items, compiled)
+// the row operator.
+func NewBatchProject(in BatchIterator, items []ProjectItem, ctx *EvalContext, size int) (BatchIterator, error) {
+	proj, err := bindProjection(in.Schema(), items)
 	if err != nil {
 		return nil, err
 	}
@@ -770,13 +765,12 @@ func (l *batchLimit) NextBatch(b *Batch) (bool, error) {
 // ---- Batch aggregate sink ----
 
 // NewBatchAggregate computes global (ungrouped) aggregates over a batch
-// stream, draining it eagerly like NewAggregate and yielding the single
-// result row — same output schema, same provenance folding, same
-// empty-input behavior (one row). COUNT(*)-only aggregations never touch
-// the columns at all: each batch contributes its length, which is the
-// vectorized tier's fastest path. compiled selects Compile for the
-// aggregate arguments. Grouped aggregation lives in aggbatch.go.
-func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int, compiled bool) (Iterator, error) {
+// stream, draining it eagerly in the constructor and yielding the single
+// result row — one row even over an empty input. Result cells carry tags
+// intersected and sources unioned across their inputs. COUNT(*)-only
+// aggregations never touch the columns at all: each batch contributes its
+// length. Grouped aggregation lives in aggbatch.go.
+func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int) (Iterator, error) {
 	inS := in.Schema()
 	if err := bindAggSpecs(inS, aggs); err != nil {
 		return nil, err
@@ -804,11 +798,7 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 				unionRefs = append(unionRefs, r)
 			}
 		}
-		if compiled {
-			evals[i] = Compile(aggs[i].Arg)
-		} else {
-			evals[i] = aggs[i].Arg.Eval
-		}
+		evals[i] = Compile(aggs[i].Arg)
 	}
 
 	if size < 1 {
@@ -855,7 +845,7 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 		c.V = states[i].finish(a.Fn)
 		cells = append(cells, c)
 	}
-	return &aggregateOp{out: outS, rows: []relation.Tuple{{Cells: cells}}}, nil
+	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: []relation.Tuple{{Cells: cells}}}), nil
 }
 
 // ---- Adapters ----
@@ -867,9 +857,9 @@ type toBatch struct {
 }
 
 // NewToBatch adapts a row iterator into a batch stream, transposing up to
-// size rows per call into the consumer's column buffer. It is how
-// row-producing sources the batch tier has no native port for — notably
-// the parallel scan's ordered merge — compose with batch operators.
+// size rows per call into the consumer's column buffer. It is how the
+// row-producing sources — the parallel scan's ordered merge, the index
+// scan, the empty scan — feed batch operators.
 func NewToBatch(in Iterator, size int) BatchIterator {
 	if size < 1 {
 		size = DefaultBatchSize
@@ -923,10 +913,10 @@ type fromBatch struct {
 	done bool
 }
 
-// NewFromBatch adapts a batch stream back into a row iterator, so scalar
-// operators (sorts, joins, distinct, Collect) consume vectorized pipelines
-// unchanged. Each delivered row is materialized with a fresh cell slice —
-// rows escape the batch's lifetime. It owns one pooled batch, released
+// NewFromBatch adapts a batch stream back into a row iterator, so the row
+// tail (sort, distinct, Collect) consumes batch pipelines. Each delivered
+// row is materialized with a fresh cell slice — rows escape the batch's
+// lifetime. It owns one pooled batch, released
 // deterministically when the stream ends or Stop is called.
 func NewFromBatch(in BatchIterator, size int) Iterator {
 	if size < 1 {

@@ -22,10 +22,10 @@ func batchPred() Expr {
 }
 
 // TestBatchScanMatchesSerial: the batch scan (via FromBatch) yields the
-// same rows as the serial scan, for every batch size, without cloning.
+// same rows as storage's serial Scan, for every batch size, without cloning.
 func TestBatchScanMatchesSerial(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+57)
-	want := drain(t, NewTableScan(tbl))
+	want := scanRows(tbl)
 	for _, size := range batchSizes {
 		before := storage.TupleClones()
 		got := drain(t, NewFromBatch(NewBatchTableScan(tbl, size), size))
@@ -37,8 +37,8 @@ func TestBatchScanMatchesSerial(t *testing.T) {
 }
 
 // TestBatchPipelineMatchesScalar runs scan → select → select → project →
-// limit through both tiers (compiled and interpreted) and requires
-// byte-identical output.
+// limit through the batch operators and through the row operators over
+// storage's serial Scan, and requires byte-identical output.
 func TestBatchPipelineMatchesScalar(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize+700)
 	second := &Cmp{Op: OpLt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(900)}}
@@ -47,8 +47,8 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 		{Expr: &Arith{Op: OpMul, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(2)}}, As: "qty2"},
 	}
 
-	scalar := func() Iterator {
-		it, err := NewSelect(NewTableScan(tbl), batchPred(), ctx())
+	rows := func() Iterator {
+		it, err := NewSelect(NewRelationScan(scanRows(tbl)), batchPred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,38 +65,37 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 		}
 		return NewLimit(it, 40, 7)
 	}
-	want := drain(t, scalar())
+	want := drain(t, rows())
 
 	for _, size := range batchSizes {
-		for _, compiled := range []bool{true, false} {
-			bit, err := NewBatchSelect(NewBatchTableScan(tbl, size), batchPred(), ctx(), compiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bit, err = NewBatchSelect(bit, CloneExpr(second), ctx(), compiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bit, err = NewBatchProject(bit, []ProjectItem{
-				{Expr: CloneExpr(items[0].Expr), As: items[0].As},
-				{Expr: CloneExpr(items[1].Expr), As: items[1].As},
-			}, ctx(), size, compiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bit = NewBatchLimit(bit, 40, 7)
-			got := drain(t, NewFromBatch(bit, size))
-			sameRelation(t, want, got, fmt.Sprintf("batch pipeline size %d compiled %v", size, compiled))
-			if want.Schema.Name != got.Schema.Name {
-				t.Fatalf("schema name %q, want %q", got.Schema.Name, want.Schema.Name)
-			}
+		bit, err := NewBatchSelect(NewBatchTableScan(tbl, size), batchPred(), ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bit, err = NewBatchSelect(bit, CloneExpr(second), ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bit, err = NewBatchProject(bit, []ProjectItem{
+			{Expr: CloneExpr(items[0].Expr), As: items[0].As},
+			{Expr: CloneExpr(items[1].Expr), As: items[1].As},
+		}, ctx(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bit = NewBatchLimit(bit, 40, 7)
+		got := drain(t, NewFromBatch(bit, size))
+		sameRelation(t, want, got, fmt.Sprintf("batch pipeline size %d", size))
+		if want.Schema.Name != got.Schema.Name {
+			t.Fatalf("schema name %q, want %q", got.Schema.Name, want.Schema.Name)
 		}
 	}
 }
 
-// TestBatchAggregateMatchesScalar: the global batch sink agrees with
-// NewAggregate on every aggregate function, provenance included, over data
-// and over an empty input.
+// TestBatchAggregateMatchesScalar: the global batch sink agrees with a
+// row-at-a-time fold over storage's serial Scan on every aggregate
+// function, over data and over an empty input, and with the grouped sink
+// at zero group keys.
 func TestBatchAggregateMatchesScalar(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize+100)
 	empty := storage.NewTable(tbl.Schema(), false)
@@ -111,23 +110,44 @@ func TestBatchAggregateMatchesScalar(t *testing.T) {
 		}
 	}
 	for _, src := range []*storage.Table{tbl, empty} {
-		agg, err := NewAggregate(NewTableScan(src), nil, mkAggs(), ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drain(t, agg)
-		for _, size := range batchSizes {
-			for _, compiled := range []bool{true, false} {
-				bagg, err := NewBatchAggregate(NewBatchTableScan(src, size), mkAggs(), ctx(), size, compiled)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := drain(t, bagg)
-				sameRelation(t, want, got, fmt.Sprintf("batch agg rows=%d size %d compiled %v", src.Len(), size, compiled))
-				if want.Schema.Name != got.Schema.Name {
-					t.Fatalf("agg schema name %q, want %q", got.Schema.Name, want.Schema.Name)
-				}
+		// qty is never null and never tagged, so the fold is plain
+		// arithmetic with no provenance.
+		var n, sum int64
+		lo, hi := value.Null, value.Null
+		for _, tup := range scanRows(src).Tuples {
+			q := tup.Cells[2].V.AsInt()
+			n++
+			sum += q
+			if lo.IsNull() || q < lo.AsInt() {
+				lo = value.Int(q)
 			}
+			if hi.IsNull() || q+1 > hi.AsInt() {
+				hi = value.Int(q + 1)
+			}
+		}
+		want := relation.New(schema.MustNew("big_agg", []schema.Attr{
+			{Name: "n"}, {Name: "nq"}, {Name: "s"}, {Name: "a"}, {Name: "lo"}, {Name: "hi"},
+		}))
+		row := relation.NewTuple(value.Int(n), value.Int(n), value.Int(sum), value.Float(float64(sum)/float64(n)), lo, hi)
+		if n == 0 {
+			row = relation.NewTuple(value.Int(0), value.Int(0), value.Null, value.Null, value.Null, value.Null)
+		}
+		want.Tuples = append(want.Tuples, row)
+		for _, size := range batchSizes {
+			bagg, err := NewBatchAggregate(NewBatchTableScan(src, size), mkAggs(), ctx(), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drain(t, bagg)
+			sameRelation(t, want, got, fmt.Sprintf("batch agg rows=%d size %d", src.Len(), size))
+			if want.Schema.Name != got.Schema.Name {
+				t.Fatalf("agg schema name %q, want %q", got.Schema.Name, want.Schema.Name)
+			}
+			gagg, err := NewBatchGroupedAggregate(NewBatchTableScan(src, size), nil, mkAggs(), ctx(), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRelation(t, want, drain(t, gagg), fmt.Sprintf("grouped agg rows=%d size %d", src.Len(), size))
 		}
 	}
 }
@@ -138,7 +158,7 @@ func TestBatchCountOnlyNeverClones(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
 	before := storage.TupleClones()
 	agg, err := NewBatchAggregate(NewBatchTableScan(tbl, DefaultBatchSize),
-		[]AggSpec{{Fn: AggCount, As: "n"}}, ctx(), DefaultBatchSize, true)
+		[]AggSpec{{Fn: AggCount, As: "n"}}, ctx(), DefaultBatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +209,11 @@ func TestBatchLimitStopsProducerEarly(t *testing.T) {
 func TestFromBatchStopReleasesChain(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize)
 	rec := &stopRecorder{in: NewBatchTableScan(tbl, 32)}
-	sel, err := NewBatchSelect(rec, batchPred(), ctx(), true)
+	sel, err := NewBatchSelect(rec, batchPred(), ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := NewBatchProject(sel, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 32, true)
+	proj, err := NewBatchProject(sel, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +251,7 @@ func (e *errBatch) NextBatch(b *Batch) (bool, error) {
 func TestBatchErrorPropagates(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize)
 	src := &errBatch{in: NewBatchTableScan(tbl, 16), after: 2}
-	proj, err := NewBatchProject(src, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 16, true)
+	proj, err := NewBatchProject(src, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +268,9 @@ func TestBatchErrorPropagates(t *testing.T) {
 // stream, for the parallel-scan composition shape.
 func TestToBatchRoundTrip(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+9)
-	want := drain(t, NewTableScan(tbl))
+	want := scanRows(tbl)
 	for _, size := range batchSizes {
-		pit, err := NewParallelScan(tbl, 4, nil, ctx(), true)
+		pit, err := NewParallelScan(tbl, 4, nil, ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,38 +279,30 @@ func TestToBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTableScansSkipClones: the serial and parallel row scans return the
-// rows the cloning storage Scan visits, with a zero clone delta.
+// TestTableScansSkipClones: the parallel row scan, at one worker and at
+// three, returns the rows the cloning storage Scan visits, with a zero
+// clone delta.
 func TestTableScansSkipClones(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+100)
-	want := relation.New(tbl.Schema())
-	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
-		want.Tuples = append(want.Tuples, tup)
-		return true
-	})
+	want := scanRows(tbl)
 
-	before := storage.TupleClones()
-	got := drain(t, NewTableScan(tbl))
-	if d := storage.TupleClones() - before; d != 0 {
-		t.Fatalf("serial scan cloned %d tuples", d)
+	for _, degree := range []int{1, 3} {
+		before := storage.TupleClones()
+		pit, err := NewParallelScan(tbl, degree, nil, ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, pit)
+		if d := storage.TupleClones() - before; d != 0 {
+			t.Fatalf("degree %d scan cloned %d tuples", degree, d)
+		}
+		sameRelation(t, want, got, fmt.Sprintf("degree %d scan", degree))
 	}
-	sameRelation(t, want, got, "serial scan")
-
-	before = storage.TupleClones()
-	pit, err := NewParallelScan(tbl, 3, nil, ctx(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = drain(t, pit)
-	if d := storage.TupleClones() - before; d != 0 {
-		t.Fatalf("parallel scan cloned %d tuples", d)
-	}
-	sameRelation(t, want, got, "parallel scan")
 
 	// A fused predicate makes the cardinality unknown: the scan must not
 	// advertise the full table size, or Collect would pre-allocate a
 	// table-sized buffer for a selective query.
-	filtered, err := NewParallelScan(tbl, 3, batchPred(), ctx(), true)
+	filtered, err := NewParallelScan(tbl, 3, batchPred(), ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +316,7 @@ func TestTableScansSkipClones(t *testing.T) {
 // tuple slice once at the hinted capacity.
 func TestCollectPreSizes(t *testing.T) {
 	tbl := bigTable(t, 1000)
-	out, err := Collect(NewLimit(NewTableScan(tbl), 10, 0))
+	out, err := Collect(NewLimit(NewRelationScan(scanRows(tbl)), 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +326,12 @@ func TestCollectPreSizes(t *testing.T) {
 	if c := cap(out.Tuples); c != 10 {
 		t.Fatalf("Collect capacity %d, want exactly the limit hint 10", c)
 	}
-	hint := sizeHint(NewTableScan(tbl))
-	if hint != tbl.Len() {
+	pit, err := NewParallelScan(tbl, 2, nil, ctx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pit.(Stopper).Stop()
+	if hint := sizeHint(pit); hint != tbl.Len() {
 		t.Fatalf("scan SizeHint = %d, want %d", hint, tbl.Len())
 	}
 	rel := relation.New(tbl.Schema())

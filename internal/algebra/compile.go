@@ -350,14 +350,6 @@ func mirrorCmp(op CmpOp) CmpOp {
 	return op
 }
 
-// InterpretedPredicate wraps the tree-walking Truth as a Predicate, for A/B
-// comparison against CompilePredicate.
-func InterpretedPredicate(e Expr) Predicate {
-	return func(row relation.Tuple, ctx *EvalContext) (bool, error) {
-		return Truth(e, row, ctx)
-	}
-}
-
 func compileColRef(c *ColRef) Compiled {
 	idx := c.idx
 	return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {

@@ -6,11 +6,11 @@ import (
 	"repro/internal/value"
 )
 
-// Batch-native hash join: the build side is transposed into column
-// vectors keyed by hash, and the probe side streams through in batches,
-// evaluating keys straight off column vectors — no ToBatch/FromBatch seam,
-// no per-row tuple materialization until a match actually survives the key
-// confirm and residual.
+// The join operator: the build side is transposed into column vectors
+// keyed by hash, and the probe side streams through in batches, evaluating
+// keys straight off column vectors — no per-row tuple materialization until
+// a match actually survives the key confirm and residual. A join with no
+// equi-key runs the same operator with constant keys (see NewBatchHashJoin).
 
 type batchHashJoin struct {
 	left BatchIterator
@@ -20,8 +20,8 @@ type batchHashJoin struct {
 
 	// Build side, materialized in the constructor: right rows stored
 	// columnar, their key values dense, and hash buckets listing row
-	// indexes in stream order (which is what keeps output order identical
-	// to the Volcano join).
+	// indexes in stream order (so output order is left stream order ×
+	// build insertion order).
 	rstore []ColVec
 	rkeys  []value.Value
 	build  map[uint64][]int32
@@ -45,14 +45,16 @@ type batchHashJoin struct {
 	done       bool
 }
 
-// NewBatchHashJoin is the batch-native equi-join on leftKey = rightKey
-// with an optional residual predicate — same matching rules, output schema
-// and output order as NewHashJoin (left stream order × build insertion
-// order; null keys never join; hash matches are confirmed by value). The
-// right input is drained and transposed into the columnar build table in
-// the constructor; compiled selects compiled key/residual evaluation.
-func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Expr, ctx *EvalContext, size int, compiled bool) (BatchIterator, error) {
-	out, err := joinSchema(left.Schema(), right.Schema())
+// NewBatchHashJoin is the equi-join on leftKey = rightKey with an optional
+// residual predicate over the concatenated row. Output rows come in left
+// stream order × build insertion order; null keys never join; hash matches
+// are confirmed by value. The output schema is JoinSchema's. The right
+// input is drained and transposed into the columnar build table in the
+// constructor. Constant true keys put every build row in one bucket, which
+// makes it a nested-loop join with the residual as its predicate (a nil
+// residual is a cross product).
+func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Expr, ctx *EvalContext, size int) (BatchIterator, error) {
+	out, err := JoinSchema(left.Schema(), right.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -75,22 +77,14 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 		if err := residual.Bind(out); err != nil {
 			return nil, err
 		}
-		if compiled {
-			j.resid = CompilePredicate(residual)
-		} else {
-			j.resid = InterpretedPredicate(residual)
-		}
+		j.resid = CompilePredicate(residual)
 	}
 	if cr, ok := leftKey.(*ColRef); ok {
 		j.lkIdx = cr.idx
 	} else {
 		j.lkRefs = ReferencedCols(leftKey)
 	}
-	if compiled {
-		j.lkEval = Compile(leftKey)
-	} else {
-		j.lkEval = leftKey.Eval
-	}
+	j.lkEval = Compile(leftKey)
 	j.rstore = make([]ColVec, j.rw)
 	j.row = make([]relation.Cell, j.lw+j.rw)
 
@@ -102,12 +96,7 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 	} else {
 		rkRefs = ReferencedCols(rightKey)
 	}
-	var rkEval Compiled
-	if compiled {
-		rkEval = Compile(rightKey)
-	} else {
-		rkEval = rightKey.Eval
-	}
+	rkEval := Compile(rightKey)
 	rb := getBatch(size)
 	defer func() {
 		putBatch(rb)

@@ -11,7 +11,9 @@ import (
 	"repro/internal/value"
 )
 
-// Iterator is the pull-based tuple stream every operator implements.
+// Iterator is the pull-based tuple stream of the row operators: the
+// index, empty and parallel scans that feed batches, the sort/distinct
+// tail above them, and the row side of the batch adapters.
 type Iterator interface {
 	// Schema describes the stream's tuples.
 	Schema() *schema.Schema
@@ -139,9 +141,9 @@ type projectOp struct {
 	ctx  *EvalContext
 }
 
-// projection is the bound core of a projection, shared by the scalar and
-// batch operators: per-item either a plain column copy (col >= 0) or an
-// evaluator with its contributing columns precomputed (walking the
+// projection is the bound core of a projection, shared by the row and
+// batch operators: per-item either a plain column copy (col >= 0) or a
+// compiled evaluator with its contributing columns precomputed (walking the
 // expression per row to find them would dominate the per-row cost).
 type projection struct {
 	items []ProjectItem
@@ -154,9 +156,8 @@ type projection struct {
 // bindProjection binds the items against the input schema, fills default
 // output names, and derives the output schema. Output attribute kinds are
 // inferred from the input schema for plain column references and left as
-// KindNull (wildcard) for computed expressions. compile selects compiled
-// closures or the interpreted evaluators for computed items.
-func bindProjection(inSchema *schema.Schema, items []ProjectItem, compile bool) (*projection, error) {
+// KindNull (wildcard) for computed expressions.
+func bindProjection(inSchema *schema.Schema, items []ProjectItem) (*projection, error) {
 	p := &projection{
 		items: items,
 		cols:  make([]int, len(items)),
@@ -185,11 +186,7 @@ func bindProjection(inSchema *schema.Schema, items []ProjectItem, compile bool) 
 		}
 		attrs[i] = schema.Attr{Name: name, Kind: value.KindNull}
 		p.cols[i] = -1
-		if compile {
-			p.evals[i] = Compile(it.Expr)
-		} else {
-			p.evals[i] = it.Expr.Eval
-		}
+		p.evals[i] = Compile(it.Expr)
 		p.refs[i] = ReferencedCols(it.Expr)
 	}
 	out, err := schema.New(inSchema.Name, attrs)
@@ -221,7 +218,7 @@ func (p *projection) row(t relation.Tuple, ctx *EvalContext) (relation.Tuple, er
 // the input schema for plain column references and left as KindNull
 // (wildcard) for computed expressions.
 func NewProject(in Iterator, items []ProjectItem, ctx *EvalContext) (Iterator, error) {
-	proj, err := bindProjection(in.Schema(), items, false)
+	proj, err := bindProjection(in.Schema(), items)
 	if err != nil {
 		return nil, err
 	}
@@ -296,18 +293,12 @@ func (r *renameOp) Next() (relation.Tuple, bool, error) { return r.in.Next() }
 
 // ---- Joins ----
 
-// JoinSchema concatenates two schemas the way the join operators do,
+// JoinSchema concatenates two schemas the way the join operator does,
 // qualifying colliding column names with the source relation name
 // ("rel_col"). Planners use it to compute a join's output schema without
-// instantiating the join: NewHashJoin and NewNestedLoopJoin produce exactly
-// this schema for the same inputs.
+// instantiating the join: NewBatchHashJoin produces exactly this schema for
+// the same inputs.
 func JoinSchema(l, r *schema.Schema) (*schema.Schema, error) {
-	return joinSchema(l, r)
-}
-
-// joinSchema concatenates two schemas, qualifying colliding column names
-// with the source relation name ("rel_col").
-func joinSchema(l, r *schema.Schema) (*schema.Schema, error) {
 	seen := map[string]bool{}
 	for _, a := range l.Attrs {
 		seen[a.Name] = true
@@ -329,216 +320,7 @@ func joinSchema(l, r *schema.Schema) (*schema.Schema, error) {
 	return schema.New(l.Name+"_"+r.Name, attrs)
 }
 
-type nestedLoopJoin struct {
-	left  Iterator
-	right []relation.Tuple
-	pred  Expr
-	ctx   *EvalContext
-	out   *schema.Schema
-
-	cur    relation.Tuple
-	curOK  bool
-	rIndex int
-}
-
-// NewNestedLoopJoin materializes the right input and joins with an arbitrary
-// predicate; pass pred == nil for a cross product.
-func NewNestedLoopJoin(left, right Iterator, pred Expr, ctx *EvalContext) (Iterator, error) {
-	out, err := joinSchema(left.Schema(), right.Schema())
-	if err != nil {
-		return nil, err
-	}
-	rrel, err := Collect(right)
-	if err != nil {
-		return nil, err
-	}
-	if pred != nil {
-		if err := pred.Bind(out); err != nil {
-			return nil, err
-		}
-	}
-	return &nestedLoopJoin{left: left, right: rrel.Tuples, pred: pred, ctx: ctx, out: out}, nil
-}
-
-func (j *nestedLoopJoin) Schema() *schema.Schema { return j.out }
-
-func (j *nestedLoopJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		if !j.curOK {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return relation.Tuple{}, false, err
-			}
-			j.cur, j.curOK, j.rIndex = t, true, 0
-		}
-		for j.rIndex < len(j.right) {
-			rt := j.right[j.rIndex]
-			j.rIndex++
-			joined := relation.Tuple{Cells: append(append([]relation.Cell(nil), j.cur.Cells...), rt.Cells...)}
-			if j.pred == nil {
-				return joined, true, nil
-			}
-			keep, err := Truth(j.pred, joined, j.ctx)
-			if err != nil {
-				return relation.Tuple{}, false, err
-			}
-			if keep {
-				return joined, true, nil
-			}
-		}
-		j.curOK = false
-	}
-}
-
-type hashJoin struct {
-	left     Iterator
-	build    map[uint64][]relation.Tuple
-	leftKey  Expr
-	rightKey Expr
-	residual Expr
-	ctx      *EvalContext
-	out      *schema.Schema
-
-	cur     relation.Tuple
-	curOK   bool
-	matches []relation.Tuple
-	mIndex  int
-}
-
-// NewHashJoin is an equi-join on leftKey = rightKey, with an optional
-// residual predicate evaluated over the concatenated tuple. The right input
-// is materialized into the build table.
-func NewHashJoin(left, right Iterator, leftKey, rightKey Expr, residual Expr, ctx *EvalContext) (Iterator, error) {
-	out, err := joinSchema(left.Schema(), right.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if err := leftKey.Bind(left.Schema()); err != nil {
-		return nil, err
-	}
-	if err := rightKey.Bind(right.Schema()); err != nil {
-		return nil, err
-	}
-	if residual != nil {
-		if err := residual.Bind(out); err != nil {
-			return nil, err
-		}
-	}
-	build := make(map[uint64][]relation.Tuple)
-	for {
-		t, ok, err := right.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		k, err := rightKey.Eval(t, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if k.IsNull() {
-			continue // null keys never join
-		}
-		h := k.Hash()
-		build[h] = append(build[h], t)
-	}
-	return &hashJoin{left: left, build: build, leftKey: leftKey, rightKey: rightKey,
-		residual: residual, ctx: ctx, out: out}, nil
-}
-
-func (j *hashJoin) Schema() *schema.Schema { return j.out }
-
-func (j *hashJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		for j.mIndex < len(j.matches) {
-			rt := j.matches[j.mIndex]
-			j.mIndex++
-			// Confirm the hash match with a real comparison.
-			lk, err := j.leftKey.Eval(j.cur, j.ctx)
-			if err != nil {
-				return relation.Tuple{}, false, err
-			}
-			rk, err := j.rightKey.Eval(rt, j.ctx)
-			if err != nil {
-				return relation.Tuple{}, false, err
-			}
-			if !value.EqualPtr(&lk, &rk) {
-				continue
-			}
-			joined := relation.Tuple{Cells: append(append([]relation.Cell(nil), j.cur.Cells...), rt.Cells...)}
-			if j.residual != nil {
-				keep, err := Truth(j.residual, joined, j.ctx)
-				if err != nil {
-					return relation.Tuple{}, false, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			return joined, true, nil
-		}
-		t, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return relation.Tuple{}, false, err
-		}
-		j.cur, j.curOK = t, true
-		k, err := j.leftKey.Eval(t, j.ctx)
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if k.IsNull() {
-			j.matches, j.mIndex = nil, 0
-			continue
-		}
-		j.matches, j.mIndex = j.build[k.Hash()], 0
-	}
-}
-
-// ---- Union / Difference / Distinct ----
-
-func compatible(a, b *schema.Schema) error {
-	if len(a.Attrs) != len(b.Attrs) {
-		return fmt.Errorf("algebra: union-incompatible arities %d vs %d", len(a.Attrs), len(b.Attrs))
-	}
-	for i := range a.Attrs {
-		ka, kb := a.Attrs[i].Kind, b.Attrs[i].Kind
-		if ka != kb && ka != value.KindNull && kb != value.KindNull {
-			return fmt.Errorf("algebra: union-incompatible kinds at column %d: %v vs %v", i, ka, kb)
-		}
-	}
-	return nil
-}
-
-type unionOp struct {
-	a, b  Iterator
-	first bool
-}
-
-// NewUnion concatenates two union-compatible streams (bag semantics; wrap in
-// NewDistinct for set semantics). The output schema is the left schema.
-func NewUnion(a, b Iterator) (Iterator, error) {
-	if err := compatible(a.Schema(), b.Schema()); err != nil {
-		return nil, err
-	}
-	return &unionOp{a: a, b: b, first: true}, nil
-}
-
-func (u *unionOp) Schema() *schema.Schema { return u.a.Schema() }
-
-func (u *unionOp) Next() (relation.Tuple, bool, error) {
-	if u.first {
-		t, ok, err := u.a.Next()
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if ok {
-			return t, true, nil
-		}
-		u.first = false
-	}
-	return u.b.Next()
-}
+// ---- Distinct ----
 
 // encodeValues produces a comparable key of the tuple's application values.
 // Tags and sources deliberately do not participate: two tuples with the same
@@ -579,52 +361,6 @@ func (d *distinctOp) Next() (relation.Tuple, bool, error) {
 			continue
 		}
 		d.seen[k] = true
-		return t, true, nil
-	}
-}
-
-type diffOp struct {
-	in    Iterator
-	minus map[string]int
-	init  bool
-	sub   Iterator
-}
-
-// NewDifference computes bag difference a − b by application values.
-func NewDifference(a, b Iterator) (Iterator, error) {
-	if err := compatible(a.Schema(), b.Schema()); err != nil {
-		return nil, err
-	}
-	return &diffOp{in: a, sub: b}, nil
-}
-
-func (d *diffOp) Schema() *schema.Schema { return d.in.Schema() }
-
-func (d *diffOp) Next() (relation.Tuple, bool, error) {
-	if !d.init {
-		d.minus = make(map[string]int)
-		for {
-			t, ok, err := d.sub.Next()
-			if err != nil {
-				return relation.Tuple{}, false, err
-			}
-			if !ok {
-				break
-			}
-			d.minus[encodeValues(t)]++
-		}
-		d.init = true
-	}
-	for {
-		t, ok, err := d.in.Next()
-		if err != nil || !ok {
-			return relation.Tuple{}, false, err
-		}
-		k := encodeValues(t)
-		if d.minus[k] > 0 {
-			d.minus[k]--
-			continue
-		}
 		return t, true, nil
 	}
 }
@@ -741,7 +477,7 @@ func (st *aggState) finish(fn AggFunc) value.Value {
 }
 
 // bindAggSpecs binds aggregate arguments against the input schema and fills
-// default output names; shared by the scalar and batch aggregates so both
+// default output names; shared by the global and grouped aggregates so both
 // produce identical output columns.
 func bindAggSpecs(inS *schema.Schema, aggs []AggSpec) error {
 	for i := range aggs {
@@ -763,9 +499,9 @@ func bindAggSpecs(inS *schema.Schema, aggs []AggSpec) error {
 
 // aggOutputSchema derives an aggregation's output schema — group key
 // columns (named by their expression strings unless the key is a plain
-// column) followed by the aggregate columns — shared by the scalar and
-// batch aggregates so both produce identical output relations. groupBy and
-// aggs must already be bound.
+// column) followed by the aggregate columns — shared by the global and
+// grouped aggregates so both produce identical output relations. groupBy
+// and aggs must already be bound.
 func aggOutputSchema(inS *schema.Schema, groupBy []Expr, aggs []AggSpec) (*schema.Schema, error) {
 	attrs := make([]schema.Attr, 0, len(groupBy)+len(aggs))
 	for i, g := range groupBy {
@@ -785,131 +521,6 @@ func aggOutputSchema(inS *schema.Schema, groupBy []Expr, aggs []AggSpec) (*schem
 		attrs = append(attrs, schema.Attr{Name: a.As, Kind: value.KindNull})
 	}
 	return schema.New(inS.Name+"_agg", attrs)
-}
-
-type aggregateOp struct {
-	out  *schema.Schema
-	rows []relation.Tuple
-	pos  int
-}
-
-// NewAggregate groups the input by the groupBy expressions and computes the
-// aggregates per group. With no groupBy it emits a single global row. Output
-// columns are the group keys (named by their expression strings unless the
-// key is a plain column) followed by the aggregates. Aggregate result cells
-// carry MergeDrop-folded tags and unioned sources from their inputs.
-func NewAggregate(in Iterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext) (Iterator, error) {
-	inS := in.Schema()
-	for _, g := range groupBy {
-		if err := g.Bind(inS); err != nil {
-			return nil, err
-		}
-	}
-	if err := bindAggSpecs(inS, aggs); err != nil {
-		return nil, err
-	}
-	outS, err := aggOutputSchema(inS, groupBy, aggs)
-	if err != nil {
-		return nil, err
-	}
-
-	type group struct {
-		keyCells []relation.Cell
-		states   []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-
-	// Contributing columns per aggregate and group key, computed once: the
-	// expression walk is per plan, not per row.
-	argRefs := make([][]int, len(aggs))
-	for i, a := range aggs {
-		if a.Arg != nil {
-			argRefs[i] = ReferencedCols(a.Arg)
-		}
-	}
-	keyRefs := make([][]int, len(groupBy))
-	for i, g := range groupBy {
-		if _, ok := g.(*ColRef); !ok {
-			keyRefs[i] = ReferencedCols(g)
-		}
-	}
-
-	for {
-		t, ok, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		keyCells := make([]relation.Cell, len(groupBy))
-		var kb strings.Builder
-		for i, g := range groupBy {
-			v, err := g.Eval(t, ctx)
-			if err != nil {
-				return nil, err
-			}
-			if cr, ok := g.(*ColRef); ok {
-				keyCells[i] = t.Cells[cr.idx]
-			} else {
-				keyCells[i] = deriveCell(v, t, keyRefs[i])
-			}
-			if i > 0 {
-				kb.WriteByte(0)
-			}
-			kb.WriteString(v.Literal())
-		}
-		k := kb.String()
-		gr, ok := groups[k]
-		if !ok {
-			gr = &group{keyCells: keyCells, states: newAggStates(len(aggs))}
-			groups[k] = gr
-			order = append(order, k)
-		}
-		for i := range aggs {
-			var v value.Value
-			if aggs[i].Arg != nil {
-				var err error
-				v, err = aggs[i].Arg.Eval(t, ctx)
-				if err != nil {
-					return nil, err
-				}
-			}
-			gr.states[i].foldRow(&aggs[i], v, argRefs[i], t)
-		}
-	}
-	if len(groupBy) == 0 && len(order) == 0 {
-		// Global aggregate over an empty input still yields one row.
-		groups[""] = &group{states: newAggStates(len(aggs))}
-		order = append(order, "")
-	}
-	sort.Strings(order)
-	rows := make([]relation.Tuple, 0, len(order))
-	for _, k := range order {
-		gr := groups[k]
-		cells := append([]relation.Cell(nil), gr.keyCells...)
-		for i, a := range aggs {
-			c := gr.states[i].cell
-			c.V = gr.states[i].finish(a.Fn)
-			cells = append(cells, c)
-		}
-		rows = append(rows, relation.Tuple{Cells: cells})
-	}
-	return &aggregateOp{out: outS, rows: rows}, nil
-}
-
-func (a *aggregateOp) Schema() *schema.Schema { return a.out }
-
-func (a *aggregateOp) SizeHint() int { return len(a.rows) }
-
-func (a *aggregateOp) Next() (relation.Tuple, bool, error) {
-	if a.pos >= len(a.rows) {
-		return relation.Tuple{}, false, nil
-	}
-	t := a.rows[a.pos]
-	a.pos++
-	return t, true, nil
 }
 
 // ---- Sort / Limit ----

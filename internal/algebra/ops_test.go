@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -168,13 +169,35 @@ func TestRename(t *testing.T) {
 	}
 }
 
+// joinRels joins two relations with NewBatchHashJoin at every batch size,
+// requires byte-identical output across sizes, and returns it.
+func joinRels(t *testing.T, l, r *relation.Relation, lk, rk, residual Expr) *relation.Relation {
+	t.Helper()
+	var first *relation.Relation
+	for _, size := range batchSizes {
+		j, err := NewBatchHashJoin(NewToBatch(NewRelationScan(l), size), NewToBatch(NewRelationScan(r), size),
+			lk, rk, residual, ctx(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := drain(t, NewFromBatch(j, size))
+		if first == nil {
+			first = out
+			continue
+		}
+		sameRelation(t, first, out, fmt.Sprintf("join at batch size %d", size))
+	}
+	return first
+}
+
+// trueKeys are the constant join keys that make NewBatchHashJoin a
+// nested-loop join over its residual.
+func trueKeys() (Expr, Expr) { return &Const{V: value.Bool(true)}, &Const{V: value.Bool(true)} }
+
 func TestNestedLoopJoin(t *testing.T) {
 	pred := &Cmp{OpEq, &ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}}
-	it, err := NewNestedLoopJoin(NewRelationScan(tradesRel()), NewRelationScan(stocksRel()), pred, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	lk, rk := trueKeys()
+	out := joinRels(t, tradesRel(), stocksRel(), lk, rk, pred)
 	if out.Len() != 5 {
 		t.Fatalf("join produced %d rows, want 5", out.Len())
 	}
@@ -190,55 +213,30 @@ func TestNestedLoopJoin(t *testing.T) {
 }
 
 func TestCrossProduct(t *testing.T) {
-	it, err := NewNestedLoopJoin(NewRelationScan(tradesRel()), NewRelationScan(stocksRel()), nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	lk, rk := trueKeys()
+	out := joinRels(t, tradesRel(), stocksRel(), lk, rk, nil)
 	if out.Len() != 5*4 {
 		t.Fatalf("cross product = %d rows", out.Len())
 	}
+	// Left stream order × build order.
+	if got := out.Tuples[5].Cells[1].V.AsString() + "/" + out.Tuples[5].Cells[4].V.AsString(); got != "DEC/DEC" {
+		t.Errorf("cross product row 5 = %s, want DEC/DEC", got)
+	}
 }
 
+// TestHashJoinMatchesNestedLoop: keyed on ticker = symbol, the join gives
+// byte for byte what the nested-loop form gives with the comparison as its
+// residual.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	hj, err := NewHashJoin(NewRelationScan(tradesRel()), NewRelationScan(stocksRel()),
-		&ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hout := drain(t, hj)
-	pred := &Cmp{OpEq, &ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}}
-	nj, err := NewNestedLoopJoin(NewRelationScan(tradesRel()), NewRelationScan(stocksRel()), pred, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nout := drain(t, nj)
-	if hout.Len() != nout.Len() {
-		t.Fatalf("hash join %d rows, nested loop %d", hout.Len(), nout.Len())
-	}
-	// Same multiset of (ticker,last) pairs.
-	count := map[string]int{}
-	for _, tup := range hout.Tuples {
-		count[tup.Cells[1].V.AsString()+"|"+tup.Cells[5].V.String()]++
-	}
-	for _, tup := range nout.Tuples {
-		count[tup.Cells[1].V.AsString()+"|"+tup.Cells[5].V.String()]--
-	}
-	for k, c := range count {
-		if c != 0 {
-			t.Errorf("join result mismatch at %s: %d", k, c)
-		}
-	}
+	hout := joinRels(t, tradesRel(), stocksRel(), &ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}, nil)
+	lk, rk := trueKeys()
+	nout := joinRels(t, tradesRel(), stocksRel(), lk, rk, &Cmp{OpEq, &ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}})
+	sameRelation(t, nout, hout, "hash join vs nested loop")
 }
 
 func TestHashJoinResidual(t *testing.T) {
 	residual := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(60)}}
-	hj, err := NewHashJoin(NewRelationScan(tradesRel()), NewRelationScan(stocksRel()),
-		&ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}, residual, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, hj)
+	out := joinRels(t, tradesRel(), stocksRel(), &ColRef{Name: "ticker"}, &ColRef{Name: "symbol"}, residual)
 	if out.Len() != 3 {
 		t.Fatalf("residual join = %d rows, want 3", out.Len())
 	}
@@ -246,52 +244,43 @@ func TestHashJoinResidual(t *testing.T) {
 
 func TestJoinSchemaCollision(t *testing.T) {
 	// Self-join: all columns collide and get prefixed.
-	it, err := NewNestedLoopJoin(NewRelationScan(tradesRel()), NewRelationScan(tradesRel()), nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := it.Schema()
+	lk, rk := trueKeys()
+	s := joinRels(t, tradesRel(), tradesRel(), lk, rk, nil).Schema
 	if s.ColIndex("trade_acct") < 0 {
 		t.Errorf("collision should qualify names, got %v", s.AttrNames())
 	}
 }
 
-func TestUnionDistinctDifference(t *testing.T) {
-	a, b := tradesRel(), tradesRel()
-	u, err := NewUnion(NewRelationScan(a), NewRelationScan(b))
+// TestDistinctDropsDuplicates: a relation holding every row twice comes
+// out of Distinct once per row, keeping the first occurrence.
+func TestDistinctDropsDuplicates(t *testing.T) {
+	a := tradesRel()
+	twice := relation.New(tradesSchema())
+	twice.Tuples = append(append(twice.Tuples, a.Tuples...), tradesRel().Tuples...)
+	twice.Tuples[5].Cells[1].Tags = tag.Set{}
+	out := drain(t, NewDistinct(NewRelationScan(twice)))
+	if out.Len() != 5 {
+		t.Fatalf("distinct = %d rows", out.Len())
+	}
+	if !out.Tuples[0].Cells[1].Tags.Has("source") {
+		t.Error("distinct should keep the first occurrence's tags")
+	}
+}
+
+// aggRows runs the global or grouped batch aggregate over a relation.
+func aggRows(t *testing.T, in *relation.Relation, groupBy []Expr, aggs []AggSpec) *relation.Relation {
+	t.Helper()
+	var it Iterator
+	var err error
+	if groupBy == nil {
+		it, err = NewBatchAggregate(NewToBatch(NewRelationScan(in), 0), aggs, ctx(), 0)
+	} else {
+		it, err = NewBatchGroupedAggregate(NewToBatch(NewRelationScan(in), 0), groupBy, aggs, ctx(), 0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	uout := drain(t, u)
-	if uout.Len() != 10 {
-		t.Fatalf("union = %d rows", uout.Len())
-	}
-	u2, _ := NewUnion(NewRelationScan(a), NewRelationScan(b))
-	dout := drain(t, NewDistinct(u2))
-	if dout.Len() != 5 {
-		t.Fatalf("distinct = %d rows", dout.Len())
-	}
-	diff, err := NewDifference(NewRelationScan(a), NewRelationScan(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dd := drain(t, diff)
-	if dd.Len() != 0 {
-		t.Fatalf("a - a = %d rows", dd.Len())
-	}
-	// Bag difference keeps surplus duplicates.
-	two := relation.New(tradesSchema())
-	two.Tuples = append(two.Tuples, a.Tuples[0], a.Tuples[0], a.Tuples[1])
-	one := relation.New(tradesSchema())
-	one.Tuples = append(one.Tuples, a.Tuples[0])
-	diff2, _ := NewDifference(NewRelationScan(two), NewRelationScan(one))
-	if got := drain(t, diff2).Len(); got != 2 {
-		t.Fatalf("bag difference = %d rows, want 2", got)
-	}
-	// Incompatible schemas.
-	if _, err := NewUnion(NewRelationScan(a), NewRelationScan(stocksRel())); err == nil {
-		t.Error("union of incompatible schemas should fail")
-	}
+	return drain(t, it)
 }
 
 func TestAggregateGlobal(t *testing.T) {
@@ -302,11 +291,7 @@ func TestAggregateGlobal(t *testing.T) {
 		{Fn: AggMin, Arg: &ColRef{Name: "qty"}, As: "min_qty"},
 		{Fn: AggMax, Arg: &ColRef{Name: "qty"}, As: "max_qty"},
 	}
-	it, err := NewAggregate(NewRelationScan(tradesRel()), nil, aggs, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	out := aggRows(t, tradesRel(), nil, aggs)
 	if out.Len() != 1 {
 		t.Fatalf("global aggregate rows = %d", out.Len())
 	}
@@ -335,11 +320,7 @@ func TestAggregateGlobal(t *testing.T) {
 
 func TestAggregateGroupBy(t *testing.T) {
 	aggs := []AggSpec{{Fn: AggSum, Arg: &ColRef{Name: "qty"}, As: "qty"}}
-	it, err := NewAggregate(NewRelationScan(tradesRel()), []Expr{&ColRef{Name: "ticker"}}, aggs, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	out := aggRows(t, tradesRel(), []Expr{&ColRef{Name: "ticker"}}, aggs)
 	if out.Len() != 3 {
 		t.Fatalf("groups = %d", out.Len())
 	}
@@ -363,11 +344,7 @@ func TestAggregateGroupBy(t *testing.T) {
 
 func TestAggregateEmptyInput(t *testing.T) {
 	empty := relation.New(tradesSchema())
-	it, err := NewAggregate(NewRelationScan(empty), nil, []AggSpec{{Fn: AggCount}, {Fn: AggSum, Arg: &ColRef{Name: "qty"}}}, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	out := aggRows(t, empty, nil, []AggSpec{{Fn: AggCount}, {Fn: AggSum, Arg: &ColRef{Name: "qty"}}})
 	if out.Len() != 1 {
 		t.Fatalf("empty global aggregate rows = %d", out.Len())
 	}
@@ -378,8 +355,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Errorf("sum over empty should be null, got %v", out.Tuples[0].Cells[1].V)
 	}
 	// Grouped aggregate over empty input yields no rows.
-	it2, _ := NewAggregate(NewRelationScan(relation.New(tradesSchema())), []Expr{&ColRef{Name: "ticker"}}, []AggSpec{{Fn: AggCount}}, ctx())
-	if got := drain(t, it2).Len(); got != 0 {
+	if got := aggRows(t, empty, []Expr{&ColRef{Name: "ticker"}}, []AggSpec{{Fn: AggCount}}).Len(); got != 0 {
 		t.Errorf("grouped aggregate over empty = %d rows", got)
 	}
 }

@@ -12,62 +12,11 @@ import (
 	"repro/internal/storage"
 )
 
-// ---- Serial table scan (lazy, segment-streamed) ----
-
-type tableScan struct {
-	t    *storage.Table
-	cols []int
-	nSeg int
-	seg  int
-	cs   storage.ColSeg
-	rows []relation.Tuple
-	pos  int
-}
-
-// NewTableScan streams a storage table lazily: it takes one heap segment's
-// column view at a time (a short read lock per segment) and yields its
-// rows before touching the next, so a consumer that stops early — LIMIT,
-// an early-exiting join probe — materializes O(rows consumed +
-// SegmentSize) rows, not the whole table. Rows arrive in row-ID order;
-// each segment is a consistent view, the stream as a whole is not a
-// point-in-time copy.
-//
-// Yielded tuples share one cell arena per segment and are never counted as
-// clones. Consumers must treat them as read-only and rebuild the cell
-// slice before a row escapes — projections, joins, aggregates; every QQL
-// pipeline qualifies, handing rows straight to an end user does not.
-func NewTableScan(t *storage.Table) Iterator {
-	return &tableScan{t: t, cols: t.Schema().ColIndexes(), nSeg: t.Segments()}
-}
-
-func (s *tableScan) Schema() *schema.Schema { return s.t.Schema() }
-
-func (s *tableScan) SizeHint() int { return s.t.Len() }
-
-func (s *tableScan) Next() (relation.Tuple, bool, error) {
-	for s.pos >= len(s.rows) {
-		if s.seg >= s.nSeg || !s.t.ScanSegmentCols(s.seg, s.cols, &s.cs) {
-			return relation.Tuple{}, false, nil
-		}
-		s.rows = segmentRows(&s.cs, s.rows)
-		s.seg++
-		s.pos = 0
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
 // segmentRows materializes the live rows of one segment view into a fresh
-// cell arena — one allocation per segment rather than one per row — and
-// appends their headers to buf[:0]. The arena is never reused, so rows
-// stay valid after the next refill; the headers in buf do not.
-func segmentRows(cs *storage.ColSeg, buf []relation.Tuple) []relation.Tuple {
+// cell arena — one allocation per segment rather than one per row.
+func segmentRows(cs *storage.ColSeg) []relation.Tuple {
 	n, w := cs.Live(), len(cs.Cols)
-	rows := buf[:0]
-	if cap(rows) < n {
-		rows = make([]relation.Tuple, 0, n)
-	}
+	rows := make([]relation.Tuple, 0, n)
 	arena := make([]relation.Cell, n*w)
 	for k := 0; k < n; k++ {
 		cells := arena[k*w : (k+1)*w : (k+1)*w]
@@ -148,41 +97,26 @@ type parallelScan struct {
 
 // NewParallelScan fans a table scan out across degree workers, one heap
 // segment at a time, and merges the per-segment results back in segment
-// (therefore row-ID) order — the output is byte-identical to the serial
-// NewTableScan, under the same read-only-consumer contract. Each worker
-// takes its segment's column view and materializes the rows outside the
-// table lock. When pred is non-nil it is fused into the workers: each
+// (therefore row-ID) order. Each worker takes its segment's column view and
+// materializes the rows outside the table lock into one cell arena per
+// segment; the rows are never counted as clones, so consumers must treat
+// them as read-only and rebuild the cell slice before a row escapes. When
+// pred is non-nil it is compiled once and fused into the workers: each
 // worker filters its segment's rows before handing them to the merge, so
-// predicate evaluation parallelizes along with the materialization;
-// compiled picks CompilePredicate over the interpreted Truth, so the
-// planner's expression-compilation knob reaches the workers. pred must be
-// bindable against t's schema; evaluation must be read-only after Bind
-// (every algebra.Expr and Compiled closure is). degree <= 1, or a table
-// small enough to fit one segment, degrades to the serial scan (with the
-// predicate applied via Select, preserving semantics).
-func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext, compiled bool) (Iterator, error) {
+// predicate evaluation parallelizes along with the materialization. pred
+// must be bindable against t's schema; evaluation must be read-only after
+// Bind (every Compiled closure is). degree is clamped to [1, segments].
+func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext) (Iterator, error) {
 	var pf Predicate
 	if pred != nil {
 		if err := pred.Bind(t.Schema()); err != nil {
 			return nil, err
 		}
-		if compiled {
-			pf = CompilePredicate(pred)
-		} else {
-			pf = InterpretedPredicate(pred)
-		}
+		pf = CompilePredicate(pred)
 	}
 	nSeg := t.Segments()
-	if degree > nSeg {
-		degree = nSeg
-	}
-	if degree <= 1 {
-		it := NewTableScan(t)
-		if pred != nil {
-			return NewSelect(it, pred, ctx)
-		}
-		return it, nil
-	}
+	degree = min(degree, nSeg)
+	degree = max(degree, 1)
 	return &parallelScan{t: t, degree: degree, pred: pf, ctx: ctx, nSeg: nSeg,
 		done: make(chan struct{})}, nil
 }
@@ -282,7 +216,7 @@ func (s *parallelScan) start() {
 				mySegs.Add(1)
 				var rows []relation.Tuple
 				if t.ScanSegmentCols(seg, cols, &cs) {
-					rows = segmentRows(&cs, nil)
+					rows = segmentRows(&cs)
 				}
 				if pred != nil {
 					kept := rows[:0]

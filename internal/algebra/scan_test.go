@@ -50,6 +50,25 @@ func bigTable(t *testing.T, n int) *storage.Table {
 	return tbl
 }
 
+// scanRows reads every live row of tbl through storage's cloning Scan —
+// the reference the engine's scans are checked against.
+func scanRows(tbl *storage.Table) *relation.Relation {
+	out := relation.New(tbl.Schema())
+	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
+		out.Tuples = append(out.Tuples, tup)
+		return true
+	})
+	return out
+}
+
+// InterpretedPredicate wraps the tree-walking Truth as a Predicate: the
+// reference CompilePredicate is checked against.
+func InterpretedPredicate(e Expr) Predicate {
+	return func(row relation.Tuple, ctx *EvalContext) (bool, error) {
+		return Truth(e, row, ctx)
+	}
+}
+
 func sameRelation(t *testing.T, want, got *relation.Relation, label string) {
 	t.Helper()
 	if want.Len() != got.Len() {
@@ -57,14 +76,20 @@ func sameRelation(t *testing.T, want, got *relation.Relation, label string) {
 	}
 	w, g := relation.Format(want, true), relation.Format(got, true)
 	if w != g {
-		t.Fatalf("%s: output differs from serial scan", label)
+		t.Fatalf("%s: output differs from the reference", label)
 	}
 }
 
+// TestTableScanStreamsAllSegments: one scan worker still reads every
+// segment, in row-ID order.
 func TestTableScanStreamsAllSegments(t *testing.T) {
 	const n = storage.SegmentSize + 500
 	tbl := bigTable(t, n)
-	out := drain(t, NewTableScan(tbl))
+	it, err := NewParallelScan(tbl, 1, nil, ctx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := drain(t, it)
 	if out.Len() != tbl.Len() {
 		t.Fatalf("scan = %d rows, table has %d live", out.Len(), tbl.Len())
 	}
@@ -81,35 +106,46 @@ func TestTableScanStreamsAllSegments(t *testing.T) {
 
 // TestParallelScanMatchesSerial is the ordering property test: for every
 // degree, with and without a fused predicate, the parallel scan's output is
-// byte-identical to the serial scan's (tags and sources included).
+// byte-identical (tags and sources included) to storage's serial Scan,
+// filtered by the interpreted predicate.
 func TestParallelScanMatchesSerial(t *testing.T) {
 	const n = 3*storage.SegmentSize + 123
 	tbl := bigTable(t, n)
 
-	serialAll := drain(t, NewTableScan(tbl))
+	serialAll := scanRows(tbl)
 	pred := func() Expr {
 		return &Logic{Op: OpOr,
 			L: &Cmp{Op: OpGt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(500)}},
 			R: &Cmp{Op: OpEq, L: &IndRef{Col: "grp", Indicator: "source"}, R: &Const{V: value.Str("a")}},
 		}
 	}
-	sel, err := NewSelect(NewTableScan(tbl), pred(), ctx())
-	if err != nil {
+	ref := pred()
+	if err := ref.Bind(tbl.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	serialPred := drain(t, sel)
+	keep := InterpretedPredicate(ref)
+	serialPred := relation.New(tbl.Schema())
+	for _, tup := range serialAll.Tuples {
+		ok, err := keep(tup, ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			serialPred.Tuples = append(serialPred.Tuples, tup)
+		}
+	}
 	if serialPred.Len() == 0 || serialPred.Len() == serialAll.Len() {
 		t.Fatalf("weak predicate: %d of %d", serialPred.Len(), serialAll.Len())
 	}
 
 	for _, degree := range []int{1, 2, 3, 4, 8, 64} {
-		it, err := NewParallelScan(tbl, degree, nil, ctx(), false)
+		it, err := NewParallelScan(tbl, degree, nil, ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRelation(t, serialAll, drain(t, it), fmt.Sprintf("degree %d no pred", degree))
 
-		it, err = NewParallelScan(tbl, degree, pred(), ctx(), false)
+		it, err = NewParallelScan(tbl, degree, pred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +156,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 	sc := schema.MustNew("tiny", []schema.Attr{{Name: "a", Kind: value.KindInt}})
 	tbl := storage.NewTable(sc, false)
-	it, err := NewParallelScan(tbl, 8, nil, ctx(), false)
+	it, err := NewParallelScan(tbl, 8, nil, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +168,7 @@ func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err = NewParallelScan(tbl, 8, nil, ctx(), false)
+	it, err = NewParallelScan(tbl, 8, nil, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +181,7 @@ func TestParallelScanPredicateError(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize)
 	// LIKE over an int errors at eval time in the workers.
 	bad := &Like{E: &ColRef{Name: "qty"}, Pattern: "x%"}
-	it, err := NewParallelScan(tbl, 4, bad, ctx(), false)
+	it, err := NewParallelScan(tbl, 4, bad, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +201,7 @@ func TestParallelScanPredicateError(t *testing.T) {
 // segment so workers always run to completion.
 func TestParallelScanAbandoned(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 4, nil, ctx(), false)
+	it, err := NewParallelScan(tbl, 4, nil, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +222,7 @@ func TestParallelScanAbandoned(t *testing.T) {
 func TestParallelScanBackpressure(t *testing.T) {
 	const nSeg = 12
 	tbl := bigTable(t, nSeg*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 2, nil, ctx(), false)
+	it, err := NewParallelScan(tbl, 2, nil, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +248,7 @@ func TestParallelScanBackpressure(t *testing.T) {
 // waiting for segments that will never arrive.
 func TestParallelScanStop(t *testing.T) {
 	tbl := bigTable(t, 6*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 2, nil, ctx(), false)
+	it, err := NewParallelScan(tbl, 2, nil, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // wrapper like algebra.getBatch — must reach its paired release
 // (Pool.Put, putBatch, Stop, Close, release) on every control-flow path
 // out of the function that acquired it, including early error returns.
-// The vectorized tier recycles kilorow batch buffers through exactly this
+// The batch engine recycles kilorow batch buffers through exactly this
 // pattern; a batch dropped on an error path is not a leak the GC fixes
 // cheaply — it permanently shrinks the warm pool and resurrects the
 // per-query allocations the pool exists to amortize (PR 5).

@@ -10,17 +10,17 @@ import (
 )
 
 // AnalyzeStep is one plan step of an EXPLAIN ANALYZE report with its
-// actuals. Annotation-only steps (the Vectorized header) carry no actuals
-// and have Instrumented false.
+// actuals.
 type AnalyzeStep struct {
 	// Desc is the step description, identical to the EXPLAIN line.
 	Desc string
-	// Instrumented reports whether the step is a real operator with
-	// collected actuals.
+	// Instrumented reports whether the step carries collected actuals.
+	// Every step of an executed plan is an instrumented operator; the field
+	// stays for readers written when plans had annotation-only steps.
 	Instrumented bool
 	// Rows is the number of tuples the operator produced.
 	Rows int64
-	// Batches is the number of non-empty batches produced (batch tier
+	// Batches is the number of non-empty batches produced (batch
 	// operators only).
 	Batches int64
 	// Time is the operator's inclusive wall time (the operator plus
@@ -150,7 +150,7 @@ func (s *Session) analyzeSelect(sel *SelectStmt, key string) (*AnalyzeReport, er
 	s.info.PlanShape = p.shape()
 	for i, desc := range p.steps {
 		step := AnalyzeStep{Desc: desc}
-		if i < len(p.stats) && p.stats[i] != nil {
+		if i < len(p.stats) {
 			st := p.stats[i]
 			step.Instrumented = true
 			step.Rows = st.Rows

@@ -85,15 +85,16 @@ func TestAnalyzeVectorizedCounts(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSerialCounts: a serial plan with a row tail counts batches
+// on the batch operators and rows only on the row operators above them.
 func TestAnalyzeSerialCounts(t *testing.T) {
 	s := analyzeFixture(t)
-	s.SetVectorized(false)
 	s.SetParallelism(1)
 	rep, err := s.AnalyzeQuery(`SELECT a FROM t WHERE a >= 10 ORDER BY a DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := stepByPrefix(t, rep, "TableScan")
+	scan := stepByPrefix(t, rep, "BatchTableScan")
 	sort := stepByPrefix(t, rep, "Sort")
 	if scan.Rows != 50 {
 		t.Errorf("scan rows = %d, want 50", scan.Rows)
@@ -101,8 +102,11 @@ func TestAnalyzeSerialCounts(t *testing.T) {
 	if sort.Rows != 40 {
 		t.Errorf("sort rows = %d, want 40", sort.Rows)
 	}
-	if scan.Batches != 0 {
-		t.Errorf("Volcano scan reported %d batches, want 0", scan.Batches)
+	if scan.Batches == 0 {
+		t.Errorf("batch scan reported no batches")
+	}
+	if sort.Batches != 0 {
+		t.Errorf("row sort reported %d batches, want 0", sort.Batches)
 	}
 	if rep.Rows != 40 {
 		t.Errorf("report rows = %d, want 40", rep.Rows)
@@ -114,7 +118,6 @@ func TestAnalyzeParallelScanOccupancy(t *testing.T) {
 	s, _ := bigCatalog(t, n)
 	s.SetPlanCache(NewPlanCache(16))
 	s.SetParallelism(8)
-	s.SetVectorized(false)
 
 	rep, err := s.AnalyzeQuery(`SELECT id FROM big WHERE qty >= 500`)
 	if err != nil {
@@ -171,8 +174,7 @@ func TestAnalyzeJoinSetupCharged(t *testing.T) {
 	s := analyzeFixture(t)
 	s.MustExec(`CREATE TABLE u (a int REQUIRED, note string) KEY (a)`)
 	s.MustExec(`INSERT INTO u VALUES (1, 'one'), (2, 'two'), (3, 'three')`)
-	// Vectorized session: the equi-join routes through the batch-native
-	// hash join, whose build-side transpose happens in the constructor and
+	// The hash join's build-side transpose happens in the constructor and
 	// must be charged to the join step.
 	rep, err := s.AnalyzeQuery(`SELECT t.b, u.note FROM t JOIN u ON t.a = u.a`)
 	if err != nil {
@@ -187,21 +189,6 @@ func TestAnalyzeJoinSetupCharged(t *testing.T) {
 	}
 	if rep.Rows != 3 {
 		t.Errorf("report rows = %d, want 3", rep.Rows)
-	}
-
-	// The scalar tier keeps its Volcano hash join, with the same
-	// setup-charging contract.
-	s.SetVectorized(false)
-	rep, err = s.AnalyzeQuery(`SELECT t.b, u.note FROM t JOIN u ON t.a = u.a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	join = stepByPrefix(t, rep, "HashJoin")
-	if join.Rows != 3 {
-		t.Errorf("scalar join rows = %d, want 3", join.Rows)
-	}
-	if join.Time <= 0 {
-		t.Errorf("scalar join time = %v, want > 0 (build side charged)", join.Time)
 	}
 }
 

@@ -142,29 +142,18 @@ type plan struct {
 	// step. Plans built with analyze=false carry no wrappers and no stats —
 	// the normal execution path pays nothing.
 	analyze bool
-	// stats[i] holds the actuals for steps[i]; nil for annotation-only
-	// steps (the Vectorized header) and for every step of an un-analyzed
+	// stats[i] holds the actuals for steps[i]; empty for an un-analyzed
 	// plan.
 	stats []*algebra.OpStats
-	// taps[i] is the instrument wrapper for steps[i] (nil when not
-	// instrumented); kept so operator extra stats (parallel-scan worker
-	// occupancy) can be harvested after execution.
+	// taps[i] is the instrument wrapper for steps[i], kept so operator
+	// extra stats (parallel-scan worker occupancy) can be harvested after
+	// execution.
 	taps []any
 }
 
-// add records an annotation-only step (no operator, no actuals).
-func (p *plan) add(step string) {
-	p.steps = append(p.steps, step)
-	if p.analyze {
-		p.stats = append(p.stats, nil)
-		p.taps = append(p.taps, nil)
-	}
-}
-
-// tapIt records a step produced by a Volcano operator and, when the plan is
+// tapIt records a step produced by a row operator and, when the plan is
 // analyzed, wraps the operator with a row/time counter. setup charges
-// constructor work (an eager hash-join build or aggregate drain) to the
-// operator's actuals.
+// constructor work (an eager aggregate drain) to the operator's actuals.
 func (p *plan) tapIt(step string, it algebra.Iterator, setup time.Duration) algebra.Iterator {
 	p.steps = append(p.steps, step)
 	if !p.analyze {
@@ -177,9 +166,8 @@ func (p *plan) tapIt(step string, it algebra.Iterator, setup time.Duration) alge
 	return wrapped
 }
 
-// tapBit is tapIt for batch-tier operators; setup charges eager
-// constructor work (the batch hash join's build-side transpose) to the
-// operator's actuals.
+// tapBit is tapIt for batch operators; setup charges eager constructor
+// work (the hash join's build-side transpose) to the operator's actuals.
 func (p *plan) tapBit(step string, bit algebra.BatchIterator, setup time.Duration) algebra.BatchIterator {
 	p.steps = append(p.steps, step)
 	if !p.analyze {
@@ -196,9 +184,6 @@ func (p *plan) tapBit(step string, bit algebra.BatchIterator, setup time.Duratio
 // the instrumented operators into their OpStats; call after execution.
 func (p *plan) harvestExtras() {
 	for i, tap := range p.taps {
-		if tap == nil || p.stats[i] == nil {
-			continue
-		}
 		if ex, ok := tap.(algebra.ExtraStats); ok {
 			if s := ex.ExtraStats(); s != "" {
 				p.stats[i].Extra = s
@@ -254,8 +239,8 @@ func splitConjuncts(e algebra.Expr) []algebra.Expr {
 // an int) is skipped along with the scan — WHERE 1/0 = 1 AND 1 = 2 returns
 // zero rows instead of a division error. That is the standard behavior of
 // constant-folding planners (a one-time false filter suppresses row
-// evaluation entirely), and both tiers share this path, so scalar and
-// vectorized plans still agree byte for byte. Simplify itself never folds
+// evaluation entirely), and DML collection shares this path, so SELECT and
+// UPDATE/DELETE agree on which rows match. Simplify itself never folds
 // an erroring subtree: when such a conjunct IS evaluated, the error still
 // surfaces.
 func simplifyFilter(e algebra.Expr) (conjuncts []algebra.Expr, neverTrue bool) {
@@ -759,8 +744,6 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		return nil, fmt.Errorf("qql: unknown table %q", st.From.Table)
 	}
 
-	singleTable := len(st.Joins) == 0
-
 	hasAgg := len(st.GroupBy) > 0
 	for _, item := range st.Items {
 		if item.Agg != nil {
@@ -768,27 +751,47 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		}
 	}
 	// A scan feeding a Sort or an Aggregate is always drained; under a bare
-	// LIMIT the consumer stops early, and the lazy serial scan (which
-	// materializes one segment at a time) beats fan-out workers that would
-	// eagerly copy the whole table into their output buffers.
+	// LIMIT the consumer stops early, and the lazy columnar scan (one
+	// segment at a time) beats fan-out workers that would eagerly copy the
+	// whole table into their output buffers.
 	consumesAll := st.Limit < 0 || len(st.OrderBy) > 0 || hasAgg
 
 	whereConjuncts, whereNever := simplifyFilter(st.Where)
 	qualityConjuncts, qualityNever := simplifyFilter(st.Quality)
-	neverTrue := whereNever || qualityNever
 
-	// it is the row stream; bit, when non-nil, is a vectorized source the
-	// batch-native operators extend until the plan leaves the batch tier.
+	// bit is the batch stream every plan runs on up to its sort/distinct
+	// tail. it, the row stream, is set instead only by a non-aggregate index
+	// plan: a point lookup is cheaper row-at-a-time than through batches.
 	var it algebra.Iterator
 	var bit algebra.BatchIterator
-	if singleTable {
+	switch {
+	case whereNever || qualityNever:
+		// A filter simplified to a constant that is not true keeps no rows:
+		// skip the access path and any join, keeping the schema they would
+		// have produced.
+		sch := aliasedSchema(baseTable.Schema(), st.From.Alias)
+		desc := fmt.Sprintf("EmptyScan(%s)", st.From.Table)
+		for _, j := range st.Joins {
+			rtbl, ok := tables[j.Ref.Table]
+			if !ok {
+				return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
+			}
+			var err error
+			if sch, err = algebra.JoinSchema(sch, aliasedSchema(rtbl.Schema(), j.Ref.Alias)); err != nil {
+				return nil, err
+			}
+			desc = "EmptyScan(join: filter is never true)"
+		}
+		bit = algebra.NewToBatch(p.tapIt(desc, algebra.NewEmptyScan(sch), 0), s.batchSize)
+		whereConjuncts, qualityConjuncts = nil, nil
+	case len(st.Joins) > 0:
+		var err error
+		if bit, err = s.planJoins(st, tables, baseTable, p, consumesAll); err != nil {
+			return nil, err
+		}
+	default:
 		all := append(append([]algebra.Expr(nil), whereConjuncts...), qualityConjuncts...)
-		if neverTrue {
-			// A filter simplified to a constant that is not true keeps no
-			// rows: skip the access path entirely.
-			it = p.tapIt(fmt.Sprintf("EmptyScan(%s)", st.From.Table), algebra.NewEmptyScan(baseTable.Schema()), 0)
-			whereConjuncts, qualityConjuncts = nil, nil
-		} else if ip, ok := chooseIndexPath(baseTable, all); ok {
+		if ip, ok := chooseIndexPath(baseTable, all); ok {
 			// The sarg conjuncts stay in the Select below even though the
 			// index already pruned by them: the lazy index scan fetches
 			// tuples at pull time, so a row updated after the index lookup
@@ -799,129 +802,52 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 				return nil, err
 			}
 			it = p.tapIt(ip.desc, ix, 0)
-		} else if s.vec {
-			// Vectorized tier: batch-at-a-time over zero-clone segment
-			// reads. Safe because every row that reaches the result passes
-			// through a projection or aggregation that rebuilds its cells.
-			if s.vecComp {
-				p.add(fmt.Sprintf("Vectorized(batch=%d, compiled)", s.batchSize))
-			} else {
-				p.add(fmt.Sprintf("Vectorized(batch=%d)", s.batchSize))
-			}
-			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-				// Workers produce filtered segments, the merge stays
-				// row-ID-ordered, and batching picks up at the merge output.
-				fused := andAll(all)
-				pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx, s.vecComp)
-				if err != nil {
-					return nil, err
-				}
-				desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
-				if fused != nil {
-					desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
-				}
-				bit = algebra.NewToBatch(p.tapIt(desc, pit, 0), s.batchSize)
-				whereConjuncts, qualityConjuncts = nil, nil
-			} else {
-				// Serial columnar scan: materialize only the columns the
-				// plan touches, and skip whole segments whose min/max
-				// statistics refute a sargable conjunct. The conjuncts are
-				// not consumed — pruning only removes segments where the
-				// predicate cannot hold for any row, and the BatchSelect
-				// below still filters the survivors.
-				cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
-				bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, segPrunes(all, baseTable.Schema())), 0)
+			if hasAgg {
+				// Aggregates always run on the batch sinks.
+				bit, it = algebra.NewToBatch(it, s.batchSize), nil
 			}
 		} else if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-			// Large unindexed scan: fan segments out across workers, fusing
-			// the residual predicate (WHERE and WITH QUALITY both filter via
-			// Select, so their conjunction pushes down as one predicate —
-			// interpreted, like every other Volcano-tier evaluation).
+			// Large unindexed scan: workers filter their segments with the
+			// fused WHERE and WITH QUALITY conjunction, the merge stays
+			// row-ID-ordered, and batching picks up at the merge output.
 			fused := andAll(all)
-			pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx, false)
+			pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx)
 			if err != nil {
 				return nil, err
-			}
-			if stopper, ok := pit.(algebra.Stopper); ok {
-				p.stop = stopper.Stop
 			}
 			desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
 			if fused != nil {
 				desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
 			}
-			it = p.tapIt(desc, pit, 0)
+			bit = algebra.NewToBatch(p.tapIt(desc, pit, 0), s.batchSize)
 			whereConjuncts, qualityConjuncts = nil, nil
 		} else {
-			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewTableScan(baseTable), 0)
+			// Serial columnar scan over zero-clone segment reads: materialize
+			// only the columns the plan touches, and skip whole segments
+			// whose min/max statistics refute a sargable conjunct. The
+			// conjuncts are not consumed — pruning only removes segments
+			// where the predicate cannot hold for any row, and the
+			// BatchSelect below still filters the survivors. Zero-clone reads
+			// are safe because every row that reaches the result passes
+			// through a projection or aggregation that rebuilds its cells.
+			cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
+			bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, segPrunes(all, baseTable.Schema())), 0)
 		}
 		if st.From.Alias != st.From.Table {
 			if bit != nil {
 				bit = algebra.NewBatchRename(bit, st.From.Alias)
 			} else {
 				var err error
-				it, err = algebra.NewRename(it, st.From.Alias, nil)
-				if err != nil {
+				if it, err = algebra.NewRename(it, st.From.Alias, nil); err != nil {
 					return nil, err
 				}
-			}
-		}
-	} else {
-		// A single equi-join on a vectorized session runs batch-native end
-		// to end: both sides stream as column batches, the build side
-		// transposes into a columnar hash table, and the joined stream
-		// stays on the batch tier for the filters and aggregates above it.
-		if s.vec && len(st.Joins) == 1 && !neverTrue {
-			nb, err := s.planBatchJoin(st, tables, baseTable, p, consumesAll)
-			if err != nil {
-				return nil, err
-			}
-			bit = nb
-		}
-		if bit == nil {
-			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewTableScan(baseTable), 0)
-			var err error
-			it, err = algebra.NewRename(it, st.From.Alias, nil)
-			if err != nil {
-				return nil, err
-			}
-			for _, j := range st.Joins {
-				rtbl, ok := tables[j.Ref.Table]
-				if !ok {
-					return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
-				}
-				right, err := algebra.NewRename(algebra.NewTableScan(rtbl), j.Ref.Alias, nil)
-				if err != nil {
-					return nil, err
-				}
-				if lk, rk, residual, ok := equiJoinKeys(j.On, it.Schema(), right.Schema()); ok {
-					// The hash join materializes its build side in the
-					// constructor; charge that to the operator's actuals.
-					t0 := time.Now()
-					joined, err := algebra.NewHashJoin(it, right, lk, rk, residual, s.ctx)
-					if err != nil {
-						return nil, err
-					}
-					it = p.tapIt(fmt.Sprintf("HashJoin(%s: %s = %s)", j.Ref.Alias, lk.String(), rk.String()), joined, time.Since(t0))
-				} else {
-					joined, err := algebra.NewNestedLoopJoin(it, right, j.On, s.ctx)
-					if err != nil {
-						return nil, err
-					}
-					it = p.tapIt(fmt.Sprintf("NestedLoopJoin(%s ON %s)", j.Ref.Alias, j.On.String()), joined, 0)
-				}
-			}
-			if neverTrue {
-				// Joined schema computed, join inputs settled: the constant
-				// filter still keeps nothing.
-				it = p.tapIt("EmptyScan(join: filter is never true)", algebra.NewEmptyScan(it.Schema()), 0)
-				whereConjuncts, qualityConjuncts = nil, nil
 			}
 		}
 	}
 
 	if pred := andAll(whereConjuncts); pred != nil {
 		if bit != nil {
-			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx, s.vecComp)
+			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -936,7 +862,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	}
 	if pred := andAll(qualityConjuncts); pred != nil {
 		if bit != nil {
-			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx, s.vecComp)
+			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -951,18 +877,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	}
 
 	if hasAgg {
-		if bit != nil {
-			if len(st.GroupBy) == 0 {
-				// Global aggregates sink the batch stream directly —
-				// COUNT(*) never touches a row.
-				return s.planBatchAggregate(st, bit, p)
-			}
-			// Grouped aggregation is batch-native too: group keys and
-			// aggregate arguments read straight off the column vectors,
-			// with no row materialization before the per-group fold.
-			return s.planBatchGroupedAggregate(st, bit, p)
-		}
-		return s.planAggregate(st, it, p)
+		return s.planAggregate(st, bit, p)
 	}
 
 	// Plain projection path. Expand stars against the current schema.
@@ -976,7 +891,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 
 	// ORDER BY runs before projection (so it can use non-projected
 	// columns); alias substitution and resolution happened at prepare time.
-	// Sorting is a scalar operator, so it closes the batch section.
+	// Sorting is a row operator, so it closes the batch section.
 	if len(st.OrderBy) > 0 && bit != nil {
 		it = s.adoptFromBatch(bit, p)
 		bit = nil
@@ -994,7 +909,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	}
 
 	if bit != nil {
-		nb, err := algebra.NewBatchProject(bit, items, s.ctx, s.batchSize, s.vecComp)
+		nb, err := algebra.NewBatchProject(bit, items, s.ctx, s.batchSize)
 		if err != nil {
 			return nil, err
 		}
@@ -1037,7 +952,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 
 // adoptFromBatch closes a plan's batch section: the adapter owns a pooled
 // batch and its Stop propagates down through the batch operators to any
-// scan workers, so plan.release tears the whole vectorized pipeline down
+// scan workers, so plan.release tears the whole batch pipeline down
 // deterministically.
 func (s *Session) adoptFromBatch(bit algebra.BatchIterator, p *plan) algebra.Iterator {
 	fb := algebra.NewFromBatch(bit, s.batchSize)
@@ -1118,16 +1033,16 @@ func itemsDesc(items []algebra.ProjectItem) string {
 }
 
 // collectAggSpecs gathers the aggregate specs and the final projection of
-// an aggregate-path SELECT, shared by the scalar and batch aggregate
-// plans; every input-schema name was resolved at prepare time.
+// an aggregate-path SELECT; every input-schema name was resolved at
+// prepare time.
 func collectAggSpecs(st *SelectStmt) (aggs []algebra.AggSpec, finalItems []algebra.ProjectItem, err error) {
 	for _, item := range st.Items {
 		if item.Star {
 			return nil, nil, fmt.Errorf("qql: * cannot be combined with aggregates")
 		}
 	}
-	// Compute group-by output column names exactly as algebra.NewAggregate
-	// will.
+	// Compute group-by output column names exactly as the aggregate
+	// operators will.
 	groupNames := make([]string, len(st.GroupBy))
 	for i, g := range st.GroupBy {
 		name := g.String()
@@ -1181,91 +1096,46 @@ func collectAggSpecs(st *SelectStmt) (aggs []algebra.AggSpec, finalItems []algeb
 	return aggs, finalItems, nil
 }
 
-// planAggregate compiles the GROUP BY / aggregate path over a row stream.
-func (s *Session) planAggregate(st *SelectStmt, it algebra.Iterator, p *plan) (*plan, error) {
+// planAggregate compiles the aggregate path over a batch stream.
+// Global aggregates sink the stream directly — COUNT(*) never touches a
+// row. Grouped aggregation reads plain-column group keys and aggregate
+// arguments straight off the column vectors, with no row assembled before
+// the per-group fold. Both sinks drain their input in the constructor.
+func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (*plan, error) {
 	aggs, finalItems, err := collectAggSpecs(st)
 	if err != nil {
 		return nil, err
 	}
-	// NewAggregate drains its input in the constructor; time it so the
-	// aggregation work shows up in the operator's actuals.
+	// Time the eager drain so the work shows up in the operator's actuals.
 	t0 := time.Now()
-	agg, err := algebra.NewAggregate(it, st.GroupBy, aggs, s.ctx)
-	if err != nil {
-		return nil, err
-	}
-	tapped := p.tapIt(fmt.Sprintf("Aggregate(group by %d key(s), %d aggregate(s))", len(st.GroupBy), len(aggs)), agg, time.Since(t0))
-	return s.aggregateTail(st, tapped, finalItems, p)
-}
-
-// planBatchAggregate compiles the global-aggregate path over a batch
-// stream: the sink consumes whole batches (COUNT(*) counts them without
-// touching rows) and yields the single result row.
-func (s *Session) planBatchAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (*plan, error) {
-	aggs, finalItems, err := collectAggSpecs(st)
-	if err != nil {
-		return nil, err
-	}
-	// NewBatchAggregate sinks the whole batch stream in the constructor;
-	// time it so the work shows up in the operator's actuals.
-	t0 := time.Now()
-	agg, err := algebra.NewBatchAggregate(bit, aggs, s.ctx, s.batchSize, s.vecComp)
-	if err != nil {
-		return nil, err
-	}
-	tapped := p.tapIt(fmt.Sprintf("BatchAggregate(%d aggregate(s))", len(aggs)), agg, time.Since(t0))
-	return s.aggregateTail(st, tapped, finalItems, p)
-}
-
-// planBatchGroupedAggregate compiles the GROUP BY path over a batch
-// stream: plain-column group keys and aggregate arguments read straight
-// off the column vectors, so no row is assembled before the per-group
-// fold. Output is byte-identical to the scalar Aggregate.
-func (s *Session) planBatchGroupedAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (*plan, error) {
-	aggs, finalItems, err := collectAggSpecs(st)
-	if err != nil {
-		return nil, err
-	}
-	// NewBatchGroupedAggregate drains the batch stream in the constructor;
-	// time it so the work shows up in the operator's actuals.
-	t0 := time.Now()
-	agg, err := algebra.NewBatchGroupedAggregate(bit, st.GroupBy, aggs, s.ctx, s.batchSize, s.vecComp)
-	if err != nil {
-		return nil, err
-	}
-	tapped := p.tapIt(fmt.Sprintf("BatchGroupedAggregate(group by %d key(s), %d aggregate(s))", len(st.GroupBy), len(aggs)), agg, time.Since(t0))
-	return s.aggregateTail(st, tapped, finalItems, p)
-}
-
-// planBatchJoin routes a single equi-join through the batch tier: the
-// probe side streams as column batches (through the shared parallel scan
-// when the table is large enough and the plan drains it), the build side
-// is transposed into a columnar hash table, and the joined stream stays
-// on the batch tier for the operators above it. Returns nil with no error
-// when the ON condition has no equi-key — the caller falls back to the
-// scalar nested-loop join.
-func (s *Session) planBatchJoin(st *SelectStmt, tables map[string]*storage.Table, baseTable *storage.Table, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
-	j := st.Joins[0]
-	rtbl, ok := tables[j.Ref.Table]
-	if !ok {
-		return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
-	}
-	leftS := aliasedSchema(baseTable.Schema(), st.From.Alias)
-	rightS := aliasedSchema(rtbl.Schema(), j.Ref.Alias)
-	lk, rk, residual, ok := equiJoinKeys(j.On, leftS, rightS)
-	if !ok {
-		return nil, nil
-	}
-	if s.vecComp {
-		p.add(fmt.Sprintf("Vectorized(batch=%d, compiled)", s.batchSize))
+	var agg algebra.Iterator
+	var desc string
+	if len(st.GroupBy) == 0 {
+		agg, err = algebra.NewBatchAggregate(bit, aggs, s.ctx, s.batchSize)
+		desc = fmt.Sprintf("BatchAggregate(%d aggregate(s))", len(aggs))
 	} else {
-		p.add(fmt.Sprintf("Vectorized(batch=%d)", s.batchSize))
+		agg, err = algebra.NewBatchGroupedAggregate(bit, st.GroupBy, aggs, s.ctx, s.batchSize)
+		desc = fmt.Sprintf("BatchGroupedAggregate(group by %d key(s), %d aggregate(s))", len(st.GroupBy), len(aggs))
 	}
-	// The join assembles full output rows, so both sides scan every column;
-	// filters above the join still run batch-native.
+	if err != nil {
+		return nil, err
+	}
+	return s.aggregateTail(st, p.tapIt(desc, agg, time.Since(t0)), finalItems, p)
+}
+
+// planJoins builds the join chain left-deep: the FROM table streams as
+// column batches (through the parallel scan when the table is large enough
+// and the plan drains it), and each JOIN drains its table into the
+// columnar build side of one batch hash join, keyed by the equi-key
+// equiJoinKeys finds against the schema joined so far. A join with no
+// equi-key runs the same operator with constant true keys and the whole ON
+// clause as its residual: a nested-loop join. The filters and aggregates
+// above the joined stream run on batch operators too.
+func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, baseTable *storage.Table, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
+	// The join assembles full output rows, so every side scans every column.
 	var left algebra.BatchIterator
 	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		pit, err := algebra.NewParallelScan(baseTable, degree, nil, s.ctx, s.vecComp)
+		pit, err := algebra.NewParallelScan(baseTable, degree, nil, s.ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -1276,22 +1146,37 @@ func (s *Session) planBatchJoin(st *SelectStmt, tables map[string]*storage.Table
 	if st.From.Alias != st.From.Table {
 		left = algebra.NewBatchRename(left, st.From.Alias)
 	}
-	right := p.tapBit(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchTableScan(rtbl, s.batchSize), 0)
-	if j.Ref.Alias != j.Ref.Table {
-		right = algebra.NewBatchRename(right, j.Ref.Alias)
+	for _, j := range st.Joins {
+		rtbl, ok := tables[j.Ref.Table]
+		if !ok {
+			return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
+		}
+		right := p.tapBit(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchTableScan(rtbl, s.batchSize), 0)
+		if j.Ref.Alias != j.Ref.Table {
+			right = algebra.NewBatchRename(right, j.Ref.Alias)
+		}
+		lk, rk, residual, equi := equiJoinKeys(j.On, left.Schema(), right.Schema())
+		var desc string
+		if equi {
+			desc = fmt.Sprintf("BatchHashJoin(%s: %s = %s)", j.Ref.Alias, lk.String(), rk.String())
+		} else {
+			lk, rk, residual = &algebra.Const{V: value.Bool(true)}, &algebra.Const{V: value.Bool(true)}, j.On
+			desc = fmt.Sprintf("BatchNestedLoopJoin(%s ON %s)", j.Ref.Alias, j.On.String())
+		}
+		// The join drains and transposes its build side in the
+		// constructor; charge that to the operator's actuals.
+		t0 := time.Now()
+		joined, err := algebra.NewBatchHashJoin(left, right, lk, rk, residual, s.ctx, s.batchSize)
+		if err != nil {
+			return nil, err
+		}
+		left = p.tapBit(desc, joined, time.Since(t0))
 	}
-	// The batch hash join drains and transposes its build side in the
-	// constructor; charge that to the operator's actuals.
-	t0 := time.Now()
-	joined, err := algebra.NewBatchHashJoin(left, right, lk, rk, residual, s.ctx, s.batchSize, s.vecComp)
-	if err != nil {
-		return nil, err
-	}
-	return p.tapBit(fmt.Sprintf("BatchHashJoin(%s: %s = %s)", j.Ref.Alias, lk.String(), rk.String()), joined, time.Since(t0)), nil
+	return left, nil
 }
 
-// aggregateTail finishes either aggregate plan: final projection, ORDER
-// BY, DISTINCT, LIMIT — all over at most one row per group.
+// aggregateTail finishes an aggregate plan: final projection, ORDER BY,
+// DISTINCT, LIMIT — row operators over at most one row per group.
 func (s *Session) aggregateTail(st *SelectStmt, agg algebra.Iterator, finalItems []algebra.ProjectItem, p *plan) (*plan, error) {
 	proj, err := algebra.NewProject(agg, finalItems, s.ctx)
 	if err != nil {

@@ -37,8 +37,8 @@ type Session struct {
 	nowPinned bool
 	cache     *PlanCache
 	par       int
-	vec       bool
-	vecComp   bool
+	// batchSize is the engine's rows-per-batch, fixed at
+	// algebra.DefaultBatchSize; in-package tests vary it.
 	batchSize int
 
 	// analyze is set while an EXPLAIN ANALYZE compiles and runs: buildSelect
@@ -102,12 +102,10 @@ func (s *Session) SetStatsExtra(fn func() []StatRow) { s.statsExtra = fn }
 
 // NewSession creates a session over the catalog with Now tracking the wall
 // clock per statement; use SetNow to pin it for reproducible runs. Scan
-// parallelism defaults to one worker per schedulable core; vectorized
-// execution with compiled expressions is on.
+// parallelism defaults to one worker per schedulable core.
 func NewSession(cat *storage.Catalog) *Session {
 	return &Session{cat: cat, ctx: &algebra.EvalContext{Now: timeNowDefault()},
-		par: algebra.DefaultParallelism(), vec: true, vecComp: true,
-		batchSize: algebra.DefaultBatchSize}
+		par: algebra.DefaultParallelism(), batchSize: algebra.DefaultBatchSize}
 }
 
 // tick re-samples the statement clock unless SetNow pinned it. It swaps in
@@ -131,34 +129,6 @@ func (s *Session) SetParallelism(n int) {
 
 // Parallelism reports the session's scan fan-out degree.
 func (s *Session) Parallelism() int { return s.par }
-
-// SetVectorized toggles the batch-at-a-time execution tier. When on (the
-// default), the planner routes eligible single-table plans through batch
-// iterators; off forces the row-at-a-time Volcano tier everywhere. Both
-// tiers produce byte-identical results — the knob exists for measurement
-// and escape-hatch use.
-func (s *Session) SetVectorized(on bool) { s.vec = on }
-
-// Vectorized reports whether the batch execution tier is enabled.
-func (s *Session) Vectorized() bool { return s.vec }
-
-// SetCompiledExprs toggles expression compilation inside vectorized plans:
-// on (the default) specializes predicates and projections into closure
-// chains (algebra.Compile), off keeps the interpreted tree walk. A/B knob;
-// results are identical either way.
-func (s *Session) SetCompiledExprs(on bool) { s.vecComp = on }
-
-// SetBatchSize sets the vectorized tier's rows-per-batch; n <= 0 restores
-// algebra.DefaultBatchSize.
-func (s *Session) SetBatchSize(n int) {
-	if n <= 0 {
-		n = algebra.DefaultBatchSize
-	}
-	s.batchSize = n
-}
-
-// BatchSize reports the vectorized tier's rows-per-batch.
-func (s *Session) BatchSize() int { return s.batchSize }
 
 // SetPlanCache attaches a shared prepared-plan cache: subsequent Exec and
 // Query calls skip parsing when the (normalized) statement text is cached.
@@ -898,8 +868,6 @@ func (s *Session) execShowStats() (Result, error) {
 	add("session_statements", fmt.Sprintf("%d", s.nStmts))
 	add("session_errors", fmt.Sprintf("%d", s.nErrs))
 	add("session_parallelism", fmt.Sprintf("%d", s.par))
-	add("session_vectorized", fmt.Sprintf("%t", s.vec))
-	add("session_batch_size", fmt.Sprintf("%d", s.batchSize))
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		add("cache_ast_hits", fmt.Sprintf("%d", cs.Hits))

@@ -167,14 +167,21 @@ func UnmarshalTableDef(data []byte) (*schema.Schema, bool, error) {
 }
 
 type jsonTable struct {
-	Name      string       `json:"name"`
-	Doc       string       `json:"doc,omitempty"`
-	Attrs     []jsonAttr   `json:"attrs"`
-	Key       []string     `json:"key,omitempty"`
-	Strict    bool         `json:"strict,omitempty"`
-	TableTags jsonTagSet   `json:"table_tags,omitempty"`
-	Indexes   []jsonIndex  `json:"indexes,omitempty"`
-	Rows      [][]jsonCell `json:"rows"`
+	Name      string      `json:"name"`
+	Doc       string      `json:"doc,omitempty"`
+	Attrs     []jsonAttr  `json:"attrs"`
+	Key       []string    `json:"key,omitempty"`
+	Strict    bool        `json:"strict,omitempty"`
+	TableTags jsonTagSet  `json:"table_tags,omitempty"`
+	Indexes   []jsonIndex `json:"indexes,omitempty"`
+	// Slots and Dead keep row IDs stable across a save and load, because
+	// WAL records written after a checkpoint address rows by ID: Slots is
+	// the table's slot count (its next row ID) and Dead lists its dead
+	// slots in ascending order; Rows holds the live slots in order. Both
+	// are omitted for a table without dead slots, whose rows are its slots.
+	Slots int          `json:"slots,omitempty"`
+	Dead  []RowID      `json:"dead,omitempty"`
+	Rows  [][]jsonCell `json:"rows"`
 }
 
 type jsonCatalog struct {
@@ -212,14 +219,25 @@ func (c *Catalog) Save(w io.Writer) error {
 		views := tbl.SnapshotCols(sc.ColIndexes())
 		cells := make([]relation.Cell, len(sc.Attrs))
 		for v := range views {
+			next := views[v].Base
 			for k := 0; k < views[v].Live(); k++ {
-				views[v].RowInto(k, cells)
+				id := views[v].RowInto(k, cells)
+				for ; next < id; next++ {
+					jt.Dead = append(jt.Dead, next)
+				}
+				next++
 				row := make([]jsonCell, len(cells))
 				for i, cell := range cells {
 					row[i] = encodeCell(cell)
 				}
 				jt.Rows = append(jt.Rows, row)
 			}
+			for end := views[v].Base + RowID(views[v].N); next < end; next++ {
+				jt.Dead = append(jt.Dead, next)
+			}
+		}
+		if len(jt.Dead) > 0 {
+			jt.Slots = len(jt.Rows) + len(jt.Dead)
 		}
 		doc.Tables = append(doc.Tables, jt)
 	}
@@ -281,7 +299,20 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 				return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
 			}
 		}
+		if len(jt.Dead) > 0 && jt.Slots != len(jt.Rows)+len(jt.Dead) {
+			return nil, fmt.Errorf("storage: load table %s: %d slots, but %d rows and %d dead",
+				jt.Name, jt.Slots, len(jt.Rows), len(jt.Dead))
+		}
+		// Dead slots go back where they were, so every row keeps its saved ID.
+		dead := jt.Dead
+		fillDead := func() {
+			for len(dead) > 0 && dead[0] == RowID(tbl.slots()) {
+				tbl.appendDead()
+				dead = dead[1:]
+			}
+		}
 		for rowNum, jr := range jt.Rows {
+			fillDead()
 			if len(jr) != len(attrs) {
 				return nil, fmt.Errorf("storage: load table %s row %d: arity %d, want %d",
 					jt.Name, rowNum, len(jr), len(attrs))
@@ -311,6 +342,10 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 			if _, err := tbl.Insert(relation.Tuple{Cells: cells}); err != nil {
 				return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, rowNum, err)
 			}
+		}
+		fillDead()
+		if len(dead) > 0 {
+			return nil, fmt.Errorf("storage: load table %s: dead slot %d out of order", jt.Name, dead[0])
 		}
 	}
 	return cat, nil

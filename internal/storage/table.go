@@ -422,6 +422,26 @@ func (t *Table) Update(id RowID, tup relation.Tuple) error {
 	return nil
 }
 
+// appendDead appends a dead row slot: it takes the next row ID but is never
+// live, so no scan, index or key sees it. LoadCatalog uses it to give every
+// saved row its saved ID.
+func (t *Table) appendDead() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.appendLocked(relation.Tuple{Cells: make([]relation.Cell, len(t.schema.Attrs))})
+	seg := t.segs[len(t.segs)-1]
+	seg.live[seg.n-1] = false
+	seg.nDead++
+	t.nLive--
+}
+
+// slots reports the number of row slots, live and dead: the next row ID.
+func (t *Table) slots() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.nRows
+}
+
 // Delete tombstones the row at id.
 func (t *Table) Delete(id RowID) error {
 	t.mu.Lock()

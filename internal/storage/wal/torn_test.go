@@ -9,7 +9,8 @@ import (
 )
 
 // buildLogDir runs the workload against a real directory and returns
-// the path of its single segment file.
+// the path of its single segment file; the workload's checkpoint covers
+// the records before it.
 func buildLogDir(t *testing.T) (dir, seg string) {
 	t.Helper()
 	dir = t.TempDir()
@@ -40,6 +41,32 @@ func buildLogDir(t *testing.T) (dir, seg string) {
 		t.Fatal("no segment file written")
 	}
 	return dir, seg
+}
+
+// logCopy makes a fresh log directory holding dir's checkpoint and data
+// as segment seg.
+func logCopy(t *testing.T, dir, seg string, data []byte) string {
+	t.Helper()
+	sub := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "checkpoint-") {
+			ckpt, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(sub, e.Name()), ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.WriteFile(filepath.Join(sub, seg), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return sub
 }
 
 // recordOffsets decodes the segment and returns the byte offset where
@@ -77,10 +104,7 @@ func TestTornTailEveryByte(t *testing.T) {
 	lastStart := offs[len(offs)-1]
 	want := expectedCatalog(t, len(workloadOps(t))-1) // all but the final op
 	for cut := lastStart; cut < len(data); cut++ {
-		sub := t.TempDir()
-		if err := os.WriteFile(filepath.Join(sub, seg), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		sub := logCopy(t, dir, seg, data[:cut])
 		l, err := Open(sub, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
 		if err != nil {
 			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
@@ -104,8 +128,10 @@ func TestTornTailEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: second recovery failed: %v", cut, err)
 		}
-		if got := int(l2.Stats().AppendedSeq); got != len(workloadOps(t)) {
-			t.Fatalf("cut=%d: after reopen AppendedSeq=%d, want %d", cut, got, len(workloadOps(t)))
+		// Every op but the checkpoint appended one record; the torn final
+		// one was replaced by the post-torn insert.
+		if got, want := int(l2.Stats().AppendedSeq), len(workloadOps(t))-1; got != want {
+			t.Fatalf("cut=%d: after reopen AppendedSeq=%d, want %d", cut, got, want)
 		}
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
@@ -124,12 +150,9 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 	}
 	offs := recordOffsets(t, data)
 	for i, start := range offs[:len(offs)-1] {
-		sub := t.TempDir()
 		mut := append([]byte(nil), data...)
 		mut[start+frameHeader] ^= 0xff // corrupt the first body byte
-		if err := os.WriteFile(filepath.Join(sub, seg), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		sub := logCopy(t, dir, seg, mut)
 		_, err := Open(sub, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
 		if err == nil {
 			t.Fatalf("record %d: recovery accepted mid-log corruption", i)
@@ -156,10 +179,7 @@ func TestMidSegmentTruncationRefused(t *testing.T) {
 	// Splice record 1 out entirely: seq continuity must catch the hole.
 	mut := append([]byte(nil), data[:offs[1]]...)
 	mut = append(mut, data[offs[2]:]...)
-	sub := t.TempDir()
-	if err := os.WriteFile(filepath.Join(sub, seg), mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	sub := logCopy(t, dir, seg, mut)
 	if _, err := Open(sub, Options{Fsync: FsyncAlways, CheckpointRecords: -1}); err == nil {
 		t.Fatal("recovery accepted a spliced-out record")
 	} else if !strings.Contains(err.Error(), "wal: corrupt record at seq") {

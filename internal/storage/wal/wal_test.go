@@ -61,6 +61,7 @@ type applier interface {
 	DropTable(table string) error
 	CreateIndex(table string, target storage.IndexTarget, kind storage.IndexKind) error
 	TagTable(table, indicator string, v value.Value) error
+	Checkpoint() error
 }
 
 // mirror applies ops directly to a catalog, bypassing any log — the
@@ -121,8 +122,16 @@ func (m mirror) TagTable(table, indicator string, v value.Value) error {
 	return nil
 }
 
+// Checkpoint changes no logical state, so the reference does nothing.
+func (m mirror) Checkpoint() error { return nil }
+
+// workloadCkpt is the index in workloadOps of its checkpoint, the one op
+// that appends no log record.
+const workloadCkpt = 10
+
 // workloadOps is a mixed DDL/DML sequence; each op is one acknowledged
-// unit (the Log path commits after each).
+// unit (the Log path commits after each). A checkpoint falls between a
+// delete and later writes that address rows above the hole by row ID.
 func workloadOps(t testing.TB) []func(applier) error {
 	sc := customerSchema(t)
 	return []func(applier) error{
@@ -140,6 +149,13 @@ func workloadOps(t testing.TB) []func(applier) error {
 		func(a applier) error { return a.Delete("customer", 1) },
 		func(a applier) error { return a.Insert("customer", taggedRow(4, "quality")) },
 		func(a applier) error { return a.Insert("customer", taggedRow(5, "tagged")) },
+		// Row 1 is dead: rows 2–4 keep their IDs only if the checkpoint
+		// records the hole.
+		func(a applier) error { return a.Checkpoint() },
+		func(a applier) error { return a.Update("customer", 4, taggedRow(5, "tagged-renamed")) },
+		func(a applier) error { return a.Update("customer", 2, taggedRow(3, "madnick-recertified")) },
+		func(a applier) error { return a.Delete("customer", 3) },
+		func(a applier) error { return a.Insert("customer", taggedRow(6, "after-hole")) },
 	}
 }
 
@@ -272,8 +288,9 @@ func TestReopenRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l2.Close()
-			if l2.RecoveryStats().Replayed != len(ops) {
-				t.Fatalf("replayed %d, want %d", l2.RecoveryStats().Replayed, len(ops))
+			// The records after the workload's checkpoint replay.
+			if want := len(ops) - workloadCkpt - 1; l2.RecoveryStats().Replayed != want {
+				t.Fatalf("replayed %d, want %d", l2.RecoveryStats().Replayed, want)
 			}
 			assertCatalogsEqual(t, l2.Catalog(), expectedCatalog(t, len(ops)), "reopen")
 		})
@@ -465,6 +482,67 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 	assertCatalogsEqual(t, l2.Catalog(), expectedCatalog(t, len(ops)), "rotated replay")
 }
 
+// TestCheckpointKeepsRowIDs: WAL update and delete records address rows
+// by ID, so a checkpoint taken after a delete must reload every row under
+// its own ID. Insert three rows, delete row 0, checkpoint, then write
+// row 1 or row 2 and reopen: the recovered catalog must equal the
+// reference, for a keyed and a keyless table.
+func TestCheckpointKeepsRowIDs(t *testing.T) {
+	keyed := customerSchema(t)
+	keyless, err := schema.New("customer", keyed.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sc    *schema.Schema
+		write func(a applier) error
+	}{
+		{"keyed/update1", keyed, func(a applier) error { return a.Update("customer", 1, taggedRow(2, "kon-2")) }},
+		{"keyed/update2", keyed, func(a applier) error { return a.Update("customer", 2, taggedRow(3, "madnick-2")) }},
+		{"keyed/delete2", keyed, func(a applier) error { return a.Delete("customer", 2) }},
+		{"keyless/update1", keyless, func(a applier) error { return a.Update("customer", 1, taggedRow(2, "kon-2")) }},
+		{"keyless/update2", keyless, func(a applier) error { return a.Update("customer", 2, taggedRow(3, "madnick-2")) }},
+		{"keyless/delete1", keyless, func(a applier) error { return a.Delete("customer", 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops := []func(applier) error{
+				func(a applier) error { return a.CreateTable(tc.sc, true) },
+				func(a applier) error { return a.Insert("customer", taggedRow(1, "wang")) },
+				func(a applier) error { return a.Insert("customer", taggedRow(2, "kon")) },
+				func(a applier) error { return a.Insert("customer", taggedRow(3, "madnick")) },
+				func(a applier) error { return a.Delete("customer", 0) },
+				func(a applier) error { return a.Checkpoint() },
+				tc.write,
+				func(a applier) error { return a.Insert("customer", taggedRow(4, "after")) },
+			}
+			dir := t.TempDir()
+			l, err := Open(dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := runLogged(l, ops); n != len(ops) {
+				t.Fatalf("acked %d of %d", n, len(ops))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, err := Open(dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			want := storage.NewCatalog()
+			for i, op := range ops {
+				if err := op(mirror{want}); err != nil {
+					t.Fatalf("mirror op %d: %v", i, err)
+				}
+			}
+			assertCatalogsEqual(t, l2.Catalog(), want, "reopen after checkpoint")
+		})
+	}
+}
+
 // TestCheckpointTruncatesLog: a checkpoint supersedes the replayed
 // prefix and prunes covered segments.
 func TestCheckpointTruncatesLog(t *testing.T) {
@@ -482,7 +560,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := l.Stats()
-	if st.Checkpoints != 1 {
+	if st.Checkpoints != 2 { // the workload's own, then this one
 		t.Fatalf("checkpoints = %d", st.Checkpoints)
 	}
 	if st.Segments >= before {

@@ -9,7 +9,7 @@ import (
 // CompareFn returns a comparator specialized for the fixed right operand k,
 // equivalent to func(v *Value) int { return ComparePtr(v, &k) } but with
 // the kind dispatch and constant decoding hoisted out of the per-value
-// loop. It exists for the vectorized tier's comparison kernels, which call
+// loop. It exists for the batch engine's comparison kernels, which call
 // the comparator once per row slot of a column run: the common case — run
 // values whose kind matches the constant's — reduces to one machine
 // comparison on the already-loaded field, and every other case falls back

@@ -157,15 +157,6 @@ func (d *Database) WithParallelism(n int) *Database {
 	return d
 }
 
-// WithVectorized toggles the batch-at-a-time execution tier (on by
-// default) and returns the database for chaining. Both tiers produce
-// identical results; off forces row-at-a-time Volcano execution, mostly
-// useful for measurement.
-func (d *Database) WithVectorized(on bool) *Database {
-	d.Session.SetVectorized(on)
-	return d
-}
-
 // Serving types (internal/server): qqld as a library.
 type (
 	// Server serves QQL over TCP with per-connection sessions, a shared
