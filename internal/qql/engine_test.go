@@ -33,7 +33,9 @@ type engineGolden struct {
 // never-true filters over scans and joins, indexed scans and aggregates,
 // sorts, distinct, limits and offsets, over engineCatalog. The answers were
 // recorded from a row-at-a-time reference executor (serial scans,
-// interpreted expressions) and are independent of the batch engine.
+// interpreted expressions) and are independent of the batch engine; the
+// last, a join whose ON names a colliding right-side column, was added
+// later with the answer TestJoinOnCollidingRightName counts by hand.
 func loadEngineGolden(t *testing.T) []engineGolden {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "engine.golden.json"))
@@ -115,6 +117,45 @@ func TestEngineMatchesGolden(t *testing.T) {
 						s.MustExec("EXPLAIN " + g.Query)[0].Plan)
 				}
 			}
+		}
+	}
+}
+
+// TestJoinOnCollidingRightName: an ON clause naming a right-side column
+// whose name an earlier join already took (e.boost beside d.boost) compares
+// against that right side's column, in the residual of a nested-loop join
+// and in a hash join's key alike. The answers are counted here straight
+// from engineCatalog's row formulas, not by the engine.
+func TestJoinOnCollidingRightName(t *testing.T) {
+	const n = 2*storage.SegmentSize + 157
+	s := NewSession(engineCatalog(t, n))
+	// big row i (live unless i%11 == 0) has grp g(i%7) and qty (i*37)%1000;
+	// dim row k < 6 has grp gk and boost 150k.
+	var pairs, boosts, keyed, keyedBoosts int
+	for i := 0; i < n; i++ {
+		if i%11 == 0 || i%7 == 6 { // deleted, or no dim row for g6
+			continue
+		}
+		keyed++
+		keyedBoosts += 150 * (i % 7)
+		for k := 0; k < 6; k++ {
+			if qty := (i * 37) % 1000; qty > 150*k {
+				pairs++
+				boosts += 150 * k
+			}
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT COUNT(*) AS n, SUM(e.boost) AS s FROM big b JOIN dim d ON b.grp = d.grp JOIN dim e ON b.qty > e.boost": fmt.Sprintf("%d  %d", pairs, boosts),
+		"SELECT COUNT(*) AS n, SUM(e.boost) AS s FROM big b JOIN dim d ON b.grp = d.grp JOIN dim e ON d.grp = e.grp":   fmt.Sprintf("%d  %d", keyed, keyedBoosts),
+	} {
+		got, err := s.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		lines := strings.Split(strings.TrimSpace(relation.Format(got, true)), "\n")
+		if last := strings.Join(strings.Fields(lines[len(lines)-1]), "  "); last != want {
+			t.Errorf("%q = %s, want %s", q, last, want)
 		}
 	}
 }

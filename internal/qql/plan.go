@@ -529,8 +529,23 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 }
 
 // equiJoinKeys recognizes an equi-join condition left.col = right.col where
-// the two sides resolve into the two inputs.
-func equiJoinKeys(on algebra.Expr, left, right *schema.Schema) (lk, rk algebra.Expr, residual algebra.Expr, ok bool) {
+// the two sides resolve into the two inputs. on names columns of joined,
+// the join's output schema (left's columns, then right's, renamed where
+// they collide); the keys it returns name each input's own columns, found
+// by position.
+func equiJoinKeys(on algebra.Expr, left, right, joined *schema.Schema) (lk, rk algebra.Expr, residual algebra.Expr, ok bool) {
+	// input maps a joined column to the input it comes from (0 left, 1
+	// right, -1 neither) and its name there.
+	input := func(name string) (int, string) {
+		switch i := joined.ColIndex(name); {
+		case i < 0:
+			return -1, ""
+		case i < len(left.Attrs):
+			return 0, name
+		default:
+			return 1, right.Attrs[i-len(left.Attrs)].Name
+		}
+	}
 	conjuncts := splitConjuncts(on)
 	var rest []algebra.Expr
 	for _, c := range conjuncts {
@@ -549,11 +564,13 @@ func equiJoinKeys(on algebra.Expr, left, right *schema.Schema) (lk, rk algebra.E
 			rest = append(rest, c)
 			continue
 		}
+		li, lname := input(lref.Name)
+		ri, rname := input(rref.Name)
 		switch {
-		case left.ColIndex(lref.Name) >= 0 && right.ColIndex(rref.Name) >= 0:
-			lk, rk = &algebra.ColRef{Name: lref.Name}, &algebra.ColRef{Name: rref.Name}
-		case left.ColIndex(rref.Name) >= 0 && right.ColIndex(lref.Name) >= 0:
-			lk, rk = &algebra.ColRef{Name: rref.Name}, &algebra.ColRef{Name: lref.Name}
+		case li == 0 && ri == 1:
+			lk, rk = &algebra.ColRef{Name: lname}, &algebra.ColRef{Name: rname}
+		case li == 1 && ri == 0:
+			lk, rk = &algebra.ColRef{Name: rname}, &algebra.ColRef{Name: lname}
 		default:
 			rest = append(rest, c)
 		}
@@ -625,18 +642,18 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 		res.addTable(st.From.Alias, cur)
 		for _, j := range st.Joins {
 			right := aliasedSchema(tables[j.Ref.Table].Schema(), j.Ref.Alias)
-			// Resolve the ON expression against a provisional resolver that
-			// includes the right side mapped to its own names.
-			provisional := &resolver{entries: append([]resolverEntry(nil), res.entries...)}
-			provisional.addTable(j.Ref.Alias, right)
-			if err := provisional.rewriteNames(j.On); err != nil {
-				return nil, nil, err
-			}
 			combined, err := algebra.JoinSchema(cur, right)
 			if err != nil {
 				return nil, nil, err
 			}
+			// ON resolves against the joined schema, the one the join
+			// binds its residual against: a right column whose name
+			// collides with an earlier one is <alias>_<col> there.
+			// equiJoinKeys maps right-side keys back to the right schema.
 			res.addJoined(j.Ref.Alias, right, combined)
+			if err := res.rewriteNames(j.On); err != nil {
+				return nil, nil, err
+			}
 			cur = combined
 		}
 	}
@@ -1155,7 +1172,11 @@ func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, ba
 		if j.Ref.Alias != j.Ref.Table {
 			right = algebra.NewBatchRename(right, j.Ref.Alias)
 		}
-		lk, rk, residual, equi := equiJoinKeys(j.On, left.Schema(), right.Schema())
+		joinedSchema, err := algebra.JoinSchema(left.Schema(), right.Schema())
+		if err != nil {
+			return nil, err
+		}
+		lk, rk, residual, equi := equiJoinKeys(j.On, left.Schema(), right.Schema(), joinedSchema)
 		var desc string
 		if equi {
 			desc = fmt.Sprintf("BatchHashJoin(%s: %s = %s)", j.Ref.Alias, lk.String(), rk.String())

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -15,20 +14,14 @@ import (
 // JSON persistence for catalogs. The format is self-describing: every value
 // carries its kind so the full tagged model — application values, indicator
 // tags, polygen sources, meta-quality, table tags, schemas, and index
-// definitions — round-trips losslessly through Save and Load.
+// definitions — round-trips losslessly through Save and Load. The json*
+// types below define the document: LoadCatalog decodes into them with
+// encoding/json, while Save streams the same bytes straight from the column
+// runs (snapwrite.go) without building them.
 
 type jsonValue struct {
 	Kind string `json:"k"`
 	Val  string `json:"v,omitempty"`
-}
-
-func encodeValue(v value.Value) jsonValue {
-	// Times serialize at nanosecond precision; Value.String() renders
-	// seconds only, which would corrupt generated timestamps.
-	if v.Kind() == value.KindTime {
-		return jsonValue{Kind: v.Kind().String(), Val: v.AsTime().Format(time.RFC3339Nano)}
-	}
-	return jsonValue{Kind: v.Kind().String(), Val: v.String()}
 }
 
 func decodeValue(jv jsonValue) (value.Value, error) {
@@ -43,17 +36,6 @@ func decodeValue(jv jsonValue) (value.Value, error) {
 }
 
 type jsonTagSet map[string]jsonValue
-
-func encodeTagSet(s tag.Set) jsonTagSet {
-	if s.IsEmpty() {
-		return nil
-	}
-	out := make(jsonTagSet, s.Len())
-	for _, t := range s.Tags() {
-		out[t.Indicator] = encodeValue(t.Value)
-	}
-	return out
-}
 
 func decodeTagSet(m jsonTagSet) (tag.Set, error) {
 	if len(m) == 0 {
@@ -192,69 +174,33 @@ type jsonCatalog struct {
 // formatName identifies the persistence format.
 const formatName = "repro-dq-catalog/1"
 
-// Save writes the whole catalog as JSON.
+// Save writes the whole catalog as indented JSON. It streams: each table's
+// rows are encoded straight from one SnapshotCols capture of its column
+// runs and written out in chunks (see snapWriter), with no document built
+// first. The bytes are exactly those encoding/json writes for the
+// jsonCatalog document, which is what LoadCatalog decodes.
 func (c *Catalog) Save(w io.Writer) error {
-	doc := jsonCatalog{Format: formatName}
-	for _, name := range c.Names() {
-		tbl, _ := c.Get(name)
-		jt := jsonTable{Name: name, Strict: tbl.Strict()}
-		sc := tbl.Schema()
-		jt.Doc = sc.Doc
-		jt.Key = sc.Key
-		jt.Attrs = encodeAttrs(sc)
-		jt.TableTags = encodeTagSet(tbl.TableTags())
-		for _, ix := range tbl.IndexSpecs() {
-			kind := "btree"
-			if ix.Kind == IndexHash {
-				kind = "hash"
-			}
-			jt.Indexes = append(jt.Indexes, jsonIndex{
-				Attr: ix.Target.Attr, Indicator: ix.Target.Indicator, Kind: kind})
-		}
-		jt.Rows = [][]jsonCell{}
-		// One SnapshotCols capture, not per-segment views: a concurrent
-		// writer could otherwise make a saved file contain a state (e.g. a
-		// deleted-and-reinserted key twice) no table ever had. Cells are
-		// encoded straight from the immutable runs; no row is cloned.
-		views := tbl.SnapshotCols(sc.ColIndexes())
-		cells := make([]relation.Cell, len(sc.Attrs))
-		for v := range views {
-			next := views[v].Base
-			for k := 0; k < views[v].Live(); k++ {
-				id := views[v].RowInto(k, cells)
-				for ; next < id; next++ {
-					jt.Dead = append(jt.Dead, next)
-				}
-				next++
-				row := make([]jsonCell, len(cells))
-				for i, cell := range cells {
-					row[i] = encodeCell(cell)
-				}
-				jt.Rows = append(jt.Rows, row)
-			}
-			for end := views[v].Base + RowID(views[v].N); next < end; next++ {
-				jt.Dead = append(jt.Dead, next)
+	sw := snapWriter{w: w, b: make([]byte, 0, 2*snapFlushBytes)}
+	sw.open('{')
+	sw.field(`"format": `)
+	sw.str(formatName)
+	sw.field(`"tables": `)
+	if names := c.Names(); len(names) == 0 {
+		sw.b = append(sw.b, "null"...)
+	} else {
+		sw.open('[')
+		for _, name := range names {
+			tbl, _ := c.Get(name)
+			if sw.table(name, tbl); sw.err != nil {
+				return sw.err
 			}
 		}
-		if len(jt.Dead) > 0 {
-			jt.Slots = len(jt.Rows) + len(jt.Dead)
-		}
-		doc.Tables = append(doc.Tables, jt)
+		sw.close(']')
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-func encodeCell(cell relation.Cell) jsonCell {
-	jc := jsonCell{V: encodeValue(cell.V), Tags: encodeTagSet(cell.Tags), Sources: cell.Sources}
-	if len(cell.Meta) > 0 {
-		jc.Meta = make(map[string]jsonTagSet, len(cell.Meta))
-		for ind, ms := range cell.Meta {
-			jc.Meta[ind] = encodeTagSet(ms)
-		}
-	}
-	return jc
+	sw.close('}')
+	sw.b = append(sw.b, '\n')
+	sw.flush(true)
+	return sw.err
 }
 
 // LoadCatalog reads a catalog written by Save.

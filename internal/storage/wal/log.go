@@ -620,12 +620,23 @@ func (l *Log) flushAndSync(doSync, force bool) (uint64, error) {
 		}
 		l.nFsyncs.Add(1)
 		synced = l.segLast
-		if l.durable.Load() < synced {
-			l.durable.Store(synced)
-		}
+		l.raiseDurable(synced)
 	}
 	l.flushMu.Unlock()
 	return synced, nil
+}
+
+// raiseDurable moves the durable watermark up to seq, never down. The
+// flusher raises it under flushMu while a checkpoint raises it without,
+// so a plain load-compare-store could let a checkpoint's older sequence
+// overwrite a newer one the flusher stored in between.
+func (l *Log) raiseDurable(seq uint64) {
+	for {
+		cur := l.durable.Load()
+		if seq <= cur || l.durable.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
 }
 
 // openSegmentLocked creates the segment whose first record is seq.
@@ -655,9 +666,7 @@ func (l *Log) rotateLocked(nextFirst uint64) error {
 			return err
 		}
 		l.nFsyncs.Add(1)
-		if l.durable.Load() < l.segLast {
-			l.durable.Store(l.segLast)
-		}
+		l.raiseDurable(l.segLast)
 		if err := l.seg.Close(); err != nil {
 			return err
 		}
@@ -697,12 +706,15 @@ func (l *Log) Checkpoint() error {
 	// "replay through seq". Catalog.Save snapshots tables one at a time
 	// and would otherwise interleave with concurrent DML.
 	//
-	// Known write stall: appendMu is held for the full snapshot-encode,
-	// so every writer blocks for a duration that grows with database
-	// size, once per CheckpointRecords. Moving to a copy-on-write or
-	// sharded snapshot that only captures a consistent cut under the
-	// lock is a ROADMAP item; until then, size CheckpointRecords (or
-	// disable automatic checkpoints) to bound the stall frequency.
+	// Known write stall: appendMu is held while Save encodes the whole
+	// catalog into snap, so every writer and group commit waits for it,
+	// once per CheckpointRecords. Save streams JSON straight from the
+	// column runs; the stall is its per-row cost (storage's
+	// BenchmarkCatalogSave) times the database size. Encoding outside
+	// the lock needs the active segment rotated at the cut first:
+	// otherwise the segment holding records on both sides of it is never
+	// pruned. Until then, size CheckpointRecords (or disable automatic
+	// checkpoints) to bound how often the stall comes.
 	var snap bytes.Buffer
 	l.appendMu.Lock()
 	seq := l.nextSeq - 1
@@ -729,11 +741,9 @@ func (l *Log) Checkpoint() error {
 	l.ckptSeq.Store(seq)
 	l.sinceCkpt.Add(^(since - 1)) // subtract the records the snapshot covers
 	l.nCkpts.Add(1)
-	if l.durable.Load() < seq {
-		// The snapshot itself is durable; records it covers no longer
-		// need their segment fsync.
-		l.durable.Store(seq)
-	}
+	// The snapshot itself is durable; records it covers no longer need
+	// their segment fsync.
+	l.raiseDurable(seq)
 	l.wake(seq)
 	return nil
 }

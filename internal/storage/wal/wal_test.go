@@ -694,6 +694,81 @@ func TestCheckpointVsConcurrentDML(t *testing.T) {
 	}
 }
 
+// TestDurableSeqNeverDecreases: the durable watermark only moves up, while
+// the flusher's group commits and public Checkpoint calls both raise it.
+// A sampler reads Stats().DurableSeq throughout and fails on any drop.
+func TestDurableSeqNeverDecreases(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Fsync: FsyncGroup, SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.CreateTable(customerSchema(t), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 4, 60
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+2)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := l.Insert("customer", taggedRow(int64(w*per+i+1), "c")); err != nil {
+					errs <- err
+					return
+				}
+				if err := l.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if err := l.Checkpoint(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		prev := l.Stats().DurableSeq
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := l.Stats().DurableSeq
+			if cur < prev {
+				errs <- fmt.Errorf("durable seq fell from %d to %d", prev, cur)
+				return
+			}
+			prev = cur
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-sampled
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.DurableSeq != st.AppendedSeq {
+		t.Fatalf("durable seq %d after every commit returned, want appended seq %d", st.DurableSeq, st.AppendedSeq)
+	}
+}
+
 // TestClosedLogRefusesWrites pins the fail-stop contract.
 func TestClosedLogRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
