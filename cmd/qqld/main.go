@@ -96,8 +96,9 @@ func main() {
 		cat = wlog.Catalog()
 		cfg.WAL = wlog
 		rs := wlog.RecoveryStats()
-		fmt.Printf("qqld: recovered %s in %v: checkpoint seq %d, %d record(s) replayed, %d table(s), %d torn byte(s) truncated\n",
-			*dataDir, rs.Duration.Round(time.Microsecond), rs.CheckpointSeq, rs.Replayed, rs.Tables, rs.TornBytes)
+		fmt.Printf("qqld: recovered %s in %v: checkpoint seq %d, %d record(s) replayed, %d table(s), %d torn byte(s) truncated; snapshot load %v (fallback %t), replay %v\n",
+			*dataDir, rs.Duration.Round(time.Microsecond), rs.CheckpointSeq, rs.Replayed, rs.Tables, rs.TornBytes,
+			rs.SnapshotLoad.Round(time.Microsecond), rs.SnapshotFallback, rs.Replay.Round(time.Microsecond))
 	} else if *fsyncMode != "group" {
 		fmt.Fprintln(os.Stderr, "qqld: -fsync requires -data")
 		os.Exit(2)

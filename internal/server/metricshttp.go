@@ -88,6 +88,12 @@ func (s *Server) scrape() {
 		s.reg.Gauge("qqld_wal_segments").SetInt(ws.Segments)
 		rs := w.RecoveryStats()
 		s.reg.Gauge("qqld_wal_recovery_seconds").Set(rs.Duration.Seconds())
+		s.reg.Gauge("qqld_wal_recovery_snapshot_seconds").Set(rs.SnapshotLoad.Seconds())
+		fallback := int64(0)
+		if rs.SnapshotFallback {
+			fallback = 1
+		}
+		s.reg.Gauge("qqld_wal_recovery_snapshot_fallback").SetInt(fallback)
 		s.reg.Gauge("qqld_wal_recovery_replayed").SetInt(int64(rs.Replayed))
 	}
 	s.quality.publish(s.reg)

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +87,78 @@ func TestServerDurableRestart(t *testing.T) {
 		if got := renderQuery(t, c2, q); got != want[i] {
 			t.Fatalf("%s diverged after restart:\ngot:\n%s\nwant:\n%s", q, got, want[i])
 		}
+	}
+}
+
+// TestRecoveryMetrics: /metrics reports how the boot's recovery split
+// between loading the checkpoint and replaying the log, and whether the
+// checkpoint had to be decoded by encoding/json: not for the file a
+// checkpoint writes, but for one edited by hand.
+func TestRecoveryMetrics(t *testing.T) {
+	dir := t.TempDir()
+	stop := func(srv *server.Server, l *wal.Log) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, l := startDurableServer(t, dir)
+	c := dial(t, srv)
+	if _, err := c.Exec(`CREATE TABLE emp (id int REQUIRED, name string QUALITY (source string)) KEY (id)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO emp VALUES (1, 'ada' @ {source: 'hr'} SOURCE 'hr_db')`); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO emp VALUES (2, 'grace')`); err != nil {
+		t.Fatal(err)
+	}
+	stop(srv, l)
+
+	for _, edit := range []bool{false, true} {
+		if edit {
+			ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+			if err != nil || len(ckpts) != 1 {
+				t.Fatalf("checkpoints %v, %v", ckpts, err)
+			}
+			data, err := os.ReadFile(ckpts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Replace(data, []byte(`"format"`), []byte(`"note": "edited by hand", "format"`), 1)
+			if err := os.WriteFile(ckpts[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, l := startDurableServer(t, dir)
+		body := scrapeMetrics(t, srv)
+		fallback := "0"
+		if edit {
+			fallback = "1"
+		}
+		for _, want := range []string{
+			"qqld_wal_recovery_replayed 1\n",
+			"qqld_wal_recovery_snapshot_fallback " + fallback + "\n",
+			"\nqqld_wal_recovery_snapshot_seconds ",
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("edited=%v: /metrics missing %q", edit, want)
+			}
+		}
+		if rs := l.RecoveryStats(); rs.SnapshotLoad <= 0 || rs.SnapshotLoad > rs.Duration || rs.SnapshotFallback != edit {
+			t.Errorf("edited=%v: recovery stats %+v", edit, rs)
+		}
+		if got := renderQuery(t, dial(t, srv), `SELECT COUNT(*) AS n FROM emp`); !strings.Contains(got, "2") {
+			t.Errorf("edited=%v: recovered count %q", edit, got)
+		}
+		stop(srv, l)
 	}
 }
 

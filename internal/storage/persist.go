@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -15,9 +19,11 @@ import (
 // carries its kind so the full tagged model — application values, indicator
 // tags, polygen sources, meta-quality, table tags, schemas, and index
 // definitions — round-trips losslessly through Save and Load. The json*
-// types below define the document: LoadCatalog decodes into them with
-// encoding/json, while Save streams the same bytes straight from the column
-// runs (snapwrite.go) without building them.
+// types below define the document. Save streams its bytes straight from
+// the column runs (snapwrite.go) and LoadCatalog reads them back in one
+// pass (snapread.go), neither building the json* values; encoding/json
+// decodes into them only for a document that departs from Save's layout,
+// such as a hand-edited one.
 
 type jsonValue struct {
 	Kind string `json:"k"`
@@ -37,13 +43,15 @@ func decodeValue(jv jsonValue) (value.Value, error) {
 
 type jsonTagSet map[string]jsonValue
 
+// decodeTagSet decodes the tags in name order, so that the error for a
+// set with several bad values does not depend on map iteration order.
 func decodeTagSet(m jsonTagSet) (tag.Set, error) {
 	if len(m) == 0 {
 		return tag.EmptySet, nil
 	}
 	tags := make([]tag.Tag, 0, len(m))
-	for name, jv := range m {
-		v, err := decodeValue(jv)
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		v, err := decodeValue(m[name])
 		if err != nil {
 			return tag.EmptySet, fmt.Errorf("tag %s: %w", name, err)
 		}
@@ -203,10 +211,50 @@ func (c *Catalog) Save(w io.Writer) error {
 	return sw.err
 }
 
-// LoadCatalog reads a catalog written by Save.
+// snapshotFallbacks counts LoadCatalog calls the streaming reader handed
+// to encoding/json: process-wide instrumentation, like tupleClones, for
+// tests asserting that what Save writes always loads on the fast path.
+var snapshotFallbacks atomic.Int64
+
+// SnapshotFallbacks reports the process-wide count of catalog loads that
+// fell back from the streaming reader to encoding/json; measure deltas
+// around an operation.
+func SnapshotFallbacks() int64 { return snapshotFallbacks.Load() }
+
+// LoadCatalog reads a catalog written by Save, or any JSON document
+// encoding/json decodes to the same jsonCatalog.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
+	// io.Copy hands a bytes or strings Reader's contents over in one
+	// write, where io.ReadAll would grow its buffer step by step.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("storage: load: %w", err)
+	}
+	cat, _, err := LoadCatalogBytes(buf.Bytes())
+	return cat, err
+}
+
+// LoadCatalogBytes is LoadCatalog over a document already in memory,
+// which it reads but neither modifies nor retains. It decodes with the
+// streaming reader (snapread.go). At the first departure from the layout
+// Save writes, or the first check that fails, it drops what that reader
+// built and decodes data again with encoding/json, reporting fellBack.
+// Errors, and everything accepted beyond Save's layout, are therefore
+// encoding/json's.
+func LoadCatalogBytes(data []byte) (cat *Catalog, fellBack bool, err error) {
+	if cat, ok := readSnapshot(data); ok {
+		return cat, false, nil
+	}
+	snapshotFallbacks.Add(1)
+	cat, err = loadCatalogJSON(data)
+	return cat, true, err
+}
+
+// loadCatalogJSON decodes data into the jsonCatalog document with
+// encoding/json and builds the catalog from it.
+func loadCatalogJSON(data []byte) (*Catalog, error) {
 	var doc jsonCatalog
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
 	}
 	if doc.Format != formatName {
@@ -214,54 +262,24 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 	}
 	cat := NewCatalog()
 	for _, jt := range doc.Tables {
-		attrs, err := decodeAttrs(jt.Attrs)
-		if err != nil {
-			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
-		}
-		sc, err := schema.New(jt.Name, attrs, jt.Key...)
-		if err != nil {
-			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
-		}
-		sc.Doc = jt.Doc
-		tbl, err := cat.Create(sc, jt.Strict)
-		if err != nil {
-			return nil, err
-		}
-		// Table tags.
 		ts, err := decodeTagSet(jt.TableTags)
 		if err != nil {
 			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
 		}
-		for _, tg := range ts.Tags() {
-			tbl.SetTableTag(tg.Indicator, tg.Value)
-		}
-		// Indexes before rows so loads populate them incrementally.
-		for _, ji := range jt.Indexes {
-			kind := IndexBTree
-			if ji.Kind == "hash" {
-				kind = IndexHash
-			}
-			if err := tbl.CreateIndex(IndexTarget{Attr: ji.Attr, Indicator: ji.Indicator}, kind); err != nil {
-				return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
-			}
+		tbl, err := createTable(cat, &jt, ts)
+		if err != nil {
+			return nil, err
 		}
 		if len(jt.Dead) > 0 && jt.Slots != len(jt.Rows)+len(jt.Dead) {
 			return nil, fmt.Errorf("storage: load table %s: %d slots, but %d rows and %d dead",
 				jt.Name, jt.Slots, len(jt.Rows), len(jt.Dead))
 		}
-		// Dead slots go back where they were, so every row keeps its saved ID.
-		dead := jt.Dead
-		fillDead := func() {
-			for len(dead) > 0 && dead[0] == RowID(tbl.slots()) {
-				tbl.appendDead()
-				dead = dead[1:]
-			}
-		}
+		rl := rowLoader{tbl: tbl, dead: jt.Dead}
+		arity := len(tbl.Schema().Attrs)
 		for rowNum, jr := range jt.Rows {
-			fillDead()
-			if len(jr) != len(attrs) {
+			if len(jr) != arity {
 				return nil, fmt.Errorf("storage: load table %s row %d: arity %d, want %d",
-					jt.Name, rowNum, len(jr), len(attrs))
+					jt.Name, rowNum, len(jr), arity)
 			}
 			cells := make([]relation.Cell, len(jr))
 			for i, jc := range jr {
@@ -274,8 +292,8 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 					return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, rowNum, err)
 				}
 				cell := relation.Cell{V: v, Tags: tags, Sources: tag.NewSources(jc.Sources...)}
-				for ind, jm := range jc.Meta {
-					ms, err := decodeTagSet(jm)
+				for _, ind := range slices.Sorted(maps.Keys(jc.Meta)) {
+					ms, err := decodeTagSet(jc.Meta[ind])
 					if err != nil {
 						return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, rowNum, err)
 					}
@@ -285,14 +303,81 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 				}
 				cells[i] = cell
 			}
-			if _, err := tbl.Insert(relation.Tuple{Cells: cells}); err != nil {
+			if err := rl.insert(cells); err != nil {
 				return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, rowNum, err)
 			}
 		}
-		fillDead()
-		if len(dead) > 0 {
-			return nil, fmt.Errorf("storage: load table %s: dead slot %d out of order", jt.Name, dead[0])
+		if err := rl.finish(); err != nil {
+			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
 		}
 	}
 	return cat, nil
+}
+
+// createTable creates the table jt defines in cat: its schema, the table
+// tags ts and its indexes, which come before the rows so that loading
+// populates them incrementally. jt's rows and dead slots are not read.
+func createTable(cat *Catalog, jt *jsonTable, ts tag.Set) (*Table, error) {
+	attrs, err := decodeAttrs(jt.Attrs)
+	if err != nil {
+		return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
+	}
+	sc, err := schema.New(jt.Name, attrs, jt.Key...)
+	if err != nil {
+		return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
+	}
+	sc.Doc = jt.Doc
+	tbl, err := cat.Create(sc, jt.Strict)
+	if err != nil {
+		return nil, err
+	}
+	for _, tg := range ts.Tags() {
+		tbl.SetTableTag(tg.Indicator, tg.Value)
+	}
+	for _, ji := range jt.Indexes {
+		var kind IndexKind
+		switch ji.Kind {
+		case "hash":
+			kind = IndexHash
+		case "btree":
+			kind = IndexBTree
+		default:
+			return nil, fmt.Errorf("storage: load table %s: unknown index kind %q", jt.Name, ji.Kind)
+		}
+		if err := tbl.CreateIndex(IndexTarget{Attr: ji.Attr, Indicator: ji.Indicator}, kind); err != nil {
+			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
+		}
+	}
+	return tbl, nil
+}
+
+// rowLoader inserts a table's saved rows in order and puts its dead
+// slots back where they were, so every row keeps its saved ID.
+type rowLoader struct {
+	tbl  *Table
+	dead []RowID // dead slots not yet placed, ascending
+}
+
+func (l *rowLoader) fillDead() {
+	for len(l.dead) > 0 && l.dead[0] == RowID(l.tbl.slots()) {
+		l.tbl.appendDead()
+		l.dead = l.dead[1:]
+	}
+}
+
+// insert adds the next live row; cells may be reused once it returns.
+func (l *rowLoader) insert(cells []relation.Cell) error {
+	l.fillDead()
+	_, err := l.tbl.Insert(relation.Tuple{Cells: cells})
+	return err
+}
+
+// finish places the dead slots after the last row and refuses any that
+// could not be placed.
+func (l *rowLoader) finish() error {
+	l.fillDead()
+	if len(l.dead) > 0 {
+		return fmt.Errorf("dead slot %d out of order", l.dead[0])
+	}
+	return nil
 }

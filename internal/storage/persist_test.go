@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -349,6 +350,33 @@ func TestLoadErrors(t *testing.T) {
 		`{"format":"repro-dq-catalog/1","tables":[{"name":"t","attrs":[{"name":"x","kind":"int"}],"rows":[[{"k":"int","v":"1"},{"k":"int","v":"2"}]]}]}`)); err == nil {
 		t.Error("arity mismatch should fail")
 	}
+	// Both decoders refuse an index kind other than exactly hash or
+	// btree, and anything but whitespace after the document.
+	var buf bytes.Buffer
+	if err := buildRichCatalog(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	for name, load := range map[string]func(string) error{
+		"LoadCatalog":     func(doc string) error { _, err := LoadCatalog(strings.NewReader(doc)); return err },
+		"loadCatalogJSON": func(doc string) error { _, err := loadCatalogJSON([]byte(doc)); return err },
+	} {
+		for _, kind := range []string{"hsah", "HASH", "Btree", ""} {
+			doc := strings.Replace(saved, `"kind": "hash"`, `"kind": "`+kind+`"`, 1)
+			if err := load(doc); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
+				t.Errorf("%s of index kind %q: error %v, want unknown index kind", name, kind, err)
+			}
+		}
+		if err := load(saved + "garbage"); err == nil {
+			t.Errorf("%s accepted trailing garbage", name)
+		}
+		if err := load(saved + saved); err == nil {
+			t.Errorf("%s accepted a second document", name)
+		}
+		if err := load(saved + " \r\n\t"); err != nil {
+			t.Errorf("%s refused trailing whitespace: %v", name, err)
+		}
+	}
 }
 
 // saveJSONOracle is the encoding/json implementation of Save that the
@@ -663,6 +691,17 @@ func (g catGen) table(t testing.TB, cat *Catalog, name string, maxRows int) {
 	}
 }
 
+// randomCatalog draws the seed's catalog for the differential tests: up
+// to three random tables.
+func randomCatalog(t testing.TB, seed int64) *Catalog {
+	g := catGen{rand.New(rand.NewSource(seed))}
+	cat := NewCatalog()
+	for i, n := 0, g.r.Intn(4); i < n; i++ {
+		g.table(t, cat, fmt.Sprintf("t%d%s", i, g.str()), 3*SegmentSize)
+	}
+	return cat
+}
+
 // TestSaveMatchesJSON holds Save to the encoding/json oracle byte for
 // byte over random catalogs: every value kind, nulls and float edges,
 // strings needing every kind of escape, tags, sources, meta tags (one
@@ -670,27 +709,24 @@ func (g catGen) table(t testing.TB, cat *Catalog, name string, maxRows int) {
 // trailing and filling a whole segment.
 func TestSaveMatchesJSON(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		g := catGen{rand.New(rand.NewSource(seed))}
-		cat := NewCatalog()
-		for i, n := 0, g.r.Intn(4); i < n; i++ {
-			g.table(t, cat, fmt.Sprintf("t%d%s", i, g.str()), 3*SegmentSize)
-		}
-		requireSaveMatchesOracle(t, cat)
+		requireSaveMatchesOracle(t, randomCatalog(t, seed))
 	}
 }
 
-// TestSaveMatchesJSONEdges pins the shapes the random catalogs may miss:
+// edgeCatalogs calls visit with the shapes the random catalogs may miss:
 // no tables at all ("tables": null), a table without rows ("rows": []),
-// and tables whose only segment, or every segment, is dead.
-func TestSaveMatchesJSONEdges(t *testing.T) {
+// tables whose only segment, or every segment, is dead, and the mutated
+// rich catalog.
+func edgeCatalogs(t *testing.T, visit func(*Catalog)) {
+	t.Helper()
 	cat := NewCatalog()
-	requireSaveMatchesOracle(t, cat)
+	visit(cat)
 
 	sc := schema.MustNew("empty<&>", []schema.Attr{{Name: "x", Kind: value.KindString}})
 	if _, err := cat.Create(sc, false); err != nil {
 		t.Fatal(err)
 	}
-	requireSaveMatchesOracle(t, cat)
+	visit(cat)
 
 	dead, err := cat.Create(schema.MustNew("dead", []schema.Attr{{Name: "x", Kind: value.KindInt}}), false)
 	if err != nil {
@@ -706,14 +742,142 @@ func TestSaveMatchesJSONEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 2 || i == SegmentSize-1 {
-			requireSaveMatchesOracle(t, cat)
+			visit(cat)
 		}
 	}
-	requireSaveMatchesOracle(t, cat)
+	visit(cat)
 
 	rich := buildRichCatalog(t)
 	mutateRichCatalog(t, rich)
-	requireSaveMatchesOracle(t, rich)
+	visit(rich)
+}
+
+// TestSaveMatchesJSONEdges holds Save to the oracle on edgeCatalogs.
+func TestSaveMatchesJSONEdges(t *testing.T) {
+	edgeCatalogs(t, func(cat *Catalog) { requireSaveMatchesOracle(t, cat) })
+}
+
+// requireLoadMatchesJSON decodes data through LoadCatalog and through
+// the encoding/json path alone, and requires the same outcome: the same
+// error, or catalogs that Save writes byte for byte the same.
+func requireLoadMatchesJSON(t testing.TB, data []byte) {
+	t.Helper()
+	got, gotErr := LoadCatalog(bytes.NewReader(data))
+	want, wantErr := loadCatalogJSON(data)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("LoadCatalog error %v, encoding/json error %v", gotErr, wantErr)
+		}
+		return
+	}
+	var g, w bytes.Buffer
+	if err := got.Save(&g); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("LoadCatalog and encoding/json load different catalogs:\nLoadCatalog:   %.2000s\nencoding/json: %.2000s",
+			g.Bytes(), w.Bytes())
+	}
+}
+
+// TestLoadMatchesJSON holds LoadCatalog to the encoding/json decode of
+// every catalog TestSaveMatchesJSON and TestSaveMatchesJSONEdges save, and
+// requires each of those Save-written files to load without falling back.
+func TestLoadMatchesJSON(t *testing.T) {
+	before := SnapshotFallbacks()
+	check := func(cat *Catalog) {
+		var buf bytes.Buffer
+		if err := cat.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		requireLoadMatchesJSON(t, buf.Bytes())
+		if n := SnapshotFallbacks() - before; n != 0 {
+			t.Fatalf("a Save-written catalog fell back to encoding/json:\n%.4000s", buf.Bytes())
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		check(randomCatalog(t, seed))
+	}
+	edgeCatalogs(t, check)
+}
+
+// TestLoadMatchesJSONHandEdited holds LoadCatalog to encoding/json on
+// documents Save does not write, each a hand edit of the golden file or
+// a small document of its own: the same catalog or the same error.
+func TestLoadMatchesJSONHandEdited(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "save.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := string(golden)
+	edit := func(old, new string) string {
+		t.Helper()
+		if !strings.Contains(g, old) {
+			t.Fatalf("golden file has no %q", old)
+		}
+		return strings.Replace(g, old, new, 1)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, golden); err != nil {
+		t.Fatal(err)
+	}
+	const tiny = `{"format": "repro-dq-catalog/1", "tables": [{"name": "t", "attrs": [{"name": "x", "kind": "int"}], "rows": [[{"v": {"k": "int", "v": "1"}}]]}]}`
+	cases := map[string]string{
+		"golden":              g,
+		"reordered value":     edit(`"k": "int",`+"\n"+`       "v": "0"`, `"v": "0", "k": "int"`),
+		"reordered document":  `{"tables": null, "format": "repro-dq-catalog/1"}`,
+		"reordered table":     edit(`"name": "plain",`+"\n"+`   "attrs": [`+"\n"+`    {`+"\n"+`     "name": "x",`+"\n"+`     "kind": "int"`+"\n"+`    }`+"\n"+`   ],`, `"attrs": [{"name": "x", "kind": "int"}], "name": "plain",`),
+		"CRLF":                strings.ReplaceAll(g, "\n", "\r\n"),
+		"tabs":                regexp.MustCompile(`(?m)^ +`).ReplaceAllStringFunc(g, func(s string) string { return strings.Repeat("\t", len(s)) }),
+		"no indentation":      compact.String(),
+		"no trailing newline": strings.TrimSuffix(g, "\n"),
+		"trailing whitespace": g + " \t\r\n\n",
+		"trailing garbage":    g + "garbage",
+		"second document":     g + g,
+		"unknown key":         edit(`"name": "plain",`, `"name": "plain", "extra": [1, {"a": null}],`),
+		"unknown cell key":    edit(`"v": "Fruit Co"`+"\n"+`      },`, `"v": "Fruit Co"}, "x": true,`),
+		"upper-case key":      edit(`"name": "plain"`, `"Name": "plain"`),
+		"upper-case kind key": edit(`"k": "int",`+"\n"+`       "v": "0"`, `"K": "int", "v": "0"`),
+		"escaped key":         edit(`"name": "plain"`, `"n\u0061me": "plain"`),
+		"duplicate key":       edit(`"name": "plain",`, `"name": "plain", "name": "plane",`),
+		"duplicate tag":       edit(`"null_rate": {`, `"population_method": {"k": "int", "v": "1"}, "null_rate": {`),
+		"duplicate source":    edit(`"nexis",`, `"wsj", "nexis",`),
+		"null t s m":          edit(`"v": "0"`+"\n"+`      }`, `"v": "0"}, "t": null, "s": null, "m": null`),
+		"empty t s m":         edit(`"v": "0"`+"\n"+`      }`, `"v": "0"}, "t": {}, "s": [], "m": {}`),
+		"null meta set":       edit(`"credibility": {`+"\n"+`         "k": "string",`+"\n"+`         "v": "high"`+"\n"+`        }`, `"credibility": null`),
+		"null rows":           strings.Replace(tiny, `[[{"v": {"k": "int", "v": "1"}}]]`, `null`, 1),
+		"null value":          strings.Replace(tiny, `"v": "1"`, `"v": null`, 1),
+		"surrogate pair":      edit(`"Fruit Co"`, `"Fruit \ud83d\ude00 Co"`),
+		"lone surrogate":      edit(`"Fruit Co"`, `"Fruit \ud800 Co"`),
+		"escaped slash":       edit(`"Fruit Co"`, `"Fruit\/Co \u00e9\u2028\t"`),
+		"raw invalid UTF-8":   edit(`"Fruit Co"`, "\"Fruit \xff Co\""),
+		"raw control byte":    edit(`"Fruit Co"`, "\"Fruit \x01 Co\""),
+		"unsorted cell tags":  strings.Replace(tiny, `"v": "1"}`, `"v": "1"}, "t": {"b": {"k": "int", "v": "2"}, "a": {"k": "null"}}`, 1),
+		"unsorted table tags": edit(`"null_rate": {`+"\n"+`     "k": "float",`+"\n"+`     "v": "0.125"`+"\n"+`    },`+"\n"+`    "population_method": {`+"\n"+`     "k": "string",`+"\n"+`     "v": "fixture"`+"\n"+`    }`, `"population_method": {"k": "string", "v": "fixture"}, "null_rate": {"k": "float", "v": "0.125"}`),
+		"unsorted sources":    edit(`"nexis",`+"\n"+`       "wsj"`, `"wsj", "nexis"`),
+		"unsorted meta":       edit(`"source": {`+"\n"+`        "credibility"`, `"z": {"a": {"k": "int", "v": "1"}}, "source": {`+"\n"+`        "credibility"`),
+		"kind alias":          edit(`"kind": "int",`, `"kind": "integer",`),
+		"value kind alias":    edit(`"k": "int",`+"\n"+`       "v": "0"`, `"k": "INT", "v": "0"`),
+		"time layout":         edit(`"1991-10-03T12:34:56.789Z"`, `"1991-10-03 12:34:56"`),
+		"int text":            edit(`"v": "40"`, `"v": "+40"`),
+		"bad int":             edit(`"v": "40"`, `"v": "forty"`),
+		"strict false":        edit(`"strict": true`, `"strict": false`),
+		"slots leading zero":  edit(`"slots": 5`, `"slots": 05`),
+		"slots float":         edit(`"slots": 5`, `"slots": 5.0`),
+		"bad slot count":      edit(`"slots": 5`, `"slots": 6`),
+		"index kind typo":     edit(`"kind": "hash"`, `"kind": "hsah"`),
+		"index kind case":     edit(`"kind": "btree"`, `"kind": "BTree"`),
+		"arity":               strings.Replace(tiny, `[{"v": {"k": "int", "v": "1"}}]`, `[{"v": {"k": "int", "v": "1"}}, {"v": {"k": "int", "v": "2"}}]`, 1),
+		"truncated":           g[:len(g)/2],
+		"truncated end":       g[:len(g)-3],
+		"empty":               "",
+	}
+	for name, doc := range cases {
+		t.Run(name, func(t *testing.T) { requireLoadMatchesJSON(t, []byte(doc)) })
+	}
 }
 
 // failAfter is a writer that fails once more than n bytes were written.
@@ -865,5 +1029,41 @@ func FuzzSaveMatchesJSON(f *testing.F) {
 			}
 		}
 		requireSaveMatchesOracle(t, cat)
+	})
+}
+
+// FuzzLoadMatchesJSON mutates Save-written catalogs and holds LoadCatalog
+// to the encoding/json decode of the same bytes: the same catalog, or
+// the same error.
+func FuzzLoadMatchesJSON(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "save.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"format": "repro-dq-catalog/1", "tables": null}`))
+	for seed := []byte("\x04\x03<&>\x02\x01\x05hello"); len(seed) > 0; seed = seed[1:] {
+		in := fuzzBytes(seed)
+		cat := NewCatalog()
+		tbl, err := cat.Create(schema.MustNew("f", []schema.Attr{
+			{Name: "s", Kind: value.KindString}, {Name: "t", Kind: value.KindTime}}), false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, tg := range in.tags().Tags() {
+			tbl.SetTableTag(tg.Indicator, tg.Value)
+		}
+		c := relation.Cell{V: in.value(value.KindString), Tags: in.tags(), Sources: tag.NewSources(in.str(), in.str())}
+		if _, err := tbl.Insert(relation.Tuple{Cells: []relation.Cell{c, {V: in.value(value.KindTime)}}}); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := cat.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireLoadMatchesJSON(t, data)
 	})
 }

@@ -90,8 +90,18 @@ type RecoveryStats struct {
 	TornBytes int
 	// Tables is the table count after recovery.
 	Tables int
-	// Duration is wall time spent recovering.
+	// Duration is wall time spent recovering, SnapshotLoad and Replay
+	// included.
 	Duration time.Duration
+	// SnapshotLoad is the time spent reading and decoding the checkpoint.
+	SnapshotLoad time.Duration
+	// SnapshotFallback is set when the checkpoint departed from the
+	// layout Catalog.Save writes, so it was decoded by encoding/json
+	// instead of the streaming reader (see storage.LoadCatalogBytes).
+	SnapshotFallback bool
+	// Replay is the time spent replaying log segments after the
+	// checkpoint.
+	Replay time.Duration
 }
 
 // Stats is a point-in-time counter snapshot for metrics.

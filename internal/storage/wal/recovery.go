@@ -1,10 +1,10 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -49,11 +49,12 @@ func (l *Log) replay() error {
 		}
 	}
 	if ckpt > 0 {
+		start := time.Now()
 		data, err := l.fs.ReadFile(join(l.dir, ckptName(ckpt)))
 		if err != nil {
 			return fmt.Errorf("wal: recover: read checkpoint %d: %w", ckpt, err)
 		}
-		cat, err := storage.LoadCatalog(bytes.NewReader(data))
+		cat, fellBack, err := storage.LoadCatalogBytes(data)
 		if err != nil {
 			// The checkpoint was fsynced before its rename became
 			// visible, so this is not a crash artifact.
@@ -62,7 +63,10 @@ func (l *Log) replay() error {
 		l.cat = cat
 		l.ckptSeq.Store(ckpt)
 		l.recov.CheckpointSeq = ckpt
+		l.recov.SnapshotLoad = time.Since(start)
+		l.recov.SnapshotFallback = fellBack
 	}
+	replayStart := time.Now()
 	// Older checkpoints are superseded; a crash between rename and prune
 	// leaves them behind.
 	for _, name := range stale {
@@ -93,10 +97,12 @@ func (l *Log) replay() error {
 		} else if first != expected {
 			return fmt.Errorf("wal: recover: segment %s starts at seq %d, want %d (missing segment)", segName(first), first, expected)
 		}
-		if _, err := l.replaySegment(first, i == len(segs)-1, &expected); err != nil {
+		kept, err := l.replaySegment(first, i == len(segs)-1, &expected)
+		if err != nil {
 			return err
 		}
 		l.segFirsts = append(l.segFirsts, first)
+		l.segWritten = kept
 	}
 	// If any segments survive, the log tail must reach the checkpoint
 	// sequence: a partial prune only ever removes fully-covered segments
@@ -115,34 +121,31 @@ func (l *Log) replay() error {
 	}
 	l.segLast = expected - 1
 	l.nSegments.Store(int64(len(l.segFirsts)))
-	// Reopen the last surviving segment for appending.
+	// Reopen the last surviving segment for appending, at the length
+	// its replay kept.
 	if len(l.segFirsts) > 0 {
 		name := segName(l.segFirsts[len(l.segFirsts)-1])
-		data, err := l.fs.ReadFile(join(l.dir, name))
-		if err != nil {
-			return fmt.Errorf("wal: recover: reopen %s: %w", name, err)
-		}
 		f, err := l.fs.OpenAppend(join(l.dir, name))
 		if err != nil {
 			return fmt.Errorf("wal: recover: reopen %s: %w", name, err)
 		}
 		l.seg = f
-		l.segWritten = int64(len(data))
 	}
+	l.recov.Replay = time.Since(replayStart)
 	return nil
 }
 
 // replaySegment decodes and applies one segment's records, advancing
-// *expected (the next sequence recovery requires). Only the final
-// segment may end in a torn record; that tail is truncated in place.
-func (l *Log) replaySegment(first uint64, final bool, expected *uint64) (int, error) {
+// *expected (the next sequence recovery requires), and returns the
+// segment's length once replayed. Only the final segment may end in a
+// torn record; that tail is truncated in place and not counted.
+func (l *Log) replaySegment(first uint64, final bool, expected *uint64) (int64, error) {
 	name := segName(first)
 	data, err := l.fs.ReadFile(join(l.dir, name))
 	if err != nil {
 		return 0, fmt.Errorf("wal: recover: read %s: %w", name, err)
 	}
 	ckpt := l.ckptSeq.Load()
-	applied := 0
 	rest := data
 	off := 0
 	for len(rest) > 0 {
@@ -152,28 +155,27 @@ func (l *Log) replaySegment(first uint64, final bool, expected *uint64) (int, er
 				// Torn tail: the crash cut the last record mid-write.
 				// Truncate so the next append starts at a clean boundary.
 				if err := l.fs.Truncate(join(l.dir, name), int64(off)); err != nil {
-					return applied, fmt.Errorf("wal: recover: truncate torn tail of %s: %w", name, err)
+					return 0, fmt.Errorf("wal: recover: truncate torn tail of %s: %w", name, err)
 				}
 				l.recov.TornBytes = len(rest)
-				return applied, nil
+				return int64(off), nil
 			}
-			return applied, fmt.Errorf("wal: corrupt record at seq %d (%s offset %d): %v", *expected, name, off, derr)
+			return 0, fmt.Errorf("wal: corrupt record at seq %d (%s offset %d): %v", *expected, name, off, derr)
 		}
 		if rec.Seq != *expected {
-			return applied, fmt.Errorf("wal: corrupt record at seq %d (%s offset %d): found seq %d", *expected, name, off, rec.Seq)
+			return 0, fmt.Errorf("wal: corrupt record at seq %d (%s offset %d): found seq %d", *expected, name, off, rec.Seq)
 		}
 		if rec.Seq > ckpt {
 			if err := l.applyRecord(rec); err != nil {
-				return applied, fmt.Errorf("wal: recover: replay seq %d: %w", rec.Seq, err)
+				return 0, fmt.Errorf("wal: recover: replay seq %d: %w", rec.Seq, err)
 			}
-			applied++
 			l.recov.Replayed++
 		}
 		*expected = rec.Seq + 1
 		rest = next
 		off += used
 	}
-	return applied, nil
+	return int64(off), nil
 }
 
 // anyValidRecordAfter reports whether any byte offset in b starts a

@@ -252,3 +252,78 @@ func TestMultiSegmentTornTail(t *testing.T) {
 		t.Fatalf("error %q does not name the corrupt seq", err)
 	}
 }
+
+// readOnceFS is the real filesystem, except that reading any file a
+// second time fails the test.
+type readOnceFS struct {
+	OsFS
+	t    *testing.T
+	read map[string]bool
+}
+
+func (f *readOnceFS) ReadFile(name string) ([]byte, error) {
+	if f.read[name] {
+		f.t.Errorf("%s read twice", filepath.Base(name))
+	}
+	f.read[name] = true
+	return f.OsFS.ReadFile(name)
+}
+
+// TestOpenReadsEachFileOnce: recovering a checkpoint and several
+// segments, the last one torn, reads every file exactly once, reports
+// the snapshot load and replay separately, and resumes appending at the
+// length the torn tail was truncated to.
+func TestOpenReadsEachFileOnce(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncAlways, SegmentBytes: 256, CheckpointRecords: -1}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := workloadOps(t)
+	if n := runLogged(l, ops); n != len(ops) {
+		t.Fatalf("acked %d", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := OsFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := filepath.Join(dir, names[len(names)-1])
+	if !strings.HasPrefix(filepath.Base(final), "wal-") || !strings.HasPrefix(names[0], "checkpoint-") {
+		t.Fatalf("want a checkpoint and segments, got %v", names)
+	}
+	data, err := os.ReadFile(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := recordOffsets(t, data)
+	if err := os.Truncate(final, int64(offs[len(offs)-1]+3)); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &readOnceFS{t: t, read: map[string]bool{}}
+	opts.FS = fsys
+	l, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fsys.read) != len(names) {
+		t.Errorf("read %d files, want all %d of %v", len(fsys.read), len(names), names)
+	}
+	rs := l.RecoveryStats()
+	if rs.TornBytes != 3 || rs.CheckpointSeq == 0 || rs.Replayed == 0 {
+		t.Errorf("recovery stats %+v: want a checkpoint, replayed records and 3 torn bytes", rs)
+	}
+	if rs.SnapshotLoad <= 0 || rs.Replay <= 0 || rs.SnapshotFallback {
+		t.Errorf("recovery stats %+v: want snapshot load and replay timed, no fallback", rs)
+	}
+	if l.segWritten != int64(offs[len(offs)-1]) {
+		t.Errorf("appending resumes at byte %d, want %d", l.segWritten, offs[len(offs)-1])
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -84,6 +84,22 @@ func NewSet(tags ...Tag) Set {
 	return Set{tags: out}
 }
 
+// SortedSet builds a set over tags already in strictly ascending
+// indicator order, taking ownership of the slice where NewSet would copy
+// and sort it. It reports false, with the empty set, when the order does
+// not hold.
+func SortedSet(tags []Tag) (Set, bool) {
+	for i := 1; i < len(tags); i++ {
+		if tags[i-1].Indicator >= tags[i].Indicator {
+			return Set{}, false
+		}
+	}
+	if len(tags) == 0 {
+		return Set{}, true
+	}
+	return Set{tags: tags}, true
+}
+
 // Len reports the number of tags in the set.
 func (s Set) Len() int { return len(s.tags) }
 

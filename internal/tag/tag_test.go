@@ -56,6 +56,23 @@ func TestNewSetDuplicatesLastWins(t *testing.T) {
 	}
 }
 
+// TestSortedSet: SortedSet accepts exactly the strictly ascending tag
+// lists and then equals NewSet over the same tags.
+func TestSortedSet(t *testing.T) {
+	a, b, c := Tag{"a", value.Int(1)}, Tag{"b", value.Str("x")}, Tag{"c", value.Null}
+	for _, tags := range [][]Tag{nil, {a}, {a, b, c}} {
+		s, ok := SortedSet(append([]Tag(nil), tags...))
+		if !ok || !s.Equal(NewSet(tags...)) {
+			t.Errorf("SortedSet(%v) = %v, %v; want %v", tags, s, ok, NewSet(tags...))
+		}
+	}
+	for _, tags := range [][]Tag{{b, a}, {a, a}, {a, c, b}} {
+		if s, ok := SortedSet(tags); ok || !s.IsEmpty() {
+			t.Errorf("SortedSet(%v) = %v, %v; want refused", tags, s, ok)
+		}
+	}
+}
+
 func TestWithWithoutImmutability(t *testing.T) {
 	s0 := NewSet(Tag{"b", value.Int(1)})
 	s1 := s0.With("a", value.Int(2))
