@@ -11,7 +11,7 @@ import (
 // findBad compares by value inside a loop body.
 func findBad(keys []value.Value, key value.Value) int {
 	for i := range keys {
-		if value.Equal(keys[i], key) { // want `value.Equal copies two 64-byte Values`
+		if value.Equal(keys[i], key) { // want `value.Equal copies two 32-byte Values`
 			return i
 		}
 	}
@@ -21,7 +21,7 @@ func findBad(keys []value.Value, key value.Value) int {
 // sortBad compares by value inside a per-comparison closure.
 func sortBad(keys []value.Value) {
 	sort.Slice(keys, func(i, j int) bool {
-		return value.Less(keys[i], keys[j]) // want `value.Less copies two 64-byte Values`
+		return value.Less(keys[i], keys[j]) // want `value.Less copies two 32-byte Values`
 	})
 }
 
@@ -29,7 +29,7 @@ func sortBad(keys []value.Value) {
 func rangeBad(keys []value.Value, key value.Value) int {
 	n := 0
 	for _, k := range keys {
-		if value.Compare(k, key) > 0 { // want `value.Compare copies two 64-byte Values`
+		if value.Compare(k, key) > 0 { // want `value.Compare copies two 32-byte Values`
 			n++
 		}
 	}

@@ -5,10 +5,10 @@ import (
 )
 
 // Valuecopy enforces the ComparePtr lesson from the PR 5 vectorization
-// work: value.Value is a 64-byte struct (kind + int64 + float64 + string
-// header + time.Time), and the by-value comparators Compare/Equal/Less
+// work: value.Value is a 32-byte struct (kind + nanoseconds + int64 +
+// string header), and the by-value comparators Compare/Equal/Less
 // copy two of them per call. On a cold path that is noise; inside a
-// per-row loop or a per-row callback it is 128 bytes of stack traffic per
+// per-row loop or a per-row callback it is two 32-byte copies per
 // comparison times millions of rows — measurable against the vectorized
 // tier's zero-allocation budget. The pointer twins ComparePtr, EqualPtr
 // and LessPtr exist precisely so hot paths can compare in place.
@@ -60,7 +60,7 @@ func runValuecopy(pass *Pass) error {
 		}
 		if inPerRowContext(stack) {
 			pass.Reportf(call.Pos(),
-				"value.%s copies two 64-byte Values per call in a per-row context; use value.%s on addresses instead (PR 5 ComparePtr lesson)",
+				"value.%s copies two 32-byte Values per call in a per-row context; use value.%s on addresses instead (PR 5 ComparePtr lesson)",
 				fn.Name(), twin)
 		}
 		return true

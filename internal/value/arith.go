@@ -19,9 +19,9 @@ func Add(a, b Value) (Value, error) {
 	case a.kind == KindString && b.kind == KindString:
 		return Str(a.s + b.s), nil
 	case a.kind == KindTime && b.kind == KindDuration:
-		return Time(a.t.Add(time.Duration(b.i))), nil
+		return Time(a.AsTime().Add(time.Duration(b.i))), nil
 	case a.kind == KindDuration && b.kind == KindTime:
-		return Time(b.t.Add(time.Duration(a.i))), nil
+		return Time(b.AsTime().Add(time.Duration(a.i))), nil
 	case a.kind == KindDuration && b.kind == KindDuration:
 		return Duration(time.Duration(a.i + b.i)), nil
 	case a.kind == KindInt && b.kind == KindInt:
@@ -39,9 +39,9 @@ func Sub(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.kind == KindTime && b.kind == KindTime:
-		return Duration(a.t.Sub(b.t)), nil
+		return Duration(a.AsTime().Sub(b.AsTime())), nil
 	case a.kind == KindTime && b.kind == KindDuration:
-		return Time(a.t.Add(-time.Duration(b.i))), nil
+		return Time(a.AsTime().Add(-time.Duration(b.i))), nil
 	case a.kind == KindDuration && b.kind == KindDuration:
 		return Duration(time.Duration(a.i - b.i)), nil
 	case a.kind == KindInt && b.kind == KindInt:
@@ -103,7 +103,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return Int(-a.i), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.float()), nil
 	case KindDuration:
 		return Duration(-time.Duration(a.i)), nil
 	default: // bool, string, time: negation is a type error

@@ -3,7 +3,6 @@ package value
 import (
 	"math"
 	"strings"
-	"time"
 )
 
 // CompareFn returns a comparator specialized for the fixed right operand k,
@@ -31,7 +30,7 @@ func CompareFn(k Value) func(v *Value) int {
 				return 0
 			case KindFloat:
 				// Mirrors compareNumeric with a non-NaN right operand.
-				af := v.f
+				af := v.float()
 				switch {
 				case math.IsNaN(af):
 					return -1
@@ -46,7 +45,7 @@ func CompareFn(k Value) func(v *Value) int {
 			}
 		}
 	case KindFloat:
-		kf := k.f
+		kf := k.float()
 		kNaN := math.IsNaN(kf)
 		return func(v *Value) int {
 			switch v.kind {
@@ -79,16 +78,10 @@ func CompareFn(k Value) func(v *Value) int {
 			return ComparePtr(v, &k)
 		}
 	case KindTime:
-		kt := k.t
+		ks, kns := k.i, k.ns
 		return func(v *Value) int {
 			if v.kind == KindTime {
-				switch {
-				case v.t.Before(kt):
-					return -1
-				case v.t.After(kt):
-					return 1
-				}
-				return 0
+				return compareTime(v.i, v.ns, ks, kns)
 			}
 			return ComparePtr(v, &k)
 		}
@@ -97,6 +90,3 @@ func CompareFn(k Value) func(v *Value) int {
 		return func(v *Value) int { return ComparePtr(v, &kk) }
 	}
 }
-
-// timeSentinel keeps the time import anchored to this file's purpose.
-var _ = time.Time{}

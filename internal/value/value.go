@@ -2,11 +2,16 @@
 // data quality engine: attribute values, quality indicator values, and the
 // constants appearing in QQL expressions.
 //
-// A Value is a small immutable struct. The package defines a total order
-// across comparable kinds (numeric kinds compare with each other; all other
-// cross-kind comparisons order by kind rank so that sorting heterogeneous
-// columns is deterministic), an FNV-1a hash used by hash joins and hash
-// indexes, and parsing/formatting used by the QQL lexer and the renderers.
+// A Value is a small immutable struct of 32 bytes. Go's == on two Values
+// compares their representations: floats compare by IEEE bits, so NaN ==
+// NaN and -0 != +0 under ==. Equal is the semantic comparison; use it (or
+// EqualPtr) rather than == or a Value map key.
+//
+// The package defines a total order across comparable kinds (numeric
+// kinds compare with each other; all other cross-kind comparisons order by
+// kind rank so that sorting heterogeneous columns is deterministic), an
+// FNV-1a hash used by hash joins and hash indexes, and parsing/formatting
+// used by the QQL lexer and the renderers.
 package value
 
 import (
@@ -84,10 +89,9 @@ func ParseKind(s string) (Kind, error) {
 // Value is an immutable scalar. The zero Value is Null.
 type Value struct {
 	kind Kind
-	i    int64 // int, bool (0/1), duration (ns), time (unix ns when wall-clock representable)
-	f    float64
-	s    string
-	t    time.Time
+	ns   int32  // time: nanoseconds within the second, in [0, 1e9)
+	i    int64  // int, bool (0/1), duration (ns), float (IEEE bits), time (unix seconds)
+	s    string // string
 }
 
 // Null is the null value.
@@ -106,7 +110,7 @@ func Bool(b bool) Value {
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the fmt.Stringer method on Value.)
@@ -116,7 +120,9 @@ func String_(s string) Value { return Value{kind: KindString, s: s} }
 func Str(s string) Value { return String_(s) }
 
 // Time returns a time value, normalized to UTC.
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t.UTC()} }
+func Time(t time.Time) Value {
+	return Value{kind: KindTime, i: t.Unix(), ns: int32(t.Nanosecond())}
+}
 
 // Duration returns a duration value.
 func Duration(d time.Duration) Value { return Value{kind: KindDuration, i: int64(d)} }
@@ -128,25 +134,38 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; it is only meaningful for KindBool.
-func (v Value) AsBool() bool { return v.i != 0 }
+// It reports false for floats and times, whose i is not a truth value.
+func (v Value) AsBool() bool {
+	switch v.kind {
+	case KindFloat, KindTime:
+		return false
+	default:
+		return v.i != 0
+	}
+}
 
 // AsInt returns the integer payload for KindInt, or a truncated conversion
-// for KindFloat and KindBool.
+// for KindFloat and KindBool. It returns 0 for KindTime.
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
+	case KindTime:
+		return 0
 	default:
 		return v.i
 	}
 }
 
 // AsFloat returns the numeric payload widened to float64 (KindInt,
-// KindFloat, KindBool and KindDuration are numeric).
+// KindFloat, KindBool and KindDuration are numeric). It returns 0 for
+// KindTime.
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
+	case KindTime:
+		return 0
 	default:
 		return float64(v.i)
 	}
@@ -155,12 +174,28 @@ func (v Value) AsFloat() float64 {
 // AsString returns the string payload; it is only meaningful for KindString.
 func (v Value) AsString() string { return v.s }
 
-// AsTime returns the time payload; it is only meaningful for KindTime.
-func (v Value) AsTime() time.Time { return v.t }
+// AsTime returns the time payload, in UTC; it is only meaningful for
+// KindTime.
+func (v Value) AsTime() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return time.Unix(v.i, int64(v.ns)).UTC()
+}
 
 // AsDuration returns the duration payload; it is only meaningful for
-// KindDuration.
-func (v Value) AsDuration() time.Duration { return time.Duration(v.i) }
+// KindDuration. It returns 0 for floats and times.
+func (v Value) AsDuration() time.Duration {
+	switch v.kind {
+	case KindFloat, KindTime:
+		return 0
+	default:
+		return time.Duration(v.i)
+	}
+}
+
+// float decodes a KindFloat payload.
+func (v *Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Numeric reports whether the value participates in numeric comparison and
 // arithmetic (int, float, bool, duration).
@@ -228,8 +263,8 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // ComparePtr is the one implementation of the total order, taken through
 // pointers so hot comparison loops — compiled predicates, sort keys — skip
-// copying the operands (Value is a five-field struct: two machine words of
-// scalars, a string header, a time.Time; the copies dominate tight loops).
+// copying the operands (Value is 32 bytes: a kind and nanoseconds word, an
+// int64 payload and a string header; the copies dominate tight loops).
 // Compare delegates here, so the two can never diverge.
 func ComparePtr(a, b *Value) int {
 	ra, rb := comparisonRank(a.kind), comparisonRank(b.kind)
@@ -256,13 +291,22 @@ func ComparePtr(a, b *Value) int {
 	case 2:
 		return strings.Compare(a.s, b.s)
 	case 3:
-		switch {
-		case a.t.Before(b.t):
-			return -1
-		case a.t.After(b.t):
-			return 1
-		}
-		return 0
+		return compareTime(a.i, a.ns, b.i, b.ns)
+	}
+	return 0
+}
+
+// compareTime orders two times given as (unix seconds, nanoseconds).
+func compareTime(as int64, ans int32, bs int64, bns int32) int {
+	switch {
+	case as < bs:
+		return -1
+	case as > bs:
+		return 1
+	case ans < bns:
+		return -1
+	case ans > bns:
+		return 1
 	}
 	return 0
 }
@@ -302,6 +346,10 @@ func (v Value) Hash() uint64 {
 			mix(1)
 			mix64(uint64(int64(f)))
 		} else {
+			if math.IsNaN(f) {
+				// Compare makes every NaN equal, whatever its payload.
+				f = math.NaN()
+			}
 			mix(2)
 			mix64(math.Float64bits(f))
 		}
@@ -312,7 +360,8 @@ func (v Value) Hash() uint64 {
 		}
 	case KindTime:
 		mix(4)
-		mix64(uint64(v.t.UnixNano()))
+		// time.Time.UnixNano's arithmetic, wraparound included.
+		mix64(uint64(v.i*1e9 + int64(v.ns)))
 	}
 	return h
 }
@@ -328,11 +377,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t.Format(time.RFC3339)
+		return v.AsTime().Format(time.RFC3339)
 	case KindDuration:
 		return time.Duration(v.i).String()
 	}
@@ -347,7 +396,7 @@ func (v Value) Literal() string {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
-		return "t'" + v.t.Format(time.RFC3339Nano) + "'"
+		return "t'" + v.AsTime().Format(time.RFC3339Nano) + "'"
 	case KindDuration:
 		return "d'" + time.Duration(v.i).String() + "'"
 	default:
