@@ -1,12 +1,10 @@
 package algebra
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/tag"
 	"repro/internal/value"
 )
@@ -263,204 +261,6 @@ type BatchIterator interface {
 func stopIfStopper(x any) {
 	if s, ok := x.(Stopper); ok {
 		s.Stop()
-	}
-}
-
-// ---- Batch column scan ----
-
-// SegPrune is one sargable conjunct (column ⊗ constant) a batch scan tests
-// against per-segment column min/max statistics: a segment whose value
-// range cannot satisfy the conjunct is skipped without reading a single
-// slot. PrunableSargs extracts them from a bound predicate.
-type SegPrune struct {
-	Col int // bound schema column index
-	Op  CmpOp
-	K   value.Value
-}
-
-// Skips reports whether a segment whose column summarizes to st can be
-// skipped: no value in [Min, Max] could make the comparison definitely
-// true. A column with no non-null values (!st.OK) is always skippable —
-// comparisons against null are never true. Stats are a conservative
-// superset of the live values, so Skips errs toward scanning.
-func (p *SegPrune) Skips(st storage.ColStats) bool {
-	if !st.OK {
-		return true
-	}
-	cmpMin := value.ComparePtr(&p.K, &st.Min)
-	cmpMax := value.ComparePtr(&p.K, &st.Max)
-	switch p.Op {
-	case OpEq:
-		return cmpMin < 0 || cmpMax > 0
-	case OpNe:
-		return cmpMin == 0 && cmpMax == 0
-	case OpLt:
-		return cmpMin <= 0 // satisfiable only when Min < K
-	case OpLe:
-		return cmpMin < 0
-	case OpGt:
-		return cmpMax >= 0 // satisfiable only when Max > K
-	case OpGe:
-		return cmpMax > 0
-	}
-	return false
-}
-
-type batchColScan struct {
-	t      *storage.Table
-	size   int
-	nSeg   int
-	cols   []int // schema column indexes to materialize
-	width  int   // full schema width
-	prunes []SegPrune
-	prAt   []int // position in cols of each prune's column
-
-	cs      storage.ColSeg
-	hdrs    []ColVec // full-width header buffer handed to consumers
-	seg     int
-	pos     int // next slot offset within the loaded segment
-	selPos  int // next index into cs.Sel
-	loaded  bool
-	done    bool
-	skipped int
-}
-
-// NewBatchColScan streams a table's segments as column-vector batches of
-// up to size rows, materializing only the requested columns (bound schema
-// indexes) — every other vector in the delivered batch is empty. The
-// vectors alias the heap's immutable column runs: zero rows are cloned,
-// zero cells are copied, and a batch is valid only until the next
-// NextBatch. Segments whose min/max statistics refute a prune conjunct are
-// skipped whole. Consumers must only touch requested columns.
-func NewBatchColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) BatchIterator {
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	width := len(t.Schema().Attrs)
-	// The scan owns its column list: prune columns must be materialized to
-	// read their stats, so add any the caller didn't request.
-	need := append([]int(nil), cols...)
-	pos := make(map[int]int, len(need))
-	for i, c := range need {
-		pos[c] = i
-	}
-	prAt := make([]int, len(prunes))
-	for i, p := range prunes {
-		at, ok := pos[p.Col]
-		if !ok {
-			at = len(need)
-			need = append(need, p.Col)
-			pos[p.Col] = at
-		}
-		prAt[i] = at
-	}
-	return &batchColScan{t: t, size: size, nSeg: t.Segments(), cols: need, width: width,
-		prunes: prunes, prAt: prAt}
-}
-
-// NewBatchTableScan streams every column of a storage table in batches of
-// up to size rows — NewBatchColScan with the full column list and no
-// pruning. Batches are segment-aligned and rows arrive in row-ID order.
-func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
-	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
-}
-
-func (s *batchColScan) Schema() *schema.Schema { return s.t.Schema() }
-
-func (s *batchColScan) SizeHint() int { return s.t.Len() }
-
-// ExtraStats reports the segment-skipping outcome for EXPLAIN ANALYZE.
-func (s *batchColScan) ExtraStats() string {
-	return fmt.Sprintf("segments skipped=%d of %d", s.skipped, s.nSeg)
-}
-
-// Stop drops the scan's window over the heap so an early-terminated scan
-// (a filled LIMIT) releases it immediately.
-func (s *batchColScan) Stop() {
-	s.done = true
-	s.loaded = false
-	s.cs = storage.ColSeg{}
-	s.hdrs = nil
-}
-
-func (s *batchColScan) pruned() bool {
-	for i := range s.prunes {
-		if s.prunes[i].Skips(s.cs.Cols[s.prAt[i]].Stats) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *batchColScan) NextBatch(b *Batch) (bool, error) {
-	if s.done {
-		return false, nil
-	}
-	for {
-		if !s.loaded {
-			for {
-				if s.seg >= s.nSeg || !s.t.ScanSegmentCols(s.seg, s.cols, &s.cs) {
-					s.done = true
-					return false, nil
-				}
-				s.seg++
-				if !s.pruned() {
-					break
-				}
-				s.skipped++
-			}
-			s.pos, s.selPos = 0, 0
-			s.loaded = true
-		}
-		if s.pos >= s.cs.N {
-			s.loaded = false
-			continue
-		}
-		lo := s.pos
-		n := s.cs.N - lo
-		if n > s.size {
-			n = s.size
-		}
-		s.pos += n
-		var sel []int32
-		if s.cs.Sel != nil {
-			sel = b.selBuf[:0]
-			for s.selPos < len(s.cs.Sel) && int(s.cs.Sel[s.selPos]) < lo+n {
-				sel = append(sel, s.cs.Sel[s.selPos]-int32(lo))
-				s.selPos++
-			}
-			b.selBuf = sel
-			if len(sel) == 0 {
-				continue // window fully dead
-			}
-		}
-		if s.hdrs == nil {
-			s.hdrs = make([]ColVec, s.width)
-		}
-		for i := range s.hdrs {
-			s.hdrs[i] = ColVec{}
-		}
-		for p, c := range s.cols {
-			r := &s.cs.Cols[p]
-			v := ColVec{Vals: r.Vals[lo : lo+n]}
-			if r.Tags != nil {
-				v.Tags = r.Tags[lo : lo+n]
-			}
-			if r.Srcs != nil {
-				v.Srcs = r.Srcs[lo : lo+n]
-			}
-			if r.Meta != nil {
-				v.Meta = r.Meta[lo : lo+n]
-			}
-			s.hdrs[c] = v
-		}
-		b.cols, b.n = s.hdrs, n
-		if s.cs.Sel != nil {
-			b.sel = sel
-		} else {
-			b.sel = nil
-		}
-		return true, nil
 	}
 }
 
@@ -858,8 +658,9 @@ type toBatch struct {
 
 // NewToBatch adapts a row iterator into a batch stream, transposing up to
 // size rows per call into the consumer's column buffer. It is how the
-// row-producing sources — the parallel scan's ordered merge, the index
-// scan, the empty scan — feed batch operators.
+// row-producing sources — the index scan under an aggregate, the empty
+// scan — feed batch operators. Table scans, serial or parallel, produce
+// batches natively and never pass through it.
 func NewToBatch(in Iterator, size int) BatchIterator {
 	if size < 1 {
 		size = DefaultBatchSize

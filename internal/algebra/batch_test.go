@@ -265,34 +265,26 @@ func TestBatchErrorPropagates(t *testing.T) {
 }
 
 // TestToBatchRoundTrip: ToBatch ∘ FromBatch is the identity on a row
-// stream, for the parallel-scan composition shape.
+// stream.
 func TestToBatchRoundTrip(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+9)
 	want := scanRows(tbl)
 	for _, size := range batchSizes {
-		pit, err := NewParallelScan(tbl, 4, nil, ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, NewFromBatch(NewToBatch(pit, size), size))
+		got := drain(t, NewFromBatch(NewToBatch(NewRelationScan(scanRows(tbl)), size), size))
 		sameRelation(t, want, got, fmt.Sprintf("to/from batch size %d", size))
 	}
 }
 
-// TestTableScansSkipClones: the parallel row scan, at one worker and at
-// three, returns the rows the cloning storage Scan visits, with a zero
-// clone delta.
+// TestTableScansSkipClones: the column scan, inline and at three workers,
+// returns the rows the cloning storage Scan visits, with a zero clone
+// delta.
 func TestTableScansSkipClones(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+100)
 	want := scanRows(tbl)
 
 	for _, degree := range []int{1, 3} {
 		before := storage.TupleClones()
-		pit, err := NewParallelScan(tbl, degree, nil, ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, pit)
+		got := drain(t, parRows(t, tbl, degree, nil))
 		if d := storage.TupleClones() - before; d != 0 {
 			t.Fatalf("degree %d scan cloned %d tuples", degree, d)
 		}
@@ -302,14 +294,13 @@ func TestTableScansSkipClones(t *testing.T) {
 	// A fused predicate makes the cardinality unknown: the scan must not
 	// advertise the full table size, or Collect would pre-allocate a
 	// table-sized buffer for a selective query.
-	filtered, err := NewParallelScan(tbl, 3, batchPred(), ctx())
-	if err != nil {
-		t.Fatal(err)
+	for _, degree := range []int{1, 3} {
+		filtered := parRows(t, tbl, degree, batchPred())
+		if h := sizeHint(filtered); h != -1 {
+			t.Fatalf("degree %d filtered scan SizeHint = %d, want -1", degree, h)
+		}
+		drain(t, filtered) // release the workers
 	}
-	if h := sizeHint(filtered); h != -1 {
-		t.Fatalf("filtered parallel scan SizeHint = %d, want -1", h)
-	}
-	drain(t, filtered) // release the workers
 }
 
 // TestCollectPreSizes: Collect over a Sizer-capable pipeline allocates the
@@ -326,12 +317,9 @@ func TestCollectPreSizes(t *testing.T) {
 	if c := cap(out.Tuples); c != 10 {
 		t.Fatalf("Collect capacity %d, want exactly the limit hint 10", c)
 	}
-	pit, err := NewParallelScan(tbl, 2, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pit.(Stopper).Stop()
-	if hint := sizeHint(pit); hint != tbl.Len() {
+	it := parRows(t, tbl, 2, nil)
+	defer it.(Stopper).Stop()
+	if hint := sizeHint(it); hint != tbl.Len() {
 		t.Fatalf("scan SizeHint = %d, want %d", hint, tbl.Len())
 	}
 	rel := relation.New(tbl.Schema())

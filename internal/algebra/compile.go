@@ -286,11 +286,20 @@ func CompileColPred(e Expr, width int) (ColPred, bool) {
 			if int(off) >= len(tags) {
 				return false
 			}
-			got, ok := tags[off].Get(ind)
-			if !ok || got.IsNull() {
+			// Point into the set's own slice: a local copy passed to cmp
+			// would escape, one heap allocation per slot.
+			var got *value.Value
+			ts := tags[off].Tags()
+			for i := range ts {
+				if ts[i].Indicator == ind {
+					got = &ts[i].Value
+					break
+				}
+			}
+			if got == nil || got.IsNull() {
 				return false
 			}
-			c := cmp(&got)
+			c := cmp(got)
 			if flip {
 				c = -c
 			}

@@ -10,21 +10,8 @@ import (
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
-
-// segmentRows materializes the live rows of one segment view into a fresh
-// cell arena — one allocation per segment rather than one per row.
-func segmentRows(cs *storage.ColSeg) []relation.Tuple {
-	n, w := cs.Live(), len(cs.Cols)
-	rows := make([]relation.Tuple, 0, n)
-	arena := make([]relation.Cell, n*w)
-	for k := 0; k < n; k++ {
-		cells := arena[k*w : (k+1)*w : (k+1)*w]
-		cs.RowInto(k, cells)
-		rows = append(rows, relation.Tuple{Cells: cells})
-	}
-	return rows
-}
 
 // ---- Index scan (lazy over the row-ID list) ----
 
@@ -63,62 +50,259 @@ func (s *indexScan) Next() (relation.Tuple, bool, error) {
 	return relation.Tuple{}, false, nil
 }
 
-// ---- Parallel table scan ----
+// ---- Column scan: serial or fanned out ----
 
-// segResult is one worker's output for one segment: the segment's live rows
-// (already filtered when a predicate is fused into the scan).
-type segResult struct {
-	seg  int
-	rows []relation.Tuple
-	err  error
+// SegPrune is one sargable conjunct (column ⊗ constant) a column scan tests
+// against per-segment column min/max statistics: a segment whose value
+// range cannot satisfy the conjunct is skipped without reading a single
+// slot. PrunableSargs extracts them from a bound predicate.
+type SegPrune struct {
+	Col int // bound schema column index
+	Op  CmpOp
+	K   value.Value
 }
 
-type parallelScan struct {
-	t      *storage.Table
-	degree int
-	pred   Predicate // optional fused predicate, compiled once, shared by workers
-	ctx    *EvalContext
+// Skips reports whether a segment whose column summarizes to st can be
+// skipped: no value in [Min, Max] could make the comparison definitely
+// true. A column with no non-null values (!st.OK) is always skippable —
+// comparisons against null are never true. Stats are a conservative
+// superset of the live values, so Skips errs toward scanning.
+func (p *SegPrune) Skips(st storage.ColStats) bool {
+	if !st.OK {
+		return true
+	}
+	cmpMin := value.ComparePtr(&p.K, &st.Min)
+	cmpMax := value.ComparePtr(&p.K, &st.Max)
+	switch p.Op {
+	case OpEq:
+		return cmpMin < 0 || cmpMax > 0
+	case OpNe:
+		return cmpMin == 0 && cmpMax == 0
+	case OpLt:
+		return cmpMin <= 0 // satisfiable only when Min < K
+	case OpLe:
+		return cmpMin < 0
+	case OpGt:
+		return cmpMax >= 0 // satisfiable only when Max > K
+	case OpGe:
+		return cmpMax > 0
+	}
+	return false
+}
 
-	nSeg    int
+// scanSpec is everything one segment load needs: which columns to view,
+// which prunes to test and the fused predicate. It is immutable once built
+// and shared by the scan's workers, which capture it rather than the scan so
+// an abandoned scan stays collectable.
+type scanSpec struct {
+	t      *storage.Table
+	width  int   // full schema width
+	cols   []int // schema columns to view: requested ∪ prune ∪ predicate refs
+	prunes []SegPrune
+	prAt   []int // position in cols of each prune's column
+	// The fused predicate, if any: a column kernel when it has that shape,
+	// else the compiled per-row predicate over scratch rows of refs.
+	kern ColPred
+	pred Predicate
+	refs []int
+	ctx  *EvalContext
+}
+
+// segLoad is one loaded segment: the column view and the slots that are
+// live and pass the fused predicate. The view's runs alias the heap's
+// immutable storage; sel and the view's own buffers are recycled once the
+// consumer has moved past the segment, so nothing delivered may alias them.
+type segLoad struct {
+	seg     int
+	cs      storage.ColSeg
+	sel     []int32 // surviving slot offsets, ascending; nil = all of [0, cs.N)
+	selBuf  []int32
+	skipped bool // a prune refuted the segment: nothing to emit
+	err     error
+}
+
+// colIndex returns the position of schema column c in sp.cols, adding it
+// when absent.
+func (sp *scanSpec) colIndex(c int) int {
+	for i, have := range sp.cols {
+		if have == c {
+			return i
+		}
+	}
+	sp.cols = append(sp.cols, c)
+	return len(sp.cols) - 1
+}
+
+// viewCols points hdrs (full schema width) at slots [lo, hi) of the view's
+// runs; columns the scan does not read stay empty.
+func (sp *scanSpec) viewCols(hdrs []ColVec, cs *storage.ColSeg, lo, hi int) {
+	clear(hdrs)
+	for p, c := range sp.cols {
+		r := &cs.Cols[p]
+		v := ColVec{Vals: r.Vals[lo:hi]}
+		if r.Tags != nil {
+			v.Tags = r.Tags[lo:hi]
+		}
+		if r.Srcs != nil {
+			v.Srcs = r.Srcs[lo:hi]
+		}
+		if r.Meta != nil {
+			v.Meta = r.Meta[lo:hi]
+		}
+		hdrs[c] = v
+	}
+}
+
+// load fills ls with segment seg: its view, whether a prune refutes it and,
+// under a fused predicate, the selection of live slots that pass. f is the
+// calling goroutine's scratch for predicate evaluation. A predicate error
+// lands in ls.err.
+func (sp *scanSpec) load(seg int, ls *segLoad, f *Batch) {
+	ls.seg, ls.skipped, ls.err = seg, false, nil
+	cs := &ls.cs
+	if !sp.t.ScanSegmentCols(seg, sp.cols, cs) {
+		cs.N, ls.sel = 0, nil // segments never shrink; unreachable in practice
+		return
+	}
+	for i := range sp.prunes {
+		if sp.prunes[i].Skips(cs.Cols[sp.prAt[i]].Stats) {
+			ls.skipped = true
+			return
+		}
+	}
+	ls.sel = cs.Sel
+	if sp.kern == nil && sp.pred == nil {
+		return
+	}
+	if len(f.colBuf) < sp.width {
+		f.colBuf = make([]ColVec, sp.width)
+	}
+	f.cols = f.colBuf[:sp.width]
+	sp.viewCols(f.cols, cs, 0, cs.N)
+	// A nil selection means "every slot", so an all-rejecting segment must
+	// keep an empty non-nil one.
+	out := ls.selBuf[:0]
+	if out == nil || cap(out) < cs.N {
+		out = make([]int32, 0, max(cs.N, storage.SegmentSize))
+	}
+	live := cs.Live()
+	for k := 0; k < live; k++ {
+		off := int32(k)
+		if cs.Sel != nil {
+			off = cs.Sel[k]
+		}
+		if sp.kern != nil {
+			if sp.kern(f.cols, off) {
+				out = append(out, off)
+			}
+			continue
+		}
+		keep, err := sp.pred(f.scratchRowAt(off, sp.refs), sp.ctx)
+		if err != nil {
+			ls.err = err
+			break
+		}
+		if keep {
+			out = append(out, off)
+		}
+	}
+	clear(f.cols) // drop the heap runs until the next load
+	ls.selBuf, ls.sel = out, out
+}
+
+type batchColScan struct {
+	sp     *scanSpec
+	size   int
+	nSeg   int
+	degree int // ≤ 1: segments load inline, no goroutines
+
+	inline  segLoad // the serial mode's one segment buffer
+	filter  Batch   // the serial mode's predicate scratch
+	cur     *segLoad
+	next    int // next segment to take, in segment order
+	pos     int // next slot offset within cur
+	selPos  int // next index into cur.sel
+	hdrs    []ColVec
+	done    bool
+	skipped int
+
+	// Fan-out state, set by start.
 	started bool
-	results chan segResult
-	tokens  chan struct{} // in-flight segment budget (backpressure)
-	done    chan struct{} // closed when the consumer is finished with us
+	results chan *segLoad
+	free    chan *segLoad // segment buffers: a worker holds one to claim a segment
+	stopCh  chan struct{} // closed when the consumer is finished with us
 	closed  sync.Once
-	pending map[int][]relation.Tuple
-	nextSeg int
-	rows    []relation.Tuple
-	pos     int
-	// workerSegs[w] counts segments scanned by worker w — the occupancy
+	pending map[int]*segLoad
+	// workerSegs[w] counts segments claimed by worker w — the occupancy
 	// actuals EXPLAIN ANALYZE reports. Atomics because workers race with a
 	// consumer reading ExtraStats after the stream ends.
 	workerSegs []atomic.Int64
 }
 
-// NewParallelScan fans a table scan out across degree workers, one heap
-// segment at a time, and merges the per-segment results back in segment
-// (therefore row-ID) order. Each worker takes its segment's column view and
-// materializes the rows outside the table lock into one cell arena per
-// segment; the rows are never counted as clones, so consumers must treat
-// them as read-only and rebuild the cell slice before a row escapes. When
-// pred is non-nil it is compiled once and fused into the workers: each
-// worker filters its segment's rows before handing them to the merge, so
-// predicate evaluation parallelizes along with the materialization. pred
-// must be bindable against t's schema; evaluation must be read-only after
-// Bind (every Compiled closure is). degree is clamped to [1, segments].
-func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext) (Iterator, error) {
-	var pf Predicate
+// NewBatchColScan streams a table's segments as column-vector batches of
+// up to size rows, materializing only the requested columns (bound schema
+// indexes) — every other vector in the delivered batch is empty. The
+// vectors alias the heap's immutable column runs: zero rows are cloned,
+// zero cells are copied, and a batch is valid only until the next
+// NextBatch. Segments whose min/max statistics refute a prune conjunct are
+// skipped whole. Consumers must only touch requested columns. Segments load
+// inline, one at a time; NewParallelScan is the same scan fanned out.
+func NewBatchColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) BatchIterator {
+	return newColScan(t, size, cols, prunes)
+}
+
+func newColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) *batchColScan {
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	// The scan owns its column list: prune columns must be viewed to read
+	// their stats, so add any the caller didn't request.
+	sp := &scanSpec{t: t, width: len(t.Schema().Attrs), cols: append([]int(nil), cols...),
+		prunes: prunes, prAt: make([]int, len(prunes))}
+	for i, p := range prunes {
+		sp.prAt[i] = sp.colIndex(p.Col)
+	}
+	return &batchColScan{sp: sp, size: size, nSeg: t.Segments(), degree: 1,
+		stopCh: make(chan struct{})}
+}
+
+// NewBatchTableScan streams every column of a storage table in batches of
+// up to size rows — NewBatchColScan with the full column list and no
+// pruning. Batches are segment-aligned and rows arrive in row-ID order.
+func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
+	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
+}
+
+// NewParallelScan is NewBatchColScan fanned out across degree workers, one
+// heap segment at a time, with pred (optional) fused into the workers. Each
+// worker views only the scan's columns, tests the prunes and runs pred over
+// its segment into a selection vector — as a column kernel when pred is an
+// AND/OR tree of column⊗constant comparisons, else per live row over
+// scratch rows. The consumer takes segments back in segment (so row-ID)
+// order and emits the same segment-aligned windows over the heap runs as
+// the serial scan: no cell is copied on either side. pred must be bindable
+// against t's schema; evaluation must be read-only after Bind (every
+// compiled closure is). A predicate error is terminal. degree is clamped
+// to [1, segments]; at 1 the scan runs inline with no goroutines.
+func NewParallelScan(t *storage.Table, degree, size int, cols []int, prunes []SegPrune, pred Expr, ctx *EvalContext) (BatchIterator, error) {
+	s := newColScan(t, size, cols, prunes)
 	if pred != nil {
 		if err := pred.Bind(t.Schema()); err != nil {
 			return nil, err
 		}
-		pf = CompilePredicate(pred)
+		sp := s.sp
+		sp.ctx, sp.refs = ctx, ReferencedCols(pred)
+		for _, c := range sp.refs {
+			sp.colIndex(c)
+		}
+		if k, ok := CompileColPred(pred, sp.width); ok {
+			sp.kern = k
+		} else {
+			sp.pred = CompilePredicate(pred)
+		}
 	}
-	nSeg := t.Segments()
-	degree = min(degree, nSeg)
-	degree = max(degree, 1)
-	return &parallelScan{t: t, degree: degree, pred: pf, ctx: ctx, nSeg: nSeg,
-		done: make(chan struct{})}, nil
+	s.degree = max(min(degree, s.nSeg), 1)
+	return s, nil
 }
 
 // Stopper is implemented by iterators that hold background resources
@@ -129,14 +313,24 @@ func NewParallelScan(t *storage.Table, degree int, pred Expr, ctx *EvalContext) 
 // finalizer covers abandoned iterators, but only at the next GC cycle.
 type Stopper interface{ Stop() }
 
-// Stop implements Stopper.
-func (s *parallelScan) Stop() { s.stop() }
+func (s *batchColScan) Schema() *schema.Schema { return s.sp.t.Schema() }
 
-// ExtraStats reports worker occupancy — how many segments each worker
-// claimed — for EXPLAIN ANALYZE. An even spread means the work-stealing
-// claim loop kept every worker busy; a skewed one means a fused predicate
-// or the consumer was the bottleneck.
-func (s *parallelScan) ExtraStats() string {
+func (s *batchColScan) SizeHint() int {
+	if s.sp.kern != nil || s.sp.pred != nil {
+		return -1 // the fused predicate's selectivity is unknown
+	}
+	return s.sp.t.Len()
+}
+
+// ExtraStats reports, for EXPLAIN ANALYZE, the segments the prunes skipped
+// and, for a fanned-out scan, worker occupancy — how many segments each
+// worker claimed. An even spread means the claim loop kept every worker
+// busy; a skewed one means a fused predicate or the consumer was the
+// bottleneck.
+func (s *batchColScan) ExtraStats() string {
+	if s.degree <= 1 {
+		return fmt.Sprintf("segments skipped=%d of %d", s.skipped, s.nSeg)
+	}
 	if s.workerSegs == nil {
 		return fmt.Sprintf("workers=%d segments=unstarted", s.degree)
 	}
@@ -148,65 +342,67 @@ func (s *parallelScan) ExtraStats() string {
 		}
 		fmt.Fprintf(&b, "%d", s.workerSegs[w].Load())
 	}
-	b.WriteByte(']')
+	fmt.Fprintf(&b, "] skipped=%d", s.skipped)
 	return b.String()
 }
 
-func (s *parallelScan) Schema() *schema.Schema { return s.t.Schema() }
-
-func (s *parallelScan) SizeHint() int {
-	if s.pred != nil {
-		return -1 // the fused predicate's selectivity is unknown
+// Stop ends the stream: it drops the scan's window over the heap, so an
+// early-terminated scan (a filled LIMIT) releases it immediately, and
+// releases the workers — one waiting for a segment buffer exits instead of
+// scanning further. It also drops the finalizer: an object with one
+// survives the first collection after it becomes unreachable, and with it
+// everything it references, the table included, so a stopped scan must not
+// keep one.
+func (s *batchColScan) Stop() {
+	s.done = true
+	s.cur, s.hdrs, s.pending = nil, nil, nil
+	s.inline = segLoad{}
+	s.stopWorkers()
+	if s.started {
+		runtime.SetFinalizer(s, nil)
 	}
-	return s.t.Len()
 }
 
-// stop releases the workers: any worker waiting for an in-flight token
-// exits instead of scanning further segments. Called when the stream ends
-// (exhaustion or error) and by a finalizer if the consumer abandons the
-// iterator mid-stream, so workers never materialize the rest of the table
-// for nobody.
-func (s *parallelScan) stop() {
-	s.closed.Do(func() { close(s.done) })
+// stopWorkers is also the finalizer of a fanned-out scan abandoned
+// mid-stream, so workers never scan the rest of the table for nobody.
+func (s *batchColScan) stopWorkers() {
+	s.closed.Do(func() { close(s.stopCh) })
 }
 
 // start launches the workers. Segments are claimed by atomic counter so
-// fast workers steal work from slow ones. In-flight segments (scanning, or
-// scanned but not yet consumed) are capped at 2×degree by a token
-// semaphore: the consumer releases a token as it takes each segment, so a
-// slow consumer holds resident memory to O(degree) segments instead of the
-// whole table. No deadlock is possible: segments are claimed in ascending
-// order and consumed in ascending order, so the lowest unconsumed segment
-// is always either already delivered or being scanned by a worker that
-// needs no further token. Workers capture locals only (not s), so an
-// abandoned iterator becomes unreachable and its finalizer runs stop().
-func (s *parallelScan) start() {
+// fast workers steal work from slow ones. A worker must hold one of
+// 2×degree+1 segment buffers to claim a segment, and the consumer returns a
+// buffer only once it has moved past that segment: besides the segment the
+// consumer is reading, at most 2×degree are in flight (loading, or loaded
+// and waiting), so a slow consumer holds resident memory to O(degree)
+// segments instead of the whole table. No deadlock is possible: segments
+// are claimed and consumed in ascending order, so the lowest unconsumed
+// segment is always either delivered or held by a worker that needs no
+// further buffer. Workers capture locals only (not s), so an abandoned scan
+// becomes unreachable and its finalizer runs stopWorkers.
+func (s *batchColScan) start() {
 	s.started = true
-	t, pred, ctx, nSeg, degree := s.t, s.pred, s.ctx, s.nSeg, s.degree
-	cols := t.Schema().ColIndexes()
-	budget := 2 * degree
-	if budget > nSeg {
-		budget = nSeg
+	sp, nSeg, degree, stop := s.sp, s.nSeg, s.degree, s.stopCh
+	bufs := min(2*degree+1, nSeg)
+	results := make(chan *segLoad, nSeg) // never blocks a worker
+	free := make(chan *segLoad, bufs)
+	for range bufs {
+		free <- new(segLoad)
 	}
-	results := make(chan segResult, nSeg)
-	tokens := make(chan struct{}, budget)
-	for i := 0; i < budget; i++ {
-		tokens <- struct{}{}
-	}
-	done := s.done // created in NewParallelScan so Stop works before start
-	s.results, s.tokens = results, tokens
-	s.pending = make(map[int][]relation.Tuple, budget)
+	s.results, s.free = results, free
+	s.pending = make(map[int]*segLoad, bufs)
 	s.workerSegs = make([]atomic.Int64, degree)
 	var next atomic.Int64
 	var failed atomic.Bool
-	for w := 0; w < degree; w++ {
+	for w := range degree {
 		mySegs := &s.workerSegs[w] // capture the counter, not s (finalizer)
 		go func() {
-			var cs storage.ColSeg // worker-local; rows get a fresh arena per segment
+			var f Batch // worker-local predicate scratch
 			for {
+				var ls *segLoad
 				select {
-				case <-tokens:
-				case <-done:
+				case ls = <-free:
+				case <-stop:
 					return
 				}
 				seg := int(next.Add(1)) - 1
@@ -214,78 +410,110 @@ func (s *parallelScan) start() {
 					return
 				}
 				mySegs.Add(1)
-				var rows []relation.Tuple
-				if t.ScanSegmentCols(seg, cols, &cs) {
-					rows = segmentRows(&cs)
+				sp.load(seg, ls, &f)
+				results <- ls
+				if ls.err != nil {
+					failed.Store(true)
+					return
 				}
-				if pred != nil {
-					kept := rows[:0]
-					for _, row := range rows {
-						ok, err := pred(row, ctx)
-						if err != nil {
-							failed.Store(true)
-							results <- segResult{seg: seg, err: err}
-							return
-						}
-						if ok {
-							kept = append(kept, row)
-						}
-					}
-					rows = kept
-				}
-				// Buffered for every segment, so this never blocks and a
-				// worker always finishes its claimed segment.
-				results <- segResult{seg: seg, rows: rows}
 			}
 		}()
 	}
-	runtime.SetFinalizer(s, (*parallelScan).stop)
+	runtime.SetFinalizer(s, (*batchColScan).stopWorkers)
 }
 
-func (s *parallelScan) Next() (relation.Tuple, bool, error) {
+// take returns the next segment in segment order — loaded inline at
+// degree 1, else received from the workers — or nil once the scan is
+// exhausted or stopped.
+func (s *batchColScan) take() (*segLoad, error) {
+	if s.next >= s.nSeg {
+		return nil, nil
+	}
+	if s.degree <= 1 {
+		s.sp.load(s.next, &s.inline, &s.filter)
+		s.next++
+		return &s.inline, s.inline.err
+	}
 	if !s.started {
 		s.start()
 	}
 	for {
-		if s.pos < len(s.rows) {
-			t := s.rows[s.pos]
-			s.pos++
-			return t, true, nil
+		if ls, ok := s.pending[s.next]; ok {
+			delete(s.pending, s.next)
+			s.next++
+			return ls, nil
 		}
-		if s.nextSeg >= s.nSeg {
-			s.stop()
-			return relation.Tuple{}, false, nil
+		select {
+		case ls := <-s.results:
+			if ls.err != nil {
+				return nil, ls.err
+			}
+			s.pending[ls.seg] = ls
+		case <-s.stopCh:
+			return nil, nil
 		}
-		if rows, ok := s.pending[s.nextSeg]; ok {
-			delete(s.pending, s.nextSeg)
-			s.rows, s.pos = rows, 0
-			s.nextSeg++
-			// The segment left the in-flight set; let a worker claim the
-			// next one. Never blocks: releases never exceed acquisitions.
-			s.tokens <- struct{}{}
+	}
+}
+
+// release hands a consumed segment's buffer back to the workers. Never
+// blocks: buffers never outnumber the channel's capacity.
+func (s *batchColScan) release(ls *segLoad) {
+	if s.free != nil {
+		s.free <- ls
+	}
+}
+
+func (s *batchColScan) NextBatch(b *Batch) (bool, error) {
+	for !s.done {
+		if s.cur == nil {
+			ls, err := s.take()
+			if ls == nil || err != nil {
+				// Terminal either way: a caller that ignores the error and
+				// pulls again gets a clean end of stream instead of waiting
+				// for segments the stopped workers will never deliver.
+				s.Stop()
+				return false, err
+			}
+			if ls.skipped {
+				s.skipped++
+				s.release(ls)
+				continue
+			}
+			s.cur, s.pos, s.selPos = ls, 0, 0
+		}
+		cur := s.cur
+		if cur.sel != nil {
+			if s.selPos >= len(cur.sel) {
+				s.pos = cur.cs.N // nothing left survives
+			} else {
+				s.pos = max(s.pos, int(cur.sel[s.selPos]))
+			}
+		}
+		if s.pos >= cur.cs.N {
+			s.cur = nil
+			s.release(cur)
 			continue
 		}
-		var r segResult
-		select {
-		case r = <-s.results:
-		case <-s.done:
-			// Stop() arrived before the remaining segments: the consumer
-			// declared it is finished, so end the stream cleanly rather
-			// than wait for workers that have been released.
-			s.nextSeg = s.nSeg
-			return relation.Tuple{}, false, nil
+		lo := s.pos
+		n := min(cur.cs.N-lo, s.size)
+		s.pos += n
+		var sel []int32
+		if cur.sel != nil {
+			sel = b.selBuf[:0]
+			for s.selPos < len(cur.sel) && int(cur.sel[s.selPos]) < lo+n {
+				sel = append(sel, cur.sel[s.selPos]-int32(lo))
+				s.selPos++
+			}
+			b.selBuf = sel
 		}
-		if r.err != nil {
-			// Terminal: mark the stream exhausted so a caller that ignores
-			// the error and calls Next again gets a clean end-of-stream
-			// instead of blocking on segments the stopped workers will
-			// never deliver.
-			s.nextSeg = s.nSeg
-			s.stop()
-			return relation.Tuple{}, false, r.err
+		if s.hdrs == nil {
+			s.hdrs = make([]ColVec, s.sp.width)
 		}
-		s.pending[r.seg] = r.rows
+		s.sp.viewCols(s.hdrs, &cur.cs, lo, lo+n)
+		b.cols, b.n, b.sel = s.hdrs, n, sel
+		return true, nil
 	}
+	return false, nil
 }
 
 // DefaultParallelism is the fan-out degree used when a caller asks for

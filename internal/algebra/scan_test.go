@@ -3,8 +3,11 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -18,13 +21,7 @@ import (
 // tagged so indicator predicates hit both tagged and untagged rows.
 func bigTable(t *testing.T, n int) *storage.Table {
 	t.Helper()
-	sc := schema.MustNew("big", []schema.Attr{
-		{Name: "id", Kind: value.KindInt, Required: true},
-		{Name: "grp", Kind: value.KindString,
-			Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
-		{Name: "qty", Kind: value.KindInt},
-	}, "id")
-	tbl := storage.NewTable(sc, false)
+	tbl := storage.NewTable(bigSchema(), false)
 	r := rand.New(rand.NewSource(int64(n)))
 	var ids []storage.RowID
 	for i := 0; i < n; i++ {
@@ -48,6 +45,15 @@ func bigTable(t *testing.T, n int) *storage.Table {
 		}
 	}
 	return tbl
+}
+
+func bigSchema() *schema.Schema {
+	return schema.MustNew("big", []schema.Attr{
+		{Name: "id", Kind: value.KindInt, Required: true},
+		{Name: "grp", Kind: value.KindString,
+			Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
+		{Name: "qty", Kind: value.KindInt},
+	}, "id")
 }
 
 // scanRows reads every live row of tbl through storage's cloning Scan —
@@ -80,16 +86,49 @@ func sameRelation(t *testing.T, want, got *relation.Relation, label string) {
 	}
 }
 
+// parScan builds the column scan over every column of tbl at degree, with
+// pred fused (nil for none) and no prunes.
+func parScan(t *testing.T, tbl *storage.Table, degree int, pred Expr) BatchIterator {
+	t.Helper()
+	bit, err := NewParallelScan(tbl, degree, 0, tbl.Schema().ColIndexes(), nil, pred, ctx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bit
+}
+
+// parRows drains parScan through the row adapter.
+func parRows(t *testing.T, tbl *storage.Table, degree int, pred Expr) Iterator {
+	t.Helper()
+	return NewFromBatch(parScan(t, tbl, degree, pred), 0)
+}
+
+// filterRows keeps the rows of rel that the interpreted pred accepts.
+func filterRows(t *testing.T, rel *relation.Relation, pred Expr) *relation.Relation {
+	t.Helper()
+	if err := pred.Bind(rel.Schema); err != nil {
+		t.Fatal(err)
+	}
+	keep := InterpretedPredicate(pred)
+	out := relation.New(rel.Schema)
+	for _, tup := range rel.Tuples {
+		ok, err := keep(tup, ctx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			out.Tuples = append(out.Tuples, tup)
+		}
+	}
+	return out
+}
+
 // TestTableScanStreamsAllSegments: one scan worker still reads every
 // segment, in row-ID order.
 func TestTableScanStreamsAllSegments(t *testing.T) {
 	const n = storage.SegmentSize + 500
 	tbl := bigTable(t, n)
-	it, err := NewParallelScan(tbl, 1, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, it)
+	out := drain(t, parRows(t, tbl, 1, nil))
 	if out.Len() != tbl.Len() {
 		t.Fatalf("scan = %d rows, table has %d live", out.Len(), tbl.Len())
 	}
@@ -104,63 +143,112 @@ func TestTableScanStreamsAllSegments(t *testing.T) {
 	}
 }
 
-// TestParallelScanMatchesSerial is the ordering property test: for every
-// degree, with and without a fused predicate, the parallel scan's output is
-// byte-identical (tags and sources included) to storage's serial Scan,
-// filtered by the interpreted predicate.
-func TestParallelScanMatchesSerial(t *testing.T) {
-	const n = 3*storage.SegmentSize + 123
-	tbl := bigTable(t, n)
-
-	serialAll := scanRows(tbl)
-	pred := func() Expr {
-		return &Logic{Op: OpOr,
-			L: &Cmp{Op: OpGt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(500)}},
-			R: &Cmp{Op: OpEq, L: &IndRef{Col: "grp", Indicator: "source"}, R: &Const{V: value.Str("a")}},
+// holeyTable is bigTable's shape over six segments with the cases a segment
+// load must get right: segment 1 is wholly deleted, no cell of segment 2
+// carries a tag (its grp run has no tag run at all), segment 4 is tagged on
+// every cell, and the rest lose every 7th row and tag every 3rd.
+func holeyTable(t *testing.T) *storage.Table {
+	t.Helper()
+	const n = 5*storage.SegmentSize + 321
+	tbl := storage.NewTable(bigSchema(), false)
+	r := rand.New(rand.NewSource(n))
+	for i := 0; i < n; i++ {
+		seg := i / storage.SegmentSize
+		cell := relation.Cell{V: value.Str(fmt.Sprintf("g%d", i%5))}
+		if seg == 4 || (seg != 2 && i%3 == 0) {
+			cell.Tags = tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str([]string{"a", "b"}[i%2])})
+		}
+		if _, err := tbl.Insert(relation.Tuple{Cells: []relation.Cell{
+			{V: value.Int(int64(i))}, cell, {V: value.Int(int64(r.Intn(1000)))},
+		}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	ref := pred()
-	if err := ref.Bind(tbl.Schema()); err != nil {
+	for i := 0; i < n; i++ {
+		if i/storage.SegmentSize == 1 || i%7 == 0 {
+			if err := tbl.Delete(storage.RowID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tbl
+}
+
+// TestParallelScanMatchesSerial is the ordering property test: for every
+// degree, with and without a fused predicate, the scan's output is
+// byte-identical (tags and sources included) to storage's serial Scan,
+// filtered by the interpreted predicate. The inputs cover a wholly dead
+// segment, a segment with no tag run under an indicator predicate, and
+// prunes that skip segments on the fanned-out path.
+func TestParallelScanMatchesSerial(t *testing.T) {
+	idFrom := int64(3*storage.SegmentSize + 17)
+	preds := []struct {
+		name string
+		pred func() Expr
+	}{
+		{"kernel", batchPred},
+		{"indicator only", func() Expr {
+			return &Cmp{Op: OpEq, L: &IndRef{Col: "grp", Indicator: "source"}, R: &Const{V: value.Str("b")}}
+		}},
+		{"scalar", func() Expr { // LIKE has no column kernel: per-row fallback
+			return &Logic{Op: OpAnd,
+				L: &Like{E: &ColRef{Name: "grp"}, Pattern: "g1%"},
+				R: &Cmp{Op: OpLt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(700)}},
+			}
+		}},
+		{"pruned", func() Expr {
+			return &Cmp{Op: OpGe, L: &ColRef{Name: "id"}, R: &Const{V: value.Int(idFrom)}}
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		tbl  *storage.Table
+	}{
+		{"big", bigTable(t, 3*storage.SegmentSize+123)},
+		{"holey", holeyTable(t)},
+	} {
+		tbl := tc.tbl
+		serialAll := scanRows(tbl)
+		for _, degree := range []int{1, 2, 3, 4, 8, 64} {
+			sameRelation(t, serialAll, drain(t, parRows(t, tbl, degree, nil)), fmt.Sprintf("%s degree %d no pred", tc.name, degree))
+		}
+		for _, p := range preds {
+			want := filterRows(t, serialAll, p.pred())
+			if want.Len() == 0 || want.Len() == serialAll.Len() {
+				t.Fatalf("%s %s: weak predicate: %d of %d", tc.name, p.name, want.Len(), serialAll.Len())
+			}
+			for _, degree := range []int{1, 2, 3, 4, 8, 64} {
+				sameRelation(t, want, drain(t, parRows(t, tbl, degree, p.pred())), fmt.Sprintf("%s degree %d %s", tc.name, degree, p.name))
+			}
+		}
+	}
+
+	// Prunes on the fanned-out path: segments whose id range refutes the
+	// sarg are skipped by the workers and reported.
+	tbl := holeyTable(t)
+	sarg := preds[3].pred()
+	want := filterRows(t, scanRows(tbl), preds[3].pred())
+	if err := sarg.Bind(tbl.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	keep := InterpretedPredicate(ref)
-	serialPred := relation.New(tbl.Schema())
-	for _, tup := range serialAll.Tuples {
-		ok, err := keep(tup, ctx())
+	prunes := PrunableSargs(sarg)
+	for _, degree := range []int{1, 2, 4} {
+		bit, err := NewParallelScan(tbl, degree, 0, tbl.Schema().ColIndexes(), prunes, preds[3].pred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			serialPred.Tuples = append(serialPred.Tuples, tup)
+		sameRelation(t, want, drain(t, NewFromBatch(bit, 0)), fmt.Sprintf("pruned degree %d", degree))
+		extra := bit.(ExtraStats).ExtraStats()
+		if degree == 1 && extra != "segments skipped=3 of 6" || degree > 1 && !strings.HasSuffix(extra, "skipped=3") {
+			t.Errorf("degree %d: extra stats %q, want 3 segments skipped", degree, extra)
 		}
-	}
-	if serialPred.Len() == 0 || serialPred.Len() == serialAll.Len() {
-		t.Fatalf("weak predicate: %d of %d", serialPred.Len(), serialAll.Len())
-	}
-
-	for _, degree := range []int{1, 2, 3, 4, 8, 64} {
-		it, err := NewParallelScan(tbl, degree, nil, ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRelation(t, serialAll, drain(t, it), fmt.Sprintf("degree %d no pred", degree))
-
-		it, err = NewParallelScan(tbl, degree, pred(), ctx())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRelation(t, serialPred, drain(t, it), fmt.Sprintf("degree %d fused pred", degree))
 	}
 }
 
 func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 	sc := schema.MustNew("tiny", []schema.Attr{{Name: "a", Kind: value.KindInt}})
 	tbl := storage.NewTable(sc, false)
-	it, err := NewParallelScan(tbl, 8, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := drain(t, it); out.Len() != 0 {
+	if out := drain(t, parRows(t, tbl, 8, nil)); out.Len() != 0 {
 		t.Fatalf("empty table scan = %d rows", out.Len())
 	}
 	for i := 0; i < 10; i++ {
@@ -168,31 +256,25 @@ func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err = NewParallelScan(tbl, 8, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := drain(t, it); out.Len() != 10 {
+	if out := drain(t, parRows(t, tbl, 8, nil)); out.Len() != 10 {
 		t.Fatalf("tiny table scan = %d rows", out.Len())
 	}
 }
 
 func TestParallelScanPredicateError(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize)
-	// LIKE over an int errors at eval time in the workers.
-	bad := &Like{E: &ColRef{Name: "qty"}, Pattern: "x%"}
-	it, err := NewParallelScan(tbl, 4, bad, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Collect(it)
-	if err == nil {
-		t.Fatal("worker predicate error was swallowed")
-	}
-	// The error is terminal: further Next calls end the stream cleanly
-	// instead of blocking on segments the stopped workers won't deliver.
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("Next after error = %v, %v", ok, err)
+	for _, degree := range []int{1, 4} {
+		// LIKE over an int errors at eval time in the workers.
+		bad := &Like{E: &ColRef{Name: "qty"}, Pattern: "x%"}
+		it := parRows(t, tbl, degree, bad)
+		if _, err := Collect(it); err == nil {
+			t.Fatalf("degree %d: worker predicate error was swallowed", degree)
+		}
+		// The error is terminal: further Next calls end the stream cleanly
+		// instead of blocking on segments the stopped workers won't deliver.
+		if _, ok, err := it.Next(); ok || err != nil {
+			t.Fatalf("degree %d: Next after error = %v, %v", degree, ok, err)
+		}
 	}
 }
 
@@ -201,10 +283,7 @@ func TestParallelScanPredicateError(t *testing.T) {
 // segment so workers always run to completion.
 func TestParallelScanAbandoned(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 4, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := parRows(t, tbl, 4, nil)
 	for i := 0; i < 5; i++ {
 		if _, ok, err := it.Next(); err != nil || !ok {
 			t.Fatalf("Next %d = %v, %v", i, ok, err)
@@ -216,31 +295,64 @@ func TestParallelScanAbandoned(t *testing.T) {
 }
 
 // TestParallelScanBackpressure: a consumer that stops pulling caps the
-// workers at the in-flight segment budget (2×degree), so resident segments
-// stay O(degree), not O(table). Scans clone nothing, so the bound is read
-// off the worker-occupancy counters EXPLAIN ANALYZE reports.
+// workers at the in-flight segment budget (2×degree beside the segment the
+// consumer holds), so resident segments stay O(degree), not O(table).
+// Scans clone nothing, so the bound is read off the worker-occupancy
+// counters EXPLAIN ANALYZE reports.
 func TestParallelScanBackpressure(t *testing.T) {
 	const nSeg = 12
 	tbl := bigTable(t, nSeg*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 2, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
+	bit := parScan(t, tbl, 2, nil)
+	defer bit.(Stopper).Stop()
+	if ok, err := bit.NextBatch(NewBatch(DefaultBatchSize)); err != nil || !ok {
+		t.Fatalf("NextBatch = %v, %v", ok, err)
 	}
-	defer it.(Stopper).Stop()
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("Next = %v, %v", ok, err)
-	}
-	// Let the workers run as far as the token budget allows, then stall.
+	// Let the workers run as far as the buffer budget allows, then stall.
 	time.Sleep(200 * time.Millisecond)
 	var claimed int64
-	for w := range it.(*parallelScan).workerSegs {
-		claimed += it.(*parallelScan).workerSegs[w].Load()
+	for w := range bit.(*batchColScan).workerSegs {
+		claimed += bit.(*batchColScan).workerSegs[w].Load()
 	}
-	// Budget 4 in flight + the 1 consumed segment's released token; far
-	// below the 12 segments an unbounded fan-out would have claimed.
+	// 4 in flight + the 1 the consumer holds; far below the 12 segments an
+	// unbounded fan-out would have claimed.
 	if claimed < 1 || claimed > 5 {
-		t.Fatalf("stalled consumer: workers claimed %d segments, want 1..5 (token budget)", claimed)
+		t.Fatalf("stalled consumer: workers claimed %d segments, want 1..5 (buffer budget)", claimed)
 	}
+}
+
+// TestParallelScanFreesTableOnDrain: a fanned-out scan that ran to the end
+// holds nothing once it is dropped — no finalizer keeps it, and the table
+// it references, alive through the next collection.
+func TestParallelScanFreesTableOnDrain(t *testing.T) {
+	base := runtime.NumGoroutine()
+	wp := drainedScanTable(t)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // the workers exit once the scan stops
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("table still reachable one collection after its drained scan was dropped")
+	}
+}
+
+// drainedScanTable drains a degree-2 scan over a fresh table and returns a
+// weak pointer to the table, so that no frame of the caller references it.
+func drainedScanTable(t *testing.T) weak.Pointer[storage.Table] {
+	t.Helper()
+	tbl := bigTable(t, 4*storage.SegmentSize)
+	bit := parScan(t, tbl, 2, nil)
+	b := NewBatch(DefaultBatchSize)
+	for {
+		ok, err := bit.NextBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	return weak.Make(tbl)
 }
 
 // TestParallelScanStop: Stop releases the workers deterministically and a
@@ -248,10 +360,7 @@ func TestParallelScanBackpressure(t *testing.T) {
 // waiting for segments that will never arrive.
 func TestParallelScanStop(t *testing.T) {
 	tbl := bigTable(t, 6*storage.SegmentSize)
-	it, err := NewParallelScan(tbl, 2, nil, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := parRows(t, tbl, 2, nil)
 	if _, ok, err := it.Next(); err != nil || !ok {
 		t.Fatalf("Next = %v, %v", ok, err)
 	}

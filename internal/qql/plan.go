@@ -768,9 +768,9 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		}
 	}
 	// A scan feeding a Sort or an Aggregate is always drained; under a bare
-	// LIMIT the consumer stops early, and the lazy columnar scan (one
-	// segment at a time) beats fan-out workers that would eagerly copy the
-	// whole table into their output buffers.
+	// LIMIT the consumer stops early, and the lazy serial scan (one segment
+	// at a time) beats fan-out workers that would eagerly load and filter
+	// segments nobody reads.
 	consumesAll := st.Limit < 0 || len(st.OrderBy) > 0 || hasAgg
 
 	whereConjuncts, whereNever := simplifyFilter(st.Where)
@@ -823,32 +823,36 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 				// Aggregates always run on the batch sinks.
 				bit, it = algebra.NewToBatch(it, s.batchSize), nil
 			}
-		} else if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-			// Large unindexed scan: workers filter their segments with the
-			// fused WHERE and WITH QUALITY conjunction, the merge stays
-			// row-ID-ordered, and batching picks up at the merge output.
-			fused := andAll(all)
-			pit, err := algebra.NewParallelScan(baseTable, degree, fused, s.ctx)
-			if err != nil {
-				return nil, err
-			}
-			desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
-			if fused != nil {
-				desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
-			}
-			bit = algebra.NewToBatch(p.tapIt(desc, pit, 0), s.batchSize)
-			whereConjuncts, qualityConjuncts = nil, nil
 		} else {
-			// Serial columnar scan over zero-clone segment reads: materialize
-			// only the columns the plan touches, and skip whole segments
-			// whose min/max statistics refute a sargable conjunct. The
-			// conjuncts are not consumed — pruning only removes segments
-			// where the predicate cannot hold for any row, and the
-			// BatchSelect below still filters the survivors. Zero-clone reads
-			// are safe because every row that reaches the result passes
-			// through a projection or aggregation that rebuilds its cells.
+			// Columnar scan over zero-clone segment reads: view only the
+			// columns the plan touches, and skip whole segments whose
+			// min/max statistics refute a sargable conjunct. Zero-clone
+			// reads are safe because every row that reaches the result
+			// passes through a projection or aggregation that rebuilds its
+			// cells.
 			cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
-			bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, segPrunes(all, baseTable.Schema())), 0)
+			prunes := segPrunes(all, baseTable.Schema())
+			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
+				// Large unindexed scan: workers filter their segments with
+				// the fused WHERE and WITH QUALITY conjunction into
+				// selection vectors, and the merge stays row-ID-ordered.
+				fused := andAll(all)
+				scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, cols, prunes, fused, s.ctx)
+				if err != nil {
+					return nil, err
+				}
+				desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
+				if fused != nil {
+					desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
+				}
+				bit = p.tapBit(desc, scan, 0)
+				whereConjuncts, qualityConjuncts = nil, nil
+			} else {
+				// Serial: the conjuncts are not consumed — pruning only
+				// removes segments where the predicate cannot hold for any
+				// row, and the BatchSelect below filters the survivors.
+				bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, prunes), 0)
+			}
 		}
 		if st.From.Alias != st.From.Table {
 			if bit != nil {
@@ -1152,11 +1156,11 @@ func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, ba
 	// The join assembles full output rows, so every side scans every column.
 	var left algebra.BatchIterator
 	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		pit, err := algebra.NewParallelScan(baseTable, degree, nil, s.ctx)
+		scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, baseTable.Schema().ColIndexes(), nil, nil, s.ctx)
 		if err != nil {
 			return nil, err
 		}
-		left = algebra.NewToBatch(p.tapIt(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), pit, 0), s.batchSize)
+		left = p.tapBit(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), scan, 0)
 	} else {
 		left = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchTableScan(baseTable, s.batchSize), 0)
 	}
