@@ -247,7 +247,7 @@ func BenchmarkPolygenJoin(b *testing.B) {
 		j, err := algebra.NewBatchHashJoin(
 			algebra.NewToBatch(algebra.NewRelationScan(data.Trades), 0), algebra.NewToBatch(algebra.NewRelationScan(data.Stocks), 0),
 			&algebra.ColRef{Name: "company_stock_ticker_symbol"}, &algebra.ColRef{Name: "ticker_symbol"},
-			nil, ctx, 0)
+			nil, nil, ctx, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

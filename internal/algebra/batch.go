@@ -57,24 +57,51 @@ func (v *ColVec) appendCell(c relation.Cell) {
 	off := len(v.Vals)
 	v.Vals = append(v.Vals, c.V)
 	if len(v.Tags) > 0 || !c.Tags.IsEmpty() {
-		var zero tag.Set
-		for len(v.Tags) < off {
-			v.Tags = append(v.Tags, zero)
-		}
-		v.Tags = append(v.Tags, c.Tags)
+		v.Tags = append(padTo(v.Tags, off), c.Tags)
 	}
 	if len(v.Srcs) > 0 || len(c.Sources) > 0 {
-		for len(v.Srcs) < off {
-			v.Srcs = append(v.Srcs, nil)
-		}
-		v.Srcs = append(v.Srcs, c.Sources)
+		v.Srcs = append(padTo(v.Srcs, off), c.Sources)
 	}
 	if len(v.Meta) > 0 || len(c.Meta) > 0 {
-		for len(v.Meta) < off {
-			v.Meta = append(v.Meta, nil)
-		}
-		v.Meta = append(v.Meta, c.Meta)
+		v.Meta = append(padTo(v.Meta, off), c.Meta)
 	}
+}
+
+// appendFrom appends slot i of src, as appendCell(src.Cell(i)) would,
+// without assembling the cell.
+func (v *ColVec) appendFrom(src *ColVec, i int) {
+	off := len(v.Vals)
+	v.Vals = append(v.Vals, src.Vals[i])
+	if len(v.Tags) > 0 || i < len(src.Tags) && !src.Tags[i].IsEmpty() {
+		var t tag.Set
+		if i < len(src.Tags) {
+			t = src.Tags[i]
+		}
+		v.Tags = append(padTo(v.Tags, off), t)
+	}
+	if len(v.Srcs) > 0 || i < len(src.Srcs) && len(src.Srcs[i]) > 0 {
+		var s tag.Sources
+		if i < len(src.Srcs) {
+			s = src.Srcs[i]
+		}
+		v.Srcs = append(padTo(v.Srcs, off), s)
+	}
+	if len(v.Meta) > 0 || i < len(src.Meta) && len(src.Meta[i]) > 0 {
+		var m map[string]tag.Set
+		if i < len(src.Meta) {
+			m = src.Meta[i]
+		}
+		v.Meta = append(padTo(v.Meta, off), m)
+	}
+}
+
+// padTo extends s with zero values to length n.
+func padTo[T any](s []T, n int) []T {
+	var zero T
+	for len(s) < n {
+		s = append(s, zero)
+	}
+	return s
 }
 
 // reset empties the vector for refilling, keeping backing capacity.
@@ -580,25 +607,14 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 		return nil, err
 	}
 
-	states := newAggStates(len(aggs))
-	argRefs := make([][]int, len(aggs))
-	evals := make([]Compiled, len(aggs))
-	var unionRefs []int
-	seen := map[int]bool{}
+	states := appendAggStates(nil, len(aggs))
+	var rowRefs refSet
+	args := newAggInputs(aggs, &rowRefs)
 	countOnly := true
 	for i := range aggs {
-		if aggs[i].Arg == nil {
-			continue
+		if aggs[i].Arg != nil {
+			countOnly = false
 		}
-		countOnly = false
-		argRefs[i] = ReferencedCols(aggs[i].Arg)
-		for _, r := range argRefs[i] {
-			if !seen[r] {
-				seen[r] = true
-				unionRefs = append(unionRefs, r)
-			}
-		}
-		evals[i] = Compile(aggs[i].Arg)
 	}
 
 	if size < 1 {
@@ -625,17 +641,15 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 			continue
 		}
 		for r := 0; r < n; r++ {
-			t := b.scratchRowAt(b.phys(r), unionRefs)
+			p := b.phys(r)
+			var t relation.Tuple
+			if len(rowRefs.cols) > 0 {
+				t = b.scratchRowAt(p, rowRefs.cols)
+			}
 			for i := range aggs {
-				var v value.Value
-				if aggs[i].Arg != nil {
-					var err error
-					v, err = evals[i](t, ctx)
-					if err != nil {
-						return nil, err
-					}
+				if err := args[i].fold(&states[i], &aggs[i], b, p, t, ctx); err != nil {
+					return nil, err
 				}
-				states[i].foldRow(&aggs[i], v, argRefs[i], t)
 			}
 		}
 	}

@@ -1,15 +1,19 @@
 package algebra
 
 import (
+	"math/bits"
+	"sort"
+
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
 // The join operator: the build side is transposed into column vectors
-// keyed by hash, and the probe side streams through in batches, evaluating
-// keys straight off column vectors — no per-row tuple materialization until
-// a match actually survives the key confirm and residual. A join with no
+// indexed by a flat chained hash table, and the probe side streams through
+// in batches, evaluating keys straight off column vectors — no per-row
+// tuple materialization until a match actually survives the key confirm
+// and residual, and then only of the columns the plan reads. A join with no
 // equi-key runs the same operator with constant keys (see NewBatchHashJoin).
 
 type batchHashJoin struct {
@@ -18,29 +22,39 @@ type batchHashJoin struct {
 	ctx  *EvalContext
 	size int
 
-	// Build side, materialized in the constructor: right rows stored
-	// columnar, their key values dense, and hash buckets listing row
-	// indexes in stream order (so output order is left stream order ×
-	// build insertion order).
+	// need lists the output columns the join carries, ascending; the
+	// first nl are left columns. Every other output vector stays empty.
+	need []int
+	nl   int
+
+	// Build side, materialized in the constructor: the carried right
+	// columns stored columnar, the keys and their hashes dense, and a
+	// chained hash table — head[h&mask] is a bucket's first build row,
+	// next[m] the row after m, -1 ends a chain. Chains run in insertion
+	// order, so output order is left stream order × build insertion order.
 	rstore []ColVec
 	rkeys  []value.Value
-	build  map[uint64][]int32
+	rhash  []uint64
+	head   []int32
+	next   []int32
+	mask   uint64
 
 	lkIdx  int // bound ColRef index of the left key, -1 when computed
 	lkEval Compiled
 	lkRefs []int
 	resid  Predicate // nil when no residual
 
-	lw, rw int
-	row    []relation.Cell // scratch joined row for residual + emission
+	lw  int
+	row []relation.Cell // scratch joined row for the residual
 
 	// Probe cursor, persisted across NextBatch calls.
 	buf        *Batch
 	li         int
 	lk         value.Value
-	matches    []int32
-	mi         int
-	leftFilled bool
+	lh         uint64
+	m          int32 // next build row on the probed chain, -1 at its end
+	probing    bool
+	leftFilled bool // the probed left row's cells are in row
 	loaded     bool
 	done       bool
 }
@@ -48,12 +62,16 @@ type batchHashJoin struct {
 // NewBatchHashJoin is the equi-join on leftKey = rightKey with an optional
 // residual predicate over the concatenated row. Output rows come in left
 // stream order × build insertion order; null keys never join; hash matches
-// are confirmed by value. The output schema is JoinSchema's. The right
-// input is drained and transposed into the columnar build table in the
-// constructor. Constant true keys put every build row in one bucket, which
-// makes it a nested-loop join with the residual as its predicate (a nil
-// residual is a cross product).
-func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Expr, ctx *EvalContext, size int) (BatchIterator, error) {
+// are confirmed by value. The output schema is JoinSchema's. needed lists
+// the output columns the consumer reads (nil means all of them); the join
+// adds its residual's columns, stores and emits only those, and leaves
+// every other output vector empty — the same convention as a column scan
+// viewing part of a table — so each input need only carry its share of
+// them plus its key. The right input is drained and transposed into the
+// columnar build table in the constructor. Constant true keys put every
+// build row in one chain, which makes it a nested-loop join with the
+// residual as its predicate (a nil residual is a cross product).
+func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Expr, needed []int, ctx *EvalContext, size int) (BatchIterator, error) {
 	out, err := JoinSchema(left.Schema(), right.Schema())
 	if err != nil {
 		return nil, err
@@ -67,26 +85,34 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 	if size < 1 {
 		size = DefaultBatchSize
 	}
+	lw, rw := len(left.Schema().Attrs), len(right.Schema().Attrs)
 	j := &batchHashJoin{
 		left: left, out: out, ctx: ctx, size: size,
-		lw: len(left.Schema().Attrs), rw: len(right.Schema().Attrs),
-		build: make(map[uint64][]int32),
-		lkIdx: -1,
+		lw: lw, lkIdx: -1, m: -1,
 	}
+	if needed == nil {
+		needed = out.ColIndexes()
+	}
+	var need refSet
+	need.add(needed)
 	if residual != nil {
 		if err := residual.Bind(out); err != nil {
 			return nil, err
 		}
 		j.resid = CompilePredicate(residual)
+		need.add(ReferencedCols(residual))
 	}
+	j.need = need.cols
+	sort.Ints(j.need)
+	j.nl = sort.SearchInts(j.need, lw)
 	if cr, ok := leftKey.(*ColRef); ok {
 		j.lkIdx = cr.idx
 	} else {
 		j.lkRefs = ReferencedCols(leftKey)
 	}
 	j.lkEval = Compile(leftKey)
-	j.rstore = make([]ColVec, j.rw)
-	j.row = make([]relation.Cell, j.lw+j.rw)
+	j.rstore = make([]ColVec, rw)
+	j.row = make([]relation.Cell, lw+rw)
 
 	// Drain and transpose the build side.
 	rkIdx := -1
@@ -97,6 +123,13 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 		rkRefs = ReferencedCols(rightKey)
 	}
 	rkEval := Compile(rightKey)
+	if hint := sizeHint(right); hint > 0 {
+		j.rkeys = make([]value.Value, 0, hint)
+		j.rhash = make([]uint64, 0, hint)
+		for _, c := range j.need[j.nl:] {
+			j.rstore[c-lw].Vals = make([]value.Value, 0, hint)
+		}
+	}
 	rb := getBatch(size)
 	defer func() {
 		putBatch(rb)
@@ -125,19 +158,32 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 			if k.IsNull() {
 				continue // null keys never join
 			}
-			m := int32(len(j.rkeys))
-			for c := range j.rstore {
-				j.rstore[c].appendCell(rb.cols[c].Cell(int(p)))
+			for _, c := range j.need[j.nl:] {
+				j.rstore[c-lw].appendFrom(&rb.cols[c-lw], int(p))
 			}
 			j.rkeys = append(j.rkeys, k)
-			h := k.Hash()
-			j.build[h] = append(j.build[h], m)
+			j.rhash = append(j.rhash, k.Hash())
 		}
 	}
-	if len(j.build) == 0 {
+	n := len(j.rkeys)
+	if n == 0 {
 		// Nothing can match; release the probe side without scanning it.
 		stopIfStopper(left)
 		j.done = true
+		return j, nil
+	}
+	// Link the chains back to front, so each runs in insertion order.
+	buckets := 1 << bits.Len(uint(n-1))
+	j.mask = uint64(buckets - 1)
+	j.head = make([]int32, buckets)
+	for i := range j.head {
+		j.head[i] = -1
+	}
+	j.next = make([]int32, n)
+	for m := n - 1; m >= 0; m-- {
+		b := j.rhash[m] & j.mask
+		j.next[m] = j.head[b]
+		j.head[b] = int32(m)
 	}
 	return j, nil
 }
@@ -152,7 +198,7 @@ func (j *batchHashJoin) Stop() {
 		putBatch(j.buf)
 		j.buf = nil
 	}
-	j.rstore, j.rkeys, j.build = nil, nil, nil
+	j.rstore, j.rkeys, j.rhash, j.head, j.next = nil, nil, nil, nil, nil
 	stopIfStopper(j.left)
 }
 
@@ -171,7 +217,8 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 	if j.buf == nil {
 		j.buf = getBatch(j.size)
 	}
-	out := b.ownedCols(j.lw + j.rw)
+	out := b.ownedCols(len(j.out.Attrs))
+	lcols, rcols := j.need[:j.nl], j.need[j.nl:]
 	cnt := 0
 	for {
 		if !j.loaded {
@@ -188,43 +235,40 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 				}
 				return false, nil
 			}
-			j.li, j.matches, j.loaded = 0, nil, true
+			j.li, j.probing, j.loaded = 0, false, true
 		}
 		for j.li < j.buf.Len() {
 			p := j.buf.phys(j.li)
-			if j.matches == nil {
+			if !j.probing {
 				lk, err := j.leftKeyAt(p)
 				if err != nil {
 					j.Stop()
 					return false, err
 				}
-				j.mi, j.leftFilled = 0, false
 				if lk.IsNull() {
 					j.li++
 					continue
 				}
-				j.lk = lk
-				j.matches = j.build[lk.Hash()]
-				if j.matches == nil {
-					j.matches = emptyMatches // distinguish "probed" from "not yet"
-				}
+				j.lk, j.lh = lk, lk.Hash()
+				j.m = j.head[j.lh&j.mask]
+				j.probing, j.leftFilled = true, false
 			}
-			for j.mi < len(j.matches) {
-				m := j.matches[j.mi]
-				j.mi++
-				if !value.EqualPtr(&j.lk, &j.rkeys[m]) {
-					continue // hash collision
-				}
-				if !j.leftFilled {
-					for c := 0; c < j.lw; c++ {
-						j.row[c] = j.buf.cols[c].Cell(int(p))
-					}
-					j.leftFilled = true
-				}
-				for c := 0; c < j.rw; c++ {
-					j.row[j.lw+c] = j.rstore[c].Cell(int(m))
+			for j.m >= 0 {
+				m := j.m
+				j.m = j.next[m]
+				if j.rhash[m] != j.lh || !value.EqualPtr(&j.lk, &j.rkeys[m]) {
+					continue // another key in the bucket
 				}
 				if j.resid != nil {
+					if !j.leftFilled {
+						for _, c := range lcols {
+							j.row[c] = j.buf.cols[c].Cell(int(p))
+						}
+						j.leftFilled = true
+					}
+					for _, c := range rcols {
+						j.row[c] = j.rstore[c-j.lw].Cell(int(m))
+					}
 					keep, err := j.resid(relation.Tuple{Cells: j.row}, j.ctx)
 					if err != nil {
 						j.Stop()
@@ -234,8 +278,11 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 						continue
 					}
 				}
-				for c := range out {
-					out[c].appendCell(j.row[c])
+				for _, c := range lcols {
+					out[c].appendFrom(&j.buf.cols[c], int(p))
+				}
+				for _, c := range rcols {
+					out[c].appendFrom(&j.rstore[c-j.lw], int(m))
 				}
 				cnt++
 				if cnt >= j.size {
@@ -243,13 +290,9 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 					return true, nil
 				}
 			}
-			j.matches = nil
+			j.probing = false
 			j.li++
 		}
 		j.loaded = false
 	}
 }
-
-// emptyMatches marks a probed key with no bucket; non-nil so the cursor
-// does not re-probe.
-var emptyMatches = []int32{}

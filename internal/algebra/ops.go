@@ -399,37 +399,97 @@ type aggState struct {
 	seenCell bool
 }
 
-// newAggStates returns zeroed accumulator states for n aggregates.
-func newAggStates(n int) []aggState {
-	states := make([]aggState, n)
-	for i := range states {
-		states[i].isInt = true
-		states[i].min = value.Null
-		states[i].max = value.Null
+// appendAggStates appends n zeroed accumulator states to dst.
+func appendAggStates(dst []aggState, n int) []aggState {
+	for range n {
+		dst = append(dst, aggState{isInt: true, min: value.Null, max: value.Null})
 	}
-	return states
+	return dst
 }
 
-// foldRow folds one input row into the state for aggregate a. v is the
-// evaluated argument (ignored when a.Arg == nil) and refs its contributing
-// columns, precomputed once per aggregate. Provenance folds across every
-// row — null arguments included — exactly like derived cells elsewhere:
-// tags intersect, sources union.
-func (st *aggState) foldRow(a *AggSpec, v value.Value, refs []int, t relation.Tuple) {
-	if len(refs) > 0 {
-		dc := deriveCell(value.Null, t, refs)
-		if !st.seenCell {
-			st.cell = dc
-			st.seenCell = true
-		} else {
-			st.cell.Tags = tag.Intersect(st.cell.Tags, dc.Tags)
-			st.cell.Sources = st.cell.Sources.Union(dc.Sources)
+// aggInput reads one aggregate's argument and its provenance per row: a
+// plain column straight off its vector, anything else through the compiled
+// argument over the sink's scratch row.
+type aggInput struct {
+	col  int // bound column of a ColRef argument; -1 otherwise
+	eval Compiled
+	refs []int // the argument's contributing columns
+}
+
+// newAggInputs prepares the inputs of bound aggregates, adding the columns
+// computed arguments read to rowRefs.
+func newAggInputs(aggs []AggSpec, rowRefs *refSet) []aggInput {
+	ins := make([]aggInput, len(aggs))
+	for i := range aggs {
+		ins[i].col = -1
+		switch arg := aggs[i].Arg.(type) {
+		case nil:
+		case *ColRef:
+			ins[i].col = arg.idx
+		default:
+			ins[i].refs = ReferencedCols(arg)
+			rowRefs.add(ins[i].refs)
+			ins[i].eval = Compile(arg)
 		}
 	}
+	return ins
+}
+
+// fold folds physical slot p of b into st, the state of aggregate a. t is
+// the slot's scratch row, which only a computed argument reads. Provenance
+// folds across every row — null arguments included — exactly like derived
+// cells elsewhere: tags intersect, sources union.
+func (in *aggInput) fold(st *aggState, a *AggSpec, b *Batch, p int32, t relation.Tuple, ctx *EvalContext) error {
 	if a.Arg == nil {
 		st.count++
+		return nil
+	}
+	if in.col >= 0 {
+		c := &b.cols[in.col]
+		var tags tag.Set
+		var srcs tag.Sources
+		if int(p) < len(c.Tags) {
+			tags = c.Tags[p]
+		}
+		if int(p) < len(c.Srcs) {
+			srcs = c.Srcs[p]
+		}
+		st.foldProv(tags, srcs)
+		st.foldValue(c.Vals[p])
+		return nil
+	}
+	v, err := in.eval(t, ctx)
+	if err != nil {
+		return err
+	}
+	if len(in.refs) > 0 {
+		dc := deriveCell(value.Null, t, in.refs)
+		st.foldProv(dc.Tags, dc.Sources)
+	}
+	st.foldValue(v)
+	return nil
+}
+
+// foldProv folds one row's argument provenance into the state. A fold that
+// would change nothing — the accumulated tags already a subset of the
+// row's, its sources already covering the row's — is skipped: sets are
+// immutable, so keeping the accumulator is the same result without the
+// allocation.
+func (st *aggState) foldProv(tags tag.Set, srcs tag.Sources) {
+	if !st.seenCell {
+		st.cell.Tags, st.cell.Sources, st.seenCell = tags, srcs, true
 		return
 	}
+	if !st.cell.Tags.SubsetOf(tags) {
+		st.cell.Tags = tag.Intersect(st.cell.Tags, tags)
+	}
+	if !st.cell.Sources.Covers(srcs) {
+		st.cell.Sources = st.cell.Sources.Union(srcs)
+	}
+}
+
+// foldValue folds one row's non-COUNT(*) argument value into the state.
+func (st *aggState) foldValue(v value.Value) {
 	if v.IsNull() {
 		return
 	}
@@ -441,10 +501,10 @@ func (st *aggState) foldRow(a *AggSpec, v value.Value, refs []int, t relation.Tu
 		st.sum += v.AsFloat()
 		st.sumI += v.AsInt()
 	}
-	if st.min.IsNull() || value.Less(v, st.min) {
+	if st.min.IsNull() || value.LessPtr(&v, &st.min) {
 		st.min = v
 	}
-	if st.max.IsNull() || value.Less(st.max, v) {
+	if st.max.IsNull() || value.LessPtr(&st.max, &v) {
 		st.max = v
 	}
 }

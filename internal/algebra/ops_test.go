@@ -176,7 +176,7 @@ func joinRels(t *testing.T, l, r *relation.Relation, lk, rk, residual Expr) *rel
 	var first *relation.Relation
 	for _, size := range batchSizes {
 		j, err := NewBatchHashJoin(NewToBatch(NewRelationScan(l), size), NewToBatch(NewRelationScan(r), size),
-			lk, rk, residual, ctx(), size)
+			lk, rk, residual, nil, ctx(), size)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestJoinCommutativityUpToColumnOrder(t *testing.T) {
 		return NewToBatch(it, 3)
 	}
 	join := func(l, r BatchIterator, lk, rk string) *relation.Relation {
-		j, err := NewBatchHashJoin(l, r, &ColRef{Name: lk}, &ColRef{Name: rk}, nil, ctx, 3)
+		j, err := NewBatchHashJoin(l, r, &ColRef{Name: lk}, &ColRef{Name: rk}, nil, nil, ctx, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

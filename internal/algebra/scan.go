@@ -237,6 +237,8 @@ type batchColScan struct {
 	// actuals EXPLAIN ANALYZE reports. Atomics because workers race with a
 	// consumer reading ExtraStats after the stream ends.
 	workerSegs []atomic.Int64
+	// exited is closed once every worker goroutine has returned.
+	exited chan struct{}
 }
 
 // NewBatchColScan streams a table's segments as column-vector batches of
@@ -392,11 +394,19 @@ func (s *batchColScan) start() {
 	s.results, s.free = results, free
 	s.pending = make(map[int]*segLoad, bufs)
 	s.workerSegs = make([]atomic.Int64, degree)
-	var next atomic.Int64
+	exited := make(chan struct{})
+	s.exited = exited
+	var next, live atomic.Int64
 	var failed atomic.Bool
+	live.Store(int64(degree))
 	for w := range degree {
 		mySegs := &s.workerSegs[w] // capture the counter, not s (finalizer)
 		go func() {
+			defer func() {
+				if live.Add(-1) == 0 {
+					close(exited)
+				}
+			}()
 			var f Batch // worker-local predicate scratch
 			for {
 				var ls *segLoad
@@ -411,8 +421,11 @@ func (s *batchColScan) start() {
 				}
 				mySegs.Add(1)
 				sp.load(seg, ls, &f)
+				// Read the error before the hand-off: once sent, the
+				// consumer may recycle ls to another worker's load.
+				bad := ls.err != nil
 				results <- ls
-				if ls.err != nil {
+				if bad {
 					failed.Store(true)
 					return
 				}

@@ -322,13 +322,16 @@ func TestParallelScanBackpressure(t *testing.T) {
 
 // TestParallelScanFreesTableOnDrain: a fanned-out scan that ran to the end
 // holds nothing once it is dropped — no finalizer keeps it, and the table
-// it references, alive through the next collection.
+// it references, alive through the next collection. The workers hold the
+// table until they return, so the test waits for this scan's own workers
+// to exit: a process-wide goroutine count can fall back to its starting
+// value while they still run, when an earlier test's goroutine exits.
 func TestParallelScanFreesTableOnDrain(t *testing.T) {
-	base := runtime.NumGoroutine()
-	wp := drainedScanTable(t)
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond) // the workers exit once the scan stops
+	wp, exited := drainedScanTable(t)
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("workers still running 5s after their scan drained")
 	}
 	runtime.GC()
 	if wp.Value() != nil {
@@ -337,8 +340,9 @@ func TestParallelScanFreesTableOnDrain(t *testing.T) {
 }
 
 // drainedScanTable drains a degree-2 scan over a fresh table and returns a
-// weak pointer to the table, so that no frame of the caller references it.
-func drainedScanTable(t *testing.T) weak.Pointer[storage.Table] {
+// weak pointer to the table, so that no frame of the caller references it,
+// and the channel closed once the scan's workers have exited.
+func drainedScanTable(t *testing.T) (weak.Pointer[storage.Table], <-chan struct{}) {
 	t.Helper()
 	tbl := bigTable(t, 4*storage.SegmentSize)
 	bit := parScan(t, tbl, 2, nil)
@@ -352,7 +356,7 @@ func drainedScanTable(t *testing.T) weak.Pointer[storage.Table] {
 			break
 		}
 	}
-	return weak.Make(tbl)
+	return weak.Make(tbl), bit.(*batchColScan).exited
 }
 
 // TestParallelScanStop: Stop releases the workers deterministically and a

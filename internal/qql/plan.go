@@ -2,7 +2,6 @@ package qql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -475,21 +474,35 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 	if !hasAgg && len(st.OrderBy) > 0 {
 		return sch.ColIndexes()
 	}
-	seen := make(map[int]bool, len(sch.Attrs))
-	cols := []int{}
-	all := false
-	addName := func(name string) {
-		idx := sch.ColIndex(name)
-		if idx < 0 {
-			all = true
-			return
-		}
-		if !seen[idx] {
-			seen[idx] = true
-			cols = append(cols, idx)
+	exprs := append(append([]algebra.Expr(nil), conjuncts...), st.GroupBy...)
+	for _, item := range st.Items {
+		switch {
+		case item.Star:
+			return sch.ColIndexes()
+		case item.Agg != nil:
+			if item.Agg.Arg != nil {
+				exprs = append(exprs, item.Agg.Arg)
+			}
+		default:
+			exprs = append(exprs, item.Expr)
 		}
 	}
-	addExpr := func(e algebra.Expr) {
+	return exprCols(sch, exprs)
+}
+
+// exprCols lists, ascending, the columns of sch that the expressions read
+// — every column when a name resolves to none.
+func exprCols(sch *schema.Schema, exprs []algebra.Expr) []int {
+	seen := make([]bool, len(sch.Attrs))
+	all := false
+	addName := func(name string) {
+		if idx := sch.ColIndex(name); idx >= 0 {
+			seen[idx] = true
+		} else {
+			all = true
+		}
+	}
+	for _, e := range exprs {
 		e.Walk(func(n algebra.Expr) {
 			switch v := n.(type) {
 			case *algebra.ColRef:
@@ -503,28 +516,12 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 			}
 		})
 	}
-	for _, c := range conjuncts {
-		addExpr(c)
-	}
-	for _, g := range st.GroupBy {
-		addExpr(g)
-	}
-	for _, item := range st.Items {
-		switch {
-		case item.Star:
-			all = true
-		case item.Agg != nil:
-			if item.Agg.Arg != nil {
-				addExpr(item.Agg.Arg)
-			}
-		default:
-			addExpr(item.Expr)
+	cols := []int{}
+	for idx, ok := range seen {
+		if ok || all {
+			cols = append(cols, idx)
 		}
 	}
-	if all {
-		return sch.ColIndexes()
-	}
-	sort.Ints(cols)
 	return cols
 }
 
@@ -775,6 +772,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 
 	whereConjuncts, whereNever := simplifyFilter(st.Where)
 	qualityConjuncts, qualityNever := simplifyFilter(st.Quality)
+	all := append(append([]algebra.Expr(nil), whereConjuncts...), qualityConjuncts...)
 
 	// bit is the batch stream every plan runs on up to its sort/distinct
 	// tail. it, the row stream, is set instead only by a non-aggregate index
@@ -803,11 +801,10 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		whereConjuncts, qualityConjuncts = nil, nil
 	case len(st.Joins) > 0:
 		var err error
-		if bit, err = s.planJoins(st, tables, baseTable, p, consumesAll); err != nil {
+		if bit, err = s.planJoins(st, tables, baseTable, all, hasAgg, p, consumesAll); err != nil {
 			return nil, err
 		}
 	default:
-		all := append(append([]algebra.Expr(nil), whereConjuncts...), qualityConjuncts...)
 		if ip, ok := chooseIndexPath(baseTable, all); ok {
 			// The sarg conjuncts stay in the Select below even though the
 			// index already pruned by them: the lazy index scan fetches
@@ -1151,28 +1148,75 @@ func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *pl
 // equiJoinKeys finds against the schema joined so far. A join with no
 // equi-key runs the same operator with constant true keys and the whole ON
 // clause as its residual: a nested-loop join. The filters and aggregates
-// above the joined stream run on batch operators too.
-func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, baseTable *storage.Table, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
-	// The join assembles full output rows, so every side scans every column.
+// above the joined stream run on batch operators too. Only the columns the
+// plan reads travel: each join emits what the operators above it read —
+// batchScanCols over the final joined schema, plus the ON clauses of the
+// joins above — and each scan views its share of that and of its own ON
+// clause.
+func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, baseTable *storage.Table, conjuncts []algebra.Expr, hasAgg bool, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
+	// Every joined schema is a prefix of the final one, names included
+	// (only right-side columns are renamed), so ON clauses resolve there.
+	// Join k's right side takes final columns [offs[k], offs[k+1]).
+	rights := make([]*storage.Table, len(st.Joins))
+	final := aliasedSchema(baseTable.Schema(), st.From.Alias)
+	offs := []int{len(final.Attrs)}
+	for i, j := range st.Joins {
+		rtbl, ok := tables[j.Ref.Table]
+		if !ok {
+			return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
+		}
+		var err error
+		if final, err = algebra.JoinSchema(final, aliasedSchema(rtbl.Schema(), j.Ref.Alias)); err != nil {
+			return nil, err
+		}
+		rights[i] = rtbl
+		offs = append(offs, len(final.Attrs))
+	}
+	// Walk the chain down from the top, marking what each join emits and
+	// what each right side carries; the base scan carries what is left.
+	read := make([]bool, len(final.Attrs))
+	top := final.ColIndexes()
+	if !s.joinAllCols {
+		top = batchScanCols(st, final, conjuncts, hasAgg)
+	}
+	for _, c := range top {
+		read[c] = true
+	}
+	// marked lists the marked columns in [lo, hi), shifted down by lo.
+	marked := func(lo, hi int) []int {
+		out := []int{}
+		for c := lo; c < hi; c++ {
+			if read[c] {
+				out = append(out, c-lo)
+			}
+		}
+		return out
+	}
+	emits := make([][]int, len(st.Joins))
+	rightCols := make([][]int, len(st.Joins))
+	for k := len(st.Joins) - 1; k >= 0; k-- {
+		emits[k] = marked(0, offs[k+1])
+		for _, c := range exprCols(final, []algebra.Expr{st.Joins[k].On}) {
+			read[c] = true
+		}
+		rightCols[k] = marked(offs[k], offs[k+1])
+	}
+
 	var left algebra.BatchIterator
 	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, baseTable.Schema().ColIndexes(), nil, nil, s.ctx)
+		scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, marked(0, offs[0]), nil, nil, s.ctx)
 		if err != nil {
 			return nil, err
 		}
 		left = p.tapBit(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), scan, 0)
 	} else {
-		left = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchTableScan(baseTable, s.batchSize), 0)
+		left = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, marked(0, offs[0]), nil), 0)
 	}
 	if st.From.Alias != st.From.Table {
 		left = algebra.NewBatchRename(left, st.From.Alias)
 	}
-	for _, j := range st.Joins {
-		rtbl, ok := tables[j.Ref.Table]
-		if !ok {
-			return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
-		}
-		right := p.tapBit(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchTableScan(rtbl, s.batchSize), 0)
+	for k, j := range st.Joins {
+		right := p.tapBit(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchColScan(rights[k], s.batchSize, rightCols[k], nil), 0)
 		if j.Ref.Alias != j.Ref.Table {
 			right = algebra.NewBatchRename(right, j.Ref.Alias)
 		}
@@ -1191,7 +1235,7 @@ func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, ba
 		// The join drains and transposes its build side in the
 		// constructor; charge that to the operator's actuals.
 		t0 := time.Now()
-		joined, err := algebra.NewBatchHashJoin(left, right, lk, rk, residual, s.ctx, s.batchSize)
+		joined, err := algebra.NewBatchHashJoin(left, right, lk, rk, residual, emits[k], s.ctx, s.batchSize)
 		if err != nil {
 			return nil, err
 		}

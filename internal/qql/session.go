@@ -40,6 +40,9 @@ type Session struct {
 	// batchSize is the engine's rows-per-batch, fixed at
 	// algebra.DefaultBatchSize; in-package tests vary it.
 	batchSize int
+	// joinAllCols makes joins carry every column instead of only those the
+	// plan reads; in-package tests set it as the pruning's oracle.
+	joinAllCols bool
 
 	// analyze is set while an EXPLAIN ANALYZE compiles and runs: buildSelect
 	// then instruments every operator. Sessions are single-goroutine, so a

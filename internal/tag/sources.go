@@ -69,6 +69,26 @@ func (s Sources) Union(o Sources) Sources {
 	return out
 }
 
+// Covers reports whether every source of o is in s, that is, whether
+// s.Union(o) equals s. It does not allocate, so a provenance fold can skip
+// a Union that would change nothing.
+func (s Sources) Covers(o Sources) bool {
+	if len(o) > len(s) {
+		return false
+	}
+	i := 0
+	for _, name := range o {
+		for i < len(s) && s[i] < name {
+			i++
+		}
+		if i == len(s) || s[i] != name {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
 // Intersect returns the set intersection of s and o. The polygen model uses
 // intersection for the "originated jointly" credibility analysis.
 func (s Sources) Intersect(o Sources) Sources {

@@ -107,10 +107,13 @@ func (s Set) Len() int { return len(s.tags) }
 func (s Set) IsEmpty() bool { return len(s.tags) == 0 }
 
 // Get returns the value tagged for the indicator and whether it is present.
+// Cells carry a handful of tags, where a scan testing equality beats a
+// binary search's ordered string compares.
 func (s Set) Get(indicator string) (value.Value, bool) {
-	i := sort.Search(len(s.tags), func(i int) bool { return s.tags[i].Indicator >= indicator })
-	if i < len(s.tags) && s.tags[i].Indicator == indicator {
-		return s.tags[i].Value, true
+	for i := range s.tags {
+		if s.tags[i].Indicator == indicator {
+			return s.tags[i].Value, true
+		}
 	}
 	return value.Null, false
 }
@@ -227,6 +230,31 @@ func Intersect(a, b Set) Set {
 		}
 	}
 	return Set{tags: out}
+}
+
+// SubsetOf reports whether every tag of s is in o with an Equal value, that
+// is, whether Intersect(s, o) carries exactly s's tags. It does not
+// allocate, so a provenance fold can skip an Intersect that would change
+// nothing.
+func (s Set) SubsetOf(o Set) bool {
+	if len(s.tags) > len(o.tags) {
+		return false
+	}
+	j := 0
+	for i := range s.tags {
+		ind := s.tags[i].Indicator
+		for j < len(o.tags) && o.tags[j].Indicator != ind {
+			if o.tags[j].Indicator > ind {
+				return false
+			}
+			j++
+		}
+		if j == len(o.tags) || !value.EqualPtr(&s.tags[i].Value, &o.tags[j].Value) {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Equal reports whether two sets carry the same indicators with Equal values.

@@ -1,6 +1,7 @@
 package tag
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -248,5 +249,62 @@ func TestSourcesLattice(t *testing.T) {
 	}
 	if err := quick.Check(absorb, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mixedSetGen draws tag sets whose values mix kinds that compare Equal
+// (Int(1), Float(1), Bool(true); 0 and -0), so SubsetOf is held to Equal,
+// not ==.
+type mixedSetGen struct{ S Set }
+
+func (mixedSetGen) Generate(r *rand.Rand, _ int) reflect.Value {
+	names := []string{"a", "b", "c", "d"}
+	vals := []value.Value{value.Int(0), value.Int(1), value.Float(1), value.Bool(true), value.Float(math.Copysign(0, -1)), value.Str("x")}
+	var tags []Tag
+	for i := r.Intn(5); i > 0; i-- {
+		tags = append(tags, Tag{names[r.Intn(len(names))], vals[r.Intn(len(vals))]})
+	}
+	return reflect.ValueOf(mixedSetGen{S: NewSet(tags...)})
+}
+
+// TestSetSubsetOf: a.SubsetOf(b) holds exactly when Intersect(a, b)
+// equals a, and then Intersect returns a's own tags, so a fold that skips
+// it keeps the same set. SubsetOf never allocates.
+func TestSetSubsetOf(t *testing.T) {
+	prop := func(a, b mixedSetGen) bool {
+		in := Intersect(a.S, b.S)
+		if a.S.SubsetOf(b.S) != in.Equal(a.S) {
+			return false
+		}
+		return !a.S.SubsetOf(b.S) || reflect.DeepEqual(in.Tags(), a.S.Tags())
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	a := NewSet(Tag{"source", value.Str("sales")})
+	b := NewSet(Tag{"creation_time", value.Int(3)}, Tag{"source", value.Str("sales")})
+	if !a.SubsetOf(b) || b.SubsetOf(a) || !EmptySet.SubsetOf(a) || !a.SubsetOf(a) {
+		t.Error("SubsetOf broken on fixed sets")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.SubsetOf(b) }); n != 0 {
+		t.Errorf("SubsetOf allocates %v times", n)
+	}
+}
+
+// TestSourcesCovers: s.Covers(o) holds exactly when s.Union(o) equals s,
+// and never allocates.
+func TestSourcesCovers(t *testing.T) {
+	prop := func(a, b srcGen) bool {
+		return a.S.Covers(b.S) == a.S.Union(b.S).Equal(a.S)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	s, o := NewSources("a", "c", "d"), NewSources("a", "d")
+	if !s.Covers(o) || o.Covers(s) || !s.Covers(nil) || Sources(nil).Covers(o) {
+		t.Error("Covers broken on fixed sets")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Covers(o) }); n != 0 {
+		t.Errorf("Covers allocates %v times", n)
 	}
 }
