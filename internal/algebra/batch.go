@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
@@ -14,9 +15,9 @@ import (
 // table scans the runs alias the heap's immutable per-segment column
 // storage, so a scan→select→project pipeline touches only the columns the
 // query names and never materializes a row. ToBatch/FromBatch adapt to and
-// from the row iterators in ops.go: the index scan and the empty scan feed
-// batch operators through ToBatch, and the sort/distinct tail reads the
-// batch pipeline through FromBatch.
+// from the row iterators in ops.go: the empty scan feeds batch operators
+// through ToBatch, and the sort/distinct tail reads the batch pipeline
+// through FromBatch.
 
 // DefaultBatchSize is the rows-per-batch the engine uses unless a caller
 // asks otherwise: large enough to amortize per-batch dispatch to
@@ -298,8 +299,7 @@ type batchRename struct {
 	out *schema.Schema
 }
 
-// NewBatchRename renames the stream's relation, the batch counterpart of
-// NewRename's relation-name case.
+// NewBatchRename renames the stream's relation.
 func NewBatchRename(in BatchIterator, relName string) BatchIterator {
 	s := in.Schema().Clone()
 	s.Name = relName
@@ -420,21 +420,19 @@ func NewBatchProject(in BatchIterator, items []ProjectItem, ctx *EvalContext, si
 		size = DefaultBatchSize
 	}
 	p := &batchProject{in: in, proj: proj, ctx: ctx, size: size, allPlain: true}
-	seen := map[int]bool{}
+	add := func(c int) {
+		if !slices.Contains(p.unionRefs, c) {
+			p.unionRefs = append(p.unionRefs, c)
+		}
+	}
 	for i, c := range proj.cols {
 		if c >= 0 {
-			if !seen[c] {
-				seen[c] = true
-				p.unionRefs = append(p.unionRefs, c)
-			}
+			add(c)
 			continue
 		}
 		p.allPlain = false
 		for _, r := range proj.refs[i] {
-			if !seen[r] {
-				seen[r] = true
-				p.unionRefs = append(p.unionRefs, r)
-			}
+			add(r)
 		}
 	}
 	return p, nil
@@ -672,9 +670,8 @@ type toBatch struct {
 
 // NewToBatch adapts a row iterator into a batch stream, transposing up to
 // size rows per call into the consumer's column buffer. It is how the
-// row-producing sources — the index scan under an aggregate, the empty
-// scan — feed batch operators. Table scans, serial or parallel, produce
-// batches natively and never pass through it.
+// empty scan and tests' in-memory relations feed batch operators. Table
+// and index scans produce batches natively and never pass through it.
 func NewToBatch(in Iterator, size int) BatchIterator {
 	if size < 1 {
 		size = DefaultBatchSize

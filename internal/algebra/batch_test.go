@@ -48,11 +48,11 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 	}
 
 	rows := func() Iterator {
-		it, err := NewSelect(NewRelationScan(scanRows(tbl)), batchPred(), ctx())
+		it, err := newRefSelect(NewRelationScan(scanRows(tbl)), batchPred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err = NewSelect(it, CloneExpr(second), ctx())
+		it, err = newRefSelect(it, CloneExpr(second), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}

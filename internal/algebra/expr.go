@@ -20,6 +20,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -756,23 +757,22 @@ func (c *Call) Walk(fn func(Expr)) {
 // order. Used to compute derived-cell provenance.
 func ReferencedCols(e Expr) []int {
 	var out []int
-	seen := map[int]bool{}
-	add := func(idx int) {
-		if idx >= 0 && !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
 	e.Walk(func(n Expr) {
+		idx := -1
 		switch v := n.(type) {
 		case *ColRef:
-			add(v.idx)
+			idx = v.idx
 		case *IndRef:
-			add(v.idx)
+			idx = v.idx
 		case *MetaRef:
-			add(v.idx)
+			idx = v.idx
 		case *SrcContains:
-			add(v.idx)
+			idx = v.idx
+		}
+		// Expressions reference a handful of columns: a linear scan of
+		// the output dedupes them cheaper than a map.
+		if idx >= 0 && !slices.Contains(out, idx) {
+			out = append(out, idx)
 		}
 	})
 	return out

@@ -11,9 +11,9 @@ import (
 	"repro/internal/value"
 )
 
-// Iterator is the pull-based tuple stream of the row operators: the
-// index, empty and parallel scans that feed batches, the sort/distinct
-// tail above them, and the row side of the batch adapters.
+// Iterator is the pull-based tuple stream of the row operators: the empty
+// scan, the sort/project/distinct/limit tail above the batch pipeline,
+// and the row side of the batch adapters.
 type Iterator interface {
 	// Schema describes the stream's tuples.
 	Schema() *schema.Schema
@@ -88,42 +88,6 @@ func NewEmptyScan(s *schema.Schema) Iterator { return &emptyScan{s: s} }
 func (e *emptyScan) Schema() *schema.Schema              { return e.s }
 func (e *emptyScan) SizeHint() int                       { return 0 }
 func (e *emptyScan) Next() (relation.Tuple, bool, error) { return relation.Tuple{}, false, nil }
-
-// ---- Select ----
-
-type selectOp struct {
-	in   Iterator
-	pred Expr
-	ctx  *EvalContext
-}
-
-// NewSelect keeps the tuples whose predicate is definitely true. The
-// predicate must already be bound against in.Schema() (Bind is invoked
-// defensively).
-func NewSelect(in Iterator, pred Expr, ctx *EvalContext) (Iterator, error) {
-	if err := pred.Bind(in.Schema()); err != nil {
-		return nil, err
-	}
-	return &selectOp{in: in, pred: pred, ctx: ctx}, nil
-}
-
-func (s *selectOp) Schema() *schema.Schema { return s.in.Schema() }
-
-func (s *selectOp) Next() (relation.Tuple, bool, error) {
-	for {
-		t, ok, err := s.in.Next()
-		if err != nil || !ok {
-			return relation.Tuple{}, false, err
-		}
-		keep, err := Truth(s.pred, t, s.ctx)
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if keep {
-			return t, true, nil
-		}
-	}
-}
 
 // ---- Project ----
 
@@ -258,38 +222,6 @@ func deriveCell(v value.Value, t relation.Tuple, cols []int) relation.Cell {
 	}
 	return out
 }
-
-// ---- Rename ----
-
-type renameOp struct {
-	in  Iterator
-	out *schema.Schema
-}
-
-// NewRename renames the stream's relation and/or columns. Empty relName
-// keeps the old relation name; cols maps old to new column names and may be
-// partial.
-func NewRename(in Iterator, relName string, cols map[string]string) (Iterator, error) {
-	s := in.Schema().Clone()
-	if relName != "" {
-		s.Name = relName
-	}
-	for old, renamed := range cols {
-		i := s.ColIndex(old)
-		if i < 0 {
-			return nil, fmt.Errorf("algebra: rename of unknown column %q", old)
-		}
-		s.Attrs[i].Name = renamed
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &renameOp{in: in, out: s}, nil
-}
-
-func (r *renameOp) Schema() *schema.Schema              { return r.out }
-func (r *renameOp) SizeHint() int                       { return sizeHint(r.in) }
-func (r *renameOp) Next() (relation.Tuple, bool, error) { return r.in.Next() }
 
 // ---- Joins ----
 

@@ -84,7 +84,7 @@ func drain(t *testing.T, it Iterator) *relation.Relation {
 
 func TestSelect(t *testing.T) {
 	pred := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(60)}}
-	it, err := NewSelect(NewRelationScan(tradesRel()), pred, ctx())
+	it, err := newRefSelect(NewRelationScan(tradesRel()), pred, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSelect(t *testing.T) {
 
 func TestSelectOverIndicator(t *testing.T) {
 	pred := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
-	it, err := NewSelect(NewRelationScan(tradesRel()), pred, ctx())
+	it, err := newRefSelect(NewRelationScan(tradesRel()), pred, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestProjectDefaultNames(t *testing.T) {
 }
 
 func TestRename(t *testing.T) {
-	it, err := NewRename(NewRelationScan(tradesRel()), "t2", map[string]string{"acct": "account"})
+	it, err := newRefRename(NewRelationScan(tradesRel()), "t2", map[string]string{"acct": "account"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Schema().Name != "t2" || it.Schema().ColIndex("account") != 0 {
 		t.Fatalf("rename schema = %v", it.Schema())
 	}
-	if _, err := NewRename(NewRelationScan(tradesRel()), "", map[string]string{"zz": "y"}); err == nil {
+	if _, err := newRefRename(NewRelationScan(tradesRel()), "", map[string]string{"zz": "y"}); err == nil {
 		t.Error("rename of unknown column should fail")
 	}
 }
@@ -400,11 +400,11 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	it, err := NewIndexScan(tbl, storage.IndexTarget{Attr: "qty"},
-		storage.Incl(value.Int(50)), storage.Incl(value.Int(100)))
+		storage.Incl(value.Int(50)), storage.Incl(value.Int(100)), 0, tbl.Schema().ColIndexes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, it)
+	out := drain(t, NewFromBatch(it, 0))
 	if out.Len() != 3 {
 		t.Fatalf("index scan = %d rows", out.Len())
 	}
@@ -423,7 +423,7 @@ func TestSelectionSplittingLaw(t *testing.T) {
 	p := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(20)}}
 	q := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
 	both := &Logic{OpAnd, p, q}
-	s1, err := NewSelect(NewRelationScan(tradesRel()), both, ctx())
+	s1, err := newRefSelect(NewRelationScan(tradesRel()), both, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +431,11 @@ func TestSelectionSplittingLaw(t *testing.T) {
 
 	p2 := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(20)}}
 	q2 := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
-	sp, err := NewSelect(NewRelationScan(tradesRel()), p2, ctx())
+	sp, err := newRefSelect(NewRelationScan(tradesRel()), p2, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := NewSelect(sp, q2, ctx())
+	sq, err := newRefSelect(sp, q2, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestJoinCommutativityUpToColumnOrder(t *testing.T) {
 	ctx := &EvalContext{}
 	renamed := func(b *relation.Relation) BatchIterator {
 		// Rename b's columns so join schemas disambiguate.
-		it, err := NewRename(NewRelationScan(b), "r2", map[string]string{"k": "k2", "v": "v2"})
+		it, err := newRefRename(NewRelationScan(b), "r2", map[string]string{"k": "k2", "v": "v2"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSelectPartition(t *testing.T) {
 			return &Cmp{Op: OpGt, L: &ColRef{Name: "k"}, R: &Const{V: value.Int(r.Int63n(8))}}
 		}
 		p1 := pred()
-		sel, err := NewSelect(NewRelationScan(rel), p1, ctx)
+		sel, err := newRefSelect(NewRelationScan(rel), p1, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSelectPartition(t *testing.T) {
 		}
 		p2 := pred()
 		p2.(*Cmp).R = p1.(*Cmp).R
-		selNot, err := NewSelect(NewRelationScan(rel), &Not{E: p2}, ctx)
+		selNot, err := newRefSelect(NewRelationScan(rel), &Not{E: p2}, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

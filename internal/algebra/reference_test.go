@@ -1,0 +1,104 @@
+package algebra
+
+import (
+	"fmt"
+
+	"repro/internal/relation"
+	"repro/internal/schema"
+	"repro/internal/storage"
+)
+
+// The reference evaluator: row-at-a-time operators that evaluate every
+// predicate through the interpreted Expr.Eval and fetch indexed rows one
+// Table.Get at a time. The engine runs none of them; tests hold the batch
+// operators, the compiled kernels and the index scan to their answers.
+
+// refIndexScan streams the live rows of t whose target lies in [lo, hi],
+// fetching each probed row with Table.Get.
+type refIndexScan struct {
+	t   *storage.Table
+	ids []storage.RowID
+	pos int
+}
+
+func newRefIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound) (Iterator, error) {
+	ids, err := t.Lookup(target, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return &refIndexScan{t: t, ids: ids}, nil
+}
+
+func (s *refIndexScan) Schema() *schema.Schema { return s.t.Schema() }
+
+func (s *refIndexScan) Next() (relation.Tuple, bool, error) {
+	for s.pos < len(s.ids) {
+		tup, ok := s.t.Get(s.ids[s.pos])
+		s.pos++
+		if ok { // rows deleted since the lookup are skipped
+			return tup, true, nil
+		}
+	}
+	return relation.Tuple{}, false, nil
+}
+
+// refSelect keeps the tuples whose predicate is definitely true.
+type refSelect struct {
+	in   Iterator
+	pred Expr
+	ctx  *EvalContext
+}
+
+func newRefSelect(in Iterator, pred Expr, ctx *EvalContext) (Iterator, error) {
+	if err := pred.Bind(in.Schema()); err != nil {
+		return nil, err
+	}
+	return &refSelect{in: in, pred: pred, ctx: ctx}, nil
+}
+
+func (s *refSelect) Schema() *schema.Schema { return s.in.Schema() }
+
+func (s *refSelect) Next() (relation.Tuple, bool, error) {
+	for {
+		t, ok, err := s.in.Next()
+		if err != nil || !ok {
+			return relation.Tuple{}, false, err
+		}
+		keep, err := Truth(s.pred, t, s.ctx)
+		if err != nil {
+			return relation.Tuple{}, false, err
+		}
+		if keep {
+			return t, true, nil
+		}
+	}
+}
+
+// refRename renames the stream's relation and/or columns. Empty relName
+// keeps the old relation name; cols maps old to new column names and may
+// be partial.
+type refRename struct {
+	in  Iterator
+	out *schema.Schema
+}
+
+func newRefRename(in Iterator, relName string, cols map[string]string) (Iterator, error) {
+	s := in.Schema().Clone()
+	if relName != "" {
+		s.Name = relName
+	}
+	for old, renamed := range cols {
+		i := s.ColIndex(old)
+		if i < 0 {
+			return nil, fmt.Errorf("algebra: rename of unknown column %q", old)
+		}
+		s.Attrs[i].Name = renamed
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &refRename{in: in, out: s}, nil
+}
+
+func (r *refRename) Schema() *schema.Schema              { return r.out }
+func (r *refRename) Next() (relation.Tuple, bool, error) { return r.in.Next() }

@@ -3,52 +3,15 @@ package algebra
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-// ---- Index scan (lazy over the row-ID list) ----
-
-type indexScan struct {
-	t   *storage.Table
-	ids []storage.RowID
-	pos int
-}
-
-// NewIndexScan streams the rows of t whose target value lies in [lo, hi],
-// using an index when available. The target may address an attribute or a
-// quality indicator (attr@indicator). Only the matching row-ID list is
-// materialized up front; tuples are fetched (and cloned) one at a time as
-// the consumer pulls, so LIMIT 1 over a million matches copies one tuple.
-// The row-ID list comes from one Table.Lookup.
-func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound) (Iterator, error) {
-	ids, err := t.Lookup(target, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return &indexScan{t: t, ids: ids}, nil
-}
-
-func (s *indexScan) Schema() *schema.Schema { return s.t.Schema() }
-
-func (s *indexScan) SizeHint() int { return len(s.ids) }
-
-func (s *indexScan) Next() (relation.Tuple, bool, error) {
-	for s.pos < len(s.ids) {
-		tup, ok := s.t.Get(s.ids[s.pos])
-		s.pos++
-		if ok { // rows deleted since the lookup are skipped
-			return tup, true, nil
-		}
-	}
-	return relation.Tuple{}, false, nil
-}
 
 // ---- Column scan: serial or fanned out ----
 
@@ -155,8 +118,8 @@ func (sp *scanSpec) viewCols(hdrs []ColVec, cs *storage.ColSeg, lo, hi int) {
 
 // load fills ls with segment seg: its view, whether a prune refutes it and,
 // under a fused predicate, the selection of live slots that pass. f is the
-// calling goroutine's scratch for predicate evaluation. A predicate error
-// lands in ls.err.
+// calling goroutine's scratch for predicate evaluation, unused without a
+// predicate. A predicate error lands in ls.err.
 func (sp *scanSpec) load(seg int, ls *segLoad, f *Batch) {
 	ls.seg, ls.skipped, ls.err = seg, false, nil
 	cs := &ls.cs
@@ -215,9 +178,13 @@ type batchColScan struct {
 	size   int
 	nSeg   int
 	degree int // ≤ 1: segments load inline, no goroutines
+	// An index scan views the segments holding its probed row IDs, ids
+	// those not yet viewed, instead of every segment.
+	probe bool
+	ids   []storage.RowID
 
 	inline  segLoad // the serial mode's one segment buffer
-	filter  Batch   // the serial mode's predicate scratch
+	filter  *Batch  // the serial mode's predicate scratch; nil without one
 	cur     *segLoad
 	next    int // next segment to take, in segment order
 	pos     int // next slot offset within cur
@@ -257,15 +224,33 @@ func newColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) *batc
 	if size < 1 {
 		size = DefaultBatchSize
 	}
-	// The scan owns its column list: prune columns must be viewed to read
-	// their stats, so add any the caller didn't request.
-	sp := &scanSpec{t: t, width: len(t.Schema().Attrs), cols: append([]int(nil), cols...),
+	// Prune columns must be viewed to read their stats, so the scan adds
+	// any the caller didn't request — to a clipped list, so that an
+	// addition copies it instead of writing into the caller's array.
+	sp := &scanSpec{t: t, width: len(t.Schema().Attrs), cols: slices.Clip(cols),
 		prunes: prunes, prAt: make([]int, len(prunes))}
 	for i, p := range prunes {
 		sp.prAt[i] = sp.colIndex(p.Col)
 	}
-	return &batchColScan{sp: sp, size: size, nSeg: t.Segments(), degree: 1,
-		stopCh: make(chan struct{})}
+	return &batchColScan{sp: sp, size: size, nSeg: t.Segments(), degree: 1}
+}
+
+// NewIndexScan streams the rows of t whose target value lies in [lo, hi]
+// as the serial NewBatchColScan does, but over the row IDs of one
+// Table.Lookup instead of every segment. The target may address an
+// attribute or a quality indicator (attr@indicator). Each segment holding
+// probed rows is viewed zero-copy (Table.ViewRows) only when the consumer
+// reaches it, with a selection of its probed rows that are still live: rows
+// arrive in row-ID order, rows deleted since the probe are skipped, no row
+// is cloned, and a LIMIT 1 views one segment however many rows match.
+func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound, size int, cols []int) (BatchIterator, error) {
+	ids, err := t.Lookup(target, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	s := newColScan(t, size, cols, nil)
+	s.probe, s.ids = true, ids
+	return s, nil
 }
 
 // NewBatchTableScan streams every column of a storage table in batches of
@@ -302,6 +287,7 @@ func NewParallelScan(t *storage.Table, degree, size int, cols []int, prunes []Se
 		} else {
 			sp.pred = CompilePredicate(pred)
 		}
+		s.filter = new(Batch)
 	}
 	s.degree = max(min(degree, s.nSeg), 1)
 	return s, nil
@@ -318,6 +304,9 @@ type Stopper interface{ Stop() }
 func (s *batchColScan) Schema() *schema.Schema { return s.sp.t.Schema() }
 
 func (s *batchColScan) SizeHint() int {
+	if s.probe {
+		return len(s.ids)
+	}
 	if s.sp.kern != nil || s.sp.pred != nil {
 		return -1 // the fused predicate's selectivity is unknown
 	}
@@ -330,6 +319,9 @@ func (s *batchColScan) SizeHint() int {
 // busy; a skewed one means a fused predicate or the consumer was the
 // bottleneck.
 func (s *batchColScan) ExtraStats() string {
+	if s.probe {
+		return "" // nothing is pruned or fanned out
+	}
 	if s.degree <= 1 {
 		return fmt.Sprintf("segments skipped=%d of %d", s.skipped, s.nSeg)
 	}
@@ -368,7 +360,9 @@ func (s *batchColScan) Stop() {
 // stopWorkers is also the finalizer of a fanned-out scan abandoned
 // mid-stream, so workers never scan the rest of the table for nobody.
 func (s *batchColScan) stopWorkers() {
-	s.closed.Do(func() { close(s.stopCh) })
+	if s.started {
+		s.closed.Do(func() { close(s.stopCh) })
+	}
 }
 
 // start launches the workers. Segments are claimed by atomic counter so
@@ -383,7 +377,7 @@ func (s *batchColScan) stopWorkers() {
 // further buffer. Workers capture locals only (not s), so an abandoned scan
 // becomes unreachable and its finalizer runs stopWorkers.
 func (s *batchColScan) start() {
-	s.started = true
+	s.started, s.stopCh = true, make(chan struct{})
 	sp, nSeg, degree, stop := s.sp, s.nSeg, s.degree, s.stopCh
 	bufs := min(2*degree+1, nSeg)
 	results := make(chan *segLoad, nSeg) // never blocks a worker
@@ -435,15 +429,24 @@ func (s *batchColScan) start() {
 	runtime.SetFinalizer(s, (*batchColScan).stopWorkers)
 }
 
-// take returns the next segment in segment order — loaded inline at
-// degree 1, else received from the workers — or nil once the scan is
-// exhausted or stopped.
+// take returns the next segment in segment order — the next one holding
+// probed rows for an index scan, loaded inline at degree 1, else received
+// from the workers — or nil once the scan is exhausted or stopped.
 func (s *batchColScan) take() (*segLoad, error) {
+	if s.probe {
+		if len(s.ids) == 0 {
+			return nil, nil
+		}
+		ls := &s.inline
+		s.ids = s.sp.t.ViewRows(s.ids, s.sp.cols, &ls.cs)
+		ls.sel = ls.cs.Sel
+		return ls, nil
+	}
 	if s.next >= s.nSeg {
 		return nil, nil
 	}
 	if s.degree <= 1 {
-		s.sp.load(s.next, &s.inline, &s.filter)
+		s.sp.load(s.next, &s.inline, s.filter)
 		s.next++
 		return &s.inline, s.inline.err
 	}

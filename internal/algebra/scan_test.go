@@ -381,31 +381,85 @@ func TestParallelScanStop(t *testing.T) {
 	t.Fatal("stream did not terminate after Stop")
 }
 
-// TestIndexScanLazyClones is the regression test for the old eager
-// NewIndexScan, which cloned every matching row before the first Next().
-// A LIMIT-1 consumer must cost O(1) tuple clones, not O(matches).
+// TestIndexScanMatchesReference holds the batch index scan to the
+// reference row-at-a-time one (a Table.Get per probed row) at several
+// batch sizes, over attribute and indicator indexes, with rows deleted
+// between the probe and the first pull: both skip them.
+func TestIndexScanMatchesReference(t *testing.T) {
+	probes := []struct {
+		target storage.IndexTarget
+		lo, hi storage.Bound
+	}{
+		{storage.IndexTarget{Attr: "qty"}, storage.Incl(value.Int(100)), storage.Excl(value.Int(400))},
+		{storage.IndexTarget{Attr: "qty"}, storage.Incl(value.Int(7)), storage.Incl(value.Int(7))},
+		{storage.IndexTarget{Attr: "qty"}, storage.Incl(value.Int(5000)), storage.Unbounded},
+		{storage.IndexTarget{Attr: "grp", Indicator: "source"}, storage.Incl(value.Str("b")), storage.Incl(value.Str("b"))},
+	}
+	for _, size := range []int{1, 3, 1024} {
+		for i, pr := range probes {
+			tbl := bigTable(t, 2*storage.SegmentSize+300)
+			if err := tbl.CreateIndex(storage.IndexTarget{Attr: "qty"}, storage.IndexBTree); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.CreateIndex(storage.IndexTarget{Attr: "grp", Indicator: "source"}, storage.IndexHash); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefIndexScan(tbl, pr.target, pr.lo, pr.hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewIndexScan(tbl, pr.target, pr.lo, pr.hi, size, tbl.Schema().ColIndexes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, _ := tbl.Lookup(pr.target, pr.lo, pr.hi)
+			for k := 0; k < len(ids); k += 5 {
+				if err := tbl.Delete(ids[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameRelation(t, drain(t, ref), drain(t, NewFromBatch(got, size)), fmt.Sprintf("probe %d, size %d", i, size))
+		}
+	}
+}
+
+// TestIndexScanLazyClones: an index scan clones no row, and a LIMIT 1
+// over a probe matching rows in every segment views only the first of
+// them.
 func TestIndexScanLazyClones(t *testing.T) {
-	const n = 5000
-	tbl := bigTable(t, n)
-	if err := tbl.CreateIndex(storage.IndexTarget{Attr: "qty"}, storage.IndexBTree); err != nil {
+	tbl := bigTable(t, 3*storage.SegmentSize+100)
+	target := storage.IndexTarget{Attr: "qty"}
+	if err := tbl.CreateIndex(target, storage.IndexBTree); err != nil {
 		t.Fatal(err)
 	}
 	// A range matching most of the table.
-	it, err := NewIndexScan(tbl, storage.IndexTarget{Attr: "qty"},
-		storage.Incl(value.Int(0)), storage.Incl(value.Int(1000)))
+	lo, hi := storage.Incl(value.Int(0)), storage.Incl(value.Int(1000))
+	ids, err := tbl.Lookup(target, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := storage.TupleClones()
-	lim := NewLimit(it, 1, 0)
-	out := drain(t, lim)
-	cloned := storage.TupleClones() - before
-	if out.Len() != 1 {
-		t.Fatalf("limit 1 over index scan = %d rows", out.Len())
+	later := 0
+	for _, id := range ids {
+		if id >= storage.SegmentSize {
+			later++
+		}
 	}
-	// One clone for the emitted row; allow a little slack for skipped
-	// dead rows, but nothing near the thousands of matches.
-	if cloned > 8 {
-		t.Fatalf("LIMIT 1 over indexed scan cloned %d tuples, want O(1)", cloned)
+	before := storage.TupleClones()
+	ix, err := NewIndexScan(tbl, target, lo, hi, 0, tbl.Schema().ColIndexes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.(Sizer).SizeHint() != len(ids) {
+		t.Errorf("SizeHint = %d, want %d", ix.(Sizer).SizeHint(), len(ids))
+	}
+	out := drain(t, NewFromBatch(NewBatchLimit(ix, 1, 0), 0))
+	if out.Len() != 1 || out.Tuples[0].Cells[0].V.AsInt() != int64(ids[0]) {
+		t.Fatalf("LIMIT 1 over the index scan = %v, want row %d", out.Tuples, ids[0])
+	}
+	if cloned := storage.TupleClones() - before; cloned != 0 {
+		t.Errorf("index scan cloned %d tuples, want 0", cloned)
+	}
+	if left := len(ix.(*batchColScan).ids); later == 0 || left != later {
+		t.Errorf("LIMIT 1 left %d probed rows unviewed, want the %d past segment 0", left, later)
 	}
 }

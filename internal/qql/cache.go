@@ -21,7 +21,7 @@ import (
 func Normalize(src string) (string, error) {
 	lx := NewLexer(src)
 	var b strings.Builder
-	b.Grow(len(src))
+	b.Grow(len(src) * 3 / 2) // spaces between tokens can lengthen the text
 	for i := 0; ; i++ {
 		t, err := lx.Next()
 		if err != nil {

@@ -1,27 +1,41 @@
 package qql
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
+	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
 // TestIndexedVersusScannedDifferential runs randomly generated quality
 // queries against two copies of the same data — one fully indexed, one with
-// no indexes — and requires identical results. This pins the planner's
-// index pushdown (equality and range, over attributes and indicators,
-// including bound combination) to the semantics of the naive scan.
+// no indexes — and against a naive reference evaluator, and requires
+// identical results, tags included. This pins the planner's index pushdown
+// (equality and range, over attributes and indicators, including bound
+// combination) and the index scan's row-ID order to the semantics of the
+// naive scan. The table spans three segments with rows deleted inside
+// them; every query runs at batch sizes 1, 3 and 1024, before and after a
+// Save/Load of each catalog.
 func TestIndexedVersusScannedDifferential(t *testing.T) {
-	rel := workload.Customers(workload.CustomerConfig{N: 3000, Seed: 77, Untagged: 0.1})
+	rel := workload.Customers(workload.CustomerConfig{N: 2*storage.SegmentSize + 700, Seed: 77, Untagged: 0.1})
+	// Meta-quality on some source tags, so meta refs have values to read.
+	for i := range rel.Tuples {
+		c := &rel.Tuples[i].Cells[2]
+		if i%4 == 0 && c.Tags.Has("source") {
+			*c = c.WithMetaTag("source", "credibility", value.Str([]string{"high", "low"}[i%8/4]))
+		}
+	}
 
-	mk := func(indexed bool) *Session {
+	mk := func(indexed bool) *storage.Catalog {
 		cat := storage.NewCatalog()
-		sess := NewSession(cat)
-		sess.SetNow(workload.Epoch)
 		tbl, err := cat.Create(rel.Schema, false)
 		if err != nil {
 			t.Fatal(err)
@@ -44,9 +58,36 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 				}
 			}
 		}
+		// Dead rows inside every segment the probes land in.
+		for id := 3; id < len(rel.Tuples); id += 13 {
+			if err := tbl.Delete(storage.RowID(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cat
+	}
+	reload := func(cat *storage.Catalog) *storage.Catalog {
+		var buf bytes.Buffer
+		if err := cat.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out, err := storage.LoadCatalog(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	indexedCat, scannedCat := mk(true), mk(false)
+	session := func(cat *storage.Catalog) *Session {
+		sess := NewSession(cat)
+		sess.SetNow(workload.Epoch)
 		return sess
 	}
-	indexed, scanned := mk(true), mk(false)
+	// The index plans run at every batch size; the scans, which the golden
+	// matrix covers at every size, at the default one.
+	indexed := map[string]*Session{"indexed": session(indexedCat), "indexed after Save/Load": session(reload(indexedCat))}
+	scanned := session(scannedCat)
+	refTable, _ := scannedCat.Get("customer")
 
 	r := rand.New(rand.NewSource(31))
 	sources := []string{"sales", "acct'g", "Nexis", "estimate", "nowhere"}
@@ -54,11 +95,16 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 		back := time.Duration(r.Int63n(int64(400 * 24 * time.Hour)))
 		return workload.Epoch.Add(-back).Format(time.RFC3339)
 	}
+	items := []string{
+		"co_name, employees",
+		"co_name, employees@source, employees@creation_time",
+		"employees, employees@source@credibility, address@source",
+	}
 	genQuery := func() string {
 		var conj []string
 		n := 1 + r.Intn(3)
 		for i := 0; i < n; i++ {
-			switch r.Intn(5) {
+			switch r.Intn(6) {
 			case 0:
 				conj = append(conj, fmt.Sprintf("employees >= %d", r.Intn(10000)))
 			case 1:
@@ -69,36 +115,120 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 				conj = append(conj, fmt.Sprintf("employees@source %s '%s'", op, sqlEscape(src)))
 			case 3:
 				conj = append(conj, fmt.Sprintf("employees@creation_time >= t'%s'", randTime()))
+			case 4:
+				conj = append(conj, "employees@source@credibility = 'high'")
 			default:
 				conj = append(conj, fmt.Sprintf("address@source = '%s'", sqlEscape(sources[r.Intn(len(sources))])))
 			}
 		}
-		where := conj[0]
-		for _, c := range conj[1:] {
-			where += " AND " + c
-		}
-		return "SELECT co_name, employees FROM customer WITH QUALITY " + where + " ORDER BY co_name"
-	}
-
-	for i := 0; i < 150; i++ {
-		q := genQuery()
-		a, err := indexed.Query(q)
-		if err != nil {
-			t.Fatalf("indexed %q: %v", q, err)
-		}
-		b, err := scanned.Query(q)
-		if err != nil {
-			t.Fatalf("scanned %q: %v", q, err)
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("query %q: indexed %d rows, scanned %d", q, a.Len(), b.Len())
-		}
-		for j := range a.Tuples {
-			if !a.Tuples[j].Equal(b.Tuples[j]) {
-				t.Fatalf("query %q: row %d differs:\n  %v\n  %v", q, j, a.Tuples[j], b.Tuples[j])
+		// The first k conjuncts filter in WHERE, the rest in WITH QUALITY.
+		k := r.Intn(len(conj) + 1)
+		q := "SELECT " + items[r.Intn(len(items))] + " FROM customer"
+		for i, c := range conj {
+			switch {
+			case i == 0 && k > 0:
+				q += " WHERE " + c
+			case i == k:
+				q += " WITH QUALITY " + c
+			default:
+				q += " AND " + c
 			}
 		}
+		switch r.Intn(3) {
+		case 0:
+			q += " ORDER BY co_name"
+		case 1:
+			q += fmt.Sprintf(" LIMIT %d", 1+r.Intn(20))
+		}
+		return q
 	}
+
+	check := func(sess *Session, name, q, want string) {
+		got, err := sess.Query(q)
+		if err != nil {
+			t.Fatalf("%s %q: %v", name, q, err)
+		}
+		if g := relation.Format(got, true); g != want {
+			t.Fatalf("query %q, %s at batch size %d:\n got %s\nwant %s", q, name, sess.batchSize, g, want)
+		}
+	}
+	probes := 0
+	const queries = 80
+	for i := 0; i < queries; i++ {
+		q := genQuery()
+		want := relation.Format(referenceSelect(t, refTable, q), true)
+		check(scanned, "scanned", q, want)
+		for _, size := range []int{1, 3, 1024} {
+			for name, sess := range indexed {
+				sess.batchSize = size
+				check(sess, name, q, want)
+			}
+		}
+		if strings.HasPrefix(indexed["indexed"].MustExec("EXPLAIN " + q)[0].Plan, "IndexScan(") {
+			probes++
+		}
+	}
+	if probes < queries/2 {
+		t.Errorf("only %d of %d queries probed an index", probes, queries)
+	}
+}
+
+// referenceSelect evaluates a single-table, non-aggregate SELECT the
+// naive way: every live row cloned out of the table in row-ID order, both
+// filters through the interpreted Expr.Eval, then the row Sort, Project
+// and Limit.
+func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relation {
+	t.Helper()
+	stmts, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stmts[0].(*SelectStmt)
+	ctx := &algebra.EvalContext{Now: workload.Epoch}
+	var preds []algebra.Expr
+	for _, pred := range []algebra.Expr{st.Where, st.Quality} {
+		if pred != nil {
+			if err := pred.Bind(tbl.Schema()); err != nil {
+				t.Fatal(err)
+			}
+			preds = append(preds, pred)
+		}
+	}
+	rows := relation.New(tbl.Schema())
+	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
+		for _, pred := range preds {
+			ok, err := algebra.Truth(pred, tup, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return true
+			}
+		}
+		rows.Tuples = append(rows.Tuples, tup)
+		return true
+	})
+	it := algebra.NewRelationScan(rows)
+	if len(st.OrderBy) > 0 {
+		keys := make([]algebra.SortKey, len(st.OrderBy))
+		for i, o := range st.OrderBy {
+			keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
+		}
+		if it, err = algebra.NewSort(it, keys, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if it, err = algebra.NewProject(it, projectionItems(st, tbl.Schema()), ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Limit >= 0 {
+		it = algebra.NewLimit(it, st.Limit, 0)
+	}
+	out, err := algebra.Collect(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func sqlEscape(s string) string {

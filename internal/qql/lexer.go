@@ -63,6 +63,36 @@ var keywords = map[string]bool{
 	"UNION": true, "EXCEPT": true, "ALL": true,
 }
 
+// keywordCodes maps each keyword, packed by packUpper, to its spelling, so
+// the lexer matches a word without allocating its upper-case copy.
+var keywordCodes = func() map[uint64]string {
+	m := make(map[uint64]string, len(keywords))
+	for k := range keywords {
+		if len(k) > 8 {
+			panic("qql: keyword longer than eight letters: " + k)
+		}
+		m[packUpper(k)] = k
+	}
+	return m
+}()
+
+// packUpper packs an identifier of at most eight letters, upper-cased, one
+// byte per letter; a longer one packs to 0, which no keyword does.
+func packUpper(word string) uint64 {
+	if len(word) > 8 {
+		return 0
+	}
+	var code uint64
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		code = code<<8 | uint64(c)
+	}
+	return code
+}
+
 // Lexer turns QQL source into tokens.
 type Lexer struct {
 	src  string
@@ -163,8 +193,7 @@ func (l *Lexer) Next() (Token, error) {
 			tok.Kind, tok.Text, tok.Val = TokDuration, body, v
 			return tok, nil
 		}
-		up := strings.ToUpper(word)
-		if keywords[up] {
+		if up, ok := keywordCodes[packUpper(word)]; ok {
 			// Keep the original spelling in Val so soft keywords can be
 			// used as plain identifiers (e.g. an indicator named
 			// "source").
@@ -228,7 +257,7 @@ func (l *Lexer) Next() (Token, error) {
 
 	case strings.IndexByte("(),;@{}:.*", c) >= 0:
 		l.advance()
-		tok.Kind, tok.Text = TokPunct, string(c)
+		tok.Kind, tok.Text = TokPunct, l.src[l.pos-1:l.pos]
 		return tok, nil
 
 	case c == '=':

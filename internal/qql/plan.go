@@ -2,6 +2,7 @@ package qql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,7 +135,7 @@ type plan struct {
 	steps []string
 	// stop releases background scan resources (parallel workers, buffered
 	// segments); nil when the pipeline holds none.
-	stop func()
+	stop algebra.Stopper
 
 	// analyze turns on per-operator instrumentation: every tapped operator
 	// is wrapped so EXPLAIN ANALYZE can report actual rows/batches/time per
@@ -197,7 +198,7 @@ func (p *plan) harvestExtras() {
 // error, where relying on the finalizer would park workers until GC.
 func (p *plan) release() {
 	if p.stop != nil {
-		p.stop()
+		p.stop.Stop()
 	}
 }
 
@@ -332,62 +333,53 @@ type indexPath struct {
 }
 
 // chooseIndexPath picks an indexed access path from a table's filter
-// conjuncts — the one access-path decision of both SELECT (which wraps it
-// in algebra.NewIndexScan) and DML collection (which probes it for a
-// row-ID list). ok is false when no index applies. The conjuncts it prunes
-// by are not consumed: callers re-check the whole predicate on every
-// fetched row, since rows are fetched after the probe and may have changed.
+// conjuncts — the one access-path decision of both SELECT and DML
+// collection. Both probe it with one Table.Lookup and read the probed rows
+// segment by segment through Table.ViewRows: SELECT as the batch source
+// algebra.NewIndexScan, DML in collectMatches' one loop. ok is false when
+// no index applies. The conjuncts it prunes by are not consumed: callers
+// re-check the whole predicate on every row they read, since rows are read
+// after the probe and may have changed.
 func chooseIndexPath(tbl *storage.Table, conjuncts []algebra.Expr) (indexPath, bool) {
+	// Candidate targets in order of first use; a statement has a handful.
 	type candidate struct {
-		target storage.IndexTarget
-		sargs  []sarg
-		ranged bool
+		target        storage.IndexTarget
+		ranged, hasEq bool
 	}
-	byTarget := map[storage.IndexTarget]*candidate{}
-	var order []storage.IndexTarget
+	var buf [4]candidate
+	cands := buf[:0]
 	for _, c := range conjuncts {
 		sg, ok := extractSarg(c)
 		if !ok || sg.op == algebra.OpNe {
 			continue
 		}
-		exists, ranged := tbl.HasIndex(sg.target)
-		if !exists {
-			continue
-		}
-		if sg.op != algebra.OpEq && !ranged {
-			continue
-		}
-		cand, ok := byTarget[sg.target]
-		if !ok {
-			cand = &candidate{target: sg.target, ranged: ranged}
-			byTarget[sg.target] = cand
-			order = append(order, sg.target)
-		}
-		cand.sargs = append(cand.sargs, sg)
-	}
-	// Prefer a target with an equality sarg, else the first range target.
-	var chosen *candidate
-	for _, t := range order {
-		c := byTarget[t]
-		for _, sg := range c.sargs {
-			if sg.op == algebra.OpEq {
-				chosen = c
-				break
+		i := slices.IndexFunc(cands, func(c candidate) bool { return c.target == sg.target })
+		if i < 0 {
+			exists, ranged := tbl.HasIndex(sg.target)
+			if !exists || (sg.op != algebra.OpEq && !ranged) {
+				continue
 			}
+			cands = append(cands, candidate{target: sg.target, ranged: ranged})
+			i = len(cands) - 1
 		}
-		if chosen != nil {
-			break
-		}
+		cands[i].hasEq = cands[i].hasEq || sg.op == algebra.OpEq
 	}
-	if chosen == nil && len(order) > 0 {
-		chosen = byTarget[order[0]]
-	}
-	if chosen == nil {
+	if len(cands) == 0 {
 		return indexPath{}, false
 	}
+	// Prefer a target with an equality sarg, else the first target, whose
+	// first sarg was then a range.
+	chosen := max(slices.IndexFunc(cands, func(c candidate) bool { return c.hasEq }), 0)
+	target, ranged := cands[chosen].target, cands[chosen].ranged
 	lo, hi := storage.Unbounded, storage.Unbounded
-	var descParts []string
-	for _, sg := range chosen.sargs {
+	var desc strings.Builder
+	desc.WriteString("IndexScan(" + tbl.Schema().Name + " on " + target.String() + ": ")
+	first := true
+	for _, c := range conjuncts {
+		sg, ok := extractSarg(c)
+		if !ok || sg.target != target || sg.op == algebra.OpNe || (sg.op != algebra.OpEq && !ranged) {
+			continue
+		}
 		switch sg.op {
 		case algebra.OpEq:
 			lo, hi = storage.Incl(sg.val), storage.Incl(sg.val)
@@ -402,13 +394,17 @@ func chooseIndexPath(tbl *storage.Table, conjuncts []algebra.Expr) (indexPath, b
 		default:
 			// OpNe never forms a sarg: an exclusion is not a range bound.
 		}
-		descParts = append(descParts, sg.expr.String())
+		if !first {
+			desc.WriteString(" AND ")
+		}
+		first = false
+		desc.WriteString(sg.expr.String())
 		if sg.op == algebra.OpEq {
 			break // equality pins the range; stop accumulating
 		}
 	}
-	desc := fmt.Sprintf("IndexScan(%s on %s: %s)", tbl.Schema().Name, chosen.target, strings.Join(descParts, " AND "))
-	return indexPath{target: chosen.target, lo: lo, hi: hi, desc: desc}, true
+	desc.WriteByte(')')
+	return indexPath{target: target, lo: lo, hi: hi, desc: desc.String()}, true
 }
 
 func tighterLow(a, b storage.Bound) storage.Bound {
@@ -474,7 +470,8 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 	if !hasAgg && len(st.OrderBy) > 0 {
 		return sch.ColIndexes()
 	}
-	exprs := append(append([]algebra.Expr(nil), conjuncts...), st.GroupBy...)
+	exprs := make([]algebra.Expr, 0, len(conjuncts)+len(st.GroupBy)+len(st.Items))
+	exprs = append(append(exprs, conjuncts...), st.GroupBy...)
 	for _, item := range st.Items {
 		switch {
 		case item.Star:
@@ -487,38 +484,45 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 			exprs = append(exprs, item.Expr)
 		}
 	}
-	return exprCols(sch, exprs)
+	return exprCols(sch, exprs...)
 }
 
 // exprCols lists, ascending, the columns of sch that the expressions read
 // — every column when a name resolves to none.
-func exprCols(sch *schema.Schema, exprs []algebra.Expr) []int {
+func exprCols(sch *schema.Schema, exprs ...algebra.Expr) []int {
 	seen := make([]bool, len(sch.Attrs))
-	all := false
-	addName := func(name string) {
-		if idx := sch.ColIndex(name); idx >= 0 {
-			seen[idx] = true
-		} else {
+	n, all := 0, false
+	visit := func(e algebra.Expr) {
+		var name string
+		switch v := e.(type) {
+		case *algebra.ColRef:
+			name = v.Name
+		case *algebra.IndRef:
+			name = v.Col
+		case *algebra.MetaRef:
+			name = v.Col
+		case *algebra.SrcContains:
+			name = v.Col
+		default:
+			return
+		}
+		switch idx := sch.ColIndex(name); {
+		case idx < 0:
 			all = true
+		case !seen[idx]:
+			seen[idx] = true
+			n++
 		}
 	}
 	for _, e := range exprs {
-		e.Walk(func(n algebra.Expr) {
-			switch v := n.(type) {
-			case *algebra.ColRef:
-				addName(v.Name)
-			case *algebra.IndRef:
-				addName(v.Col)
-			case *algebra.MetaRef:
-				addName(v.Col)
-			case *algebra.SrcContains:
-				addName(v.Col)
-			}
-		})
+		e.Walk(visit)
 	}
-	cols := []int{}
+	if all {
+		return sch.ColIndexes()
+	}
+	cols := make([]int, 0, n)
 	for idx, ok := range seen {
-		if ok || all {
+		if ok {
 			cols = append(cols, idx)
 		}
 	}
@@ -605,7 +609,7 @@ func referencedTables(st *SelectStmt) []string {
 }
 
 // aliasedSchema returns the schema under the stream name the build phase
-// will give it via NewRename; join collision-renaming depends on it.
+// will give it via NewBatchRename; join collision-renaming depends on it.
 func aliasedSchema(s *schema.Schema, alias string) *schema.Schema {
 	if alias == "" || alias == s.Name {
 		return s
@@ -751,7 +755,8 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	if s.analyze {
 		defer func(t0 time.Time) { s.buildDur = time.Since(t0) }(time.Now())
 	}
-	p := &plan{analyze: s.analyze}
+	// Most plans are three or four steps.
+	p := &plan{analyze: s.analyze, steps: make([]string, 0, 4)}
 
 	baseTable, ok := tables[st.From.Table]
 	if !ok {
@@ -775,9 +780,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	all := append(append([]algebra.Expr(nil), whereConjuncts...), qualityConjuncts...)
 
 	// bit is the batch stream every plan runs on up to its sort/distinct
-	// tail. it, the row stream, is set instead only by a non-aggregate index
-	// plan: a point lookup is cheaper row-at-a-time than through batches.
-	var it algebra.Iterator
+	// tail.
 	var bit algebra.BatchIterator
 	switch {
 	case whereNever || qualityNever:
@@ -805,29 +808,25 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			return nil, err
 		}
 	default:
+		// Every single-table source is a zero-clone column scan that views
+		// only the columns the plan touches. Zero-clone reads are safe
+		// because every row that reaches the result passes through a
+		// projection or aggregation that rebuilds its cells.
+		cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
 		if ip, ok := chooseIndexPath(baseTable, all); ok {
-			// The sarg conjuncts stay in the Select below even though the
-			// index already pruned by them: the lazy index scan fetches
-			// tuples at pull time, so a row updated after the index lookup
+			// The sarg conjuncts stay in the BatchSelect below even though
+			// the index already pruned by them: the scan views each segment
+			// when the consumer reaches it, so a row updated after the probe
 			// could otherwise slip into the result no longer satisfying the
-			// predicate. Re-checking is cheap relative to the pruning win.
-			ix, err := algebra.NewIndexScan(baseTable, ip.target, ip.lo, ip.hi)
+			// predicate.
+			ix, err := algebra.NewIndexScan(baseTable, ip.target, ip.lo, ip.hi, s.batchSize, cols)
 			if err != nil {
 				return nil, err
 			}
-			it = p.tapIt(ip.desc, ix, 0)
-			if hasAgg {
-				// Aggregates always run on the batch sinks.
-				bit, it = algebra.NewToBatch(it, s.batchSize), nil
-			}
+			bit = p.tapBit(ip.desc, ix, 0)
 		} else {
-			// Columnar scan over zero-clone segment reads: view only the
-			// columns the plan touches, and skip whole segments whose
-			// min/max statistics refute a sargable conjunct. Zero-clone
-			// reads are safe because every row that reaches the result
-			// passes through a projection or aggregation that rebuilds its
-			// cells.
-			cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
+			// Skip whole segments whose min/max statistics refute a
+			// sargable conjunct.
 			prunes := segPrunes(all, baseTable.Schema())
 			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
 				// Large unindexed scan: workers filter their segments with
@@ -852,46 +851,23 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			}
 		}
 		if st.From.Alias != st.From.Table {
-			if bit != nil {
-				bit = algebra.NewBatchRename(bit, st.From.Alias)
-			} else {
-				var err error
-				if it, err = algebra.NewRename(it, st.From.Alias, nil); err != nil {
-					return nil, err
-				}
-			}
+			bit = algebra.NewBatchRename(bit, st.From.Alias)
 		}
 	}
 
 	if pred := andAll(whereConjuncts); pred != nil {
-		if bit != nil {
-			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
-			if err != nil {
-				return nil, err
-			}
-			bit = p.tapBit(fmt.Sprintf("BatchSelect(%s)", pred.String()), nb, 0)
-		} else {
-			ni, err := algebra.NewSelect(it, pred, s.ctx)
-			if err != nil {
-				return nil, err
-			}
-			it = p.tapIt(fmt.Sprintf("Select(%s)", pred.String()), ni, 0)
+		nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
+		if err != nil {
+			return nil, err
 		}
+		bit = p.tapBit("BatchSelect("+pred.String()+")", nb, 0)
 	}
 	if pred := andAll(qualityConjuncts); pred != nil {
-		if bit != nil {
-			nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
-			if err != nil {
-				return nil, err
-			}
-			bit = p.tapBit(fmt.Sprintf("BatchQualitySelect(%s)", pred.String()), nb, 0)
-		} else {
-			ni, err := algebra.NewSelect(it, pred, s.ctx)
-			if err != nil {
-				return nil, err
-			}
-			it = p.tapIt(fmt.Sprintf("QualitySelect(%s)", pred.String()), ni, 0)
+		nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
+		if err != nil {
+			return nil, err
 		}
+		bit = p.tapBit("BatchQualitySelect("+pred.String()+")", nb, 0)
 	}
 
 	if hasAgg {
@@ -899,70 +875,46 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 	}
 
 	// Plain projection path. Expand stars against the current schema.
-	var streamSchema *schema.Schema
-	if bit != nil {
-		streamSchema = bit.Schema()
-	} else {
-		streamSchema = it.Schema()
-	}
-	items := projectionItems(st, streamSchema)
+	items := projectionItems(st, bit.Schema())
 
 	// ORDER BY runs before projection (so it can use non-projected
 	// columns); alias substitution and resolution happened at prepare time.
 	// Sorting is a row operator, so it closes the batch section.
-	if len(st.OrderBy) > 0 && bit != nil {
-		it = s.adoptFromBatch(bit, p)
-		bit = nil
-	}
+	var it algebra.Iterator
+	limited := st.Limit >= 0 || st.Offset > 0
 	if len(st.OrderBy) > 0 {
 		keys := make([]algebra.SortKey, len(st.OrderBy))
 		for i, o := range st.OrderBy {
 			keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		ni, err := algebra.NewSort(it, keys, s.ctx)
+		ni, err := algebra.NewSort(s.adoptFromBatch(bit, p), keys, s.ctx)
 		if err != nil {
 			return nil, err
 		}
 		it = p.tapIt(fmt.Sprintf("Sort(%s)", orderDesc(st.OrderBy)), ni, 0)
-	}
-
-	if bit != nil {
+		if it, err = algebra.NewProject(it, items, s.ctx); err != nil {
+			return nil, err
+		}
+		it = p.tapIt(fmt.Sprintf("Project(%s)", itemsDesc(items)), it, 0)
+	} else {
 		nb, err := algebra.NewBatchProject(bit, items, s.ctx, s.batchSize)
 		if err != nil {
 			return nil, err
 		}
-		bit = p.tapBit(fmt.Sprintf("BatchProject(%s)", itemsDesc(items)), nb, 0)
-		if !st.Distinct && (st.Limit >= 0 || st.Offset > 0) {
+		bit = p.tapBit("BatchProject("+itemsDesc(items)+")", nb, 0)
+		if limited && !st.Distinct {
 			// Batch-native limit: stops pulling — and releases upstream
 			// buffers — the moment the quota fills.
 			bit = p.tapBit(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewBatchLimit(bit, st.Limit, st.Offset), 0)
+			limited = false
 		}
 		it = s.adoptFromBatch(bit, p)
-		if st.Distinct {
-			it = p.tapIt("Distinct", algebra.NewDistinct(it), 0)
-			if st.Limit >= 0 || st.Offset > 0 {
-				it = p.tapIt(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewLimit(it, st.Limit, st.Offset), 0)
-			}
-		}
-		p.it = it
-		return p, nil
 	}
-
-	ni, err := algebra.NewProject(it, items, s.ctx)
-	if err != nil {
-		return nil, err
-	}
-	it = p.tapIt(fmt.Sprintf("Project(%s)", itemsDesc(items)), ni, 0)
-
 	if st.Distinct {
 		it = p.tapIt("Distinct", algebra.NewDistinct(it), 0)
 	}
-	if st.Limit >= 0 || st.Offset > 0 {
-		limit := st.Limit
-		if limit < 0 {
-			limit = -1
-		}
-		it = p.tapIt(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewLimit(it, limit, st.Offset), 0)
+	if limited {
+		it = p.tapIt(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewLimit(it, st.Limit, st.Offset), 0)
 	}
 	p.it = it
 	return p, nil
@@ -975,7 +927,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 func (s *Session) adoptFromBatch(bit algebra.BatchIterator, p *plan) algebra.Iterator {
 	fb := algebra.NewFromBatch(bit, s.batchSize)
 	if stopper, ok := fb.(algebra.Stopper); ok {
-		p.stop = stopper.Stop
+		p.stop = stopper
 	}
 	return fb
 }
@@ -997,7 +949,7 @@ func (s *Session) parallelDegree(tbl *storage.Table) int {
 // projectionItems expands stars against the stream schema; item
 // expressions were resolved at prepare time.
 func projectionItems(st *SelectStmt, cur *schema.Schema) []algebra.ProjectItem {
-	var items []algebra.ProjectItem
+	items := make([]algebra.ProjectItem, 0, len(st.Items))
 	for _, item := range st.Items {
 		if item.Star {
 			for _, a := range cur.Attrs {
@@ -1196,7 +1148,7 @@ func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, ba
 	rightCols := make([][]int, len(st.Joins))
 	for k := len(st.Joins) - 1; k >= 0; k-- {
 		emits[k] = marked(0, offs[k+1])
-		for _, c := range exprCols(final, []algebra.Expr{st.Joins[k].On}) {
+		for _, c := range exprCols(final, st.Joins[k].On) {
 			read[c] = true
 		}
 		rightCols[k] = marked(offs[k], offs[k+1])

@@ -90,3 +90,37 @@ func BenchmarkQualityReport(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPointLookup runs the benchmark's indexed point SELECT over the
+// report catalog, with a hash index on co_name, cycling 128 keys that all
+// stay plan-cache hits: the engine's share of one oltp_read operation.
+func BenchmarkPointLookup(b *testing.B) {
+	cat := reportCatalog(b)
+	cust, _ := cat.Get("customer")
+	if err := cust.CreateIndex(storage.IndexTarget{Attr: "co_name"}, storage.IndexHash); err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]string, 128)
+	for i := range qs {
+		qs[i] = fmt.Sprintf("SELECT co_name, employees, employees@source, employees@creation_time FROM customer WHERE co_name = 'Co %d'", i*701)
+	}
+	s := NewSession(cat)
+	s.SetPlanCache(NewPlanCache(256))
+	for _, q := range qs {
+		out, err := s.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() != 1 {
+			b.Fatalf("%q: %d rows, want 1", q, out.Len())
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := s.Query(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}

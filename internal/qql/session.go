@@ -720,18 +720,17 @@ func (s *Session) updatedRow(sets []SetClause, cols []int, tup relation.Tuple) (
 //
 //   - a WHERE that can never be true reads no row at all;
 //   - when chooseIndexPath finds an indexed sarg, the row IDs come from one
-//     Table.Lookup, each row is fetched with Get (rows deleted since are
-//     skipped) and the whole predicate is re-checked on it, as SELECT's
-//     Select over IndexScan does;
+//     Table.Lookup and each segment holding them is viewed with ViewRows,
+//     which skips rows deleted since; the whole predicate is re-checked on
+//     every row, as SELECT's BatchSelect over IndexScan does;
 //   - otherwise one SnapshotCols capture is read, skipping segments whose
-//     min/max statistics refute a sarg and testing rows with the compiled
-//     predicate.
+//     min/max statistics refute a sarg.
 //
-// Either way no statement matches a row twice: the probe's row-ID list,
-// like the capture, is the table at one instant, so a key a concurrent
-// writer deletes and reinserts cannot match at two row IDs. row is
-// read-only and may be a scratch tuple refilled per row: fn must clone
-// whatever it keeps.
+// Either way rows are tested with the compiled predicate and no statement
+// matches a row twice: the probe's row-ID list, like the capture, is the
+// table at one instant, so a key a concurrent writer deletes and reinserts
+// cannot match at two row IDs. row is read-only and may be a scratch tuple
+// refilled per row: fn must clone whatever it keeps.
 func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func(id storage.RowID, row relation.Tuple) error) (string, error) {
 	sc := tbl.Schema()
 	if where != nil {
@@ -748,25 +747,24 @@ func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func
 	if pred != nil {
 		keep = algebra.CompilePredicate(pred)
 	}
-	if ip, ok := chooseIndexPath(tbl, conjuncts); ok {
+	cols := sc.ColIndexes()
+	var views []storage.ColSeg
+	var prunes []algebra.SegPrune
+	ip, indexed := chooseIndexPath(tbl, conjuncts)
+	if indexed {
 		ids, err := tbl.Lookup(ip.target, ip.lo, ip.hi)
 		if err != nil {
 			return "", err
 		}
-		for _, id := range ids {
-			row, live := tbl.Get(id)
-			if !live {
-				continue
-			}
-			if err := s.emitIf(keep, id, row, fn); err != nil {
-				return "", err
-			}
+		for len(ids) > 0 {
+			views = append(views, storage.ColSeg{})
+			ids = tbl.ViewRows(ids, cols, &views[len(views)-1])
 		}
-		return ip.desc, nil
+	} else {
+		prunes = segPrunes(conjuncts, sc)
+		views = tbl.SnapshotCols(cols)
 	}
-	prunes := segPrunes(conjuncts, sc)
 	row := relation.Tuple{Cells: make([]relation.Cell, len(sc.Attrs))}
-	views := tbl.SnapshotCols(sc.ColIndexes())
 	skipped := 0
 	for v := range views {
 		cs := &views[v]
@@ -776,25 +774,26 @@ func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func
 		}
 		for k := 0; k < cs.Live(); k++ {
 			id := cs.RowInto(k, row.Cells)
-			if err := s.emitIf(keep, id, row, fn); err != nil {
+			ok, err := keep(row, s.ctx)
+			if err != nil {
+				return "", err
+			}
+			if !ok {
+				continue
+			}
+			if err := fn(id, row); err != nil {
 				return "", err
 			}
 		}
+	}
+	if indexed {
+		return ip.desc, nil
 	}
 	desc := "SnapshotScan(" + sc.Name
 	if pred != nil {
 		desc += ": " + pred.String()
 	}
 	return fmt.Sprintf("%s, segments skipped=%d of %d)", desc, skipped, len(views)), nil
-}
-
-// emitIf calls fn(id, row) when keep accepts row.
-func (s *Session) emitIf(keep algebra.Predicate, id storage.RowID, row relation.Tuple, fn func(storage.RowID, relation.Tuple) error) error {
-	ok, err := keep(row, s.ctx)
-	if err != nil || !ok {
-		return err
-	}
-	return fn(id, row)
 }
 
 // refuted reports whether a segment view (of every column, in schema

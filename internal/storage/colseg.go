@@ -191,8 +191,9 @@ func (r *ColRun) Cell(off int) relation.Cell {
 // ColSeg is a zero-clone columnar view of one segment: N row slots, the
 // live-slot selection, and one ColRun per requested column. It is the only
 // bulk read of a table — ScanSegmentCols fills one segment's view,
-// SnapshotCols every segment's at one instant. Reuse one ColSeg across
-// ScanSegmentCols calls to recycle its internal buffers.
+// SnapshotCols every segment's at one instant, ViewRows one segment's
+// probed rows. Reuse one ColSeg across ScanSegmentCols or ViewRows calls
+// to recycle its internal buffers.
 type ColSeg struct {
 	// N is the number of row slots in the view (live and dead).
 	N int
@@ -266,9 +267,42 @@ func (t *Table) SnapshotCols(colIdxs []int) []ColSeg {
 	return out
 }
 
-// viewLocked fills buf with the view of segment i (in range); the caller
-// must hold t.mu.
-func (t *Table) viewLocked(i int, colIdxs []int, buf *ColSeg) {
+// ViewRows fills buf with the zero-clone view of the segment holding
+// ids[0], selecting the probed slots of that segment that are still live,
+// and returns the ids past that segment. ids must be ascending row IDs of
+// the table, as Lookup returns them; an empty ids leaves buf as it was.
+// Liveness is tested per probed id under one read lock, never by walking
+// the segment's slots, and Sel is non-nil even when no probed slot is
+// live. It is the read of an index probe: Lookup's row IDs, one segment
+// per call.
+func (t *Table) ViewRows(ids []RowID, colIdxs []int, buf *ColSeg) (rest []RowID) {
+	if len(ids) == 0 {
+		return nil
+	}
+	si := int(ids[0] / SegmentSize)
+	n := 1
+	for n < len(ids) && int(ids[n]/SegmentSize) == si {
+		n++
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	seg := t.colsLocked(si, colIdxs, buf)
+	sel := buf.selBuf[:0]
+	if sel == nil {
+		sel = make([]int32, 0, n)
+	}
+	for _, id := range ids[:n] {
+		if off := int(id - buf.Base); seg.live[off] {
+			sel = append(sel, int32(off))
+		}
+	}
+	buf.selBuf, buf.Sel = sel, sel
+	return ids[n:]
+}
+
+// colsLocked points buf's runs at segment i's requested columns and
+// returns the segment; the caller must hold t.mu and fill buf.Sel.
+func (t *Table) colsLocked(i int, colIdxs []int, buf *ColSeg) *segment {
 	seg := t.segs[i]
 	buf.N = seg.n
 	buf.Base = RowID(i * SegmentSize)
@@ -287,6 +321,13 @@ func (t *Table) viewLocked(i int, colIdxs []int, buf *ColSeg) {
 			Stats: r.mm,
 		})
 	}
+	return seg
+}
+
+// viewLocked fills buf with the view of segment i (in range); the caller
+// must hold t.mu.
+func (t *Table) viewLocked(i int, colIdxs []int, buf *ColSeg) {
+	seg := t.colsLocked(i, colIdxs, buf)
 	if seg.nDead == 0 {
 		buf.Sel = nil
 		return

@@ -181,3 +181,54 @@ func TestScanSeesSegmentConsistentView(t *testing.T) {
 		t.Errorf("second scan visited %d", visited)
 	}
 }
+
+// TestViewRows: each call views the segment of the first probed ID,
+// selects the probed rows of that segment still live and returns the rest;
+// a segment whose probed rows are all dead gives an empty, non-nil
+// selection, and nothing is cloned.
+func TestViewRows(t *testing.T) {
+	tbl := NewTable(custSchema(), true)
+	ids := fillRows(t, tbl, 2*SegmentSize+50)
+	dead := []RowID{5, 2*SegmentSize + 40}
+	for off := 0; off < SegmentSize; off++ {
+		dead = append(dead, SegmentSize+RowID(off)) // all of segment 1
+	}
+	for _, id := range dead {
+		if err := tbl.Delete(ids[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := []RowID{3, 5, 10, SegmentSize + 1, SegmentSize + 7, 2*SegmentSize + 2, 2*SegmentSize + 40}
+	want := []struct {
+		base RowID
+		sel  []int32
+		rest int
+	}{
+		{0, []int32{3, 10}, 4},
+		{SegmentSize, []int32{}, 2},
+		{2 * SegmentSize, []int32{2}, 0},
+	}
+	before := TupleClones()
+	var cs ColSeg
+	rest := probe
+	for i, w := range want {
+		rest = tbl.ViewRows(rest, []int{0, 2}, &cs)
+		if cs.Base != w.base || len(rest) != w.rest || cs.Sel == nil || fmt.Sprint(cs.Sel) != fmt.Sprint(w.sel) {
+			t.Fatalf("call %d: base %d, sel %v (nil %v), %d left; want base %d, sel %v, %d left",
+				i, cs.Base, cs.Sel, cs.Sel == nil, len(rest), w.base, w.sel, w.rest)
+		}
+		cells := make([]relation.Cell, len(cs.Cols))
+		for k := 0; k < cs.Live(); k++ {
+			id := cs.RowInto(k, cells)
+			if name := fmt.Sprintf("co-%06d", id); cells[0].V.AsString() != name || cells[1].V.AsInt() != int64(id) {
+				t.Errorf("call %d: row %d = %v, want %s", i, id, cells, name)
+			}
+		}
+	}
+	if rest = tbl.ViewRows(rest, []int{0}, &cs); rest != nil || cs.Base != 2*SegmentSize {
+		t.Errorf("empty probe: rest %v, view base %d; want nil and the view untouched", rest, cs.Base)
+	}
+	if d := TupleClones() - before; d != 0 {
+		t.Errorf("ViewRows cloned %d tuples", d)
+	}
+}

@@ -24,7 +24,7 @@ const SegmentSize = 4096
 // Scan) — materializations the caller may freely mutate and retain. It is
 // process-wide instrumentation for tests and benchmarks asserting that
 // query paths copy O(rows returned), not O(table); the column views
-// (ScanSegmentCols, SnapshotCols) never bump it.
+// (ScanSegmentCols, SnapshotCols, ViewRows) never bump it.
 var tupleClones atomic.Int64
 
 // TupleClones reports the process-wide count of tuples cloned out of
