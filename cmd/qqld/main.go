@@ -42,7 +42,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7583", "TCP listen address")
 	maxConns := flag.Int("max-conns", 64, "maximum concurrent connections")
-	cacheSize := flag.Int("cache", qql.DefaultCacheSize, "shared plan cache entries per tier (0 disables caching)")
+	cacheSize := flag.Int("cache", qql.DefaultCacheSize, "shared plan cache entries (0 disables caching)")
 	nowFlag := flag.String("now", "", "fix the session clock (RFC3339); default wall clock")
 	seedPath := flag.String("seed", "", "QQL script to execute before serving")
 	parallel := flag.Int("parallel", 0, "scan fan-out degree for large unindexed scans (0 = GOMAXPROCS, 1 = serial)")
@@ -128,7 +128,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qqld:", err)
 		os.Exit(1)
 	}
-	cacheDesc := fmt.Sprintf("cache %d entries/tier", *cacheSize)
+	cacheDesc := fmt.Sprintf("cache %d entries", *cacheSize)
 	if *cacheSize <= 0 {
 		cacheDesc = "cache disabled"
 	}
@@ -182,9 +182,8 @@ func main() {
 		fmt.Printf("qqld: served %d queries (%d errors) over %d connections; plan cache disabled\n",
 			st.Queries, st.Errors, st.Accepted)
 	} else {
-		fmt.Printf("qqld: served %d queries (%d errors) over %d connections; AST cache %d/%d hits (%.0f%%), bound-plan cache %d/%d hits (%.0f%%, %d invalidations)\n",
+		fmt.Printf("qqld: served %d queries (%d errors) over %d connections; plan cache %d/%d hits (%.0f%%, %d invalidations)\n",
 			st.Queries, st.Errors, st.Accepted,
-			st.Cache.Hits, st.Cache.Hits+st.Cache.Misses, 100*st.Cache.HitRate(),
 			st.Cache.PlanHits, st.Cache.PlanHits+st.Cache.PlanMisses, 100*st.Cache.PlanHitRate(),
 			st.Cache.PlanInvalidations)
 	}

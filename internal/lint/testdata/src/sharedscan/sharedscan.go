@@ -1,6 +1,7 @@
 // Package sharedscantest exercises the sharedscan analyzer: the query
 // path reads tables through the zero-clone column views; the cloning
-// Table.Scan is flagged wherever it appears, DML-shaped code included.
+// Table.Scan and Table.Get are flagged wherever they appear, DML-shaped
+// code included.
 package sharedscantest
 
 import (
@@ -52,4 +53,32 @@ func deleteBad(t *storage.Table) []storage.RowID {
 		return true
 	})
 	return ids
+}
+
+// probeRows is the index-probe shape: ViewRows reads the probed rows of one
+// segment at a time as a selection over the column views, and Catalog.Get
+// is a name lookup, not a row read — never flagged.
+func probeRows(c *storage.Catalog, ids []storage.RowID) int {
+	t, ok := c.Get("t")
+	if !ok {
+		return 0
+	}
+	n := 0
+	var cs storage.ColSeg
+	for len(ids) > 0 {
+		ids = t.ViewRows(ids, []int{0}, &cs)
+		n += len(cs.Sel)
+	}
+	return n
+}
+
+// probeBad reads probed rows one cloned tuple at a time.
+func probeBad(t *storage.Table, ids []storage.RowID) []relation.Tuple {
+	var out []relation.Tuple
+	for _, id := range ids {
+		if tup, ok := t.Get(id); ok { // want `Table.Get clones every row`
+			out = append(out, tup)
+		}
+	}
+	return out
 }

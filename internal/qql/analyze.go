@@ -39,8 +39,7 @@ type AnalyzeStep struct {
 type AnalyzeReport struct {
 	// Steps mirrors the EXPLAIN plan tree in source-to-sink order.
 	Steps []AnalyzeStep
-	// Parse is the time spent lexing/parsing the script (or cloning it out
-	// of the AST cache tier).
+	// Parse is the time spent lexing and parsing the script.
 	Parse time.Duration
 	// Bind is the time spent resolving names and capturing schema versions;
 	// zero on a bound-plan cache hit, which skips the phase entirely.
@@ -168,7 +167,8 @@ func (s *Session) analyzeSelect(sel *SelectStmt, key string) (*AnalyzeReport, er
 // report. It shares the bound-plan cache tier exactly as executing the bare
 // SELECT would.
 func (s *Session) AnalyzeQuery(src string) (*AnalyzeReport, error) {
-	stmts, key, err := s.parse(src, "")
+	key := s.cacheKey(src)
+	stmts, err := s.parse(src)
 	if err != nil {
 		return nil, err
 	}

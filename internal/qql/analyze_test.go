@@ -268,8 +268,8 @@ func TestShowStats(t *testing.T) {
 		got[tup.Cells[0].V.AsString()] = tup.Cells[1].V.AsString()
 	}
 	for _, want := range []string{
-		"session_statements", "session_errors", "cache_ast_hits",
-		"cache_plan_hits", "storage_tuple_clones",
+		"session_statements", "session_errors", "cache_plan_hits",
+		"cache_plan_entries", "storage_tuple_clones",
 	} {
 		if _, ok := got[want]; !ok {
 			t.Errorf("SHOW STATS missing %q (got %v)", want, got)
@@ -277,5 +277,11 @@ func TestShowStats(t *testing.T) {
 	}
 	if got["session_errors"] != "0" {
 		t.Errorf("session_errors = %q, want 0", got["session_errors"])
+	}
+	// One cache, one family of rows.
+	for name := range got {
+		if strings.HasPrefix(name, "cache_") && !strings.HasPrefix(name, "cache_plan_") {
+			t.Errorf("SHOW STATS row %q outside the plan cache's cache_plan_* family", name)
+		}
 	}
 }

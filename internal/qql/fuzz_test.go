@@ -28,6 +28,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT 'unterminated",
 		"INSERT INTO nums VALUES (",
 		"\x00\xff@@QUALITY",
+		"-- leading comment\n  select a FROM t",
+		";; explain analyze SELECT a FROM t;",
+		"\t;\nSeLeCt a FROM t -- trailing",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -39,6 +42,16 @@ func FuzzParse(f *testing.F) {
 		}
 		if _, terr := Tokenize(src); terr != nil {
 			t.Fatalf("Parse accepted %q (%d stmts) but Tokenize rejects it: %v", src, len(stmts), terr)
+		}
+		// A script that is one SELECT or EXPLAIN must get a plan-cache key:
+		// no legal spelling may silently lose plan caching.
+		if len(stmts) == 1 {
+			switch stmts[0].(type) {
+			case *SelectStmt, *ExplainStmt:
+				if selectKey(src) == "" {
+					t.Fatalf("%q parses to one %T but selectKey gives it no key", src, stmts[0])
+				}
+			}
 		}
 	})
 }

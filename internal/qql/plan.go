@@ -595,13 +595,29 @@ type preparedSelect struct {
 	versions []uint64 // schema versions captured atomically with the tables
 }
 
+// boundTables pairs a plan's referenced table names (FROM first) with the
+// tables Catalog.Resolve returned for them, aligned by index.
+type boundTables struct {
+	names  []string
+	tables []*storage.Table
+}
+
+// get finds a table by name. A SELECT references only its FROM table and
+// its joins, so a linear scan beats building a map per execution.
+func (b boundTables) get(name string) (*storage.Table, bool) {
+	for i, n := range b.names {
+		if n == name {
+			return b.tables[i], true
+		}
+	}
+	return nil, false
+}
+
 // referencedTables lists the distinct tables the SELECT reads, FROM first.
 func referencedTables(st *SelectStmt) []string {
 	names := []string{st.From.Table}
-	seen := map[string]bool{st.From.Table: true}
 	for _, j := range st.Joins {
-		if !seen[j.Ref.Table] {
-			seen[j.Ref.Table] = true
+		if !slices.Contains(names, j.Ref.Table) {
 			names = append(names, j.Ref.Table)
 		}
 	}
@@ -624,28 +640,31 @@ func aliasedSchema(s *schema.Schema, alias string) *schema.Schema {
 // versions (read atomically, before resolution — a version read later than
 // its schema could tag a plan compiled against the old schema with the new
 // version, making a stale plan validate). The returned prepared plan owns
-// st; the table map feeds an immediate buildSelect of the same generation.
-func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*storage.Table, error) {
+// st; the bound tables feed an immediate buildSelect of the same generation.
+func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, boundTables, error) {
 	if s.analyze {
 		defer func(t0 time.Time) { s.prepDur = time.Since(t0) }(time.Now())
 	}
 	names := referencedTables(st)
-	tables, versions, missing := s.cat.Resolve(names)
+	resolved, versions, missing := s.cat.Resolve(names)
 	if missing != "" {
-		return nil, nil, fmt.Errorf("qql: unknown table %q", missing)
+		return nil, boundTables{}, fmt.Errorf("qql: unknown table %q", missing)
 	}
 
+	tables := boundTables{names: names, tables: resolved}
+	base := resolved[0].Schema() // referencedTables lists FROM first
 	res := &resolver{}
 	if len(st.Joins) == 0 {
-		res.addTable(st.From.Alias, tables[st.From.Table].Schema())
+		res.addTable(st.From.Alias, base)
 	} else {
-		cur := aliasedSchema(tables[st.From.Table].Schema(), st.From.Alias)
+		cur := aliasedSchema(base, st.From.Alias)
 		res.addTable(st.From.Alias, cur)
 		for _, j := range st.Joins {
-			right := aliasedSchema(tables[j.Ref.Table].Schema(), j.Ref.Alias)
+			rtbl, _ := tables.get(j.Ref.Table)
+			right := aliasedSchema(rtbl.Schema(), j.Ref.Alias)
 			combined, err := algebra.JoinSchema(cur, right)
 			if err != nil {
-				return nil, nil, err
+				return nil, boundTables{}, err
 			}
 			// ON resolves against the joined schema, the one the join
 			// binds its residual against: a right column whose name
@@ -653,7 +672,7 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 			// equiJoinKeys maps right-side keys back to the right schema.
 			res.addJoined(j.Ref.Alias, right, combined)
 			if err := res.rewriteNames(j.On); err != nil {
-				return nil, nil, err
+				return nil, boundTables{}, err
 			}
 			cur = combined
 		}
@@ -661,12 +680,12 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 
 	if st.Where != nil {
 		if err := res.rewriteNames(st.Where); err != nil {
-			return nil, nil, err
+			return nil, boundTables{}, err
 		}
 	}
 	if st.Quality != nil {
 		if err := res.rewriteNames(st.Quality); err != nil {
-			return nil, nil, err
+			return nil, boundTables{}, err
 		}
 	}
 
@@ -679,7 +698,7 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 	if hasAgg {
 		for _, g := range st.GroupBy {
 			if err := res.rewriteNames(g); err != nil {
-				return nil, nil, err
+				return nil, boundTables{}, err
 			}
 		}
 		for _, item := range st.Items {
@@ -689,12 +708,12 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 			case item.Agg != nil:
 				if item.Agg.Arg != nil {
 					if err := res.rewriteNames(item.Agg.Arg); err != nil {
-						return nil, nil, err
+						return nil, boundTables{}, err
 					}
 				}
 			default:
 				if err := res.rewriteNames(item.Expr); err != nil {
-					return nil, nil, err
+					return nil, boundTables{}, err
 				}
 			}
 		}
@@ -706,7 +725,7 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 				continue // expanded against the stream schema at build time
 			}
 			if err := res.rewriteNames(item.Expr); err != nil {
-				return nil, nil, err
+				return nil, boundTables{}, err
 			}
 		}
 		// ORDER BY may reference projection aliases; substitute their
@@ -728,7 +747,7 @@ func (s *Session) prepareSelect(st *SelectStmt) (*preparedSelect, map[string]*st
 		for i := range st.OrderBy {
 			substituteAliases(st.OrderBy[i].Expr, pseudo, &st.OrderBy[i].Expr)
 			if err := res.rewriteNames(st.OrderBy[i].Expr); err != nil {
-				return nil, nil, err
+				return nil, boundTables{}, err
 			}
 		}
 	}
@@ -751,14 +770,14 @@ func (s *Session) planSelect(st *SelectStmt) (*plan, error) {
 // rewritten every reference to an output column name — so it is re-entrant
 // over clones of one cached prepared statement: each build binds its own
 // private expression copies and constructs fresh iterators.
-func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) (*plan, error) {
+func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error) {
 	if s.analyze {
 		defer func(t0 time.Time) { s.buildDur = time.Since(t0) }(time.Now())
 	}
 	// Most plans are three or four steps.
 	p := &plan{analyze: s.analyze, steps: make([]string, 0, 4)}
 
-	baseTable, ok := tables[st.From.Table]
+	baseTable, ok := tables.get(st.From.Table)
 	if !ok {
 		return nil, fmt.Errorf("qql: unknown table %q", st.From.Table)
 	}
@@ -790,7 +809,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 		sch := aliasedSchema(baseTable.Schema(), st.From.Alias)
 		desc := fmt.Sprintf("EmptyScan(%s)", st.From.Table)
 		for _, j := range st.Joins {
-			rtbl, ok := tables[j.Ref.Table]
+			rtbl, ok := tables.get(j.Ref.Table)
 			if !ok {
 				return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
 			}
@@ -1105,7 +1124,7 @@ func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *pl
 // batchScanCols over the final joined schema, plus the ON clauses of the
 // joins above — and each scan views its share of that and of its own ON
 // clause.
-func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, baseTable *storage.Table, conjuncts []algebra.Expr, hasAgg bool, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
+func (s *Session) planJoins(st *SelectStmt, tables boundTables, baseTable *storage.Table, conjuncts []algebra.Expr, hasAgg bool, p *plan, consumesAll bool) (algebra.BatchIterator, error) {
 	// Every joined schema is a prefix of the final one, names included
 	// (only right-side columns are renamed), so ON clauses resolve there.
 	// Join k's right side takes final columns [offs[k], offs[k+1]).
@@ -1113,7 +1132,7 @@ func (s *Session) planJoins(st *SelectStmt, tables map[string]*storage.Table, ba
 	final := aliasedSchema(baseTable.Schema(), st.From.Alias)
 	offs := []int{len(final.Attrs)}
 	for i, j := range st.Joins {
-		rtbl, ok := tables[j.Ref.Table]
+		rtbl, ok := tables.get(j.Ref.Table)
 		if !ok {
 			return nil, fmt.Errorf("qql: unknown table %q", j.Ref.Table)
 		}

@@ -141,24 +141,12 @@ func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
 // PlanCache returns the attached plan cache, nil when none.
 func (s *Session) PlanCache() *PlanCache { return s.cache }
 
-// parse routes a script through the AST cache tier when an enabled cache
-// is attached; the returned key is the normalized text addressing both
-// cache tiers ("" when uncached). A non-empty precomputed key (from
-// fastSelect's lookup) is trusted, saving a second lex of the same source.
-func (s *Session) parse(src, key string) ([]Stmt, string, error) {
+// parse parses a script, recording the parse time for EXPLAIN ANALYZE.
+func (s *Session) parse(src string) ([]Stmt, error) {
 	t0 := time.Now()
-	defer func() { s.lastParse = time.Since(t0) }()
-	if s.cache != nil && !s.cache.Disabled() {
-		if key == "" {
-			var err error
-			if key, err = Normalize(src); err != nil {
-				return nil, "", err
-			}
-		}
-		return s.cache.parseCached(src, key)
-	}
 	stmts, err := Parse(src)
-	return stmts, "", err
+	s.lastParse = time.Since(t0)
+	return stmts, err
 }
 
 // SetNow pins the session's current instant: every subsequent statement
@@ -179,7 +167,7 @@ func (s *Session) Catalog() *storage.Catalog { return s.cat }
 // EXPLAIN) goes through the bound-plan cache tier when one is attached;
 // statements inside multi-statement scripts bypass it.
 func (s *Session) Exec(src string) ([]Result, error) {
-	p, fastKey, ok := s.fastSelect(src)
+	p, key, ok := s.fastSelect(src)
 	if ok {
 		rel, err := algebra.Collect(p.it)
 		p.release()
@@ -192,7 +180,7 @@ func (s *Session) Exec(src string) ([]Result, error) {
 			PlanShape: p.shape(), Rows: len(rel.Tuples)}
 		return []Result{{Rel: rel}}, nil
 	}
-	stmts, key, err := s.parse(src, fastKey)
+	stmts, err := s.parse(src)
 	if err != nil {
 		s.nErrs++
 		return nil, err
@@ -232,12 +220,12 @@ func (s *Session) Exec(src string) ([]Result, error) {
 
 // Query executes a single SELECT and returns its relation.
 func (s *Session) Query(src string) (*relation.Relation, error) {
-	p, fastKey, ok := s.fastSelect(src)
+	p, key, ok := s.fastSelect(src)
 	if ok {
 		defer p.release()
 		return algebra.Collect(p.it)
 	}
-	stmts, key, err := s.parse(src, fastKey)
+	stmts, err := s.parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -285,31 +273,38 @@ func (s *Session) cachedPlan(key planKey) (*plan, bool) {
 	return p, true
 }
 
-// fastSelect is the parse-free hot path: when the bound-plan tier holds a
+// fastSelect is the parse-free hot path: when the plan cache holds a
 // schema-version-valid plan for src's normalized text, the cached resolved
-// statement is cloned and built directly — no lexer, parser, or name
-// resolution. It reports ok=false whenever the slow path must run,
-// returning the normalized key it computed so the slow path need not lex
-// the source again. A bound-plan entry exists only for scripts that are
-// exactly one SELECT, so a hit implies the script shape without parsing.
+// statement is cloned and built directly — no parser or name resolution.
+// It reports ok=false whenever the slow path must run, returning the key it
+// computed (selectKey: "" unless src starts with SELECT or EXPLAIN) so the
+// slow path need not lex the source again. A plan entry exists only for
+// scripts that are exactly one SELECT, so a hit implies the script shape
+// without parsing.
 func (s *Session) fastSelect(src string) (*plan, string, bool) {
-	if !s.cache.planTierOn() {
+	key := s.cacheKey(src)
+	if key == "" {
 		return nil, "", false
-	}
-	key, err := Normalize(src)
-	if err != nil {
-		return nil, "", false // the parse path reports the lex error
 	}
 	p, ok := s.cachedPlan(planKey{cat: s.cat, text: key})
 	return p, key, ok
+}
+
+// cacheKey is src's plan-cache key: "" when no enabled cache is attached
+// or when src cannot own a plan entry (see selectKey).
+func (s *Session) cacheKey(src string) string {
+	if !s.cache.enabled() {
+		return ""
+	}
+	return selectKey(src)
 }
 
 // cacheOutcome classifies how a SELECT's plan was obtained, for EXPLAIN.
 type cacheOutcome uint8
 
 const (
-	// planBypass: no enabled cache with a bound-plan tier applied (cache
-	// absent or disabled, tier off, or statement not individually keyed).
+	// planBypass: no enabled cache applied (cache absent or disabled, or
+	// statement not individually keyed).
 	planBypass cacheOutcome = iota
 	// planHit: a cached prepared plan passed schema-version validation.
 	planHit
@@ -333,20 +328,20 @@ func (o cacheOutcome) String() string {
 // success it returns the table generation the versions vouch for, captured
 // atomically with them. The catalog check is defense in depth — plan keys
 // are catalog-scoped, so a cross-catalog entry should be unreachable.
-func (s *Session) validatePlan(prep *preparedSelect) (map[string]*storage.Table, bool) {
+func (s *Session) validatePlan(prep *preparedSelect) (boundTables, bool) {
 	if prep.cat != s.cat {
-		return nil, false
+		return boundTables{}, false
 	}
 	tables, versions, missing := s.cat.Resolve(prep.tables)
 	if missing != "" {
-		return nil, false
+		return boundTables{}, false
 	}
 	for i := range versions {
 		if versions[i] != prep.versions[i] {
-			return nil, false
+			return boundTables{}, false
 		}
 	}
-	return tables, true
+	return boundTables{names: prep.tables, tables: tables}, true
 }
 
 // planSelectVia compiles sel through the bound-plan cache tier when key
@@ -358,7 +353,7 @@ func (s *Session) validatePlan(prep *preparedSelect) (map[string]*storage.Table,
 // would serialize on the cache mutex for nothing). The caller owns sel.
 func (s *Session) planSelectVia(sel *SelectStmt, key string, triedFast bool) (*plan, cacheOutcome, error) {
 	c := s.cache
-	if key == "" || !c.planTierOn() {
+	if key == "" || !c.enabled() {
 		p, err := s.planSelect(sel)
 		return p, planBypass, err
 	}
@@ -872,10 +867,6 @@ func (s *Session) execShowStats() (Result, error) {
 	add("session_parallelism", fmt.Sprintf("%d", s.par))
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		add("cache_ast_hits", fmt.Sprintf("%d", cs.Hits))
-		add("cache_ast_misses", fmt.Sprintf("%d", cs.Misses))
-		add("cache_ast_entries", fmt.Sprintf("%d", cs.Entries))
-		add("cache_ast_hit_rate", fmt.Sprintf("%.3f", cs.HitRate()))
 		add("cache_plan_hits", fmt.Sprintf("%d", cs.PlanHits))
 		add("cache_plan_misses", fmt.Sprintf("%d", cs.PlanMisses))
 		add("cache_plan_invalidations", fmt.Sprintf("%d", cs.PlanInvalidations))

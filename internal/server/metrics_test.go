@@ -78,6 +78,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// One plan cache: every cache series carries tier="plan".
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "qqld_plan_cache_") && strings.Contains(line, "tier=") && !strings.Contains(line, `tier="plan"`) {
+			t.Errorf("/metrics exposes a second cache tier: %q", line)
+		}
+	}
 	if t.Failed() {
 		t.Logf("body:\n%s", body)
 	}

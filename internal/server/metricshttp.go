@@ -66,12 +66,9 @@ func (s *Server) scrape() {
 	s.reg.Gauge("qqld_queries_total").SetInt(st.Queries)
 	s.reg.Gauge("qqld_query_errors_total").SetInt(st.Errors)
 	s.reg.Gauge("qqld_batches_total").SetInt(st.Batches)
-	s.reg.Gauge("qqld_plan_cache_hits_total", metrics.L("tier", "ast")).SetInt(int64(st.Cache.Hits))
-	s.reg.Gauge("qqld_plan_cache_misses_total", metrics.L("tier", "ast")).SetInt(int64(st.Cache.Misses))
 	s.reg.Gauge("qqld_plan_cache_hits_total", metrics.L("tier", "plan")).SetInt(int64(st.Cache.PlanHits))
 	s.reg.Gauge("qqld_plan_cache_misses_total", metrics.L("tier", "plan")).SetInt(int64(st.Cache.PlanMisses))
 	s.reg.Gauge("qqld_plan_cache_invalidations_total").SetInt(int64(st.Cache.PlanInvalidations))
-	s.reg.Gauge("qqld_plan_cache_entries", metrics.L("tier", "ast")).SetInt(int64(st.Cache.Entries))
 	s.reg.Gauge("qqld_plan_cache_entries", metrics.L("tier", "plan")).SetInt(int64(st.Cache.PlanEntries))
 	s.reg.Gauge("qqld_tuple_clones_total").SetInt(storage.TupleClones())
 	if w := s.cfg.WAL; w != nil {

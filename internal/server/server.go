@@ -40,7 +40,7 @@ type Config struct {
 	// MaxConns caps concurrently served connections; excess connections are
 	// sent one ID-0 error frame and closed. Default 64.
 	MaxConns int
-	// CacheSize is the shared plan cache's per-tier entry cap; 0 (the zero
+	// CacheSize is the shared plan cache's entry cap; 0 (the zero
 	// value) means the default, a negative value disables caching entirely
 	// (every statement is parsed and planned from scratch; Stats.Cache
 	// reports Disabled).
@@ -172,10 +172,10 @@ func (s *Server) registerMetrics() {
 	r.Help("qqld_statement_errors_total", "Failed requests per statement kind.")
 	r.Help("qqld_statement_seconds", "Request execution latency per statement kind.")
 	r.Help("qqld_query_seconds", "Request execution latency across all statement kinds.")
-	r.Help("qqld_plan_cache_hits_total", "Plan-cache hits per tier (ast, plan).")
-	r.Help("qqld_plan_cache_misses_total", "Plan-cache misses per tier (ast, plan).")
+	r.Help("qqld_plan_cache_hits_total", "Plan-cache hits (tier=plan, the one cache).")
+	r.Help("qqld_plan_cache_misses_total", "Plan-cache misses (tier=plan, the one cache).")
 	r.Help("qqld_plan_cache_invalidations_total", "Bound plans evicted by schema-version validation.")
-	r.Help("qqld_plan_cache_entries", "Plan-cache resident entries per tier.")
+	r.Help("qqld_plan_cache_entries", "Plan-cache resident entries.")
 	r.Help("qqld_connections_active", "Connections currently being served.")
 	r.Help("qqld_connections_accepted_total", "Connections ever admitted.")
 	r.Help("qqld_connections_rejected_total", "Connections turned away by the MaxConns cap.")

@@ -737,21 +737,22 @@ func (c *Catalog) Bump(name string) {
 }
 
 // Resolve fetches the named tables and their schema versions atomically
-// under one read lock. It returns the first missing name, or "" when every
-// table resolved. The pairing matters for plan caches: a version read any
-// later than its table could tag a plan compiled against the old schema
-// with the new version, making a stale plan validate.
-func (c *Catalog) Resolve(names []string) (map[string]*Table, []uint64, string) {
+// under one read lock, both aligned with names. It returns the first
+// missing name, or "" when every table resolved. The pairing matters for
+// plan caches: a version read any later than its table could tag a plan
+// compiled against the old schema with the new version, making a stale
+// plan validate.
+func (c *Catalog) Resolve(names []string) ([]*Table, []uint64, string) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	tables := make(map[string]*Table, len(names))
+	tables := make([]*Table, len(names))
 	versions := make([]uint64, len(names))
 	for i, n := range names {
 		t, ok := c.tables[n]
 		if !ok {
 			return nil, nil, n
 		}
-		tables[n] = t
+		tables[i] = t
 		versions[i] = c.versions[n]
 	}
 	return tables, versions, ""

@@ -136,11 +136,11 @@ func (d *Database) Close() error {
 	return d.WAL.Close()
 }
 
-// DefaultPlanCacheSize is the conventional per-tier plan cache entry cap;
+// DefaultPlanCacheSize is the conventional plan cache entry cap;
 // pass it to WithPlanCache (or ServerConfig.CacheSize) for "the default".
 const DefaultPlanCacheSize = qql.DefaultCacheSize
 
-// WithPlanCache attaches a fresh two-tier plan cache of n entries per tier
+// WithPlanCache attaches a fresh plan cache of n entries
 // (pass DefaultPlanCacheSize for the conventional default; n <= 0 attaches
 // a disabled cache) to the embedded session and returns the database for
 // chaining. Server sessions get a shared cache automatically.
@@ -181,9 +181,8 @@ type (
 	// WireResponse is one per-statement server response (used by
 	// Client.Do and Client.ExecBatch results).
 	WireResponse = wire.Response
-	// PlanCache memoizes query compilation across sessions in two tiers:
-	// parsed statements, and schema-versioned bound single-SELECT plans
-	// invalidated by DDL.
+	// PlanCache memoizes query compilation across sessions: schema-versioned
+	// bound single-SELECT plans, invalidated by DDL.
 	PlanCache = qql.PlanCache
 )
 
