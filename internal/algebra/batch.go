@@ -316,33 +316,38 @@ func (r *batchRename) Stop()                            { stopIfStopper(r.in) }
 type batchSelect struct {
 	in   BatchIterator
 	kern ColPred   // column kernel, when the predicate compiles to one
-	pred Predicate // per-row fallback over scratch rows
+	pred Predicate // per-row predicate over scratch rows: the fallback, or the kernel's Ask
 	refs []int
 	ctx  *EvalContext
 }
 
 // NewBatchSelect keeps the rows whose predicate is definitely true,
 // refining each batch's selection vector in place — columns are not copied
-// or compacted, the vector just skips the losers. When the predicate is an
-// AND/OR tree of column⊗constant comparisons, it runs as a type-specialized
-// column kernel: the constant's comparison is specialized once
-// (value.CompareFn) and applied straight down the value vector, with no row
-// assembly at all. Everything else runs the compiled predicate per live row
-// over a scratch row holding only the predicate's referenced columns.
+// or compacted, the vector just skips the losers. When the predicate has a
+// column kernel (CompileColPred) it runs straight down the column vectors,
+// with no row assembly except for a slot the kernel asks about.
+// Everything else runs the compiled predicate per live row over a scratch
+// row holding only the predicate's referenced columns.
 func NewBatchSelect(in BatchIterator, pred Expr, ctx *EvalContext) (BatchIterator, error) {
 	if err := pred.Bind(in.Schema()); err != nil {
 		return nil, err
 	}
 	s := &batchSelect{in: in, ctx: ctx, refs: ReferencedCols(pred)}
-	if k, ok := CompileColPred(pred, len(in.Schema().Attrs)); ok {
-		s.kern = k
-		return s, nil
+	k, defers, ok := CompileColPred(pred, len(in.Schema().Attrs), ctx)
+	s.kern = k
+	if !ok || defers {
+		s.pred = CompilePredicate(pred)
 	}
-	s.pred = CompilePredicate(pred)
 	return s, nil
 }
 
 func (s *batchSelect) Schema() *schema.Schema { return s.in.Schema() }
+
+// ask runs the row predicate over physical slot p of b.
+func (s *batchSelect) ask(b *Batch, p int32) (Verdict, error) {
+	keep, err := s.pred(b.scratchRowAt(p, s.refs), s.ctx)
+	return keepIf(keep), err
+}
 
 func (s *batchSelect) Stop() { stopIfStopper(s.in) }
 
@@ -356,29 +361,40 @@ func (s *batchSelect) NextBatch(b *Batch) (bool, error) {
 		// upstream), the write index never passes the read index, so reusing
 		// selBuf is safe.
 		sel := b.selBuf[:0]
-		if s.kern != nil {
-			if b.sel != nil {
-				for _, i := range b.sel {
-					if s.kern(b.cols, i) {
-						sel = append(sel, i)
+		switch {
+		case s.kern != nil && b.sel != nil:
+			for _, p := range b.sel {
+				v := s.kern(b.cols, p)
+				if v == Ask {
+					if v, err = s.ask(b, p); err != nil {
+						return false, err
 					}
 				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					if s.kern(b.cols, int32(i)) {
-						sel = append(sel, int32(i))
-					}
+				if v == Keep {
+					sel = append(sel, p)
 				}
 			}
-		} else {
-			n := b.Len()
-			for i := 0; i < n; i++ {
+		case s.kern != nil:
+			for i := 0; i < b.n; i++ {
+				p := int32(i)
+				v := s.kern(b.cols, p)
+				if v == Ask {
+					if v, err = s.ask(b, p); err != nil {
+						return false, err
+					}
+				}
+				if v == Keep {
+					sel = append(sel, p)
+				}
+			}
+		default:
+			for i := 0; i < b.Len(); i++ {
 				p := b.phys(i)
-				keep, err := s.pred(b.scratchRowAt(p, s.refs), s.ctx)
+				v, err := s.ask(b, p)
 				if err != nil {
 					return false, err
 				}
-				if keep {
+				if v == Keep {
 					sel = append(sel, p)
 				}
 			}

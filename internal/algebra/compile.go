@@ -1,9 +1,12 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"repro/internal/relation"
+	"repro/internal/tag"
 	"repro/internal/value"
 )
 
@@ -20,11 +23,15 @@ type Compiled func(relation.Tuple, *EvalContext) (value.Value, error)
 type Predicate func(relation.Tuple, *EvalContext) (bool, error)
 
 // Compile specializes a bound expression into a Compiled closure chain.
-// Cmp/Logic/Arith/ColRef/Const spines (the predicate hot path) compile to
-// flat closures with the operator selected once, at compile time;
-// Const⊗Const subtrees are folded to constants. Node kinds outside the hot
-// set — SrcContains, MetaRef, IndRef, Call and friends — fall back to their
-// interpreted Eval, so Compile never changes semantics, only dispatch cost.
+// Every node kind this package defines compiles: operators are selected
+// once, at compile time, Const⊗Const subtrees are folded to constants,
+// IndRef, MetaRef and SrcContains run their own Eval bound on the concrete
+// type, and a Call resolves its builtin once, so no row pays the name
+// lookup or an argument slice; AGE and NOW read ctx.Now, the statement's
+// instant. Compile never
+// changes semantics, only dispatch cost: the interpreted Eval is the
+// oracle, and an unbound node compiles to its Eval so the interpreted
+// error surfaces. Expr types defined outside this package run their Eval.
 // The expression must already be bound (Bind) and must not be mutated
 // afterwards.
 func Compile(e Expr) Compiled {
@@ -34,6 +41,16 @@ func Compile(e Expr) Compiled {
 		return func(relation.Tuple, *EvalContext) (value.Value, error) { return c, nil }
 	case *ColRef:
 		return compileColRef(v)
+	// The reference nodes read their cell in their own Eval; binding the
+	// method on the concrete type spares each row the interface dispatch.
+	case *IndRef:
+		return v.Eval
+	case *MetaRef:
+		return v.Eval
+	case *SrcContains:
+		return v.Eval
+	case *Call:
+		return compileCall(v)
 	case *Cmp:
 		return compileCmp(v)
 	case *Logic:
@@ -84,9 +101,46 @@ func Compile(e Expr) Compiled {
 			return value.Bool(likeMatch(pattern, x.AsString()) != negate), nil
 		}
 	}
-	// Long tail (SrcContains, MetaRef, IndRef, Call, unknown nodes): the
-	// interpreted evaluator, as a method value.
+	// An Expr type this package does not define: its own evaluator.
 	return e.Eval
+}
+
+// compileCall resolves c's builtin once. A call Bind would reject — an
+// unknown name or a wrong argument count — compiles to its Eval, which
+// surfaces the interpreted error.
+func compileCall(c *Call) Compiled {
+	name := strings.ToUpper(c.Name)
+	args := make([]Compiled, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = Compile(a)
+	}
+	fn, unary := unaryBuiltins[name]
+	switch {
+	case name == "NOW" && len(args) == 0:
+		return func(_ relation.Tuple, ctx *EvalContext) (value.Value, error) {
+			return value.Time(ctx.Now), nil
+		}
+	case name == "COALESCE" && len(args) > 0:
+		return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+			for _, f := range args {
+				v, err := f(row, ctx)
+				if err != nil || !v.IsNull() {
+					return v, err
+				}
+			}
+			return value.Null, nil
+		}
+	case unary && len(args) == 1:
+		f := args[0]
+		return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+			x, err := f(row, ctx)
+			if err != nil || x.IsNull() {
+				return value.Null, err
+			}
+			return fn(x, ctx)
+		}
+	}
+	return c.Eval
 }
 
 // CompilePredicate compiles a bound boolean expression into a Predicate.
@@ -164,7 +218,7 @@ func compileBoolPred(e Expr) (Predicate, bool) {
 			if rc.idx < 0 || rc.idx >= len(row.Cells) {
 				return false, rc.boundErr()
 			}
-			got, ok := row.Cells[rc.idx].Tags.Get(rc.indicator)
+			got, ok := rc.tagOf(&row.Cells[rc.idx])
 			if !ok || got.IsNull() {
 				return false, nil
 			}
@@ -175,13 +229,14 @@ func compileBoolPred(e Expr) (Predicate, bool) {
 }
 
 // refConst is the decomposed form of Cmp(ref ⊗ const): a cell address (and
-// optional indicator), the constant, and the comparison test. It carries no
-// mutable state, so the closures built over it are safe to share across
-// parallel scan workers.
+// optional indicator and meta indicator), the constant, and the comparison
+// test. It carries no mutable state, so the closures built over it are safe
+// to share across parallel scan workers.
 type refConst struct {
 	idx       int
 	name      string // for the defensive not-bound error
 	indicator string // "" compares the application value
+	meta      string // with an indicator: compares that tag's meta tag
 	k         value.Value
 	test      func(int) bool
 	flip      bool // constant was the left operand
@@ -201,112 +256,292 @@ func (rc *refConst) cmp(v *value.Value) int {
 	return c
 }
 
-// extractRefConst recognizes Cmp(ColRef|IndRef, Const) in either operand
-// order.
-func extractRefConst(c *Cmp) (*refConst, bool) {
-	build := func(ref Expr, k *Const, flip bool) (*refConst, bool) {
-		switch r := ref.(type) {
-		case *ColRef:
-			return &refConst{idx: r.idx, name: r.Name, k: k.V, test: cmpTests[c.Op], flip: flip}, true
-		case *IndRef:
-			return &refConst{idx: r.idx, name: r.Col + "@" + r.Indicator, indicator: r.Indicator,
-				k: k.V, test: cmpTests[c.Op], flip: flip}, true
+// tagOf reads the compared tag of a row cell: the indicator's tag, or the
+// meta tag on it.
+func (rc *refConst) tagOf(c *relation.Cell) (value.Value, bool) {
+	if rc.meta != "" {
+		return c.MetaFor(rc.indicator).Get(rc.meta)
+	}
+	return c.Tags.Get(rc.indicator)
+}
+
+// slotOperand points at the compared operand of slot off in a batch — the
+// value, the indicator's tag or the meta tag on it — or is nil when the
+// slot carries no such tag. The pointer aims into the column's own storage:
+// a local copy handed to a comparator closure would escape, one heap
+// allocation per slot.
+func (rc *refConst) slotOperand(cols []ColVec, off int32) *value.Value {
+	v := &cols[rc.idx]
+	if rc.indicator == "" {
+		return &v.Vals[off]
+	}
+	if rc.meta == "" {
+		if int(off) >= len(v.Tags) {
+			return nil
 		}
+		return findTag(v.Tags[off].Tags(), rc.indicator)
+	}
+	if int(off) >= len(v.Meta) {
+		return nil
+	}
+	return findTag(v.Meta[off][rc.indicator].Tags(), rc.meta)
+}
+
+// findTag points at the value of the named tag in ts, nil when absent.
+func findTag(ts []tag.Tag, name string) *value.Value {
+	for i := range ts {
+		if ts[i].Indicator == name {
+			return &ts[i].Value
+		}
+	}
+	return nil
+}
+
+// extractRefConst recognizes Cmp(ColRef|IndRef|MetaRef, Const) in either
+// operand order.
+func extractRefConst(c *Cmp) (*refConst, bool) {
+	return splitCmp(c, refOf)
+}
+
+// extractAgeConst recognizes Cmp(AGE(ColRef|IndRef|MetaRef), Const) in
+// either operand order; the refConst addresses AGE's argument.
+func extractAgeConst(c *Cmp) (*refConst, bool) {
+	return splitCmp(c, func(e Expr) (*refConst, bool) {
+		call, ok := e.(*Call)
+		if !ok || len(call.Args) != 1 || !strings.EqualFold(call.Name, "AGE") {
+			return nil, false
+		}
+		return refOf(call.Args[0])
+	})
+}
+
+// splitCmp decomposes c into operand ⊗ const, in either order, where operand
+// is recognized by ref.
+func splitCmp(c *Cmp, ref func(Expr) (*refConst, bool)) (*refConst, bool) {
+	operand, k, flip := c.L, c.R, false
+	if _, ok := k.(*Const); !ok {
+		operand, k, flip = c.R, c.L, true
+	}
+	kc, ok := k.(*Const)
+	if !ok {
 		return nil, false
 	}
-	if k, ok := c.R.(*Const); ok {
-		return build(c.L, k, false)
+	rc, ok := ref(operand)
+	if !ok {
+		return nil, false
 	}
-	if k, ok := c.L.(*Const); ok {
-		return build(c.R, k, true)
+	rc.k, rc.test, rc.flip = kc.V, cmpTests[c.Op], flip
+	return rc, true
+}
+
+// refOf addresses a column's value, an indicator tag or a meta tag.
+func refOf(e Expr) (*refConst, bool) {
+	switch r := e.(type) {
+	case *ColRef:
+		return &refConst{idx: r.idx, name: r.Name}, true
+	case *IndRef:
+		return &refConst{idx: r.idx, name: r.String(), indicator: r.Indicator}, true
+	case *MetaRef:
+		return &refConst{idx: r.idx, name: r.String(), indicator: r.Indicator, meta: r.Meta}, true
 	}
 	return nil, false
 }
 
-// ColPred is a compiled column kernel: it tests one physical slot of a
-// batch's column vectors without assembling a row. Kernels are built only
-// for predicate shapes that cannot error at runtime (CompileColPred
-// rejects unbound references at compile time), so the signature has no
-// error return — which is what keeps the per-slot loop branch-light.
-type ColPred func(cols []ColVec, off int32) bool
+// Verdict is a column kernel's answer for one slot.
+type Verdict uint8
 
-// CompileColPred builds a column kernel for an AND/OR tree of ref⊗const
-// comparisons over a batch of the given width — the same shapes
-// compileBoolPred handles, minus anything that could error per row. The
-// constant side of each comparison is specialized once via value.CompareFn,
-// so the slot loop runs a direct comparison on the already-loaded value
-// instead of a generic ComparePtr dispatch. Not ok means the caller should
-// fall back to scalar predicate evaluation over scratch rows.
-func CompileColPred(e Expr, width int) (ColPred, bool) {
+const (
+	// Drop: the predicate is not definitely true for the slot.
+	Drop Verdict = iota
+	// Keep: the predicate is definitely true for the slot.
+	Keep
+	// Ask: the kernel cannot answer without deciding whether the
+	// interpreted walk errors here; the caller runs the compiled row
+	// predicate (CompilePredicate) over the slot instead.
+	Ask
+)
+
+func keepIf(b bool) Verdict {
+	if b {
+		return Keep
+	}
+	return Drop
+}
+
+// ColPred is a compiled column kernel: it tests one physical slot of a
+// batch's column vectors without assembling a row. Keep and Drop are
+// answers the interpreted Truth would give with no error; a kernel answers
+// Ask where Truth might error — AGE over a tag that is not a time — and the
+// caller then evaluates the row predicate for that one slot, so the error
+// surfaces exactly as the interpreted walk raises it. The signature has no
+// error return, which is what keeps the per-slot loop branch-light.
+type ColPred func(cols []ColVec, off int32) Verdict
+
+// CompileColPred builds a column kernel over a batch of the given width for
+// an AND/OR tree whose leaves are ref⊗const comparisons (ref being a
+// column, col@ind or col@ind@meta), AGE(ref)⊗const comparisons and
+// SOURCE(col, 'x') tests, the constant on either side. Comparisons are
+// specialized once (value.CompareFn), so the slot loop runs a direct
+// comparison on the already-loaded value instead of a generic dispatch;
+// AGE computes ctx.Now.Sub(t) per slot exactly as Call.Eval does. defers
+// reports whether the kernel may answer Ask, in which case the caller needs
+// the row predicate too. Not ok means the caller should fall back to scalar
+// predicate evaluation over scratch rows.
+func CompileColPred(e Expr, width int, ctx *EvalContext) (k ColPred, defers, ok bool) {
 	switch v := e.(type) {
 	case *Logic:
-		l, lok := CompileColPred(v.L, width)
-		r, rok := CompileColPred(v.R, width)
+		l, ld, lok := CompileColPred(v.L, width, ctx)
+		r, rd, rok := CompileColPred(v.R, width, ctx)
 		if !lok || !rok {
-			return nil, false
+			return nil, false, false
 		}
-		if v.Op == OpAnd {
-			return func(cols []ColVec, off int32) bool {
-				return l(cols, off) && r(cols, off)
-			}, true
+		if v.Op == OpOr {
+			// Keep short-circuits as the interpreted OR does; a dropped
+			// left side leaves the answer to the right.
+			return func(cols []ColVec, off int32) Verdict {
+				if a := l(cols, off); a != Drop {
+					return a
+				}
+				return r(cols, off)
+			}, ld || rd, true
 		}
-		return func(cols []ColVec, off int32) bool {
-			return l(cols, off) || r(cols, off)
-		}, true
+		if !rd {
+			// The right side never asks, so a dropped left side settles
+			// the slot, as && does.
+			return func(cols []ColVec, off int32) Verdict {
+				if a := l(cols, off); a != Keep {
+					return a
+				}
+				return r(cols, off)
+			}, ld, true
+		}
+		// A left side that is null rather than false would leave the
+		// interpreted AND evaluating the right one, whose error must
+		// surface: the right side runs even after a Drop.
+		return func(cols []ColVec, off int32) Verdict {
+			a := l(cols, off)
+			if a == Ask {
+				return Ask
+			}
+			if b := r(cols, off); b == Ask || a == Keep {
+				return b
+			}
+			return Drop
+		}, true, true
+	case *SrcContains:
+		if v.idx < 0 || v.idx >= width {
+			return nil, false, false // unbound: let the scalar path surface the error
+		}
+		idx, src := v.idx, v.Source
+		return func(cols []ColVec, off int32) Verdict {
+			srcs := cols[idx].Srcs
+			return keepIf(int(off) < len(srcs) && srcs[off].Contains(src))
+		}, false, true
 	case *Cmp:
-		rc, ok := extractRefConst(v)
-		if !ok {
-			return nil, false
+		if rc, ok := extractRefConst(v); ok {
+			k := refKernel(rc, width)
+			return k, false, k != nil
 		}
-		if rc.idx < 0 || rc.idx >= width {
-			return nil, false // unbound: let the scalar path surface the error
+		if rc, ok := extractAgeConst(v); ok && ctx != nil && rc.idx >= 0 && rc.idx < width {
+			return ageKernel(rc, ctx), true, true
 		}
-		if rc.k.IsNull() {
-			// ref ⊗ null is null: never definitely true.
-			return func([]ColVec, int32) bool { return false }, true
+	}
+	return nil, false, false
+}
+
+// refKernel is the kernel of a ref⊗const comparison, nil when the reference
+// is unbound for the width.
+func refKernel(rc *refConst, width int) ColPred {
+	if rc.idx < 0 || rc.idx >= width {
+		return nil // unbound: let the scalar path surface the error
+	}
+	if rc.k.IsNull() {
+		// ref ⊗ null is null: never definitely true.
+		return func([]ColVec, int32) Verdict { return Drop }
+	}
+	cmp := value.CompareFn(rc.k)
+	test, flip, idx := rc.test, rc.flip, rc.idx
+	if rc.indicator == "" {
+		return func(cols []ColVec, off int32) Verdict {
+			cv := &cols[idx].Vals[off]
+			if cv.IsNull() {
+				return Drop
+			}
+			c := cmp(cv)
+			if flip {
+				c = -c
+			}
+			return keepIf(test(c))
 		}
-		cmp := value.CompareFn(rc.k)
-		test, flip, idx := rc.test, rc.flip, rc.idx
-		if rc.indicator == "" {
-			return func(cols []ColVec, off int32) bool {
-				cv := &cols[idx].Vals[off]
-				if cv.IsNull() {
-					return false
-				}
-				c := cmp(cv)
-				if flip {
-					c = -c
-				}
-				return test(c)
-			}, true
-		}
+	}
+	if rc.meta == "" {
 		ind := rc.indicator
-		return func(cols []ColVec, off int32) bool {
+		return func(cols []ColVec, off int32) Verdict {
 			tags := cols[idx].Tags
 			if int(off) >= len(tags) {
-				return false
+				return Drop
 			}
-			// Point into the set's own slice: a local copy passed to cmp
-			// would escape, one heap allocation per slot.
-			var got *value.Value
-			ts := tags[off].Tags()
-			for i := range ts {
-				if ts[i].Indicator == ind {
-					got = &ts[i].Value
-					break
-				}
-			}
+			got := findTag(tags[off].Tags(), ind)
 			if got == nil || got.IsNull() {
-				return false
+				return Drop
 			}
 			c := cmp(got)
 			if flip {
 				c = -c
 			}
-			return test(c)
-		}, true
+			return keepIf(test(c))
+		}
 	}
-	return nil, false
+	return func(cols []ColVec, off int32) Verdict {
+		got := rc.slotOperand(cols, off)
+		if got == nil || got.IsNull() {
+			return Drop
+		}
+		c := cmp(got)
+		if flip {
+			c = -c
+		}
+		return keepIf(test(c))
+	}
+}
+
+// ageKernel is the kernel of AGE(ref)⊗const. A missing or null operand
+// makes AGE null, so the slot drops; one that is not a time is AGE's error,
+// so the slot asks. The comparison runs on AGE's own result,
+// ctx.Now.Sub(t), never on a bound on t, which would differ where Sub
+// saturates.
+func ageKernel(rc *refConst, ctx *EvalContext) ColPred {
+	k, test, flip := rc.k, rc.test, rc.flip
+	kNull := k.IsNull()
+	// An integer-like constant orders against a duration by its integer
+	// payload, as value.CompareFn does; any other kind takes the general
+	// ordering.
+	kInt := k.Kind() == value.KindDuration || k.Kind() == value.KindInt || k.Kind() == value.KindBool
+	ki := k.AsInt()
+	return func(cols []ColVec, off int32) Verdict {
+		t := rc.slotOperand(cols, off)
+		if t == nil || t.IsNull() {
+			return Drop
+		}
+		if t.Kind() != value.KindTime {
+			return Ask
+		}
+		if kNull {
+			return Drop
+		}
+		d := ctx.Now.Sub(t.AsTime())
+		var c int
+		if kInt {
+			c = cmp.Compare(int64(d), ki)
+		} else {
+			dv := value.Duration(d)
+			c = value.ComparePtr(&dv, &k)
+		}
+		if flip {
+			c = -c
+		}
+		return keepIf(test(c))
+	}
 }
 
 // PrunableSargs extracts the segment-prunable conjuncts of a bound
@@ -408,7 +643,7 @@ func compileCmp(c *Cmp) Compiled {
 			if rc.idx < 0 || rc.idx >= len(row.Cells) {
 				return value.Null, rc.boundErr()
 			}
-			got, ok := row.Cells[rc.idx].Tags.Get(rc.indicator)
+			got, ok := rc.tagOf(&row.Cells[rc.idx])
 			if !ok || got.IsNull() {
 				return value.Null, nil
 			}

@@ -46,10 +46,32 @@ func compileCases() []Expr {
 		&Like{E: &ColRef{Name: "name"}, Pattern: "%Co_", Negate: true},
 		&Like{E: &ColRef{Name: "n"}, Pattern: "4%"}, // type error per row
 		&IndRef{Col: "n", Indicator: "source"},
+		&IndRef{Col: "name", Indicator: "source"}, // untagged: null
 		&MetaRef{Col: "n", Indicator: "source", Meta: "credibility"},
+		&MetaRef{Col: "n", Indicator: "source", Meta: "nope"},
+		&MetaRef{Col: "when", Indicator: "creation_time", Meta: "credibility"},
 		&SrcContains{Col: "name", Source: "nexis"},
-		&Call{Name: "LENGTH", Args: []Expr{&ColRef{Name: "name"}}},
+		&SrcContains{Col: "n", Source: "nexis"}, // tagged, no sources
+		&Call{Name: "NOW"},
 		&Call{Name: "AGE", Args: []Expr{&ColRef{Name: "when"}}},
+		&Call{Name: "age", Args: []Expr{&IndRef{Col: "when", Indicator: "creation_time"}}},
+		&Call{Name: "AGE", Args: []Expr{&ColRef{Name: "name"}}}, // type error per row
+		&Call{Name: "LENGTH", Args: []Expr{&ColRef{Name: "name"}}},
+		&Call{Name: "lower", Args: []Expr{&ColRef{Name: "name"}}},
+		&Call{Name: "UPPER", Args: []Expr{&IndRef{Col: "n", Indicator: "source"}}},
+		&Call{Name: "ABS", Args: []Expr{&Neg{E: &ColRef{Name: "n"}}}},
+		&Call{Name: "ABS", Args: []Expr{&ColRef{Name: "price"}}},
+		&Call{Name: "ABS", Args: []Expr{&ColRef{Name: "name"}}}, // type error per row
+		&Call{Name: "YEAR", Args: []Expr{&ColRef{Name: "when"}}},
+		&Call{Name: "YEAR", Args: []Expr{&ColRef{Name: "n"}}}, // type error per row
+		&Call{Name: "COALESCE", Args: []Expr{&IndRef{Col: "name", Indicator: "source"}, &ColRef{Name: "name"}}},
+		&Call{Name: "COALESCE", Args: []Expr{c(value.Null), &IndRef{Col: "price", Indicator: "source"}}},
+		// Column-kernel shapes.
+		&Cmp{Op: OpLe, L: &Call{Name: "AGE", Args: []Expr{&IndRef{Col: "when", Indicator: "creation_time"}}}, R: c(value.Duration(720 * time.Hour))},
+		&Cmp{Op: OpGt, L: c(value.Duration(100 * 24 * time.Hour)), R: &Call{Name: "AGE", Args: []Expr{&ColRef{Name: "when"}}}},
+		&Cmp{Op: OpEq, L: &MetaRef{Col: "n", Indicator: "source", Meta: "credibility"}, R: c(value.Str("high"))},
+		&Logic{Op: OpAnd, L: &SrcContains{Col: "name", Source: "nexis"},
+			R: &Cmp{Op: OpGe, L: &Call{Name: "AGE", Args: []Expr{&ColRef{Name: "name"}}}, R: c(value.Duration(0))}},
 	}
 }
 
@@ -176,6 +198,30 @@ func TestConstTruth(t *testing.T) {
 		truth, decided := ConstTruth(tc.e)
 		if truth != tc.truth || decided != tc.decided {
 			t.Errorf("ConstTruth(%s) = (%v,%v), want (%v,%v)", tc.e.String(), truth, decided, tc.truth, tc.decided)
+		}
+	}
+}
+
+// TestCompiledQualityReadsDoNotAllocate: compiled indicator, meta and source
+// reads and AGE over a tag cost no allocation on a populated row.
+func TestCompiledQualityReadsDoNotAllocate(t *testing.T) {
+	ctx := &EvalContext{Now: exprNow}
+	row := exprRow()
+	for _, e := range []Expr{
+		&Call{Name: "AGE", Args: []Expr{&IndRef{Col: "when", Indicator: "creation_time"}}},
+		&IndRef{Col: "n", Indicator: "source"},
+		&MetaRef{Col: "n", Indicator: "source", Meta: "credibility"},
+		&SrcContains{Col: "name", Source: "nexis"},
+	} {
+		if err := e.Bind(exprSchema()); err != nil {
+			t.Fatal(err)
+		}
+		f := Compile(e)
+		if v, err := f(row, ctx); err != nil || v.IsNull() {
+			t.Fatalf("%s = %v, %v on a populated row", e.String(), v, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = f(row, ctx) }); n != 0 {
+			t.Errorf("%s allocates %v times per row, want 0", e.String(), n)
 		}
 	}
 }

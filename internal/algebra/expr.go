@@ -655,6 +655,19 @@ var builtinArity = map[string]int{
 	"ABS": 1, "YEAR": 1, "COALESCE": -1,
 }
 
+// unaryBuiltins are the one-argument builtins, by upper-cased name, applied
+// to their argument's value when it is not null; each maps null to null.
+// Call.Eval looks one up per call; Compile resolves it once per
+// expression.
+var unaryBuiltins = map[string]func(x value.Value, ctx *EvalContext) (value.Value, error){
+	"AGE":    builtinAge,
+	"LENGTH": builtinLength,
+	"LOWER":  builtinLower,
+	"UPPER":  builtinUpper,
+	"ABS":    builtinAbs,
+	"YEAR":   builtinYear,
+}
+
 // Eval implements Expr.
 func (c *Call) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 	name := strings.ToUpper(c.Name)
@@ -678,61 +691,60 @@ func (c *Call) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 		}
 		args[i] = v
 	}
-	switch name {
-	case "NOW":
+	if name == "NOW" {
 		return value.Time(ctx.Now), nil
-	case "AGE":
+	}
+	if fn, ok := unaryBuiltins[name]; ok {
 		if args[0].IsNull() {
 			return value.Null, nil
 		}
-		if args[0].Kind() != value.KindTime {
-			return value.Null, fmt.Errorf("algebra: AGE wants a time, got %v", args[0].Kind())
-		}
-		return value.Duration(ctx.Now.Sub(args[0].AsTime())), nil
-	case "LENGTH":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.Int(int64(len(args[0].AsString()))), nil
-	case "LOWER":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.Str(strings.ToLower(args[0].AsString())), nil
-	case "UPPER":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.Str(strings.ToUpper(args[0].AsString())), nil
-	case "ABS":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if !args[0].Numeric() {
-			return value.Null, fmt.Errorf("algebra: ABS wants a number, got %v", args[0].Kind())
-		}
-		if args[0].Kind() == value.KindInt {
-			x := args[0].AsInt()
-			if x < 0 {
-				x = -x
-			}
-			return value.Int(x), nil
-		}
-		f := args[0].AsFloat()
-		if f < 0 {
-			f = -f
-		}
-		return value.Float(f), nil
-	case "YEAR":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() != value.KindTime {
-			return value.Null, fmt.Errorf("algebra: YEAR wants a time, got %v", args[0].Kind())
-		}
-		return value.Int(int64(args[0].AsTime().Year())), nil
+		return fn(args[0], ctx)
 	}
 	return value.Null, fmt.Errorf("algebra: unknown function %q", c.Name)
+}
+
+func builtinAge(x value.Value, ctx *EvalContext) (value.Value, error) {
+	if x.Kind() != value.KindTime {
+		return value.Null, fmt.Errorf("algebra: AGE wants a time, got %v", x.Kind())
+	}
+	return value.Duration(ctx.Now.Sub(x.AsTime())), nil
+}
+
+func builtinLength(x value.Value, _ *EvalContext) (value.Value, error) {
+	return value.Int(int64(len(x.AsString()))), nil
+}
+
+func builtinLower(x value.Value, _ *EvalContext) (value.Value, error) {
+	return value.Str(strings.ToLower(x.AsString())), nil
+}
+
+func builtinUpper(x value.Value, _ *EvalContext) (value.Value, error) {
+	return value.Str(strings.ToUpper(x.AsString())), nil
+}
+
+func builtinAbs(x value.Value, _ *EvalContext) (value.Value, error) {
+	if !x.Numeric() {
+		return value.Null, fmt.Errorf("algebra: ABS wants a number, got %v", x.Kind())
+	}
+	if x.Kind() == value.KindInt {
+		i := x.AsInt()
+		if i < 0 {
+			i = -i
+		}
+		return value.Int(i), nil
+	}
+	f := x.AsFloat()
+	if f < 0 {
+		f = -f
+	}
+	return value.Float(f), nil
+}
+
+func builtinYear(x value.Value, _ *EvalContext) (value.Value, error) {
+	if x.Kind() != value.KindTime {
+		return value.Null, fmt.Errorf("algebra: YEAR wants a time, got %v", x.Kind())
+	}
+	return value.Int(int64(x.AsTime().Year())), nil
 }
 
 // String implements Expr.

@@ -25,7 +25,8 @@ func exprRow() relation.Tuple {
 	created := time.Date(1991, 10, 3, 0, 0, 0, 0, time.UTC)
 	return relation.Tuple{Cells: []relation.Cell{
 		{V: value.Str("Fruit Co"), Sources: tag.NewSources("nexis")},
-		{V: value.Int(4004), Tags: tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str("Nexis")})},
+		{V: value.Int(4004), Tags: tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str("Nexis")}),
+			Meta: map[string]tag.Set{"source": tag.NewSet(tag.Tag{Indicator: "credibility", Value: value.Str("high")})}},
 		{V: value.Float(12.5)},
 		{V: value.Time(created), Tags: tag.NewSet(tag.Tag{Indicator: "creation_time", Value: value.Time(created)})},
 	}}

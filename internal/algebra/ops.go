@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -138,7 +139,7 @@ func bindProjection(inSchema *schema.Schema, items []ProjectItem) (*projection, 
 			if cr, ok := it.Expr.(*ColRef); ok {
 				name = cr.Name
 			} else {
-				name = fmt.Sprintf("col%d", i+1)
+				name = "col" + strconv.Itoa(i+1)
 			}
 			items[i].As = name
 		}

@@ -64,7 +64,8 @@ type scanSpec struct {
 	prunes []SegPrune
 	prAt   []int // position in cols of each prune's column
 	// The fused predicate, if any: a column kernel when it has that shape,
-	// else the compiled per-row predicate over scratch rows of refs.
+	// and the compiled per-row predicate over scratch rows of refs when it
+	// has not or the kernel may ask.
 	kern ColPred
 	pred Predicate
 	refs []int
@@ -155,10 +156,13 @@ func (sp *scanSpec) load(seg int, ls *segLoad, f *Batch) {
 			off = cs.Sel[k]
 		}
 		if sp.kern != nil {
-			if sp.kern(f.cols, off) {
+			v := sp.kern(f.cols, off)
+			if v == Keep {
 				out = append(out, off)
 			}
-			continue
+			if v != Ask {
+				continue
+			}
 		}
 		keep, err := sp.pred(f.scratchRowAt(off, sp.refs), sp.ctx)
 		if err != nil {
@@ -263,14 +267,14 @@ func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
 // NewParallelScan is NewBatchColScan fanned out across degree workers, one
 // heap segment at a time, with pred (optional) fused into the workers. Each
 // worker views only the scan's columns, tests the prunes and runs pred over
-// its segment into a selection vector — as a column kernel when pred is an
-// AND/OR tree of column⊗constant comparisons, else per live row over
-// scratch rows. The consumer takes segments back in segment (so row-ID)
-// order and emits the same segment-aligned windows over the heap runs as
-// the serial scan: no cell is copied on either side. pred must be bindable
-// against t's schema; evaluation must be read-only after Bind (every
-// compiled closure is). A predicate error is terminal. degree is clamped
-// to [1, segments]; at 1 the scan runs inline with no goroutines.
+// its segment into a selection vector — as a column kernel when pred has
+// one (CompileColPred), else per live row over scratch rows. The consumer
+// takes segments back in segment (so row-ID) order and emits the same
+// segment-aligned windows over the heap runs as the serial scan: no cell is
+// copied on either side. pred must be bindable against t's schema;
+// evaluation must be read-only after Bind (every compiled closure is). A
+// predicate error is terminal. degree is clamped to [1, segments]; at 1
+// the scan runs inline with no goroutines.
 func NewParallelScan(t *storage.Table, degree, size int, cols []int, prunes []SegPrune, pred Expr, ctx *EvalContext) (BatchIterator, error) {
 	s := newColScan(t, size, cols, prunes)
 	if pred != nil {
@@ -282,9 +286,9 @@ func NewParallelScan(t *storage.Table, degree, size int, cols []int, prunes []Se
 		for _, c := range sp.refs {
 			sp.colIndex(c)
 		}
-		if k, ok := CompileColPred(pred, sp.width); ok {
-			sp.kern = k
-		} else {
+		k, defers, ok := CompileColPred(pred, sp.width, ctx)
+		sp.kern = k
+		if !ok || defers {
 			sp.pred = CompilePredicate(pred)
 		}
 		s.filter = new(Batch)

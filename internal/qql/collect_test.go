@@ -213,7 +213,7 @@ func TestCollectMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, id := range ids {
-				tup, err := oracle.updatedRow(ust.Sets, cols, rows[i])
+				tup, err := oracle.updatedRow(ust.Sets, cols, otbl.Schema(), rows[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -301,26 +301,39 @@ func (l *Lexer) Next() (Token, error) {
 	return tok, fmt.Errorf("qql: line %d col %d: unexpected character %q", tok.Line, tok.Col, string(c))
 }
 
-// quoted consumes a single-quoted string with ” escaping; the lexer is
-// positioned at the opening quote.
+// quoted consumes a single-quoted string in which a doubled quote stands
+// for one; the lexer is positioned at the opening quote. A literal without
+// a doubled quote is returned as a substring of the source, with no copy;
+// only one holding a doubled quote is rebuilt.
 func (l *Lexer) quoted() (string, error) {
 	line := l.line
 	l.advance() // opening quote
-	var b strings.Builder
+	start := l.pos
+	var b strings.Builder // filled only once an escape turns up
+	escaped := false
 	for {
 		if l.pos >= len(l.src) {
 			return "", fmt.Errorf("qql: line %d: unterminated string", line)
 		}
 		c := l.advance()
 		if c == '\'' {
-			if l.peek() == '\'' {
-				l.advance()
-				b.WriteByte('\'')
-				continue
+			if l.peek() != '\'' {
+				if !escaped {
+					return l.src[start : l.pos-1], nil
+				}
+				return b.String(), nil
 			}
-			return b.String(), nil
+			l.advance()
+			if !escaped {
+				b.WriteString(l.src[start : l.pos-2])
+				escaped = true
+			}
+			b.WriteByte('\'')
+			continue
 		}
-		b.WriteByte(c)
+		if escaped {
+			b.WriteByte(c)
+		}
 	}
 }
 

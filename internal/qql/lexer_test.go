@@ -144,3 +144,43 @@ func TestValueLiteralRoundtripThroughLexer(t *testing.T) {
 		}
 	}
 }
+
+// TestQuotedLiterals pins doubled-quote escapes, the unterminated-string
+// error text and that a literal without an escape costs no allocation.
+func TestQuotedLiterals(t *testing.T) {
+	for src, want := range map[string]string{
+		`''`:           "",
+		`''''`:         "'",
+		`'a''b''c'`:    "a'b'c",
+		`'''x'`:        "'x",
+		`'x'''`:        "x'",
+		"'two\nlines'": "two\nlines",
+		`'Fruit Co'`:   "Fruit Co",
+	} {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("Tokenize(%q): %v", src, err)
+		}
+		if toks[0].Kind != TokString || toks[0].Text != want || toks[0].Val.AsString() != want {
+			t.Errorf("Tokenize(%q) = %v, want string %q", src, toks[0], want)
+		}
+	}
+	for src, want := range map[string]string{
+		`'abc`:     "qql: line 1: unterminated string",
+		`'a''`:     "qql: line 1: unterminated string",
+		"x\n'a\nb": "qql: line 2: unterminated string",
+	} {
+		if _, err := Tokenize(src); err == nil || err.Error() != want {
+			t.Errorf("Tokenize(%q) error = %v, want %q", src, err, want)
+		}
+	}
+	lx := NewLexer("")
+	if n := testing.AllocsPerRun(100, func() {
+		*lx = Lexer{src: `'12 Orchard Rd'`, line: 1, col: 1}
+		if tok, err := lx.Next(); err != nil || tok.Text != "12 Orchard Rd" {
+			t.Fatalf("Next = %v, %v", tok, err)
+		}
+	}); n != 0 {
+		t.Errorf("lexing an unescaped literal allocates %v times, want 0", n)
+	}
+}

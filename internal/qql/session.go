@@ -332,14 +332,9 @@ func (s *Session) validatePlan(prep *preparedSelect) (boundTables, bool) {
 	if prep.cat != s.cat {
 		return boundTables{}, false
 	}
-	tables, versions, missing := s.cat.Resolve(prep.tables)
-	if missing != "" {
+	tables, ok := s.cat.ResolveAt(prep.tables, prep.versions)
+	if !ok {
 		return boundTables{}, false
-	}
-	for i := range versions {
-		if versions[i] != prep.versions[i] {
-			return boundTables{}, false
-		}
 	}
 	return boundTables{names: prep.tables, tables: tables}, true
 }
@@ -558,23 +553,27 @@ func (s *Session) execInsert(st *InsertStmt) (Result, error) {
 			if err != nil {
 				return Result{}, fmt.Errorf("qql: insert value %d: %w", i+1, err)
 			}
-			cell := relation.Cell{V: v}
+			cell := relation.Cell{V: ownValue(v)}
 			for _, ta := range ic.Tags {
 				tv, err := s.evalConst(ta.Expr, sc)
 				if err != nil {
 					return Result{}, fmt.Errorf("qql: insert tag %s: %w", ta.Name, err)
 				}
-				cell.Tags = cell.Tags.With(ta.Name, tv)
+				name := ownIndicator(&sc.Attrs[i], ta.Name)
+				cell.Tags = cell.Tags.With(name, ownValue(tv))
 				for _, m := range ta.Meta {
 					mv, err := s.evalConst(m.Expr, sc)
 					if err != nil {
 						return Result{}, fmt.Errorf("qql: insert meta tag %s@%s: %w", ta.Name, m.Name, err)
 					}
-					cell = cell.WithMetaTag(ta.Name, m.Name, mv)
+					cell = cell.WithMetaTag(name, strings.Clone(m.Name), ownValue(mv))
 				}
 			}
 			if len(ic.Sources) > 0 {
 				cell.Sources = tag.NewSources(ic.Sources...)
+				for j, src := range cell.Sources {
+					cell.Sources[j] = strings.Clone(src)
+				}
 			}
 			cells[i] = cell
 		}
@@ -628,7 +627,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	}
 	var changes []change
 	shape, err := s.collectMatches(tbl, st.Where, func(id storage.RowID, tup relation.Tuple) error {
-		updated, err := s.updatedRow(st.Sets, cols, tup)
+		updated, err := s.updatedRow(st.Sets, cols, tbl.Schema(), tup)
 		if err != nil {
 			return err
 		}
@@ -678,7 +677,7 @@ func bindSets(sets []SetClause, sc *schema.Schema) ([]int, error) {
 
 // updatedRow applies bound SET clauses (cols from bindSets) to a copy of
 // tup. Every expression reads tup as collected, so SET a = b, b = a swaps.
-func (s *Session) updatedRow(sets []SetClause, cols []int, tup relation.Tuple) (relation.Tuple, error) {
+func (s *Session) updatedRow(sets []SetClause, cols []int, sc *schema.Schema, tup relation.Tuple) (relation.Tuple, error) {
 	updated := tup.Clone()
 	for i, set := range sets {
 		cell := updated.Cells[cols[i]]
@@ -687,25 +686,47 @@ func (s *Session) updatedRow(sets []SetClause, cols []int, tup relation.Tuple) (
 			if err != nil {
 				return relation.Tuple{}, err
 			}
-			cell.V = v
+			cell.V = ownValue(v)
 		}
 		for _, ta := range set.Tags {
 			tv, err := ta.Expr.Eval(tup, s.ctx)
 			if err != nil {
 				return relation.Tuple{}, err
 			}
-			cell.Tags = cell.Tags.With(ta.Name, tv)
+			name := ownIndicator(&sc.Attrs[cols[i]], ta.Name)
+			cell.Tags = cell.Tags.With(name, ownValue(tv))
 			for _, m := range ta.Meta {
 				mv, err := m.Expr.Eval(tup, s.ctx)
 				if err != nil {
 					return relation.Tuple{}, err
 				}
-				cell = cell.WithMetaTag(ta.Name, m.Name, mv)
+				cell = cell.WithMetaTag(name, strings.Clone(m.Name), ownValue(mv))
 			}
 		}
 		updated.Cells[cols[i]] = cell
 	}
 	return updated, nil
+}
+
+// ownValue returns v with its string, if it holds one, copied. String
+// literals and identifiers are slices of the statement text; a stored cell
+// takes its own copy so that it does not keep the whole statement alive.
+func ownValue(v value.Value) value.Value {
+	if v.Kind() == value.KindString {
+		return value.String_(strings.Clone(v.AsString()))
+	}
+	return v
+}
+
+// ownIndicator returns a's declared indicator name equal to name, or a
+// copy of name when a declares none, for the same reason as ownValue.
+func ownIndicator(a *schema.Attr, name string) string {
+	for i := range a.Indicators {
+		if a.Indicators[i].Name == name {
+			return a.Indicators[i].Name
+		}
+	}
+	return strings.Clone(name)
 }
 
 // collectMatches is DML's collect phase: it binds where (nil matches all)
@@ -812,7 +833,7 @@ func (s *Session) execTagTable(st *TagTableStmt) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("qql: table tag %s: %w", ta.Name, err)
 		}
-		if err := s.applyTagTable(tbl, st.Table, ta.Name, v); err != nil {
+		if err := s.applyTagTable(tbl, st.Table, strings.Clone(ta.Name), ownValue(v)); err != nil {
 			return Result{}, err
 		}
 	}

@@ -84,31 +84,31 @@ func (s *Schema) Validate() error {
 	if len(s.Attrs) == 0 {
 		return fmt.Errorf("schema %s: no attributes", s.Name)
 	}
-	seen := make(map[string]bool, len(s.Attrs))
-	for _, a := range s.Attrs {
+	// Schemas are built per plan (projections, joins), so names are
+	// checked against the earlier ones by a linear scan, with no map.
+	for i, a := range s.Attrs {
 		if a.Name == "" {
 			return fmt.Errorf("schema %s: attribute with empty name", s.Name)
 		}
 		if strings.ContainsAny(a.Name, " \t\n@.'\"") {
 			return fmt.Errorf("schema %s: attribute name %q contains forbidden characters", s.Name, a.Name)
 		}
-		if seen[a.Name] {
+		if s.ColIndex(a.Name) < i { // an earlier attribute has the name
 			return fmt.Errorf("schema %s: duplicate attribute %q", s.Name, a.Name)
 		}
-		seen[a.Name] = true
-		indSeen := make(map[string]bool, len(a.Indicators))
-		for _, ind := range a.Indicators {
+		for j, ind := range a.Indicators {
 			if err := ind.Validate(); err != nil {
 				return fmt.Errorf("schema %s, attribute %s: %v", s.Name, a.Name, err)
 			}
-			if indSeen[ind.Name] {
-				return fmt.Errorf("schema %s, attribute %s: duplicate indicator %q", s.Name, a.Name, ind.Name)
+			for _, earlier := range a.Indicators[:j] {
+				if earlier.Name == ind.Name {
+					return fmt.Errorf("schema %s, attribute %s: duplicate indicator %q", s.Name, a.Name, ind.Name)
+				}
 			}
-			indSeen[ind.Name] = true
 		}
 	}
 	for _, k := range s.Key {
-		if !seen[k] {
+		if s.ColIndex(k) < 0 {
 			return fmt.Errorf("schema %s: key attribute %q not declared", s.Name, k)
 		}
 	}

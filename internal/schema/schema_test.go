@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -112,5 +113,36 @@ func TestString(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("String missing %q: %s", want, out)
 		}
+	}
+}
+
+// TestDuplicateNameText pins the duplicate-attribute error, first
+// duplicate in column order, at narrow and wide schemas, and that a
+// projection-width schema costs only its own allocation.
+func TestDuplicateNameText(t *testing.T) {
+	for _, width := range []int{3, 64, 192} {
+		attrs := make([]Attr, width)
+		for i := range attrs {
+			attrs[i] = Attr{Name: "c" + strconv.Itoa(i), Kind: value.KindInt}
+		}
+		attrs[width-1].Name = "c1"
+		if width > 3 {
+			attrs[width-2].Name = "c2"
+		}
+		want := `schema t: duplicate attribute "c1"`
+		if width > 3 {
+			want = `schema t: duplicate attribute "c2"`
+		}
+		if _, err := New("t", attrs); err == nil || err.Error() != want {
+			t.Errorf("width %d: err = %v, want %q", width, err, want)
+		}
+	}
+	attrs := validAttrs()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := New("t", attrs); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("New allocates %v times, want 1", n)
 	}
 }

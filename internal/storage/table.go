@@ -758,6 +758,25 @@ func (c *Catalog) Resolve(names []string) ([]*Table, []uint64, string) {
 	return tables, versions, ""
 }
 
+// ResolveAt fetches the named tables, as Resolve does, only when each one's
+// schema version still equals the one aligned with it in versions; ok is
+// false when a table is missing or a version moved. The comparison runs
+// under the same read lock as the fetch, so a cached plan validates against
+// exactly the tables it then runs on.
+func (c *Catalog) ResolveAt(names []string, versions []uint64) (tables []*Table, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	tables = make([]*Table, len(names))
+	for i, n := range names {
+		t, found := c.tables[n]
+		if !found || c.versions[n] != versions[i] {
+			return nil, false
+		}
+		tables[i] = t
+	}
+	return tables, true
+}
+
 // Names lists table names in sorted order.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()

@@ -301,3 +301,31 @@ func TestLoadFromRelation(t *testing.T) {
 		t.Error("reload should fail on duplicate key")
 	}
 }
+
+// TestCatalogResolveAt holds ResolveAt to Resolve plus a version compare: it
+// resolves only while every table exists at the version it was resolved at.
+func TestCatalogResolveAt(t *testing.T) {
+	c := NewCatalog()
+	if _, err := c.Create(custSchema(), false); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"customer"}
+	want, versions, missing := c.Resolve(names)
+	if missing != "" {
+		t.Fatalf("Resolve missed %q", missing)
+	}
+	got, ok := c.ResolveAt(names, versions)
+	if !ok || len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("ResolveAt at the current version = %v, %v", got, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.ResolveAt(names, versions) }); n > 1 {
+		t.Errorf("ResolveAt allocates %v times, want at most the tables slice", n)
+	}
+	c.Bump("customer")
+	if _, ok := c.ResolveAt(names, versions); ok {
+		t.Error("ResolveAt validated a moved version")
+	}
+	if _, ok := c.ResolveAt([]string{"nope"}, []uint64{0}); ok {
+		t.Error("ResolveAt resolved a missing table")
+	}
+}
