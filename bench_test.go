@@ -245,13 +245,13 @@ func BenchmarkPolygenJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j, err := algebra.NewBatchHashJoin(
-			algebra.NewToBatch(algebra.NewRelationScan(data.Trades), 0), algebra.NewToBatch(algebra.NewRelationScan(data.Stocks), 0),
+			algebra.NewRelationScan(data.Trades, 0), algebra.NewRelationScan(data.Stocks, 0),
 			&algebra.ColRef{Name: "company_stock_ticker_symbol"}, &algebra.ColRef{Name: "ticker_symbol"},
 			nil, nil, ctx, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := algebra.Collect(algebra.NewFromBatch(j, 0))
+		out, err := algebra.Collect(j)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -319,13 +319,13 @@ func runAB3() error {
 		data := workload.Trading(workload.TradingConfig{Clients: 100, Stocks: 16, Trades: n, Seed: 9})
 		t0 := time.Now()
 		j, err := algebra.NewBatchHashJoin(
-			algebra.NewToBatch(algebra.NewRelationScan(data.Trades), 0), algebra.NewToBatch(algebra.NewRelationScan(data.Stocks), 0),
+			algebra.NewRelationScan(data.Trades, 0), algebra.NewRelationScan(data.Stocks, 0),
 			&algebra.ColRef{Name: "company_stock_ticker_symbol"}, &algebra.ColRef{Name: "ticker_symbol"},
 			nil, nil, ctx, 0)
 		if err != nil {
 			return err
 		}
-		out, err := algebra.Collect(algebra.NewFromBatch(j, 0))
+		out, err := algebra.Collect(j)
 		if err != nil {
 			return err
 		}

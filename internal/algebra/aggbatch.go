@@ -25,8 +25,9 @@ import (
 // and indicator (col@ind) group keys and plain-column aggregate arguments
 // read straight off the column vectors; computed expressions evaluate over
 // a scratch row holding only their referenced columns. The input is
-// drained eagerly in the constructor.
-func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (Iterator, error) {
+// drained eagerly in the constructor, and the groups stream out as batches
+// of up to size rows.
+func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (BatchIterator, error) {
 	inS := in.Schema()
 	for _, g := range groupBy {
 		if err := g.Bind(inS); err != nil {
@@ -165,7 +166,7 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 		}
 		rows = append(rows, relation.Tuple{Cells: cells})
 	}
-	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}), nil
+	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}, size), nil
 }
 
 // groupKey reads one group-by key per row: a plain column's value or one of

@@ -3,7 +3,6 @@ package algebra
 import (
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/schema"
 )
 
@@ -19,8 +18,7 @@ import (
 type OpStats struct {
 	// Rows is the number of tuples the operator produced.
 	Rows int64
-	// Batches is the number of non-empty batches produced (batch
-	// operators only; zero for row operators).
+	// Batches is the number of non-empty batches produced.
 	Batches int64
 	// Nanos is the cumulative wall time spent inside Next/NextBatch calls
 	// on this operator, including its children (inclusive time).
@@ -38,54 +36,6 @@ func (s *OpStats) Time() time.Duration { return time.Duration(s.Nanos) }
 // per-worker segment occupancy.
 type ExtraStats interface {
 	ExtraStats() string
-}
-
-// instrumentIt wraps a row iterator, counting rows and inclusive time.
-type instrumentIt struct {
-	in Iterator
-	st *OpStats
-}
-
-// NewInstrument wraps it so every Next records into st. The wrapper
-// forwards SizeHint and Stop to the wrapped iterator so instrumented plans
-// keep the same sizing and resource-release behavior.
-func NewInstrument(it Iterator, st *OpStats) Iterator {
-	return &instrumentIt{in: it, st: st}
-}
-
-func (i *instrumentIt) Schema() *schema.Schema { return i.in.Schema() }
-
-func (i *instrumentIt) SizeHint() int { return sizeHint(i.in) }
-
-func (i *instrumentIt) Next() (relation.Tuple, bool, error) {
-	t0 := time.Now()
-	t, ok, err := i.in.Next()
-	i.st.Nanos += int64(time.Since(t0))
-	if ok && err == nil {
-		i.st.Rows++
-	}
-	return t, ok, err
-}
-
-// Stop forwards to the wrapped iterator and captures its extra stats.
-func (i *instrumentIt) Stop() {
-	i.captureExtra()
-	stopIfStopper(i.in)
-}
-
-func (i *instrumentIt) captureExtra() {
-	if ex, ok := i.in.(ExtraStats); ok {
-		i.st.Extra = ex.ExtraStats()
-	}
-}
-
-// ExtraStats forwards the wrapped operator's extra stats so stacked
-// wrappers do not hide them.
-func (i *instrumentIt) ExtraStats() string {
-	if ex, ok := i.in.(ExtraStats); ok {
-		return ex.ExtraStats()
-	}
-	return ""
 }
 
 // instrumentBatch wraps a batch iterator, counting batches, rows and

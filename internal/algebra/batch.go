@@ -14,10 +14,9 @@ import (
 // column vectors instead of rows. A batch is a window of column runs — for
 // table scans the runs alias the heap's immutable per-segment column
 // storage, so a scan→select→project pipeline touches only the columns the
-// query names and never materializes a row. ToBatch/FromBatch adapt to and
-// from the row iterators in ops.go: the empty scan feeds batch operators
-// through ToBatch, and the sort/distinct tail reads the batch pipeline
-// through FromBatch.
+// query names and never materializes a row. BatchIterator is the engine's
+// one stream interface, from the scans to the sort, distinct and limit at
+// the top of a plan; Collect turns the final stream into rows.
 
 // DefaultBatchSize is the rows-per-batch the engine uses unless a caller
 // asks otherwise: large enough to amortize per-batch dispatch to
@@ -143,22 +142,14 @@ type Batch struct {
 	sel  []int32
 
 	// colBuf and selBuf are the batch's owned backing storage, reused
-	// across refills; producers that materialize columns (ToBatch,
-	// computed projections, the join) fill colBuf, filters fill selBuf.
+	// across refills; producers that materialize columns (the relation
+	// source, computed projections, the join) fill colBuf, filters fill
+	// selBuf.
 	// scratch is the reusable row for scalar expression evaluation over
 	// column slots (scratchRowAt).
 	colBuf  []ColVec
 	selBuf  []int32
 	scratch []relation.Cell
-}
-
-// NewBatch returns a batch with owned selection capacity for size rows,
-// bypassing the pool; most callers want getBatch/putBatch instead.
-func NewBatch(size int) *Batch {
-	if size < 1 {
-		size = 1
-	}
-	return &Batch{selBuf: make([]int32, 0, size)}
 }
 
 // Len reports the number of live rows in the batch.
@@ -421,12 +412,13 @@ type batchProject struct {
 	stopped   bool
 }
 
-// NewBatchProject projects batches through the same bound projection core
-// as NewProject. A projection of plain column references is free: the
-// output batch just re-points at the input's column vectors in output
-// order, keeping the input's selection. Projections with computed items
-// materialize dense output columns, deriving provenance cells exactly like
-// the row operator.
+// NewBatchProject projects batches. Output attribute kinds are inferred
+// from the input schema for plain column references and left as KindNull
+// (wildcard) for computed expressions. A projection of plain column
+// references is free: the output batch just re-points at the input's
+// column vectors in output order, keeping the input's selection.
+// Projections with computed items materialize dense output columns whose
+// cells are derived from the columns each item reads (deriveCell).
 func NewBatchProject(in BatchIterator, items []ProjectItem, ctx *EvalContext, size int) (BatchIterator, error) {
 	proj, err := bindProjection(in.Schema(), items)
 	if err != nil {
@@ -435,21 +427,17 @@ func NewBatchProject(in BatchIterator, items []ProjectItem, ctx *EvalContext, si
 	if size < 1 {
 		size = DefaultBatchSize
 	}
-	p := &batchProject{in: in, proj: proj, ctx: ctx, size: size, allPlain: true}
-	add := func(c int) {
-		if !slices.Contains(p.unionRefs, c) {
-			p.unionRefs = append(p.unionRefs, c)
+	p := &batchProject{in: in, proj: proj, ctx: ctx, size: size, allPlain: !slices.Contains(proj.cols, -1)}
+	if !p.allPlain {
+		var refs refSet
+		for i, c := range proj.cols {
+			if c >= 0 {
+				refs.add([]int{c})
+			} else {
+				refs.add(proj.refs[i])
+			}
 		}
-	}
-	for i, c := range proj.cols {
-		if c >= 0 {
-			add(c)
-			continue
-		}
-		p.allPlain = false
-		for _, r := range proj.refs[i] {
-			add(r)
-		}
+		p.unionRefs = refs.cols
 	}
 	return p, nil
 }
@@ -540,7 +528,8 @@ type batchLimit struct {
 // NewBatchLimit emits at most limit rows after skipping offset (negative
 // limit means unlimited), trimming batches at the boundaries. Once the
 // limit is reached the producer is stopped immediately, so upstream batch
-// buffers are released before the final batch is even consumed.
+// buffers are released before the final batch is even consumed; a filled
+// quota — LIMIT 0 from the start — pulls nothing more.
 func NewBatchLimit(in BatchIterator, limit, offset int) BatchIterator {
 	return &batchLimit{in: in, limit: limit, offset: offset}
 }
@@ -561,7 +550,8 @@ func (l *batchLimit) Stop() {
 }
 
 func (l *batchLimit) NextBatch(b *Batch) (bool, error) {
-	if l.done {
+	if l.done || l.limit >= 0 && l.skipped >= l.offset && l.emitted >= l.limit {
+		l.Stop()
 		return false, nil
 	}
 	for {
@@ -611,7 +601,7 @@ func (l *batchLimit) NextBatch(b *Batch) (bool, error) {
 // intersected and sources unioned across their inputs. COUNT(*)-only
 // aggregations never touch the columns at all: each batch contributes its
 // length. Grouped aggregation lives in aggbatch.go.
-func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int) (Iterator, error) {
+func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int) (BatchIterator, error) {
 	inS := in.Schema()
 	if err := bindAggSpecs(inS, aggs); err != nil {
 		return nil, err
@@ -673,118 +663,5 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 		c.V = states[i].finish(a.Fn)
 		cells = append(cells, c)
 	}
-	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: []relation.Tuple{{Cells: cells}}}), nil
-}
-
-// ---- Adapters ----
-
-type toBatch struct {
-	in   Iterator
-	size int
-	done bool
-}
-
-// NewToBatch adapts a row iterator into a batch stream, transposing up to
-// size rows per call into the consumer's column buffer. It is how the
-// empty scan and tests' in-memory relations feed batch operators. Table
-// and index scans produce batches natively and never pass through it.
-func NewToBatch(in Iterator, size int) BatchIterator {
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	return &toBatch{in: in, size: size}
-}
-
-func (a *toBatch) Schema() *schema.Schema { return a.in.Schema() }
-
-func (a *toBatch) SizeHint() int { return sizeHint(a.in) }
-
-func (a *toBatch) Stop() {
-	a.done = true
-	stopIfStopper(a.in)
-}
-
-func (a *toBatch) NextBatch(b *Batch) (bool, error) {
-	if a.done {
-		return false, nil
-	}
-	cols := b.ownedCols(len(a.in.Schema().Attrs))
-	n := 0
-	for n < a.size {
-		t, ok, err := a.in.Next()
-		if err != nil {
-			a.Stop()
-			return false, err
-		}
-		if !ok {
-			a.done = true
-			stopIfStopper(a.in)
-			break
-		}
-		for j := range cols {
-			cols[j].appendCell(t.Cells[j])
-		}
-		n++
-	}
-	if n == 0 {
-		return false, nil
-	}
-	b.setOwned(cols, n)
-	return true, nil
-}
-
-type fromBatch struct {
-	in   BatchIterator
-	size int
-	buf  *Batch
-	pos  int
-	done bool
-}
-
-// NewFromBatch adapts a batch stream back into a row iterator, so the row
-// tail (sort, distinct, Collect) consumes batch pipelines. Each delivered
-// row is materialized with a fresh cell slice — rows escape the batch's
-// lifetime. It owns one pooled batch, released
-// deterministically when the stream ends or Stop is called.
-func NewFromBatch(in BatchIterator, size int) Iterator {
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	return &fromBatch{in: in, size: size}
-}
-
-func (f *fromBatch) Schema() *schema.Schema { return f.in.Schema() }
-
-func (f *fromBatch) SizeHint() int { return sizeHint(f.in) }
-
-// Stop implements Stopper: releases the adapter's batch and stops the
-// batch pipeline beneath it (which releases its own buffers and any scan
-// workers). plan teardown calls it via plan.release.
-func (f *fromBatch) Stop() {
-	f.done = true
-	if f.buf != nil {
-		putBatch(f.buf)
-		f.buf = nil
-	}
-	stopIfStopper(f.in)
-}
-
-func (f *fromBatch) Next() (relation.Tuple, bool, error) {
-	if f.done {
-		return relation.Tuple{}, false, nil
-	}
-	if f.buf == nil {
-		f.buf = getBatch(f.size)
-	}
-	for f.pos >= f.buf.Len() {
-		ok, err := f.in.NextBatch(f.buf)
-		if err != nil || !ok {
-			f.Stop()
-			return relation.Tuple{}, false, err
-		}
-		f.pos = 0
-	}
-	t := f.buf.Row(f.pos)
-	f.pos++
-	return t, true, nil
+	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: []relation.Tuple{{Cells: cells}}}, size), nil
 }

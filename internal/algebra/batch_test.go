@@ -14,6 +14,12 @@ import (
 // batchSizes exercises the degenerate, tiny and default batch shapes.
 var batchSizes = []int{1, 3, DefaultBatchSize}
 
+// tableScan streams every column of a storage table in batches of up to
+// size rows.
+func tableScan(t *storage.Table, size int) BatchIterator {
+	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
+}
+
 func batchPred() Expr {
 	return &Logic{Op: OpOr,
 		L: &Cmp{Op: OpGt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(500)}},
@@ -21,14 +27,13 @@ func batchPred() Expr {
 	}
 }
 
-// TestBatchScanMatchesSerial: the batch scan (via FromBatch) yields the
-// same rows as storage's serial Scan, for every batch size, without cloning.
+// TestBatchScanMatchesSerial: the batch scan yields the same rows as storage's serial Scan, for every batch size, without cloning.
 func TestBatchScanMatchesSerial(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+57)
 	want := scanRows(tbl)
 	for _, size := range batchSizes {
 		before := storage.TupleClones()
-		got := drain(t, NewFromBatch(NewBatchTableScan(tbl, size), size))
+		got := drain(t, tableScan(tbl, size))
 		if d := storage.TupleClones() - before; d != 0 {
 			t.Fatalf("batch=%d: scan cloned %d tuples, want 0", size, d)
 		}
@@ -37,8 +42,9 @@ func TestBatchScanMatchesSerial(t *testing.T) {
 }
 
 // TestBatchPipelineMatchesScalar runs scan → select → select → project →
-// limit through the batch operators and through the row operators over
-// storage's serial Scan, and requires byte-identical output.
+// limit through the batch operators and, as plain Go, over storage's
+// serial Scan through the reference selects, and requires byte-identical
+// output.
 func TestBatchPipelineMatchesScalar(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize+700)
 	second := &Cmp{Op: OpLt, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(900)}}
@@ -47,8 +53,8 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 		{Expr: &Arith{Op: OpMul, L: &ColRef{Name: "qty"}, R: &Const{V: value.Int(2)}}, As: "qty2"},
 	}
 
-	rows := func() Iterator {
-		it, err := newRefSelect(NewRelationScan(scanRows(tbl)), batchPred(), ctx())
+	rows := func() *relation.Relation {
+		it, err := newRefSelect(rowsOf(scanRows(tbl)), batchPred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,19 +62,20 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err = NewProject(it, []ProjectItem{
-			{Expr: CloneExpr(items[0].Expr), As: items[0].As},
-			{Expr: CloneExpr(items[1].Expr), As: items[1].As},
-		}, ctx())
-		if err != nil {
-			t.Fatal(err)
+		kept := drainRows(t, it).Tuples[7 : 7+40]
+		out := relation.New(schema.MustNew(tbl.Schema().Name, []schema.Attr{{Name: "id", Kind: value.KindInt}, {Name: "qty2"}}))
+		for _, tup := range kept {
+			qty := tup.Cells[2]
+			out.Tuples = append(out.Tuples, relation.Tuple{Cells: []relation.Cell{
+				tup.Cells[0], {V: value.Int(2 * qty.V.AsInt()), Tags: qty.Tags, Sources: qty.Sources},
+			}})
 		}
-		return NewLimit(it, 40, 7)
+		return out
 	}
-	want := drain(t, rows())
+	want := rows()
 
 	for _, size := range batchSizes {
-		bit, err := NewBatchSelect(NewBatchTableScan(tbl, size), batchPred(), ctx())
+		bit, err := NewBatchSelect(tableScan(tbl, size), batchPred(), ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +91,7 @@ func TestBatchPipelineMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		bit = NewBatchLimit(bit, 40, 7)
-		got := drain(t, NewFromBatch(bit, size))
+		got := drain(t, bit)
 		sameRelation(t, want, got, fmt.Sprintf("batch pipeline size %d", size))
 		if want.Schema.Name != got.Schema.Name {
 			t.Fatalf("schema name %q, want %q", got.Schema.Name, want.Schema.Name)
@@ -134,7 +141,7 @@ func TestBatchAggregateMatchesScalar(t *testing.T) {
 		}
 		want.Tuples = append(want.Tuples, row)
 		for _, size := range batchSizes {
-			bagg, err := NewBatchAggregate(NewBatchTableScan(src, size), mkAggs(), ctx(), size)
+			bagg, err := NewBatchAggregate(tableScan(src, size), mkAggs(), ctx(), size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +150,7 @@ func TestBatchAggregateMatchesScalar(t *testing.T) {
 			if want.Schema.Name != got.Schema.Name {
 				t.Fatalf("agg schema name %q, want %q", got.Schema.Name, want.Schema.Name)
 			}
-			gagg, err := NewBatchGroupedAggregate(NewBatchTableScan(src, size), nil, mkAggs(), ctx(), size)
+			gagg, err := NewBatchGroupedAggregate(tableScan(src, size), nil, mkAggs(), ctx(), size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +164,7 @@ func TestBatchAggregateMatchesScalar(t *testing.T) {
 func TestBatchCountOnlyNeverClones(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
 	before := storage.TupleClones()
-	agg, err := NewBatchAggregate(NewBatchTableScan(tbl, DefaultBatchSize),
+	agg, err := NewBatchAggregate(tableScan(tbl, DefaultBatchSize),
 		[]AggSpec{{Fn: AggCount, As: "n"}}, ctx(), DefaultBatchSize)
 	if err != nil {
 		t.Fatal(err)
@@ -186,46 +193,60 @@ func (s *stopRecorder) Stop()                            { s.stopped = true; sto
 // buffers and scan workers are released deterministically.
 func TestBatchLimitStopsProducerEarly(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize)
-	rec := &stopRecorder{in: NewBatchTableScan(tbl, 64)}
-	lim := NewBatchLimit(rec, 10, 0)
-	b := NewBatch(64)
-	ok, err := lim.NextBatch(b)
-	if err != nil || !ok {
-		t.Fatalf("NextBatch = %v, %v", ok, err)
-	}
-	if b.Len() != 10 {
-		t.Fatalf("limited batch has %d rows, want 10", b.Len())
-	}
-	if !rec.stopped {
-		t.Fatal("limit reached but producer not stopped")
-	}
-	if ok, _ := lim.NextBatch(b); ok {
-		t.Fatal("limit kept producing after quota")
+	for _, size := range batchSizes {
+		rec := &stopRecorder{in: tableScan(tbl, size)}
+		lim := NewBatchLimit(rec, 10, 0)
+		b := new(Batch)
+		rows := 0
+		for rows < 10 {
+			if rec.stopped {
+				t.Fatalf("size %d: producer stopped after %d rows, before the quota", size, rows)
+			}
+			ok, err := lim.NextBatch(b)
+			if err != nil || !ok {
+				t.Fatalf("size %d: NextBatch = %v, %v after %d rows", size, ok, err, rows)
+			}
+			rows += b.Len()
+		}
+		if rows != 10 {
+			t.Fatalf("size %d: limited stream has %d rows, want 10", size, rows)
+		}
+		if !rec.stopped {
+			t.Fatalf("size %d: limit reached but producer not stopped", size)
+		}
+		if ok, _ := lim.NextBatch(b); ok {
+			t.Fatalf("size %d: limit kept producing after quota", size)
+		}
 	}
 }
 
-// TestFromBatchStopReleasesChain: Stop on the adapter reaches every batch
-// operator beneath it.
-func TestFromBatchStopReleasesChain(t *testing.T) {
+// TestStopReleasesChain: Stop on the top of a pipeline reaches every batch
+// operator beneath it, the sort, distinct and limit included.
+func TestStopReleasesChain(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize)
-	rec := &stopRecorder{in: NewBatchTableScan(tbl, 32)}
+	rec := &stopRecorder{in: tableScan(tbl, 32)}
 	sel, err := NewBatchSelect(rec, batchPred(), ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := NewBatchProject(sel, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 32)
+	sorted, err := NewSort(sel, []SortKey{{Expr: &ColRef{Name: "qty"}}}, ctx(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewFromBatch(proj, 32)
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("Next = %v, %v", ok, err)
+	proj, err := NewBatchProject(sorted, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := NewBatchLimit(NewDistinct(proj), -1, 0)
+	b := new(Batch)
+	if ok, err := it.NextBatch(b); err != nil || !ok {
+		t.Fatalf("NextBatch = %v, %v", ok, err)
 	}
 	it.(Stopper).Stop()
 	if !rec.stopped {
 		t.Fatal("Stop did not propagate through the batch chain")
 	}
-	if _, ok, _ := it.Next(); ok {
+	if ok, _ := it.NextBatch(b); ok {
 		t.Fatal("iterator produced rows after Stop")
 	}
 }
@@ -246,32 +267,31 @@ func (e *errBatch) NextBatch(b *Batch) (bool, error) {
 	return e.in.NextBatch(b)
 }
 
-// TestBatchErrorPropagates: a mid-stream error surfaces through adapters
-// and operators, and the stream terminates cleanly afterwards.
+// TestBatchErrorPropagates: a mid-stream error surfaces through the
+// operators and Collect, and the stream terminates cleanly afterwards.
 func TestBatchErrorPropagates(t *testing.T) {
 	tbl := bigTable(t, storage.SegmentSize)
-	src := &errBatch{in: NewBatchTableScan(tbl, 16), after: 2}
+	src := &errBatch{in: tableScan(tbl, 16), after: 2}
 	proj, err := NewBatchProject(src, []ProjectItem{{Expr: &ColRef{Name: "id"}}}, ctx(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewFromBatch(proj, 16)
-	if _, err := Collect(it); err == nil {
+	if _, err := Collect(proj); err == nil {
 		t.Fatal("mid-stream error was swallowed")
 	}
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("Next after error = %v, %v", ok, err)
+	if ok, err := proj.NextBatch(new(Batch)); ok || err != nil {
+		t.Fatalf("NextBatch after error = %v, %v", ok, err)
 	}
 }
 
-// TestToBatchRoundTrip: ToBatch ∘ FromBatch is the identity on a row
-// stream.
-func TestToBatchRoundTrip(t *testing.T) {
+// TestRelationScanRoundTrip: streaming a relation and collecting it again
+// is the identity.
+func TestRelationScanRoundTrip(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+9)
 	want := scanRows(tbl)
 	for _, size := range batchSizes {
-		got := drain(t, NewFromBatch(NewToBatch(NewRelationScan(scanRows(tbl)), size), size))
-		sameRelation(t, want, got, fmt.Sprintf("to/from batch size %d", size))
+		got := drain(t, NewRelationScan(scanRows(tbl), size))
+		sameRelation(t, want, got, fmt.Sprintf("relation scan size %d", size))
 	}
 }
 
@@ -284,7 +304,7 @@ func TestTableScansSkipClones(t *testing.T) {
 
 	for _, degree := range []int{1, 3} {
 		before := storage.TupleClones()
-		got := drain(t, parRows(t, tbl, degree, nil))
+		got := drain(t, parScan(t, tbl, degree, nil))
 		if d := storage.TupleClones() - before; d != 0 {
 			t.Fatalf("degree %d scan cloned %d tuples", degree, d)
 		}
@@ -295,7 +315,7 @@ func TestTableScansSkipClones(t *testing.T) {
 	// advertise the full table size, or Collect would pre-allocate a
 	// table-sized buffer for a selective query.
 	for _, degree := range []int{1, 3} {
-		filtered := parRows(t, tbl, degree, batchPred())
+		filtered := parScan(t, tbl, degree, batchPred())
 		if h := sizeHint(filtered); h != -1 {
 			t.Fatalf("degree %d filtered scan SizeHint = %d, want -1", degree, h)
 		}
@@ -307,7 +327,7 @@ func TestTableScansSkipClones(t *testing.T) {
 // tuple slice once at the hinted capacity.
 func TestCollectPreSizes(t *testing.T) {
 	tbl := bigTable(t, 1000)
-	out, err := Collect(NewLimit(NewRelationScan(scanRows(tbl)), 10, 0))
+	out, err := Collect(NewBatchLimit(NewRelationScan(scanRows(tbl), 0), 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +337,13 @@ func TestCollectPreSizes(t *testing.T) {
 	if c := cap(out.Tuples); c != 10 {
 		t.Fatalf("Collect capacity %d, want exactly the limit hint 10", c)
 	}
-	it := parRows(t, tbl, 2, nil)
+	it := parScan(t, tbl, 2, nil)
 	defer it.(Stopper).Stop()
 	if hint := sizeHint(it); hint != tbl.Len() {
 		t.Fatalf("scan SizeHint = %d, want %d", hint, tbl.Len())
 	}
 	rel := relation.New(tbl.Schema())
-	if h := sizeHint(NewRelationScan(rel)); h != 0 {
+	if h := sizeHint(NewRelationScan(rel, 0)); h != 0 {
 		t.Fatalf("empty relation hint = %d", h)
 	}
 }

@@ -224,8 +224,8 @@ func TestColPredMatchesTruth(t *testing.T) {
 		pred := CompilePredicate(e)
 		asked := false
 		for _, size := range []int{1, 3, 1024} {
-			src := NewToBatch(NewRelationScan(&relation.Relation{Schema: sch, Tuples: rows}), size)
-			b := NewBatch(size)
+			src := NewRelationScan(&relation.Relation{Schema: sch, Tuples: rows}, size)
+			b := new(Batch)
 			next := 0
 			for {
 				ok, err := src.NextBatch(b)
@@ -273,7 +273,7 @@ func TestColPredMatchesTruth(t *testing.T) {
 			}
 			for _, in := range [][]relation.Tuple{rows, clean} {
 				for _, withSel := range []bool{false, true} {
-					var src BatchIterator = NewToBatch(NewRelationScan(&relation.Relation{Schema: sch, Tuples: in}), size)
+					var src BatchIterator = NewRelationScan(&relation.Relation{Schema: sch, Tuples: in}, size)
 					want := in
 					if withSel {
 						src = selEvery{src}
@@ -294,7 +294,7 @@ func TestColPredMatchesTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantKept, wantErr := selectAnswer(e, stored, ctx)
-			got, err := Collect(NewFromBatch(scan, DefaultBatchSize))
+			got, err := Collect(scan)
 			if wantErr != "" {
 				// Workers race to a failing segment: the error must be one
 				// Truth raises on some stored row.
@@ -333,7 +333,7 @@ func checkSelect(t *testing.T, e Expr, src BatchIterator, in []relation.Tuple, c
 		t.Fatal(err)
 	}
 	wantKept, wantErr := selectAnswer(e, in, ctx)
-	got, err := Collect(NewFromBatch(sel, size))
+	got, err := Collect(sel)
 	if wantErr != "" || err != nil {
 		if err == nil || err.Error() != wantErr {
 			t.Fatalf("%s, size %d: err %v, want %q", e.String(), size, err, wantErr)

@@ -160,8 +160,8 @@ func FuzzCompileMatchesEval(f *testing.F) {
 		if !ok {
 			return
 		}
-		b := NewBatch(len(rows))
-		if ok, err := NewToBatch(NewRelationScan(rel), len(rows)).NextBatch(b); !ok || err != nil {
+		b := new(Batch)
+		if ok, err := NewRelationScan(rel, len(rows)).NextBatch(b); !ok || err != nil {
 			t.Fatalf("batch: %v, %v", ok, err)
 		}
 		for i, row := range rows {

@@ -19,7 +19,7 @@ import (
 // NewBatchGroupedAggregate replaced, kept as its oracle: every row's key is
 // its joined Literal() string, and every row's provenance folds through
 // tag.Intersect and Sources.Union unconditionally.
-func literalGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (Iterator, error) {
+func literalGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (BatchIterator, error) {
 	inS := in.Schema()
 	for _, g := range groupBy {
 		if err := g.Bind(inS); err != nil {
@@ -72,7 +72,7 @@ func literalGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, c
 	}
 	groups := make(map[string]*group)
 	var order []string
-	b := NewBatch(size)
+	b := new(Batch)
 	keyVals := make([]value.Value, len(groupBy))
 	var kb strings.Builder
 	for {
@@ -159,7 +159,7 @@ func literalGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, c
 		}
 		rows = append(rows, relation.Tuple{Cells: cells})
 	}
-	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}), nil
+	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}, size), nil
 }
 
 // Value pools whose literals are hard to tell apart: kinds that compare
@@ -265,11 +265,11 @@ func TestGroupedAggregateMatchesLiteralOracle(t *testing.T) {
 		rel := equivRel(r, r.Intn(200), trial%2 == 1)
 		for ki, keys := range keySets {
 			for _, size := range batchSizes {
-				want, err := literalGroupedAggregate(NewToBatch(NewRelationScan(rel), size), keys(), mkAggs(), ctx(), size)
+				want, err := literalGroupedAggregate(NewRelationScan(rel, size), keys(), mkAggs(), ctx(), size)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := NewBatchGroupedAggregate(NewToBatch(NewRelationScan(rel), size), keys(), mkAggs(), ctx(), size)
+				got, err := NewBatchGroupedAggregate(NewRelationScan(rel, size), keys(), mkAggs(), ctx(), size)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,16 +12,6 @@ import (
 	"repro/internal/value"
 )
 
-// Iterator is the pull-based tuple stream of the row operators: the empty
-// scan, the sort/project/distinct/limit tail above the batch pipeline,
-// and the row side of the batch adapters.
-type Iterator interface {
-	// Schema describes the stream's tuples.
-	Schema() *schema.Schema
-	// Next returns the next tuple, or ok=false at end of stream.
-	Next() (relation.Tuple, bool, error)
-}
-
 // Sizer is implemented by iterators that can bound their cardinality up
 // front: SizeHint returns an upper bound on the rows the stream will yield,
 // or -1 when unknown. Consumers use it to pre-size result buffers; it is a
@@ -36,59 +26,70 @@ func sizeHint(it any) int {
 	return -1
 }
 
-// Collect drains an iterator into a relation, pre-sizing the tuple slice
-// when the iterator can bound its cardinality (Sizer).
-func Collect(it Iterator) (*relation.Relation, error) {
+// Collect drains a batch stream into a relation, one fresh cell slice per
+// row, and stops the stream however the drain ends. The tuple slice is
+// pre-sized when the stream can bound its cardinality (Sizer).
+func Collect(it BatchIterator) (*relation.Relation, error) {
+	defer stopIfStopper(it)
 	out := relation.New(it.Schema())
 	if hint := sizeHint(it); hint > 0 {
 		out.Tuples = make([]relation.Tuple, 0, hint)
 	}
+	b := getBatch(DefaultBatchSize)
+	defer putBatch(b)
 	for {
-		t, ok, err := it.Next()
+		ok, err := it.NextBatch(b)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out.Tuples = append(out.Tuples, t)
+		for i := 0; i < b.Len(); i++ {
+			out.Tuples = append(out.Tuples, b.Row(i))
+		}
 	}
 }
 
-// ---- Scans ----
+// ---- Relation source ----
 
 type relScan struct {
-	rel *relation.Relation
-	pos int
+	rel  *relation.Relation
+	size int
+	pos  int
 }
 
-// NewRelationScan streams an in-memory relation.
-func NewRelationScan(r *relation.Relation) Iterator { return &relScan{rel: r} }
+// NewRelationScan streams an in-memory relation as batches of up to size
+// rows (DefaultBatchSize when size < 1), transposed into the consumer's own
+// column buffers. The planner runs it over no rows in place of an access
+// path whose filter can never be true, and the aggregates emit their result
+// rows through it.
+func NewRelationScan(r *relation.Relation, size int) BatchIterator {
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	return &relScan{rel: r, size: size}
+}
 
 func (s *relScan) Schema() *schema.Schema { return s.rel.Schema }
 
 func (s *relScan) SizeHint() int { return len(s.rel.Tuples) }
 
-func (s *relScan) Next() (relation.Tuple, bool, error) {
-	if s.pos >= len(s.rel.Tuples) {
-		return relation.Tuple{}, false, nil
+func (s *relScan) NextBatch(b *Batch) (bool, error) {
+	n := min(s.size, len(s.rel.Tuples)-s.pos)
+	if n <= 0 {
+		return false, nil
 	}
-	t := s.rel.Tuples[s.pos]
-	s.pos++
-	return t, true, nil
+	cols := b.ownedCols(len(s.rel.Schema.Attrs))
+	for _, t := range s.rel.Tuples[s.pos : s.pos+n] {
+		for j := range cols {
+			cols[j].appendCell(t.Cells[j])
+		}
+	}
+	s.pos += n
+	b.setOwned(cols, n)
+	return true, nil
 }
-
-type emptyScan struct{ s *schema.Schema }
-
-// NewEmptyScan is a scan of zero tuples over the given schema. The planner
-// substitutes it for any access path whose simplified predicate can never
-// be true, so the rest of the pipeline (projection, aggregation — a global
-// COUNT over it still yields one row of 0) runs unchanged over no input.
-func NewEmptyScan(s *schema.Schema) Iterator { return &emptyScan{s: s} }
-
-func (e *emptyScan) Schema() *schema.Schema              { return e.s }
-func (e *emptyScan) SizeHint() int                       { return 0 }
-func (e *emptyScan) Next() (relation.Tuple, bool, error) { return relation.Tuple{}, false, nil }
 
 // ---- Project ----
 
@@ -100,16 +101,10 @@ type ProjectItem struct {
 	As   string
 }
 
-type projectOp struct {
-	in   Iterator
-	proj *projection
-	ctx  *EvalContext
-}
-
-// projection is the bound core of a projection, shared by the row and
-// batch operators: per-item either a plain column copy (col >= 0) or a
-// compiled evaluator with its contributing columns precomputed (walking the
-// expression per row to find them would dominate the per-row cost).
+// projection is the bound core of BatchProject: per item either a plain
+// column copy (col >= 0) or a compiled evaluator with its contributing
+// columns precomputed (walking the expression per row to find them would
+// dominate the per-row cost).
 type projection struct {
 	items []ProjectItem
 	cols  []int // bound ColRef index for plain copies, -1 for computed
@@ -162,50 +157,6 @@ func bindProjection(inSchema *schema.Schema, items []ProjectItem) (*projection, 
 	return p, nil
 }
 
-// row projects one input tuple into a fresh cell slice.
-func (p *projection) row(t relation.Tuple, ctx *EvalContext) (relation.Tuple, error) {
-	cells := make([]relation.Cell, len(p.items))
-	for i := range p.items {
-		if col := p.cols[i]; col >= 0 {
-			cells[i] = t.Cells[col]
-			continue
-		}
-		v, err := p.evals[i](t, ctx)
-		if err != nil {
-			return relation.Tuple{}, err
-		}
-		cells[i] = deriveCell(v, t, p.refs[i])
-	}
-	return relation.Tuple{Cells: cells}, nil
-}
-
-// NewProject builds a projection. Output attribute kinds are inferred from
-// the input schema for plain column references and left as KindNull
-// (wildcard) for computed expressions.
-func NewProject(in Iterator, items []ProjectItem, ctx *EvalContext) (Iterator, error) {
-	proj, err := bindProjection(in.Schema(), items)
-	if err != nil {
-		return nil, err
-	}
-	return &projectOp{in: in, proj: proj, ctx: ctx}, nil
-}
-
-func (p *projectOp) Schema() *schema.Schema { return p.proj.out }
-
-func (p *projectOp) SizeHint() int { return sizeHint(p.in) }
-
-func (p *projectOp) Next() (relation.Tuple, bool, error) {
-	t, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return relation.Tuple{}, false, err
-	}
-	out, err := p.proj.row(t, p.ctx)
-	if err != nil {
-		return relation.Tuple{}, false, err
-	}
-	return out, true, nil
-}
-
 // deriveCell builds a derived cell from the contributing input cells: tags
 // are folded with Intersect (only tags unanimous across every contributing
 // cell survive) and source sets are unioned (the polygen rule).
@@ -255,46 +206,68 @@ func JoinSchema(l, r *schema.Schema) (*schema.Schema, error) {
 
 // ---- Distinct ----
 
-// encodeValues produces a comparable key of the tuple's application values.
-// Tags and sources deliberately do not participate: two tuples with the same
-// data but different provenance are duplicates under set semantics (the
-// attribute-based model resolves which provenance wins via merge policy).
-func encodeValues(t relation.Tuple) string {
-	var b strings.Builder
-	for i, c := range t.Cells {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(c.V.Literal())
-	}
-	return b.String()
+type distinct struct {
+	in BatchIterator
+	// The kept rows' values, back to back, found through byHash — a
+	// value hash's first kept row, chained through next.
+	vals   []value.Value
+	next   []int32
+	byHash map[uint64]int32
+	row    []value.Value
 }
 
-type distinctOp struct {
-	in   Iterator
-	seen map[string]bool
+// NewDistinct drops every row whose application values repeat an earlier
+// row's, refining each batch's selection vector as BatchSelect does: the
+// first occurrence survives with its own tags and sources. Provenance does
+// not take part — two rows with the same data but different provenance are
+// duplicates under set semantics. Rows match when their values' QQL
+// literals do, found through a value hash as the grouped aggregate finds
+// its groups.
+func NewDistinct(in BatchIterator) BatchIterator {
+	return &distinct{in: in, byHash: make(map[uint64]int32), row: make([]value.Value, len(in.Schema().Attrs))}
 }
 
-// NewDistinct removes duplicate tuples by application values; the first
-// occurrence's tags and sources are kept.
-func NewDistinct(in Iterator) Iterator {
-	return &distinctOp{in: in, seen: make(map[string]bool)}
-}
+func (d *distinct) Schema() *schema.Schema { return d.in.Schema() }
 
-func (d *distinctOp) Schema() *schema.Schema { return d.in.Schema() }
+func (d *distinct) Stop() { stopIfStopper(d.in) }
 
-func (d *distinctOp) Next() (relation.Tuple, bool, error) {
+func (d *distinct) NextBatch(b *Batch) (bool, error) {
 	for {
-		t, ok, err := d.in.Next()
+		ok, err := d.in.NextBatch(b)
 		if err != nil || !ok {
-			return relation.Tuple{}, false, err
+			return false, err
 		}
-		k := encodeValues(t)
-		if d.seen[k] {
-			continue
+		// Refine in place: the write index never passes the read index.
+		sel := b.selBuf[:0]
+		w := len(d.row)
+		for i := 0; i < b.Len(); i++ {
+			p := b.phys(i)
+			h := uint64(w)
+			for c := range d.row {
+				d.row[c] = b.cols[c].Vals[p]
+				h = (h ^ d.row[c].Hash()) * 1099511628211
+			}
+			first, ok := d.byHash[h]
+			if !ok {
+				first = -1
+			}
+			k := first
+			for k >= 0 && !sameLiterals(d.row, d.vals[int(k)*w:int(k)*w+w]) {
+				k = d.next[k]
+			}
+			if k >= 0 {
+				continue
+			}
+			d.byHash[h] = int32(len(d.next))
+			d.next = append(d.next, first)
+			d.vals = append(d.vals, d.row...)
+			sel = append(sel, p)
 		}
-		d.seen[k] = true
-		return t, true, nil
+		b.selBuf = sel
+		if len(sel) > 0 {
+			b.sel = sel
+			return true, nil
+		}
 	}
 }
 
@@ -516,7 +489,7 @@ func aggOutputSchema(inS *schema.Schema, groupBy []Expr, aggs []AggSpec) (*schem
 	return schema.New(inS.Name+"_agg", attrs)
 }
 
-// ---- Sort / Limit ----
+// ---- Sort ----
 
 // SortKey orders by an expression, descending when Desc.
 type SortKey struct {
@@ -525,116 +498,133 @@ type SortKey struct {
 }
 
 type sortOp struct {
-	in   Iterator
-	keys []SortKey
-	ctx  *EvalContext
-	rows []relation.Tuple
-	init bool
-	pos  int
-	err  error
+	in    BatchIterator
+	keys  []SortKey
+	evals []Compiled
+	refs  []int // the columns the keys read
+	ctx   *EvalContext
+	size  int
+
+	// Set by the first NextBatch: the drained input in vectors the sort
+	// owns (n slots), the stable permutation ordering them, and the next
+	// window's start in it.
+	filled bool
+	cols   []ColVec
+	n      int
+	perm   []int32
+	pos    int
 }
 
-// NewSort materializes and orders the input (stable).
-func NewSort(in Iterator, keys []SortKey, ctx *EvalContext) (Iterator, error) {
-	for _, k := range keys {
+// NewSort orders a batch stream by the keys, stably. The first NextBatch
+// drains the input, copying the viewed columns of every live slot into
+// vectors the sort owns, and computes each row's keys with the compiled
+// evaluators; every call then emits a window of up to size rows (the
+// default when size < 1) whose selection vector is a slice of the sorted
+// permutation over those vectors. Nothing the windows alias is pooled, so
+// a window stays valid after the sort is stopped.
+func NewSort(in BatchIterator, keys []SortKey, ctx *EvalContext, size int) (BatchIterator, error) {
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	s := &sortOp{in: in, keys: keys, ctx: ctx, size: size, evals: make([]Compiled, len(keys))}
+	var refs refSet
+	for i, k := range keys {
 		if err := k.Expr.Bind(in.Schema()); err != nil {
 			return nil, err
 		}
+		s.evals[i] = Compile(k.Expr)
+		refs.add(ReferencedCols(k.Expr))
 	}
-	return &sortOp{in: in, keys: keys, ctx: ctx}, nil
+	s.refs = refs.cols
+	return s, nil
 }
 
 func (s *sortOp) Schema() *schema.Schema { return s.in.Schema() }
 
 func (s *sortOp) SizeHint() int { return sizeHint(s.in) }
 
-func (s *sortOp) Next() (relation.Tuple, bool, error) {
-	if !s.init {
-		s.init = true
-		rel, err := Collect(s.in)
+// Stop drops the sorted vectors and stops the input; a window already
+// delivered keeps what it aliases alive.
+func (s *sortOp) Stop() {
+	s.filled = true
+	s.cols, s.perm = nil, nil
+	stopIfStopper(s.in)
+}
+
+func (s *sortOp) NextBatch(b *Batch) (bool, error) {
+	if !s.filled {
+		if err := s.fill(); err != nil {
+			s.Stop()
+			return false, err
+		}
+	}
+	if s.pos >= len(s.perm) {
+		s.Stop()
+		return false, nil
+	}
+	hi := min(s.pos+s.size, len(s.perm))
+	b.cols, b.n, b.sel = s.cols, s.n, s.perm[s.pos:hi:hi]
+	s.pos = hi
+	return true, nil
+}
+
+// fill drains the input, then computes the keys row by row — so an input
+// error surfaces before any key error — and orders the rows.
+func (s *sortOp) fill() error {
+	s.filled = true
+	s.cols = make([]ColVec, len(s.in.Schema().Attrs))
+	in := getBatch(s.size)
+	defer putBatch(in)
+	for {
+		ok, err := s.in.NextBatch(in)
 		if err != nil {
-			return relation.Tuple{}, false, err
+			return err
 		}
-		s.rows = rel.Tuples
-		keyVals := make([][]value.Value, len(s.rows))
-		for i, t := range s.rows {
-			keyVals[i] = make([]value.Value, len(s.keys))
-			for j, k := range s.keys {
-				v, err := k.Expr.Eval(t, s.ctx)
-				if err != nil {
-					return relation.Tuple{}, false, err
-				}
-				keyVals[i][j] = v
-			}
+		if !ok {
+			break
 		}
-		idx := make([]int, len(s.rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			for j, k := range s.keys {
-				c := value.ComparePtr(&keyVals[idx[a]][j], &keyVals[idx[b]][j])
-				if k.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
+		for i := 0; i < in.Len(); i++ {
+			p := int(in.phys(i))
+			for c := range s.cols {
+				if len(in.cols[c].Vals) > 0 { // an unviewed column stays empty
+					s.cols[c].appendFrom(&in.cols[c], p)
 				}
 			}
-			return false
-		})
-		sorted := make([]relation.Tuple, len(s.rows))
-		for i, j := range idx {
-			sorted[i] = s.rows[j]
 		}
-		s.rows = sorted
+		s.n += in.Len()
 	}
-	if s.pos >= len(s.rows) {
-		return relation.Tuple{}, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-type limitOp struct {
-	in            Iterator
-	limit, offset int
-	emitted       int
-	skipped       int
-}
-
-// NewLimit emits at most limit tuples after skipping offset. A negative
-// limit means unlimited.
-func NewLimit(in Iterator, limit, offset int) Iterator {
-	return &limitOp{in: in, limit: limit, offset: offset}
-}
-
-func (l *limitOp) Schema() *schema.Schema { return l.in.Schema() }
-
-func (l *limitOp) SizeHint() int {
-	hint := sizeHint(l.in)
-	if l.limit >= 0 && (hint < 0 || l.limit < hint) {
-		return l.limit
-	}
-	return hint
-}
-
-func (l *limitOp) Next() (relation.Tuple, bool, error) {
-	for l.skipped < l.offset {
-		_, ok, err := l.in.Next()
-		if err != nil || !ok {
-			return relation.Tuple{}, false, err
+	nk := len(s.keys)
+	keys := make([]value.Value, s.n*nk)
+	all := &Batch{n: s.n, cols: s.cols}
+	for r := range s.n {
+		var t relation.Tuple
+		if len(s.refs) > 0 {
+			t = all.scratchRowAt(int32(r), s.refs)
 		}
-		l.skipped++
+		for j, eval := range s.evals {
+			v, err := eval(t, s.ctx)
+			if err != nil {
+				return err
+			}
+			keys[r*nk+j] = v
+		}
 	}
-	if l.limit >= 0 && l.emitted >= l.limit {
-		return relation.Tuple{}, false, nil
+	s.perm = make([]int32, s.n)
+	for i := range s.perm {
+		s.perm[i] = int32(i)
 	}
-	t, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return relation.Tuple{}, false, err
-	}
-	l.emitted++
-	return t, true, nil
+	sort.SliceStable(s.perm, func(x, y int) bool {
+		kx, ky := keys[int(s.perm[x])*nk:], keys[int(s.perm[y])*nk:]
+		for j, k := range s.keys {
+			c := value.ComparePtr(&kx[j], &ky[j])
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	return nil
 }

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func stocksRel() *relation.Relation {
 	return r
 }
 
-func drain(t *testing.T, it Iterator) *relation.Relation {
+func drain(t *testing.T, it BatchIterator) *relation.Relation {
 	t.Helper()
 	out, err := Collect(it)
 	if err != nil {
@@ -84,11 +85,11 @@ func drain(t *testing.T, it Iterator) *relation.Relation {
 
 func TestSelect(t *testing.T) {
 	pred := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(60)}}
-	it, err := newRefSelect(NewRelationScan(tradesRel()), pred, ctx())
+	it, err := newRefSelect(rowsOf(tradesRel()), pred, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, it)
+	out := drainRows(t, it)
 	if out.Len() != 3 {
 		t.Fatalf("select kept %d rows", out.Len())
 	}
@@ -102,69 +103,82 @@ func TestSelect(t *testing.T) {
 
 func TestSelectOverIndicator(t *testing.T) {
 	pred := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
-	it, err := newRefSelect(NewRelationScan(tradesRel()), pred, ctx())
+	it, err := newRefSelect(rowsOf(tradesRel()), pred, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, it)
+	out := drainRows(t, it)
 	if out.Len() != 2 {
 		t.Fatalf("quality select kept %d rows, want 2", out.Len())
 	}
 }
 
-func TestProjectPlainAndComputed(t *testing.T) {
-	items := []ProjectItem{
-		{Expr: &ColRef{Name: "ticker"}},
-		{Expr: &Arith{OpMul, &ColRef{Name: "qty"}, &ColRef{Name: "price"}}, As: "notional"},
-	}
-	it, err := NewProject(NewRelationScan(tradesRel()), items, ctx())
+// project runs NewBatchProject over a relation streamed at one batch size.
+func project(t *testing.T, in *relation.Relation, items []ProjectItem, size int) BatchIterator {
+	t.Helper()
+	it, err := NewBatchProject(NewRelationScan(in, size), items, ctx(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, it)
-	if out.Len() != 5 {
-		t.Fatalf("project emitted %d rows", out.Len())
-	}
-	if out.Schema.Attrs[0].Name != "ticker" || out.Schema.Attrs[1].Name != "notional" {
-		t.Fatalf("schema = %v", out.Schema)
-	}
-	first := out.Tuples[0]
-	// Plain column keeps tags; computed cell keeps unanimous tags and
-	// unions sources.
-	if !first.Cells[0].Tags.Has("source") {
-		t.Error("plain projection dropped tags")
-	}
-	if got := first.Cells[1].V.AsFloat(); got != 100*98.5 {
-		t.Errorf("notional = %v", got)
-	}
-	if v, ok := first.Cells[1].Tags.Get("source"); !ok || v.AsString() != "feedA" {
-		t.Error("derived cell should keep unanimous source tag")
-	}
-	if !first.Cells[1].Sources.Equal(tag.NewSources("feedA")) {
-		t.Errorf("derived sources = %v", first.Cells[1].Sources)
+	return it
+}
+
+func TestProjectPlainAndComputed(t *testing.T) {
+	for _, size := range batchSizes {
+		items := []ProjectItem{
+			{Expr: &ColRef{Name: "ticker"}},
+			{Expr: &Arith{OpMul, &ColRef{Name: "qty"}, &ColRef{Name: "price"}}, As: "notional"},
+		}
+		out := drain(t, project(t, tradesRel(), items, size))
+		if out.Len() != 5 {
+			t.Fatalf("size %d: project emitted %d rows", size, out.Len())
+		}
+		if out.Schema.Attrs[0].Name != "ticker" || out.Schema.Attrs[1].Name != "notional" {
+			t.Fatalf("size %d: schema = %v", size, out.Schema)
+		}
+		first := out.Tuples[0]
+		// Plain column keeps tags; computed cell keeps unanimous tags and
+		// unions sources.
+		if !first.Cells[0].Tags.Has("source") {
+			t.Errorf("size %d: plain projection dropped tags", size)
+		}
+		if got := first.Cells[1].V.AsFloat(); got != 100*98.5 {
+			t.Errorf("size %d: notional = %v", size, got)
+		}
+		if got := out.Tuples[4].Cells[1].V.AsFloat(); got != 10*21.5 {
+			t.Errorf("size %d: last notional = %v", size, got)
+		}
+		if v, ok := first.Cells[1].Tags.Get("source"); !ok || v.AsString() != "feedA" {
+			t.Errorf("size %d: derived cell should keep unanimous source tag", size)
+		}
+		if !first.Cells[1].Sources.Equal(tag.NewSources("feedA")) {
+			t.Errorf("size %d: derived sources = %v", size, first.Cells[1].Sources)
+		}
 	}
 }
 
 func TestProjectDefaultNames(t *testing.T) {
-	items := []ProjectItem{{Expr: &Arith{OpAdd, &ColRef{Name: "qty"}, &Const{value.Int(1)}}}}
-	it, err := NewProject(NewRelationScan(tradesRel()), items, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Schema().Attrs[0].Name != "col1" {
-		t.Errorf("default name = %q", it.Schema().Attrs[0].Name)
+	for _, size := range batchSizes {
+		items := []ProjectItem{{Expr: &Arith{OpAdd, &ColRef{Name: "qty"}, &Const{value.Int(1)}}}}
+		it := project(t, tradesRel(), items, size)
+		if it.Schema().Attrs[0].Name != "col1" {
+			t.Errorf("size %d: default name = %q", size, it.Schema().Attrs[0].Name)
+		}
+		if out := drain(t, it); out.Tuples[2].Cells[0].V.AsInt() != 201 {
+			t.Errorf("size %d: qty + 1 of row 2 = %v", size, out.Tuples[2].Cells[0].V)
+		}
 	}
 }
 
 func TestRename(t *testing.T) {
-	it, err := newRefRename(NewRelationScan(tradesRel()), "t2", map[string]string{"acct": "account"})
+	it, err := newRefRename(rowsOf(tradesRel()), "t2", map[string]string{"acct": "account"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Schema().Name != "t2" || it.Schema().ColIndex("account") != 0 {
 		t.Fatalf("rename schema = %v", it.Schema())
 	}
-	if _, err := newRefRename(NewRelationScan(tradesRel()), "", map[string]string{"zz": "y"}); err == nil {
+	if _, err := newRefRename(rowsOf(tradesRel()), "", map[string]string{"zz": "y"}); err == nil {
 		t.Error("rename of unknown column should fail")
 	}
 }
@@ -175,12 +189,12 @@ func joinRels(t *testing.T, l, r *relation.Relation, lk, rk, residual Expr) *rel
 	t.Helper()
 	var first *relation.Relation
 	for _, size := range batchSizes {
-		j, err := NewBatchHashJoin(NewToBatch(NewRelationScan(l), size), NewToBatch(NewRelationScan(r), size),
+		j, err := NewBatchHashJoin(NewRelationScan(l, size), NewRelationScan(r, size),
 			lk, rk, residual, nil, ctx(), size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := drain(t, NewFromBatch(j, size))
+		out := drain(t, j)
 		if first == nil {
 			first = out
 			continue
@@ -252,30 +266,67 @@ func TestJoinSchemaCollision(t *testing.T) {
 }
 
 // TestDistinctDropsDuplicates: a relation holding every row twice comes
-// out of Distinct once per row, keeping the first occurrence.
+// out of Distinct once per row, in first-seen order, keeping each first
+// occurrence's tags and sources.
 func TestDistinctDropsDuplicates(t *testing.T) {
-	a := tradesRel()
-	twice := relation.New(tradesSchema())
-	twice.Tuples = append(append(twice.Tuples, a.Tuples...), tradesRel().Tuples...)
-	twice.Tuples[5].Cells[1].Tags = tag.Set{}
-	out := drain(t, NewDistinct(NewRelationScan(twice)))
-	if out.Len() != 5 {
-		t.Fatalf("distinct = %d rows", out.Len())
+	for _, size := range batchSizes {
+		twice := relation.New(tradesSchema())
+		twice.Tuples = append(append(twice.Tuples, tradesRel().Tuples...), tradesRel().Tuples...)
+		twice.Tuples[5].Cells[1].Tags = tag.Set{}
+		twice.Tuples[5].Cells[1].Sources = tag.NewSources("late")
+		out := drain(t, NewDistinct(NewRelationScan(twice, size)))
+		if out.Len() != 5 {
+			t.Fatalf("size %d: distinct = %d rows", size, out.Len())
+		}
+		for i, tup := range out.Tuples {
+			if !tup.Equal(tradesRel().Tuples[i]) {
+				t.Fatalf("size %d: row %d = %v, want the first occurrence %v", size, i, tup, tradesRel().Tuples[i])
+			}
+		}
+		if !out.Tuples[0].Cells[1].Tags.Has("source") || !out.Tuples[0].Cells[1].Sources.Equal(tag.NewSources("feedA")) {
+			t.Errorf("size %d: distinct should keep the first occurrence's tags and sources", size)
+		}
 	}
-	if !out.Tuples[0].Cells[1].Tags.Has("source") {
-		t.Error("distinct should keep the first occurrence's tags")
+}
+
+// TestDistinctMatchesLiterals: Distinct treats values as duplicates
+// exactly when their QQL literals match — Int(1) and Float(1) are one
+// value, +0 and -0 are two — across batches and hash collisions alike.
+func TestDistinctMatchesLiterals(t *testing.T) {
+	sch := schema.MustNew("d", []schema.Attr{{Name: "x"}, {Name: "y", Kind: value.KindString}})
+	rel := relation.New(sch)
+	for _, row := range [][2]value.Value{
+		{value.Int(1), value.Str("a")},
+		{value.Float(1), value.Str("a")},
+		{value.Float(0), value.Str("b")},
+		{value.Float(math.Copysign(0, -1)), value.Str("b")},
+		{value.Null, value.Str("a")},
+		{value.Null, value.Str("a")},
+		{value.Int(1), value.Str("b")},
+	} {
+		rel.Tuples = append(rel.Tuples, relation.NewTuple(row[0], row[1]))
+	}
+	for _, size := range batchSizes {
+		out := drain(t, NewDistinct(NewRelationScan(rel, size)))
+		var got []string
+		for _, tup := range out.Tuples {
+			got = append(got, tup.Cells[0].V.Literal()+"/"+tup.Cells[1].V.Literal())
+		}
+		if want := "[1/'a' 0/'b' -0/'b' null/'a' 1/'b']"; fmt.Sprint(got) != want {
+			t.Errorf("size %d: distinct = %v, want %s", size, got, want)
+		}
 	}
 }
 
 // aggRows runs the global or grouped batch aggregate over a relation.
 func aggRows(t *testing.T, in *relation.Relation, groupBy []Expr, aggs []AggSpec) *relation.Relation {
 	t.Helper()
-	var it Iterator
+	var it BatchIterator
 	var err error
 	if groupBy == nil {
-		it, err = NewBatchAggregate(NewToBatch(NewRelationScan(in), 0), aggs, ctx(), 0)
+		it, err = NewBatchAggregate(NewRelationScan(in, 0), aggs, ctx(), 0)
 	} else {
-		it, err = NewBatchGroupedAggregate(NewToBatch(NewRelationScan(in), 0), groupBy, aggs, ctx(), 0)
+		it, err = NewBatchGroupedAggregate(NewRelationScan(in, 0), groupBy, aggs, ctx(), 0)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -361,33 +412,106 @@ func TestAggregateEmptyInput(t *testing.T) {
 }
 
 func TestSortAndLimit(t *testing.T) {
-	it, err := NewSort(NewRelationScan(tradesRel()),
-		[]SortKey{{Expr: &ColRef{Name: "qty"}, Desc: true}}, ctx())
+	for _, size := range batchSizes {
+		sorted := func(keys ...SortKey) BatchIterator {
+			it, err := NewSort(NewRelationScan(tradesRel(), size), keys, ctx(), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return it
+		}
+		qtys := func(out *relation.Relation) []int64 {
+			var q []int64
+			for _, tup := range out.Tuples {
+				q = append(q, tup.Cells[2].V.AsInt())
+			}
+			return q
+		}
+		if got := qtys(drain(t, sorted(SortKey{Expr: &ColRef{Name: "qty"}, Desc: true}))); fmt.Sprint(got) != "[200 100 75 50 10]" {
+			t.Errorf("size %d: sorted desc = %v", size, got)
+		}
+		lim := drain(t, NewBatchLimit(sorted(SortKey{Expr: &ColRef{Name: "qty"}}), 2, 1))
+		if got := qtys(lim); fmt.Sprint(got) != "[50 75]" {
+			t.Errorf("size %d: LIMIT 2 OFFSET 1 = %v, want [50 75]", size, got)
+		}
+		// Ties keep input order: acct 1 is IBM then DEC, acct 2 IBM then DEC.
+		var tickers []string
+		for _, tup := range drain(t, sorted(SortKey{Expr: &ColRef{Name: "acct"}, Desc: true})).Tuples {
+			tickers = append(tickers, tup.Cells[1].V.AsString())
+		}
+		if fmt.Sprint(tickers) != "[HP IBM DEC IBM DEC]" {
+			t.Errorf("size %d: sort by acct desc = %v, want [HP IBM DEC IBM DEC]", size, tickers)
+		}
+		if got := drain(t, NewBatchLimit(NewRelationScan(tradesRel(), size), -1, 0)).Len(); got != 5 {
+			t.Errorf("size %d: unlimited limit = %d", size, got)
+		}
+		if got := drain(t, NewBatchLimit(sorted(SortKey{Expr: &ColRef{Name: "qty"}}), 3, 9)).Len(); got != 0 {
+			t.Errorf("size %d: offset past the end = %d rows", size, got)
+		}
+	}
+}
+
+// TestSortIsStable: over many ties, at every batch size, rows with equal
+// keys leave the sort in input order.
+func TestSortIsStable(t *testing.T) {
+	sch := schema.MustNew("s", []schema.Attr{{Name: "id", Kind: value.KindInt}, {Name: "k", Kind: value.KindInt}})
+	rel := relation.New(sch)
+	for i := 0; i < 500; i++ {
+		rel.Tuples = append(rel.Tuples, relation.NewTuple(value.Int(int64(i)), value.Int(int64((i*7)%5))))
+	}
+	for _, size := range batchSizes {
+		it, err := NewSort(NewRelationScan(rel, size), []SortKey{{Expr: &ColRef{Name: "k"}, Desc: true}}, ctx(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := drain(t, it)
+		for i := 1; i < out.Len(); i++ {
+			prev, cur := out.Tuples[i-1].Cells, out.Tuples[i].Cells
+			if k0, k1 := prev[1].V.AsInt(), cur[1].V.AsInt(); k0 < k1 || k0 == k1 && prev[0].V.AsInt() > cur[0].V.AsInt() {
+				t.Fatalf("size %d: row %d (k %d, id %d) after (k %d, id %d)", size, i, k1, cur[0].V.AsInt(), k0, prev[0].V.AsInt())
+			}
+		}
+	}
+}
+
+// TestSortLazyAndUnpooled: the sort pulls nothing until its first
+// NextBatch, a key error surfaces with the evaluator's own text, and the
+// windows it emits alias its own vectors — never a pooled batch — so they
+// stay intact after the sort is stopped and the pool reused.
+func TestSortLazyAndUnpooled(t *testing.T) {
+	src := &errBatch{in: NewRelationScan(tradesRel(), 2), after: 1 << 30}
+	it, err := NewSort(src, []SortKey{{Expr: &ColRef{Name: "qty"}}}, ctx(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, it)
-	prev := int64(1 << 40)
-	for _, tup := range out.Tuples {
-		q := tup.Cells[2].V.AsInt()
-		if q > prev {
-			t.Fatalf("not sorted desc: %d after %d", q, prev)
-		}
-		prev = q
+	if src.calls != 0 {
+		t.Fatalf("building the sort pulled %d batches", src.calls)
 	}
-	it2, _ := NewSort(NewRelationScan(tradesRel()), []SortKey{{Expr: &ColRef{Name: "qty"}}}, ctx())
-	lim := NewLimit(it2, 2, 1)
-	lout := drain(t, lim)
-	if lout.Len() != 2 {
-		t.Fatalf("limit emitted %d", lout.Len())
+
+	b := getBatch(2)
+	defer putBatch(b)
+	if ok, err := it.NextBatch(b); !ok || err != nil {
+		t.Fatalf("NextBatch = %v, %v", ok, err)
 	}
-	if lout.Tuples[0].Cells[2].V.AsInt() != 50 {
-		t.Errorf("offset skipped wrong row: %v", lout.Tuples[0])
+	if src.calls != 4 { // three batches of ≤2 rows, then the end
+		t.Errorf("first NextBatch pulled %d batches, want the whole input (4 calls)", src.calls)
 	}
-	// Unlimited.
-	un := NewLimit(NewRelationScan(tradesRel()), -1, 0)
-	if got := drain(t, un).Len(); got != 5 {
-		t.Errorf("unlimited limit = %d", got)
+	it.(Stopper).Stop()
+	for range 4 { // churn the pool: a pooled array would be overwritten
+		x := getBatch(2)
+		NewRelationScan(stocksRel(), 2).NextBatch(x)
+		putBatch(x)
+	}
+	if got := fmt.Sprint(b.Row(0).Cells[2].V, b.Row(1).Cells[2].V); got != "10 50" {
+		t.Errorf("window after Stop = %s, want 10 50", got)
+	}
+
+	bad, err := NewSort(NewRelationScan(tradesRel(), 0), []SortKey{{Expr: &Arith{OpDiv, &ColRef{Name: "qty"}, &Const{value.Int(0)}}}}, ctx(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect(bad); err == nil || err.Error() != "value: integer division by zero" {
+		t.Errorf("sort key error = %v, want value: integer division by zero", err)
 	}
 }
 
@@ -404,7 +528,7 @@ func TestIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, NewFromBatch(it, 0))
+	out := drain(t, it)
 	if out.Len() != 3 {
 		t.Fatalf("index scan = %d rows", out.Len())
 	}
@@ -423,15 +547,15 @@ func TestSelectionSplittingLaw(t *testing.T) {
 	p := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(20)}}
 	q := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
 	both := &Logic{OpAnd, p, q}
-	s1, err := newRefSelect(NewRelationScan(tradesRel()), both, ctx())
+	s1, err := newRefSelect(rowsOf(tradesRel()), both, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out1 := drain(t, s1)
+	out1 := drainRows(t, s1)
 
 	p2 := &Cmp{OpGt, &ColRef{Name: "qty"}, &Const{value.Int(20)}}
 	q2 := &Cmp{OpEq, &IndRef{Col: "qty", Indicator: "source"}, &Const{value.Str("feedA")}}
-	sp, err := newRefSelect(NewRelationScan(tradesRel()), p2, ctx())
+	sp, err := newRefSelect(rowsOf(tradesRel()), p2, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +563,7 @@ func TestSelectionSplittingLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2 := drain(t, sq)
+	out2 := drainRows(t, sq)
 	if out1.Len() != out2.Len() {
 		t.Fatalf("selection splitting broken: %d vs %d", out1.Len(), out2.Len())
 	}
@@ -451,18 +575,20 @@ func TestSelectionSplittingLaw(t *testing.T) {
 }
 
 func TestProjectionIdempotent(t *testing.T) {
-	items := []ProjectItem{{Expr: &ColRef{Name: "ticker"}}, {Expr: &ColRef{Name: "qty"}}}
-	p1, err := NewProject(NewRelationScan(tradesRel()), items, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	items2 := []ProjectItem{{Expr: &ColRef{Name: "ticker"}}, {Expr: &ColRef{Name: "qty"}}}
-	p2, err := NewProject(p1, items2, ctx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, p2)
-	if out.Len() != 5 || len(out.Schema.Attrs) != 2 {
-		t.Fatalf("double projection = %d rows x %d cols", out.Len(), len(out.Schema.Attrs))
+	for _, size := range batchSizes {
+		items := []ProjectItem{{Expr: &ColRef{Name: "ticker"}}, {Expr: &ColRef{Name: "qty"}}}
+		p1 := project(t, tradesRel(), items, size)
+		items2 := []ProjectItem{{Expr: &ColRef{Name: "ticker"}}, {Expr: &ColRef{Name: "qty"}}}
+		p2, err := NewBatchProject(p1, items2, ctx(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := drain(t, p2)
+		if out.Len() != 5 || len(out.Schema.Attrs) != 2 {
+			t.Fatalf("size %d: double projection = %d rows x %d cols", size, out.Len(), len(out.Schema.Attrs))
+		}
+		if out.Tuples[3].Cells[0].V.AsString() != "HP" || out.Tuples[3].Cells[1].V.AsInt() != 75 {
+			t.Errorf("size %d: row 3 = %v", size, out.Tuples[3])
+		}
 	}
 }

@@ -39,18 +39,18 @@ func TestJoinCommutativityUpToColumnOrder(t *testing.T) {
 	ctx := &EvalContext{}
 	renamed := func(b *relation.Relation) BatchIterator {
 		// Rename b's columns so join schemas disambiguate.
-		it, err := newRefRename(NewRelationScan(b), "r2", map[string]string{"k": "k2", "v": "v2"})
+		it, err := newRefRename(rowsOf(b), "r2", map[string]string{"k": "k2", "v": "v2"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewToBatch(it, 3)
+		return NewRelationScan(drainRows(t, it), 3)
 	}
 	join := func(l, r BatchIterator, lk, rk string) *relation.Relation {
 		j, err := NewBatchHashJoin(l, r, &ColRef{Name: lk}, &ColRef{Name: rk}, nil, nil, ctx, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Collect(NewFromBatch(j, 3))
+		out, err := Collect(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +59,8 @@ func TestJoinCommutativityUpToColumnOrder(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		a := randomRelation(r, 1+r.Intn(40))
 		b := randomRelation(r, 1+r.Intn(40))
-		abOut := join(NewToBatch(NewRelationScan(a), 3), renamed(b), "k", "k2")
-		baOut := join(renamed(b), NewToBatch(NewRelationScan(a), 3), "k2", "k")
+		abOut := join(NewRelationScan(a, 3), renamed(b), "k", "k2")
+		baOut := join(renamed(b), NewRelationScan(a, 3), "k2", "k")
 		if abOut.Len() != baOut.Len() {
 			t.Fatalf("trial %d: |A⋈B| = %d, |B⋈A| = %d", trial, abOut.Len(), baOut.Len())
 		}
@@ -83,11 +83,11 @@ func TestDistinctIdempotent(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		rel := randomRelation(r, r.Intn(60))
-		d1, err := Collect(NewDistinct(NewRelationScan(rel)))
+		d1, err := Collect(NewDistinct(NewRelationScan(rel, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := Collect(NewDistinct(NewRelationScan(d1)))
+		d2, err := Collect(NewDistinct(NewRelationScan(d1, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,24 +113,18 @@ func TestSelectPartition(t *testing.T) {
 			return &Cmp{Op: OpGt, L: &ColRef{Name: "k"}, R: &Const{V: value.Int(r.Int63n(8))}}
 		}
 		p1 := pred()
-		sel, err := newRefSelect(NewRelationScan(rel), p1, ctx)
+		sel, err := newRefSelect(rowsOf(rel), p1, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		yes, err := Collect(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		yes := drainRows(t, sel)
 		p2 := pred()
 		p2.(*Cmp).R = p1.(*Cmp).R
-		selNot, err := newRefSelect(NewRelationScan(rel), &Not{E: p2}, ctx)
+		selNot, err := newRefSelect(rowsOf(rel), &Not{E: p2}, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		no, err := Collect(selNot)
-		if err != nil {
-			t.Fatal(err)
-		}
+		no := drainRows(t, selNot)
 		// k is never null here, so the two selections partition exactly.
 		if yes.Len()+no.Len() != rel.Len() {
 			t.Fatalf("trial %d: %d + %d != %d", trial, yes.Len(), no.Len(), rel.Len())
@@ -145,7 +139,7 @@ func TestProjectPreservesProvenanceAlways(t *testing.T) {
 	ctx := &EvalContext{}
 	for trial := 0; trial < 30; trial++ {
 		rel := randomRelation(r, r.Intn(50))
-		it, err := NewProject(NewRelationScan(rel), []ProjectItem{{Expr: &ColRef{Name: "v"}}}, ctx)
+		it, err := NewBatchProject(NewRelationScan(rel, 3), []ProjectItem{{Expr: &ColRef{Name: "v"}}}, ctx, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -10,8 +11,50 @@ import (
 
 // The reference evaluator: row-at-a-time operators that evaluate every
 // predicate through the interpreted Expr.Eval and fetch indexed rows one
-// Table.Get at a time. The engine runs none of them; tests hold the batch
-// operators, the compiled kernels and the index scan to their answers.
+// Table.Get at a time. The engine runs none of them — it has no row stream
+// at all; tests hold the batch operators, the compiled kernels and the
+// index scan to their answers.
+
+// rowIter is the reference evaluator's pull-based tuple stream.
+type rowIter interface {
+	Schema() *schema.Schema
+	// Next returns the next tuple, or ok=false at end of stream.
+	Next() (relation.Tuple, bool, error)
+}
+
+// drainRows collects a row stream into a relation.
+func drainRows(t *testing.T, it rowIter) *relation.Relation {
+	t.Helper()
+	out := relation.New(it.Schema())
+	for {
+		tup, ok, err := it.Next()
+		if err != nil {
+			t.Fatalf("reference stream: %v", err)
+		}
+		if !ok {
+			return out
+		}
+		out.Tuples = append(out.Tuples, tup)
+	}
+}
+
+// refScan streams an in-memory relation.
+type refScan struct {
+	rel *relation.Relation
+	pos int
+}
+
+func rowsOf(r *relation.Relation) rowIter { return &refScan{rel: r} }
+
+func (s *refScan) Schema() *schema.Schema { return s.rel.Schema }
+
+func (s *refScan) Next() (relation.Tuple, bool, error) {
+	if s.pos >= len(s.rel.Tuples) {
+		return relation.Tuple{}, false, nil
+	}
+	s.pos++
+	return s.rel.Tuples[s.pos-1], true, nil
+}
 
 // refIndexScan streams the live rows of t whose target lies in [lo, hi],
 // fetching each probed row with Table.Get.
@@ -21,7 +64,7 @@ type refIndexScan struct {
 	pos int
 }
 
-func newRefIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound) (Iterator, error) {
+func newRefIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound) (rowIter, error) {
 	ids, err := t.Lookup(target, lo, hi)
 	if err != nil {
 		return nil, err
@@ -44,12 +87,12 @@ func (s *refIndexScan) Next() (relation.Tuple, bool, error) {
 
 // refSelect keeps the tuples whose predicate is definitely true.
 type refSelect struct {
-	in   Iterator
+	in   rowIter
 	pred Expr
 	ctx  *EvalContext
 }
 
-func newRefSelect(in Iterator, pred Expr, ctx *EvalContext) (Iterator, error) {
+func newRefSelect(in rowIter, pred Expr, ctx *EvalContext) (rowIter, error) {
 	if err := pred.Bind(in.Schema()); err != nil {
 		return nil, err
 	}
@@ -78,11 +121,11 @@ func (s *refSelect) Next() (relation.Tuple, bool, error) {
 // keeps the old relation name; cols maps old to new column names and may
 // be partial.
 type refRename struct {
-	in  Iterator
+	in  rowIter
 	out *schema.Schema
 }
 
-func newRefRename(in Iterator, relName string, cols map[string]string) (Iterator, error) {
+func newRefRename(in rowIter, relName string, cols map[string]string) (rowIter, error) {
 	s := in.Schema().Clone()
 	if relName != "" {
 		s.Name = relName

@@ -257,13 +257,6 @@ func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.B
 	return s, nil
 }
 
-// NewBatchTableScan streams every column of a storage table in batches of
-// up to size rows — NewBatchColScan with the full column list and no
-// pruning. Batches are segment-aligned and rows arrive in row-ID order.
-func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
-	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
-}
-
 // NewParallelScan is NewBatchColScan fanned out across degree workers, one
 // heap segment at a time, with pred (optional) fused into the workers. Each
 // worker views only the scan's columns, tests the prunes and runs pred over

@@ -97,12 +97,6 @@ func parScan(t *testing.T, tbl *storage.Table, degree int, pred Expr) BatchItera
 	return bit
 }
 
-// parRows drains parScan through the row adapter.
-func parRows(t *testing.T, tbl *storage.Table, degree int, pred Expr) Iterator {
-	t.Helper()
-	return NewFromBatch(parScan(t, tbl, degree, pred), 0)
-}
-
 // filterRows keeps the rows of rel that the interpreted pred accepts.
 func filterRows(t *testing.T, rel *relation.Relation, pred Expr) *relation.Relation {
 	t.Helper()
@@ -128,7 +122,7 @@ func filterRows(t *testing.T, rel *relation.Relation, pred Expr) *relation.Relat
 func TestTableScanStreamsAllSegments(t *testing.T) {
 	const n = storage.SegmentSize + 500
 	tbl := bigTable(t, n)
-	out := drain(t, parRows(t, tbl, 1, nil))
+	out := drain(t, parScan(t, tbl, 1, nil))
 	if out.Len() != tbl.Len() {
 		t.Fatalf("scan = %d rows, table has %d live", out.Len(), tbl.Len())
 	}
@@ -210,7 +204,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		tbl := tc.tbl
 		serialAll := scanRows(tbl)
 		for _, degree := range []int{1, 2, 3, 4, 8, 64} {
-			sameRelation(t, serialAll, drain(t, parRows(t, tbl, degree, nil)), fmt.Sprintf("%s degree %d no pred", tc.name, degree))
+			sameRelation(t, serialAll, drain(t, parScan(t, tbl, degree, nil)), fmt.Sprintf("%s degree %d no pred", tc.name, degree))
 		}
 		for _, p := range preds {
 			want := filterRows(t, serialAll, p.pred())
@@ -218,7 +212,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 				t.Fatalf("%s %s: weak predicate: %d of %d", tc.name, p.name, want.Len(), serialAll.Len())
 			}
 			for _, degree := range []int{1, 2, 3, 4, 8, 64} {
-				sameRelation(t, want, drain(t, parRows(t, tbl, degree, p.pred())), fmt.Sprintf("%s degree %d %s", tc.name, degree, p.name))
+				sameRelation(t, want, drain(t, parScan(t, tbl, degree, p.pred())), fmt.Sprintf("%s degree %d %s", tc.name, degree, p.name))
 			}
 		}
 	}
@@ -237,7 +231,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRelation(t, want, drain(t, NewFromBatch(bit, 0)), fmt.Sprintf("pruned degree %d", degree))
+		sameRelation(t, want, drain(t, bit), fmt.Sprintf("pruned degree %d", degree))
 		extra := bit.(ExtraStats).ExtraStats()
 		if degree == 1 && extra != "segments skipped=3 of 6" || degree > 1 && !strings.HasSuffix(extra, "skipped=3") {
 			t.Errorf("degree %d: extra stats %q, want 3 segments skipped", degree, extra)
@@ -248,7 +242,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 	sc := schema.MustNew("tiny", []schema.Attr{{Name: "a", Kind: value.KindInt}})
 	tbl := storage.NewTable(sc, false)
-	if out := drain(t, parRows(t, tbl, 8, nil)); out.Len() != 0 {
+	if out := drain(t, parScan(t, tbl, 8, nil)); out.Len() != 0 {
 		t.Fatalf("empty table scan = %d rows", out.Len())
 	}
 	for i := 0; i < 10; i++ {
@@ -256,7 +250,7 @@ func TestParallelScanEmptyAndTinyTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if out := drain(t, parRows(t, tbl, 8, nil)); out.Len() != 10 {
+	if out := drain(t, parScan(t, tbl, 8, nil)); out.Len() != 10 {
 		t.Fatalf("tiny table scan = %d rows", out.Len())
 	}
 }
@@ -266,14 +260,15 @@ func TestParallelScanPredicateError(t *testing.T) {
 	for _, degree := range []int{1, 4} {
 		// LIKE over an int errors at eval time in the workers.
 		bad := &Like{E: &ColRef{Name: "qty"}, Pattern: "x%"}
-		it := parRows(t, tbl, degree, bad)
+		it := parScan(t, tbl, degree, bad)
 		if _, err := Collect(it); err == nil {
 			t.Fatalf("degree %d: worker predicate error was swallowed", degree)
 		}
-		// The error is terminal: further Next calls end the stream cleanly
-		// instead of blocking on segments the stopped workers won't deliver.
-		if _, ok, err := it.Next(); ok || err != nil {
-			t.Fatalf("degree %d: Next after error = %v, %v", degree, ok, err)
+		// The error is terminal: further NextBatch calls end the stream
+		// cleanly instead of blocking on segments the stopped workers won't
+		// deliver.
+		if ok, err := it.NextBatch(new(Batch)); ok || err != nil {
+			t.Fatalf("degree %d: NextBatch after error = %v, %v", degree, ok, err)
 		}
 	}
 }
@@ -283,10 +278,11 @@ func TestParallelScanPredicateError(t *testing.T) {
 // segment so workers always run to completion.
 func TestParallelScanAbandoned(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize)
-	it := parRows(t, tbl, 4, nil)
+	it := parScan(t, tbl, 4, nil)
+	b := new(Batch)
 	for i := 0; i < 5; i++ {
-		if _, ok, err := it.Next(); err != nil || !ok {
-			t.Fatalf("Next %d = %v, %v", i, ok, err)
+		if ok, err := it.NextBatch(b); err != nil || !ok {
+			t.Fatalf("NextBatch %d = %v, %v", i, ok, err)
 		}
 	}
 	// Iterator goes out of scope here; goroutine leak would trip -race
@@ -304,7 +300,7 @@ func TestParallelScanBackpressure(t *testing.T) {
 	tbl := bigTable(t, nSeg*storage.SegmentSize)
 	bit := parScan(t, tbl, 2, nil)
 	defer bit.(Stopper).Stop()
-	if ok, err := bit.NextBatch(NewBatch(DefaultBatchSize)); err != nil || !ok {
+	if ok, err := bit.NextBatch(new(Batch)); err != nil || !ok {
 		t.Fatalf("NextBatch = %v, %v", ok, err)
 	}
 	// Let the workers run as far as the buffer budget allows, then stall.
@@ -346,7 +342,7 @@ func drainedScanTable(t *testing.T) (weak.Pointer[storage.Table], <-chan struct{
 	t.Helper()
 	tbl := bigTable(t, 4*storage.SegmentSize)
 	bit := parScan(t, tbl, 2, nil)
-	b := NewBatch(DefaultBatchSize)
+	b := new(Batch)
 	for {
 		ok, err := bit.NextBatch(b)
 		if err != nil {
@@ -360,19 +356,20 @@ func drainedScanTable(t *testing.T) (weak.Pointer[storage.Table], <-chan struct{
 }
 
 // TestParallelScanStop: Stop releases the workers deterministically and a
-// (contract-violating but tolerated) Next afterwards terminates instead of
-// waiting for segments that will never arrive.
+// (contract-violating but tolerated) NextBatch afterwards terminates
+// instead of waiting for segments that will never arrive.
 func TestParallelScanStop(t *testing.T) {
 	tbl := bigTable(t, 6*storage.SegmentSize)
-	it := parRows(t, tbl, 2, nil)
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("Next = %v, %v", ok, err)
+	it := parScan(t, tbl, 2, nil)
+	b := new(Batch)
+	if ok, err := it.NextBatch(b); err != nil || !ok {
+		t.Fatalf("NextBatch = %v, %v", ok, err)
 	}
 	it.(Stopper).Stop()
 	for i := 0; i < 7*storage.SegmentSize; i++ {
-		_, ok, err := it.Next()
+		ok, err := it.NextBatch(b)
 		if err != nil {
-			t.Fatalf("Next after Stop: %v", err)
+			t.Fatalf("NextBatch after Stop: %v", err)
 		}
 		if !ok {
 			return
@@ -418,7 +415,7 @@ func TestIndexScanMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sameRelation(t, drain(t, ref), drain(t, NewFromBatch(got, size)), fmt.Sprintf("probe %d, size %d", i, size))
+			sameRelation(t, drainRows(t, ref), drain(t, got), fmt.Sprintf("probe %d, size %d", i, size))
 		}
 	}
 }
@@ -452,7 +449,7 @@ func TestIndexScanLazyClones(t *testing.T) {
 	if ix.(Sizer).SizeHint() != len(ids) {
 		t.Errorf("SizeHint = %d, want %d", ix.(Sizer).SizeHint(), len(ids))
 	}
-	out := drain(t, NewFromBatch(NewBatchLimit(ix, 1, 0), 0))
+	out := drain(t, NewBatchLimit(ix, 1, 0))
 	if out.Len() != 1 || out.Tuples[0].Cells[0].V.AsInt() != int64(ids[0]) {
 		t.Fatalf("LIMIT 1 over the index scan = %v, want row %d", out.Tuples, ids[0])
 	}

@@ -58,17 +58,6 @@ type AnalyzeReport struct {
 	Clones int64
 }
 
-// RootRows returns the row count of the last instrumented step — the
-// operator whose output is the statement result.
-func (r *AnalyzeReport) RootRows() (int64, bool) {
-	for i := len(r.Steps) - 1; i >= 0; i-- {
-		if r.Steps[i].Instrumented {
-			return r.Steps[i].Rows, true
-		}
-	}
-	return 0, false
-}
-
 // Format renders the report as EXPLAIN ANALYZE's text output: the plan tree
 // annotated with actuals, then the summary lines.
 func (r *AnalyzeReport) Format() string {
@@ -129,10 +118,9 @@ func (s *Session) analyzeSelect(sel *SelectStmt, key string) (*AnalyzeReport, er
 		return nil, err
 	}
 	tExec := time.Now()
-	rel, err := algebra.Collect(p.it)
+	rel, err := algebra.Collect(p.bit)
 	execDur := time.Since(tExec)
 	p.harvestExtras()
-	p.release()
 	if err != nil {
 		return nil, err
 	}

@@ -44,6 +44,10 @@ func stepByPrefix(t *testing.T, rep *AnalyzeReport, prefix string) AnalyzeStep {
 	return AnalyzeStep{}
 }
 
+// rootRows is the row count of the plan's last step, the operator whose
+// output is the statement result.
+func rootRows(rep *AnalyzeReport) int64 { return rep.Steps[len(rep.Steps)-1].Rows }
+
 func TestAnalyzeVectorizedCounts(t *testing.T) {
 	s := analyzeFixture(t)
 	rep, err := s.AnalyzeQuery(`SELECT a, b FROM t WHERE a >= 10 LIMIT 12`)
@@ -68,8 +72,8 @@ func TestAnalyzeVectorizedCounts(t *testing.T) {
 	if rep.Rows != 12 {
 		t.Errorf("report rows = %d, want 12", rep.Rows)
 	}
-	if root, ok := rep.RootRows(); !ok || root != int64(rep.Rows) {
-		t.Errorf("root rows = %d (ok=%v), want %d", root, ok, rep.Rows)
+	if root := rootRows(rep); root != int64(rep.Rows) {
+		t.Errorf("root rows = %d, want %d", root, rep.Rows)
 	}
 	if rep.CacheTier != "miss" {
 		t.Errorf("first run cache tier = %q, want miss", rep.CacheTier)
@@ -85,8 +89,8 @@ func TestAnalyzeVectorizedCounts(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSerialCounts: a serial plan with a row tail counts batches
-// on the batch operators and rows only on the row operators above them.
+// TestAnalyzeSerialCounts: a serial plan counts rows and batches on every
+// operator, the sort at its top included.
 func TestAnalyzeSerialCounts(t *testing.T) {
 	s := analyzeFixture(t)
 	s.SetParallelism(1)
@@ -105,8 +109,8 @@ func TestAnalyzeSerialCounts(t *testing.T) {
 	if scan.Batches == 0 {
 		t.Errorf("batch scan reported no batches")
 	}
-	if sort.Batches != 0 {
-		t.Errorf("row sort reported %d batches, want 0", sort.Batches)
+	if sort.Batches != 1 {
+		t.Errorf("sort reported %d batches, want 1", sort.Batches)
 	}
 	if rep.Rows != 40 {
 		t.Errorf("report rows = %d, want 40", rep.Rows)
@@ -124,8 +128,8 @@ func TestAnalyzeParallelScanOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := stepByPrefix(t, rep, "ParallelScan")
-	if root, ok := rep.RootRows(); !ok || root != int64(rep.Rows) {
-		t.Errorf("root rows = %d (ok=%v), want %d", root, ok, rep.Rows)
+	if root := rootRows(rep); root != int64(rep.Rows) {
+		t.Errorf("root rows = %d, want %d", root, rep.Rows)
 	}
 	// The fused predicate filters inside the workers, so the scan's output
 	// count equals the result count.

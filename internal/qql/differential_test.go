@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/tag"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -174,9 +177,11 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 }
 
 // referenceSelect evaluates a single-table, non-aggregate SELECT the
-// naive way: every live row cloned out of the table in row-ID order, both
-// filters through the interpreted Expr.Eval, then the row Sort, Project
-// and Limit.
+// naive way, in plain Go over rows and with none of the engine's operators:
+// every live row cloned out of the table in row-ID order, both filters and
+// the ORDER BY keys through the interpreted Expr.Eval, a stable sort, LIMIT
+// by slicing, and each computed item's cell derived by hand — tags
+// intersected and sources unioned across the columns it reads.
 func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relation {
 	t.Helper()
 	stmts, err := Parse(q)
@@ -184,17 +189,28 @@ func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relat
 		t.Fatal(err)
 	}
 	st := stmts[0].(*SelectStmt)
+	sch := tbl.Schema()
 	ctx := &algebra.EvalContext{Now: workload.Epoch}
+	eval := func(e algebra.Expr, tup relation.Tuple) value.Value {
+		v, err := e.Eval(tup, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	bind := func(e algebra.Expr) {
+		if err := e.Bind(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var preds []algebra.Expr
 	for _, pred := range []algebra.Expr{st.Where, st.Quality} {
 		if pred != nil {
-			if err := pred.Bind(tbl.Schema()); err != nil {
-				t.Fatal(err)
-			}
+			bind(pred)
 			preds = append(preds, pred)
 		}
 	}
-	rows := relation.New(tbl.Schema())
+	var rows []relation.Tuple
 	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
 		for _, pred := range preds {
 			ok, err := algebra.Truth(pred, tup, ctx)
@@ -205,28 +221,72 @@ func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relat
 				return true
 			}
 		}
-		rows.Tuples = append(rows.Tuples, tup)
+		rows = append(rows, tup)
 		return true
 	})
-	it := algebra.NewRelationScan(rows)
+
 	if len(st.OrderBy) > 0 {
-		keys := make([]algebra.SortKey, len(st.OrderBy))
-		for i, o := range st.OrderBy {
-			keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
+		keys := make([][]value.Value, len(rows))
+		for _, o := range st.OrderBy {
+			bind(o.Expr)
+			for i, tup := range rows {
+				keys[i] = append(keys[i], eval(o.Expr, tup))
+			}
 		}
-		if it, err = algebra.NewSort(it, keys, ctx); err != nil {
-			t.Fatal(err)
+		order := make([]int, len(rows))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(x, y int) bool {
+			for j, o := range st.OrderBy {
+				c := value.Compare(keys[order[x]][j], keys[order[y]][j])
+				if o.Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+		sorted := make([]relation.Tuple, len(rows))
+		for i, j := range order {
+			sorted[i] = rows[j]
+		}
+		rows = sorted
+	}
+	if st.Limit >= 0 && st.Limit < len(rows) {
+		rows = rows[:st.Limit]
+	}
+
+	items := projectionItems(st, sch)
+	attrs := make([]schema.Attr, len(items))
+	for i, it := range items {
+		bind(it.Expr)
+		attrs[i].Name = it.As
+		if attrs[i].Name == "" {
+			attrs[i].Name = fmt.Sprintf("col%d", i+1)
 		}
 	}
-	if it, err = algebra.NewProject(it, projectionItems(st, tbl.Schema()), ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st.Limit >= 0 {
-		it = algebra.NewLimit(it, st.Limit, 0)
-	}
-	out, err := algebra.Collect(it)
-	if err != nil {
-		t.Fatal(err)
+	out := relation.New(schema.MustNew(sch.Name, attrs))
+	for _, tup := range rows {
+		cells := make([]relation.Cell, len(items))
+		for i, it := range items {
+			if cr, ok := it.Expr.(*algebra.ColRef); ok {
+				cells[i] = tup.Cells[sch.ColIndex(cr.Name)]
+				continue
+			}
+			c := relation.Cell{V: eval(it.Expr, tup)}
+			for j, col := range algebra.ReferencedCols(it.Expr) {
+				if in := tup.Cells[col]; j == 0 {
+					c.Tags, c.Sources = in.Tags, in.Sources
+				} else {
+					c.Tags, c.Sources = tag.Intersect(c.Tags, in.Tags), c.Sources.Union(in.Sources)
+				}
+			}
+			cells[i] = c
+		}
+		out.Tuples = append(out.Tuples, relation.Tuple{Cells: cells})
 	}
 	return out
 }

@@ -103,6 +103,31 @@ func TestParallelQueryErrorReleasesWorkers(t *testing.T) {
 	}
 }
 
+// TestOrderByKeyError: a failing ORDER BY key over a fanned-out scan
+// surfaces the evaluator's own error text, below a projection and above an
+// aggregate alike; an EXPLAIN of the same query executes nothing, so it
+// succeeds; and the session stays usable.
+func TestOrderByKeyError(t *testing.T) {
+	const n = 2*storage.SegmentSize + 10
+	s, _ := bigCatalog(t, n)
+	s.SetParallelism(4)
+	for _, q := range []string{
+		`SELECT id FROM big ORDER BY qty / 0`,
+		`SELECT grp, COUNT(*) AS n FROM big GROUP BY grp ORDER BY n / 0 LIMIT 2`,
+	} {
+		if _, err := s.Query(q); err == nil || err.Error() != "value: integer division by zero" {
+			t.Errorf("%q: err = %v, want value: integer division by zero", q, err)
+		}
+		if _, err := s.Exec("EXPLAIN " + q); err != nil {
+			t.Errorf("EXPLAIN %q: %v", q, err)
+		}
+	}
+	out, err := s.Query(`SELECT COUNT(*) AS n FROM big`)
+	if err != nil || out.Tuples[0].Cells[0].V.AsInt() != n {
+		t.Fatalf("after error: %v, %v", out, err)
+	}
+}
+
 func TestSmallTablesStaySerial(t *testing.T) {
 	s, _ := bigCatalog(t, 100)
 	s.SetParallelism(8)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -129,13 +130,11 @@ func (r *resolver) rewriteNames(e algebra.Expr) error {
 	return firstErr
 }
 
-// plan is the compiled form of a SELECT: an iterator plus the EXPLAIN text.
+// plan is the compiled form of a SELECT: a batch stream plus the EXPLAIN
+// text.
 type plan struct {
-	it    algebra.Iterator
+	bit   algebra.BatchIterator
 	steps []string
-	// stop releases background scan resources (parallel workers, buffered
-	// segments); nil when the pipeline holds none.
-	stop algebra.Stopper
 
 	// analyze turns on per-operator instrumentation: every tapped operator
 	// is wrapped so EXPLAIN ANALYZE can report actual rows/batches/time per
@@ -148,27 +147,14 @@ type plan struct {
 	// taps[i] is the instrument wrapper for steps[i], kept so operator
 	// extra stats (parallel-scan worker occupancy) can be harvested after
 	// execution.
-	taps []any
+	taps []algebra.BatchIterator
 }
 
-// tapIt records a step produced by a row operator and, when the plan is
-// analyzed, wraps the operator with a row/time counter. setup charges
-// constructor work (an eager aggregate drain) to the operator's actuals.
-func (p *plan) tapIt(step string, it algebra.Iterator, setup time.Duration) algebra.Iterator {
-	p.steps = append(p.steps, step)
-	if !p.analyze {
-		return it
-	}
-	st := &algebra.OpStats{Nanos: int64(setup)}
-	wrapped := algebra.NewInstrument(it, st)
-	p.stats = append(p.stats, st)
-	p.taps = append(p.taps, wrapped)
-	return wrapped
-}
-
-// tapBit is tapIt for batch operators; setup charges eager constructor
-// work (the hash join's build-side transpose) to the operator's actuals.
-func (p *plan) tapBit(step string, bit algebra.BatchIterator, setup time.Duration) algebra.BatchIterator {
+// tap records a step and, when the plan is analyzed, wraps the operator
+// with a batch/row/time counter. setup charges eager constructor work (the
+// hash join's build-side transpose, an aggregate's drain) to the
+// operator's actuals.
+func (p *plan) tap(step string, bit algebra.BatchIterator, setup time.Duration) algebra.BatchIterator {
 	p.steps = append(p.steps, step)
 	if !p.analyze {
 		return bit
@@ -192,13 +178,12 @@ func (p *plan) harvestExtras() {
 	}
 }
 
-// release deterministically frees the plan's background resources; safe to
-// call always (idempotent, nil-tolerant). Executors call it once the
-// iterator will no longer be pulled — in particular after a mid-stream
-// error, where relying on the finalizer would park workers until GC.
+// release stops the plan's stream, freeing its background resources (scan
+// workers, buffered segments); idempotent. Collect stops the stream it
+// drains, so only a plan that is never drained — EXPLAIN — needs it.
 func (p *plan) release() {
-	if p.stop != nil {
-		p.stop.Stop()
+	if st, ok := p.bit.(algebra.Stopper); ok {
+		st.Stop()
 	}
 }
 
@@ -459,19 +444,21 @@ func segPrunes(conjuncts []algebra.Expr, sch *schema.Schema) []algebra.SegPrune 
 }
 
 // batchScanCols computes which base-table columns a single-table batch
-// plan touches, so the columnar scan materializes only those. A sort
-// reads whole rows (the batch section closes before ORDER BY in the
-// non-aggregate path) and a star projection touches everything, so both
-// request the full column list; so does any name that resolves to no base
-// column (conservative — it should not happen after prepare). A bare
-// COUNT(*) legitimately requests zero columns: the batches then carry
+// plan touches, so the columnar scan materializes only those: the filter
+// conjuncts, the group keys, the select items and aggregate arguments, and
+// — below the projection of a plan without aggregates — the ORDER BY keys.
+// A star projection touches everything, and so does any name that resolves
+// to no base column (conservative — it should not happen after prepare). A
+// bare COUNT(*) legitimately requests zero columns: the batches then carry
 // only their row count.
 func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr, hasAgg bool) []int {
-	if !hasAgg && len(st.OrderBy) > 0 {
-		return sch.ColIndexes()
-	}
-	exprs := make([]algebra.Expr, 0, len(conjuncts)+len(st.GroupBy)+len(st.Items))
+	exprs := make([]algebra.Expr, 0, len(conjuncts)+len(st.GroupBy)+len(st.Items)+len(st.OrderBy))
 	exprs = append(append(exprs, conjuncts...), st.GroupBy...)
+	if !hasAgg {
+		for _, o := range st.OrderBy {
+			exprs = append(exprs, o.Expr)
+		}
+	}
 	for _, item := range st.Items {
 		switch {
 		case item.Star:
@@ -798,8 +785,8 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 	qualityConjuncts, qualityNever := simplifyFilter(st.Quality)
 	all := append(append([]algebra.Expr(nil), whereConjuncts...), qualityConjuncts...)
 
-	// bit is the batch stream every plan runs on up to its sort/distinct
-	// tail.
+	// bit is the batch stream the plan runs on, from its source to its
+	// last step.
 	var bit algebra.BatchIterator
 	switch {
 	case whereNever || qualityNever:
@@ -819,7 +806,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 			}
 			desc = "EmptyScan(join: filter is never true)"
 		}
-		bit = algebra.NewToBatch(p.tapIt(desc, algebra.NewEmptyScan(sch), 0), s.batchSize)
+		bit = p.tap(desc, algebra.NewRelationScan(relation.New(sch), s.batchSize), 0)
 		whereConjuncts, qualityConjuncts = nil, nil
 	case len(st.Joins) > 0:
 		var err error
@@ -842,7 +829,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 			if err != nil {
 				return nil, err
 			}
-			bit = p.tapBit(ip.desc, ix, 0)
+			bit = p.tap(ip.desc, ix, 0)
 		} else {
 			// Skip whole segments whose min/max statistics refute a
 			// sargable conjunct.
@@ -860,13 +847,13 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 				if fused != nil {
 					desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
 				}
-				bit = p.tapBit(desc, scan, 0)
+				bit = p.tap(desc, scan, 0)
 				whereConjuncts, qualityConjuncts = nil, nil
 			} else {
 				// Serial: the conjuncts are not consumed — pruning only
 				// removes segments where the predicate cannot hold for any
 				// row, and the BatchSelect below filters the survivors.
-				bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, prunes), 0)
+				bit = p.tap(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, prunes), 0)
 			}
 		}
 		if st.From.Alias != st.From.Table {
@@ -879,76 +866,68 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 		if err != nil {
 			return nil, err
 		}
-		bit = p.tapBit("BatchSelect("+pred.String()+")", nb, 0)
+		bit = p.tap("BatchSelect("+pred.String()+")", nb, 0)
 	}
 	if pred := andAll(qualityConjuncts); pred != nil {
 		nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
 		if err != nil {
 			return nil, err
 		}
-		bit = p.tapBit("BatchQualitySelect("+pred.String()+")", nb, 0)
+		bit = p.tap("BatchQualitySelect("+pred.String()+")", nb, 0)
 	}
 
+	// The tail. ORDER BY sorts below a plain projection, so it can read
+	// columns the projection drops (alias substitution and resolution
+	// happened at prepare time), and above an aggregate's projection, whose
+	// output columns it names.
+	var items []algebra.ProjectItem
+	var err error
 	if hasAgg {
-		return s.planAggregate(st, bit, p)
-	}
-
-	// Plain projection path. Expand stars against the current schema.
-	items := projectionItems(st, bit.Schema())
-
-	// ORDER BY runs before projection (so it can use non-projected
-	// columns); alias substitution and resolution happened at prepare time.
-	// Sorting is a row operator, so it closes the batch section.
-	var it algebra.Iterator
-	limited := st.Limit >= 0 || st.Offset > 0
-	if len(st.OrderBy) > 0 {
-		keys := make([]algebra.SortKey, len(st.OrderBy))
-		for i, o := range st.OrderBy {
-			keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
-		}
-		ni, err := algebra.NewSort(s.adoptFromBatch(bit, p), keys, s.ctx)
-		if err != nil {
+		if bit, items, err = s.planAggregate(st, bit, p); err != nil {
 			return nil, err
 		}
-		it = p.tapIt(fmt.Sprintf("Sort(%s)", orderDesc(st.OrderBy)), ni, 0)
-		if it, err = algebra.NewProject(it, items, s.ctx); err != nil {
-			return nil, err
-		}
-		it = p.tapIt(fmt.Sprintf("Project(%s)", itemsDesc(items)), it, 0)
 	} else {
-		nb, err := algebra.NewBatchProject(bit, items, s.ctx, s.batchSize)
-		if err != nil {
+		items = projectionItems(st, bit.Schema())
+		if bit, err = s.planSort(st, bit, p); err != nil {
 			return nil, err
 		}
-		bit = p.tapBit("BatchProject("+itemsDesc(items)+")", nb, 0)
-		if limited && !st.Distinct {
-			// Batch-native limit: stops pulling — and releases upstream
-			// buffers — the moment the quota fills.
-			bit = p.tapBit(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewBatchLimit(bit, st.Limit, st.Offset), 0)
-			limited = false
+	}
+	proj, err := algebra.NewBatchProject(bit, items, s.ctx, s.batchSize)
+	if err != nil {
+		return nil, err
+	}
+	bit = p.tap("BatchProject("+itemsDesc(items)+")", proj, 0)
+	if hasAgg {
+		if bit, err = s.planSort(st, bit, p); err != nil {
+			return nil, err
 		}
-		it = s.adoptFromBatch(bit, p)
 	}
 	if st.Distinct {
-		it = p.tapIt("Distinct", algebra.NewDistinct(it), 0)
+		bit = p.tap("Distinct", algebra.NewDistinct(bit), 0)
 	}
-	if limited {
-		it = p.tapIt(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewLimit(it, st.Limit, st.Offset), 0)
+	if st.Limit >= 0 || st.Offset > 0 {
+		// Stops pulling — and releases upstream buffers — the moment the
+		// quota fills.
+		bit = p.tap(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewBatchLimit(bit, st.Limit, st.Offset), 0)
 	}
-	p.it = it
+	p.bit = bit
 	return p, nil
 }
 
-// adoptFromBatch closes a plan's batch section: the adapter owns a pooled
-// batch and its Stop propagates down through the batch operators to any
-// scan workers, so plan.release tears the whole batch pipeline down
-// deterministically.
-func (s *Session) adoptFromBatch(bit algebra.BatchIterator, p *plan) algebra.Iterator {
-	fb := algebra.NewFromBatch(bit, s.batchSize)
-	if stopper, ok := fb.(algebra.Stopper); ok {
-		p.stop = stopper
+// planSort orders the stream by the statement's ORDER BY keys, if any.
+func (s *Session) planSort(st *SelectStmt, bit algebra.BatchIterator, p *plan) (algebra.BatchIterator, error) {
+	if len(st.OrderBy) == 0 {
+		return bit, nil
 	}
-	return fb
+	keys := make([]algebra.SortKey, len(st.OrderBy))
+	for i, o := range st.OrderBy {
+		keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
+	}
+	sorted, err := algebra.NewSort(bit, keys, s.ctx, s.batchSize)
+	if err != nil {
+		return nil, err
+	}
+	return p.tap(fmt.Sprintf("Sort(%s)", orderDesc(st.OrderBy)), sorted, 0), nil
 }
 
 // parallelDegree decides the fan-out for scanning tbl: the session's
@@ -1085,19 +1064,20 @@ func collectAggSpecs(st *SelectStmt) (aggs []algebra.AggSpec, finalItems []algeb
 	return aggs, finalItems, nil
 }
 
-// planAggregate compiles the aggregate path over a batch stream.
-// Global aggregates sink the stream directly — COUNT(*) never touches a
-// row. Grouped aggregation reads plain-column group keys and aggregate
-// arguments straight off the column vectors, with no row assembled before
-// the per-group fold. Both sinks drain their input in the constructor.
-func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (*plan, error) {
+// planAggregate compiles the aggregate sink over a batch stream and
+// returns it with the final projection of its output. Global aggregates
+// sink the stream directly — COUNT(*) never touches a row. Grouped
+// aggregation reads plain-column group keys and aggregate arguments
+// straight off the column vectors, with no row assembled before the
+// per-group fold. Both sinks drain their input in the constructor.
+func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (algebra.BatchIterator, []algebra.ProjectItem, error) {
 	aggs, finalItems, err := collectAggSpecs(st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Time the eager drain so the work shows up in the operator's actuals.
 	t0 := time.Now()
-	var agg algebra.Iterator
+	var agg algebra.BatchIterator
 	var desc string
 	if len(st.GroupBy) == 0 {
 		agg, err = algebra.NewBatchAggregate(bit, aggs, s.ctx, s.batchSize)
@@ -1107,9 +1087,9 @@ func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *pl
 		desc = fmt.Sprintf("BatchGroupedAggregate(group by %d key(s), %d aggregate(s))", len(st.GroupBy), len(aggs))
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.aggregateTail(st, p.tapIt(desc, agg, time.Since(t0)), finalItems, p)
+	return p.tap(desc, agg, time.Since(t0)), finalItems, nil
 }
 
 // planJoins builds the join chain left-deep: the FROM table streams as
@@ -1179,15 +1159,15 @@ func (s *Session) planJoins(st *SelectStmt, tables boundTables, baseTable *stora
 		if err != nil {
 			return nil, err
 		}
-		left = p.tapBit(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), scan, 0)
+		left = p.tap(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), scan, 0)
 	} else {
-		left = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, marked(0, offs[0]), nil), 0)
+		left = p.tap(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, marked(0, offs[0]), nil), 0)
 	}
 	if st.From.Alias != st.From.Table {
 		left = algebra.NewBatchRename(left, st.From.Alias)
 	}
 	for k, j := range st.Joins {
-		right := p.tapBit(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchColScan(rights[k], s.batchSize, rightCols[k], nil), 0)
+		right := p.tap(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchColScan(rights[k], s.batchSize, rightCols[k], nil), 0)
 		if j.Ref.Alias != j.Ref.Table {
 			right = algebra.NewBatchRename(right, j.Ref.Alias)
 		}
@@ -1210,37 +1190,7 @@ func (s *Session) planJoins(st *SelectStmt, tables boundTables, baseTable *stora
 		if err != nil {
 			return nil, err
 		}
-		left = p.tapBit(desc, joined, time.Since(t0))
+		left = p.tap(desc, joined, time.Since(t0))
 	}
 	return left, nil
-}
-
-// aggregateTail finishes an aggregate plan: final projection, ORDER BY,
-// DISTINCT, LIMIT — row operators over at most one row per group.
-func (s *Session) aggregateTail(st *SelectStmt, agg algebra.Iterator, finalItems []algebra.ProjectItem, p *plan) (*plan, error) {
-	proj, err := algebra.NewProject(agg, finalItems, s.ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := p.tapIt(fmt.Sprintf("Project(%s)", itemsDesc(finalItems)), proj, 0)
-
-	if len(st.OrderBy) > 0 {
-		keys := make([]algebra.SortKey, len(st.OrderBy))
-		for i, o := range st.OrderBy {
-			keys[i] = algebra.SortKey{Expr: o.Expr, Desc: o.Desc}
-		}
-		sorted, err := algebra.NewSort(out, keys, s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		out = p.tapIt(fmt.Sprintf("Sort(%s)", orderDesc(st.OrderBy)), sorted, 0)
-	}
-	if st.Distinct {
-		out = p.tapIt("Distinct", algebra.NewDistinct(out), 0)
-	}
-	if st.Limit >= 0 || st.Offset > 0 {
-		out = p.tapIt(fmt.Sprintf("Limit(%d, offset %d)", st.Limit, st.Offset), algebra.NewLimit(out, st.Limit, st.Offset), 0)
-	}
-	p.it = out
-	return p, nil
 }

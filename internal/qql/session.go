@@ -169,8 +169,7 @@ func (s *Session) Catalog() *storage.Catalog { return s.cat }
 func (s *Session) Exec(src string) ([]Result, error) {
 	p, key, ok := s.fastSelect(src)
 	if ok {
-		rel, err := algebra.Collect(p.it)
-		p.release()
+		rel, err := algebra.Collect(p.bit)
 		s.nStmts++
 		if err != nil {
 			s.nErrs++
@@ -222,8 +221,7 @@ func (s *Session) Exec(src string) ([]Result, error) {
 func (s *Session) Query(src string) (*relation.Relation, error) {
 	p, key, ok := s.fastSelect(src)
 	if ok {
-		defer p.release()
-		return algebra.Collect(p.it)
+		return algebra.Collect(p.bit)
 	}
 	stmts, err := s.parse(src)
 	if err != nil {
@@ -241,8 +239,7 @@ func (s *Session) Query(src string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer p.release()
-	return algebra.Collect(p.it)
+	return algebra.Collect(p.bit)
 }
 
 // cachedPlan runs the bound-plan tier's hit protocol for key: lookup →
@@ -404,8 +401,7 @@ func (s *Session) execStmt(st Stmt, key string) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		rel, err := algebra.Collect(p.it)
-		p.release()
+		rel, err := algebra.Collect(p.bit)
 		if err != nil {
 			return Result{}, err
 		}

@@ -270,6 +270,6 @@ func TradingPipeline() (*Pipeline, error) { return core.TradingPipeline() }
 // interpretability by media) and the canonical derivability facts.
 func StandardRegistry() *derive.Registry { return derive.StandardRegistry() }
 
-// Collect drains a query iterator into a relation; exposed for users
-// composing algebra operators directly.
-func Collect(it algebra.Iterator) (*Relation, error) { return algebra.Collect(it) }
+// Collect drains a batch stream into a relation and stops it; exposed for
+// users composing algebra operators directly.
+func Collect(it algebra.BatchIterator) (*Relation, error) { return algebra.Collect(it) }
