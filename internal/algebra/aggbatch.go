@@ -25,8 +25,8 @@ import (
 // and indicator (col@ind) group keys and plain-column aggregate arguments
 // read straight off the column vectors; computed expressions evaluate over
 // a scratch row holding only their referenced columns. The input is
-// drained eagerly in the constructor, and the groups stream out as batches
-// of up to size rows.
+// drained on the first pull, and the groups stream out as batches of up to
+// size rows.
 func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext, size int) (BatchIterator, error) {
 	inS := in.Schema()
 	for _, g := range groupBy {
@@ -59,114 +59,108 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 	}
 	args := newAggInputs(aggs, &rowRefs)
 
-	// Groups live in flat slices, nk key values and na states apiece, and
-	// are found through byHash: a key hash's first group, chained through
-	// next.
-	nk, na := len(keys), len(aggs)
-	var (
-		keyVals  []value.Value
-		keyCells []relation.Cell
-		states   []aggState
-		next     []int32
-		byHash   = make(map[uint64]int32)
-	)
+	return newSink(in, outS, size, func(b *Batch) ([]relation.Tuple, error) {
+		// Groups live in flat slices, nk key values and na states apiece, and
+		// are found through byHash: a key hash's first group, chained through
+		// next.
+		nk, na := len(keys), len(aggs)
+		var (
+			keyVals  []value.Value
+			keyCells []relation.Cell
+			states   []aggState
+			next     []int32
+			byHash   = make(map[uint64]int32)
+		)
 
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	b := getBatch(size)
-	defer func() {
-		putBatch(b)
-		stopIfStopper(in)
-	}()
-	row := make([]value.Value, nk)
-	for {
-		ok, err := in.NextBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			p := b.phys(r)
-			var t relation.Tuple
-			if len(rowRefs.cols) > 0 {
-				t = b.scratchRowAt(p, rowRefs.cols)
+		row := make([]value.Value, nk)
+		for {
+			ok, err := in.NextBatch(b)
+			if err != nil {
+				return nil, err
 			}
-			h := uint64(len(keys))
-			for i := range keys {
-				v, err := keys[i].at(b, p, t, ctx)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-				h = (h ^ v.Hash()) * 1099511628211
-			}
-			first, ok := byHash[h]
 			if !ok {
-				first = -1
+				break
 			}
-			g := first
-			for g >= 0 && !sameLiterals(row, keyVals[int(g)*nk:int(g)*nk+nk]) {
-				g = next[g]
-			}
-			if g < 0 {
-				g = int32(len(next))
-				next = append(next, first)
-				byHash[h] = g
-				keyVals = append(keyVals, row...)
+			n := b.Len()
+			for r := 0; r < n; r++ {
+				p := b.phys(r)
+				var t relation.Tuple
+				if len(rowRefs.cols) > 0 {
+					t = b.scratchRowAt(p, rowRefs.cols)
+				}
+				h := uint64(len(keys))
 				for i := range keys {
-					keyCells = append(keyCells, keys[i].cell(b, p, t, row[i]))
+					v, err := keys[i].at(b, p, t, ctx)
+					if err != nil {
+						return nil, err
+					}
+					row[i] = v
+					h = (h ^ v.Hash()) * 1099511628211
 				}
-				states = appendAggStates(states, na)
-			}
-			st := states[int(g)*na : int(g)*na+na]
-			for i := range aggs {
-				if err := args[i].fold(&st[i], &aggs[i], b, p, t, ctx); err != nil {
-					return nil, err
+				first, ok := byHash[h]
+				if !ok {
+					first = -1
+				}
+				g := first
+				for g >= 0 && !sameLiterals(row, keyVals[int(g)*nk:int(g)*nk+nk]) {
+					g = next[g]
+				}
+				if g < 0 {
+					g = int32(len(next))
+					next = append(next, first)
+					byHash[h] = g
+					keyVals = append(keyVals, row...)
+					for i := range keys {
+						keyCells = append(keyCells, keys[i].cell(b, p, t, row[i]))
+					}
+					states = appendAggStates(states, na)
+				}
+				st := states[int(g)*na : int(g)*na+na]
+				for i := range aggs {
+					if err := args[i].fold(&st[i], &aggs[i], b, p, t, ctx); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
-	}
-	ng := len(next)
-	if nk == 0 && ng == 0 {
-		// Global aggregate over an empty input still yields one row.
-		states = appendAggStates(states, na)
-		ng = 1
-	}
-	// Order the groups by their joined key literals, built once per group.
-	lits := make([]string, ng)
-	var kb strings.Builder
-	for g := range lits {
-		kb.Reset()
-		for i, v := range keyVals[g*nk : g*nk+nk] {
-			if i > 0 {
-				kb.WriteByte(0)
+		ng := len(next)
+		if nk == 0 && ng == 0 {
+			// Global aggregate over an empty input still yields one row.
+			states = appendAggStates(states, na)
+			ng = 1
+		}
+		// Order the groups by their joined key literals, built once per group.
+		lits := make([]string, ng)
+		var kb strings.Builder
+		for g := range lits {
+			kb.Reset()
+			for i, v := range keyVals[g*nk : g*nk+nk] {
+				if i > 0 {
+					kb.WriteByte(0)
+				}
+				kb.WriteString(v.Literal())
 			}
-			kb.WriteString(v.Literal())
+			lits[g] = kb.String()
 		}
-		lits[g] = kb.String()
-	}
-	order := make([]int, ng)
-	for g := range order {
-		order[g] = g
-	}
-	sort.Slice(order, func(x, y int) bool { return lits[order[x]] < lits[order[y]] })
-	rows := make([]relation.Tuple, 0, ng)
-	for _, g := range order {
-		cells := make([]relation.Cell, 0, nk+na)
-		cells = append(cells, keyCells[g*nk:g*nk+nk]...)
-		for i, a := range aggs {
-			st := &states[g*na+i]
-			c := st.cell
-			c.V = st.finish(a.Fn)
-			cells = append(cells, c)
+		order := make([]int, ng)
+		for g := range order {
+			order[g] = g
 		}
-		rows = append(rows, relation.Tuple{Cells: cells})
-	}
-	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: rows}, size), nil
+		sort.Slice(order, func(x, y int) bool { return lits[order[x]] < lits[order[y]] })
+		rows := make([]relation.Tuple, 0, ng)
+		for _, g := range order {
+			cells := make([]relation.Cell, 0, nk+na)
+			cells = append(cells, keyCells[g*nk:g*nk+nk]...)
+			for i, a := range aggs {
+				st := &states[g*na+i]
+				c := st.cell
+				c.V = st.finish(a.Fn)
+				cells = append(cells, c)
+			}
+			rows = append(rows, relation.Tuple{Cells: cells})
+		}
+		return rows, nil
+	}), nil
 }
 
 // groupKey reads one group-by key per row: a plain column's value or one of

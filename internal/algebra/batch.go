@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/tag"
 	"repro/internal/value"
 )
@@ -140,6 +141,9 @@ type Batch struct {
 	n    int
 	cols []ColVec
 	sel  []int32
+	// base is the row ID of slot 0 when the batch comes straight from a
+	// table scan (RowID).
+	base storage.RowID
 
 	// colBuf and selBuf are the batch's owned backing storage, reused
 	// across refills; producers that materialize columns (the relation
@@ -168,15 +172,19 @@ func (b *Batch) phys(i int) int32 {
 	return int32(i)
 }
 
-// Row materializes the i-th live row (selection applied) with a fresh cell
-// slice, safe to retain past the batch's lifetime.
-func (b *Batch) Row(i int) relation.Tuple {
+// RowID returns the row ID of the i-th live row of a batch that a table or
+// index scan delivered (through renames only); it means nothing for any
+// other batch.
+func (b *Batch) RowID(i int) storage.RowID { return b.base + storage.RowID(b.phys(i)) }
+
+// FillRow copies columns cols of the i-th live row (selection applied) into
+// cells, indexed by column; the cells stay valid past the batch's
+// lifetime. Every column in cols must be one the producer filled.
+func (b *Batch) FillRow(i int, cols []int, cells []relation.Cell) {
 	p := int(b.phys(i))
-	cells := make([]relation.Cell, len(b.cols))
-	for c := range b.cols {
+	for _, c := range cols {
 		cells[c] = b.cols[c].Cell(p)
 	}
-	return relation.Tuple{Cells: cells}
 }
 
 // scratchRowAt assembles physical slot p as a row in the batch's scratch
@@ -196,7 +204,7 @@ func (b *Batch) scratchRowAt(p int32, refs []int) relation.Tuple {
 }
 
 // reset detaches the batch from any producer storage.
-func (b *Batch) reset() { b.n, b.cols, b.sel = 0, nil, nil }
+func (b *Batch) reset() { b.n, b.cols, b.sel, b.base = 0, nil, nil, 0 }
 
 // truncate narrows the batch to its live rows [lo, hi). A dense batch
 // gains an identity selection — the column windows themselves may alias
@@ -305,40 +313,23 @@ func (r *batchRename) Stop()                            { stopIfStopper(r.in) }
 // ---- Batch select ----
 
 type batchSelect struct {
-	in   BatchIterator
-	kern ColPred   // column kernel, when the predicate compiles to one
-	pred Predicate // per-row predicate over scratch rows: the fallback, or the kernel's Ask
-	refs []int
-	ctx  *EvalContext
+	in      BatchIterator
+	filters []filter
 }
 
 // NewBatchSelect keeps the rows whose predicate is definitely true,
-// refining each batch's selection vector in place — columns are not copied
-// or compacted, the vector just skips the losers. When the predicate has a
-// column kernel (CompileColPred) it runs straight down the column vectors,
-// with no row assembly except for a slot the kernel asks about.
-// Everything else runs the compiled predicate per live row over a scratch
-// row holding only the predicate's referenced columns.
+// refining each batch's selection vector in place (Batch.refine) — columns
+// are not copied or compacted, the vector just skips the losers. The
+// planner runs it only above a join: a table's filters run inside its scan.
 func NewBatchSelect(in BatchIterator, pred Expr, ctx *EvalContext) (BatchIterator, error) {
-	if err := pred.Bind(in.Schema()); err != nil {
+	fs, err := compileFilters([]Expr{pred}, in.Schema(), ctx)
+	if err != nil {
 		return nil, err
 	}
-	s := &batchSelect{in: in, ctx: ctx, refs: ReferencedCols(pred)}
-	k, defers, ok := CompileColPred(pred, len(in.Schema().Attrs), ctx)
-	s.kern = k
-	if !ok || defers {
-		s.pred = CompilePredicate(pred)
-	}
-	return s, nil
+	return &batchSelect{in: in, filters: fs}, nil
 }
 
 func (s *batchSelect) Schema() *schema.Schema { return s.in.Schema() }
-
-// ask runs the row predicate over physical slot p of b.
-func (s *batchSelect) ask(b *Batch, p int32) (Verdict, error) {
-	keep, err := s.pred(b.scratchRowAt(p, s.refs), s.ctx)
-	return keepIf(keep), err
-}
 
 func (s *batchSelect) Stop() { stopIfStopper(s.in) }
 
@@ -348,51 +339,10 @@ func (s *batchSelect) NextBatch(b *Batch) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		// Refine in place: when a selection vector already exists (a select
-		// upstream), the write index never passes the read index, so reusing
-		// selBuf is safe.
-		sel := b.selBuf[:0]
-		switch {
-		case s.kern != nil && b.sel != nil:
-			for _, p := range b.sel {
-				v := s.kern(b.cols, p)
-				if v == Ask {
-					if v, err = s.ask(b, p); err != nil {
-						return false, err
-					}
-				}
-				if v == Keep {
-					sel = append(sel, p)
-				}
-			}
-		case s.kern != nil:
-			for i := 0; i < b.n; i++ {
-				p := int32(i)
-				v := s.kern(b.cols, p)
-				if v == Ask {
-					if v, err = s.ask(b, p); err != nil {
-						return false, err
-					}
-				}
-				if v == Keep {
-					sel = append(sel, p)
-				}
-			}
-		default:
-			for i := 0; i < b.Len(); i++ {
-				p := b.phys(i)
-				v, err := s.ask(b, p)
-				if err != nil {
-					return false, err
-				}
-				if v == Keep {
-					sel = append(sel, p)
-				}
-			}
+		if err := b.refine(s.filters); err != nil {
+			return false, err
 		}
-		b.selBuf = sel
-		if len(sel) > 0 {
-			b.sel = sel
+		if len(b.sel) > 0 {
 			return true, nil
 		}
 	}
@@ -593,14 +543,58 @@ func (l *batchLimit) NextBatch(b *Batch) (bool, error) {
 	}
 }
 
-// ---- Batch aggregate sink ----
+// ---- Aggregate sinks ----
+
+// sink is an aggregate over its input. It drains the input on its first
+// NextBatch, never at build — so a plan that is only explained reads
+// nothing — and then streams the result rows.
+type sink struct {
+	in    BatchIterator
+	out   *schema.Schema
+	size  int
+	drain func(b *Batch) ([]relation.Tuple, error)
+	rows  BatchIterator // the result, once drained
+	done  bool          // stopped, or drained
+}
+
+func newSink(in BatchIterator, out *schema.Schema, size int, drain func(b *Batch) ([]relation.Tuple, error)) *sink {
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	return &sink{in: in, out: out, size: size, drain: drain}
+}
+
+func (s *sink) Schema() *schema.Schema { return s.out }
+
+// Stop stops the input; the result rows, if drained, stay readable.
+func (s *sink) Stop() {
+	s.done = true
+	stopIfStopper(s.in)
+}
+
+func (s *sink) NextBatch(b *Batch) (bool, error) {
+	if s.rows == nil {
+		if s.done {
+			return false, nil
+		}
+		in := getBatch(s.size)
+		rows, err := s.drain(in)
+		putBatch(in)
+		s.Stop()
+		if err != nil {
+			return false, err
+		}
+		s.rows = NewRelationScan(&relation.Relation{Schema: s.out, Tuples: rows}, s.size)
+	}
+	return s.rows.NextBatch(b)
+}
 
 // NewBatchAggregate computes global (ungrouped) aggregates over a batch
-// stream, draining it eagerly in the constructor and yielding the single
-// result row — one row even over an empty input. Result cells carry tags
-// intersected and sources unioned across their inputs. COUNT(*)-only
-// aggregations never touch the columns at all: each batch contributes its
-// length. Grouped aggregation lives in aggbatch.go.
+// stream, draining it on the first pull and yielding the single result row
+// — one row even over an empty input. Result cells carry tags intersected
+// and sources unioned across their inputs. COUNT(*)-only aggregations
+// never touch the columns at all: each batch contributes its length.
+// Grouped aggregation lives in aggbatch.go.
 func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int) (BatchIterator, error) {
 	inS := in.Schema()
 	if err := bindAggSpecs(inS, aggs); err != nil {
@@ -610,8 +604,6 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 	if err != nil {
 		return nil, err
 	}
-
-	states := appendAggStates(nil, len(aggs))
 	var rowRefs refSet
 	args := newAggInputs(aggs, &rowRefs)
 	countOnly := true
@@ -620,48 +612,42 @@ func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size 
 			countOnly = false
 		}
 	}
-
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	b := getBatch(size)
-	defer func() {
-		putBatch(b)
-		stopIfStopper(in)
-	}()
-	for {
-		ok, err := in.NextBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		n := b.Len()
-		if countOnly {
-			for i := range states {
-				states[i].count += int64(n)
+	return newSink(in, outS, size, func(b *Batch) ([]relation.Tuple, error) {
+		states := appendAggStates(nil, len(aggs))
+		for {
+			ok, err := in.NextBatch(b)
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		for r := 0; r < n; r++ {
-			p := b.phys(r)
-			var t relation.Tuple
-			if len(rowRefs.cols) > 0 {
-				t = b.scratchRowAt(p, rowRefs.cols)
+			if !ok {
+				break
 			}
-			for i := range aggs {
-				if err := args[i].fold(&states[i], &aggs[i], b, p, t, ctx); err != nil {
-					return nil, err
+			n := b.Len()
+			if countOnly {
+				for i := range states {
+					states[i].count += int64(n)
+				}
+				continue
+			}
+			for r := 0; r < n; r++ {
+				p := b.phys(r)
+				var t relation.Tuple
+				if len(rowRefs.cols) > 0 {
+					t = b.scratchRowAt(p, rowRefs.cols)
+				}
+				for i := range aggs {
+					if err := args[i].fold(&states[i], &aggs[i], b, p, t, ctx); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
-	}
-	cells := make([]relation.Cell, 0, len(aggs))
-	for i, a := range aggs {
-		c := states[i].cell
-		c.V = states[i].finish(a.Fn)
-		cells = append(cells, c)
-	}
-	return NewRelationScan(&relation.Relation{Schema: outS, Tuples: []relation.Tuple{{Cells: cells}}}, size), nil
+		cells := make([]relation.Cell, 0, len(aggs))
+		for i, a := range aggs {
+			c := states[i].cell
+			c.V = states[i].finish(a.Fn)
+			cells = append(cells, c)
+		}
+		return []relation.Tuple{{Cells: cells}}, nil
+	}), nil
 }

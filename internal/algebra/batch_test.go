@@ -17,7 +17,11 @@ var batchSizes = []int{1, 3, DefaultBatchSize}
 // tableScan streams every column of a storage table in batches of up to
 // size rows.
 func tableScan(t *storage.Table, size int) BatchIterator {
-	return NewBatchColScan(t, size, t.Schema().ColIndexes(), nil)
+	bit, err := NewTableScan(t, 1, size, t.Schema().ColIndexes(), nil, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return bit
 }
 
 func batchPred() Expr {
@@ -311,7 +315,7 @@ func TestTableScansSkipClones(t *testing.T) {
 		sameRelation(t, want, got, fmt.Sprintf("degree %d scan", degree))
 	}
 
-	// A fused predicate makes the cardinality unknown: the scan must not
+	// A filter makes the cardinality unknown: the scan must not
 	// advertise the full table size, or Collect would pre-allocate a
 	// table-sized buffer for a selective query.
 	for _, degree := range []int{1, 3} {

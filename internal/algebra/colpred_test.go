@@ -187,8 +187,7 @@ func selectAnswer(e Expr, rows []relation.Tuple, ctx *EvalContext) (kept []int, 
 // Truth's answer with no error, and wherever Truth errors the kernel must
 // ask, so that the row predicate raises the same error. It runs at batch
 // sizes 1, 3 and 1024, with and without a selection vector, over
-// NewBatchSelect and over NewParallelScan's fused filter at degrees 1 and
-// 2.
+// NewBatchSelect and over NewTableScan's filter at degrees 1 and 2.
 func TestColPredMatchesTruth(t *testing.T) {
 	ctx := &EvalContext{Now: exprNow}
 	rows := colPredRows()
@@ -289,7 +288,7 @@ func TestColPredMatchesTruth(t *testing.T) {
 			}
 		}
 		for _, degree := range []int{1, 2} {
-			scan, err := NewParallelScan(tbl, degree, DefaultBatchSize, sch.ColIndexes(), nil, CloneExpr(e), ctx)
+			scan, err := NewTableScan(tbl, degree, DefaultBatchSize, sch.ColIndexes(), nil, []Expr{CloneExpr(e)}, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -544,56 +544,6 @@ func ageKernel(rc *refConst, ctx *EvalContext) ColPred {
 	}
 }
 
-// PrunableSargs extracts the segment-prunable conjuncts of a bound
-// predicate: comparisons between a plain column and a non-null constant
-// reachable through top-level ANDs. Each one is a necessary condition for
-// the whole predicate, so a segment refuting any of them by min/max cannot
-// contribute a row. Indicator comparisons are skipped — column statistics
-// summarize application values, not tags.
-func PrunableSargs(e Expr) []SegPrune {
-	var out []SegPrune
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *Logic:
-			if v.Op != OpAnd {
-				return // a disjunct alone is not necessary
-			}
-			walk(v.L)
-			walk(v.R)
-		case *Cmp:
-			rc, ok := extractRefConst(v)
-			if !ok || rc.indicator != "" || rc.idx < 0 || rc.k.IsNull() {
-				return
-			}
-			op := v.Op
-			if rc.flip {
-				op = mirrorCmp(op)
-			}
-			out = append(out, SegPrune{Col: rc.idx, Op: op, K: rc.k})
-		}
-	}
-	walk(e)
-	return out
-}
-
-// mirrorCmp rewrites const ⊗ col as col ⊗ const.
-func mirrorCmp(op CmpOp) CmpOp {
-	switch op {
-	case OpLt:
-		return OpGt
-	case OpLe:
-		return OpGe
-	case OpGt:
-		return OpLt
-	case OpGe:
-		return OpLe
-	case OpEq, OpNe:
-		return op // symmetric
-	}
-	return op
-}
-
 func compileColRef(c *ColRef) Compiled {
 	idx := c.idx
 	return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {

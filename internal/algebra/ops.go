@@ -26,9 +26,12 @@ func sizeHint(it any) int {
 	return -1
 }
 
-// Collect drains a batch stream into a relation, one fresh cell slice per
-// row, and stops the stream however the drain ends. The tuple slice is
-// pre-sized when the stream can bound its cardinality (Sizer).
+// Collect drains a batch stream into a relation and stops the stream
+// however the drain ends. The rows of one batch share one fresh cell slab,
+// so a query allocates per batch rather than per row; each row is a
+// capacity-capped window of the slab, so appending to one never writes
+// into the next. The tuple slice is pre-sized when the stream can bound its
+// cardinality (Sizer).
 func Collect(it BatchIterator) (*relation.Relation, error) {
 	defer stopIfStopper(it)
 	out := relation.New(it.Schema())
@@ -45,8 +48,15 @@ func Collect(it BatchIterator) (*relation.Relation, error) {
 		if !ok {
 			return out, nil
 		}
-		for i := 0; i < b.Len(); i++ {
-			out.Tuples = append(out.Tuples, b.Row(i))
+		n, w := b.Len(), len(b.cols)
+		slab := make([]relation.Cell, n*w)
+		for i := 0; i < n; i++ {
+			p := int(b.phys(i))
+			cells := slab[i*w : (i+1)*w : (i+1)*w]
+			for c := range cells {
+				cells[c] = b.cols[c].Cell(p)
+			}
+			out.Tuples = append(out.Tuples, relation.Tuple{Cells: cells})
 		}
 	}
 }

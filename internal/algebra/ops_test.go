@@ -502,7 +502,11 @@ func TestSortLazyAndUnpooled(t *testing.T) {
 		NewRelationScan(stocksRel(), 2).NextBatch(x)
 		putBatch(x)
 	}
-	if got := fmt.Sprint(b.Row(0).Cells[2].V, b.Row(1).Cells[2].V); got != "10 50" {
+	cells := make([]relation.Cell, 3)
+	b.FillRow(0, []int{2}, cells)
+	first := cells[2].V
+	b.FillRow(1, []int{2}, cells)
+	if got := fmt.Sprint(first, cells[2].V); got != "10 50" {
 		t.Errorf("window after Stop = %s, want 10 50", got)
 	}
 
@@ -524,7 +528,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	it, err := NewIndexScan(tbl, storage.IndexTarget{Attr: "qty"},
-		storage.Incl(value.Int(50)), storage.Incl(value.Int(100)), 0, tbl.Schema().ColIndexes())
+		storage.Incl(value.Int(50)), storage.Incl(value.Int(100)), 0, tbl.Schema().ColIndexes(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // SegPrune is one sargable conjunct (column ⊗ constant) a column scan tests
 // against per-segment column min/max statistics: a segment whose value
 // range cannot satisfy the conjunct is skipped without reading a single
-// slot. PrunableSargs extracts them from a bound predicate.
+// slot.
 type SegPrune struct {
 	Col int // bound schema column index
 	Op  CmpOp
@@ -53,33 +53,105 @@ func (p *SegPrune) Skips(st storage.ColStats) bool {
 	return false
 }
 
-// scanSpec is everything one segment load needs: which columns to view,
-// which prunes to test and the fused predicate. It is immutable once built
-// and shared by the scan's workers, which capture it rather than the scan so
-// an abandoned scan stays collectable.
-type scanSpec struct {
-	t      *storage.Table
-	width  int   // full schema width
-	cols   []int // schema columns to view: requested ∪ prune ∪ predicate refs
-	prunes []SegPrune
-	prAt   []int // position in cols of each prune's column
-	// The fused predicate, if any: a column kernel when it has that shape,
-	// and the compiled per-row predicate over scratch rows of refs when it
-	// has not or the kernel may ask.
+// filter is one compiled filter of a table scan or a select: a column
+// kernel when the expression has one (CompileColPred), and the compiled row
+// predicate over scratch rows of refs when it has not or the kernel may ask.
+type filter struct {
 	kern ColPred
 	pred Predicate
 	refs []int
 	ctx  *EvalContext
 }
 
-// segLoad is one loaded segment: the column view and the slots that are
-// live and pass the fused predicate. The view's runs alias the heap's
-// immutable storage; sel and the view's own buffers are recycled once the
-// consumer has moved past the segment, so nothing delivered may alias them.
+// compileFilters binds each expression against sch and compiles it, in
+// order.
+func compileFilters(exprs []Expr, sch *schema.Schema, ctx *EvalContext) ([]filter, error) {
+	if len(exprs) == 0 {
+		return nil, nil
+	}
+	fs := make([]filter, len(exprs))
+	for i, e := range exprs {
+		if err := e.Bind(sch); err != nil {
+			return nil, err
+		}
+		f := &fs[i]
+		f.refs, f.ctx = ReferencedCols(e), ctx
+		k, defers, ok := CompileColPred(e, len(sch.Attrs), ctx)
+		f.kern = k
+		if !ok || defers {
+			f.pred = CompilePredicate(e)
+		}
+	}
+	return fs, nil
+}
+
+// refine narrows b's selection to the live rows that every filter keeps
+// (definitely true), filter by filter: a later filter runs only on the rows
+// the earlier ones kept, so it never sees — or fails on — a row an earlier
+// one rejected. A kernel runs straight down the column vectors; the row
+// predicate runs over a scratch row of its referenced columns, for every
+// row without a kernel and for the slots a kernel asks about. Columns are
+// neither copied nor compacted, and the selection is refined in place: the
+// write index never passes the read index. The result is an empty non-nil
+// selection when nothing survives.
+func (b *Batch) refine(filters []filter) error {
+	for i := range filters {
+		f := &filters[i]
+		kern, cols, in, n := f.kern, b.cols, b.sel, b.Len()
+		sel := b.selBuf[:0]
+		if sel == nil {
+			sel = make([]int32, 0, n)
+		}
+		for j := range int32(n) {
+			p := j
+			if in != nil {
+				p = in[j]
+			}
+			v := Ask
+			if kern != nil {
+				v = kern(cols, p)
+			}
+			if v == Ask {
+				keep, err := f.pred(b.scratchRowAt(p, f.refs), f.ctx)
+				if err != nil {
+					return err
+				}
+				v = keepIf(keep)
+			}
+			if v == Keep {
+				sel = append(sel, p)
+			}
+		}
+		b.selBuf, b.sel = sel, sel
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return nil
+}
+
+// scanSpec is everything one segment load needs: which columns to view,
+// which prunes to test and the filters. It is immutable once built and
+// shared by the scan's workers, which capture it rather than the scan so an
+// abandoned scan stays collectable.
+type scanSpec struct {
+	t       *storage.Table
+	width   int   // full schema width
+	cols    []int // schema columns to view: requested ∪ prune ∪ filter refs
+	prunes  []SegPrune
+	prAt    []int // position in cols of each prune's column
+	filters []filter
+}
+
+// segLoad is one loaded segment: its view and the slots to emit. The view
+// lives in the scan's capture (or, for an index probe, the scan's view
+// buffer) and its runs alias the heap's immutable storage; sel and selBuf
+// are recycled once the consumer has moved past the segment, so nothing
+// delivered may alias them.
 type segLoad struct {
 	seg     int
-	cs      storage.ColSeg
-	sel     []int32 // surviving slot offsets, ascending; nil = all of [0, cs.N)
+	cs      *storage.ColSeg
+	sel     []int32 // slot offsets to emit, ascending; nil = all of [0, cs.N)
 	selBuf  []int32
 	skipped bool // a prune refuted the segment: nothing to emit
 	err     error
@@ -117,17 +189,11 @@ func (sp *scanSpec) viewCols(hdrs []ColVec, cs *storage.ColSeg, lo, hi int) {
 	}
 }
 
-// load fills ls with segment seg: its view, whether a prune refutes it and,
-// under a fused predicate, the selection of live slots that pass. f is the
-// calling goroutine's scratch for predicate evaluation, unused without a
-// predicate. A predicate error lands in ls.err.
-func (sp *scanSpec) load(seg int, ls *segLoad, f *Batch) {
-	ls.seg, ls.skipped, ls.err = seg, false, nil
-	cs := &ls.cs
-	if !sp.t.ScanSegmentCols(seg, sp.cols, cs) {
-		cs.N, ls.sel = 0, nil // segments never shrink; unreachable in practice
-		return
-	}
+// load fills ls with the view cs: whether a prune refutes it and, when f is
+// not nil, the selection of its live slots that the filters keep, f being
+// the calling goroutine's scratch. A filter error lands in ls.err.
+func (sp *scanSpec) load(cs *storage.ColSeg, ls *segLoad, f *Batch) {
+	ls.cs, ls.skipped, ls.err = cs, false, nil
 	for i := range sp.prunes {
 		if sp.prunes[i].Skips(cs.Cols[sp.prAt[i]].Stats) {
 			ls.skipped = true
@@ -135,73 +201,51 @@ func (sp *scanSpec) load(seg int, ls *segLoad, f *Batch) {
 		}
 	}
 	ls.sel = cs.Sel
-	if sp.kern == nil && sp.pred == nil {
+	if f == nil || len(sp.filters) == 0 {
 		return
 	}
 	if len(f.colBuf) < sp.width {
 		f.colBuf = make([]ColVec, sp.width)
 	}
-	f.cols = f.colBuf[:sp.width]
+	if cap(ls.selBuf) < cs.N {
+		ls.selBuf = make([]int32, 0, max(cs.N, storage.SegmentSize))
+	}
+	f.cols, f.n, f.sel, f.selBuf = f.colBuf[:sp.width], cs.N, cs.Sel, ls.selBuf
 	sp.viewCols(f.cols, cs, 0, cs.N)
-	// A nil selection means "every slot", so an all-rejecting segment must
-	// keep an empty non-nil one.
-	out := ls.selBuf[:0]
-	if out == nil || cap(out) < cs.N {
-		out = make([]int32, 0, max(cs.N, storage.SegmentSize))
-	}
-	live := cs.Live()
-	for k := 0; k < live; k++ {
-		off := int32(k)
-		if cs.Sel != nil {
-			off = cs.Sel[k]
-		}
-		if sp.kern != nil {
-			v := sp.kern(f.cols, off)
-			if v == Keep {
-				out = append(out, off)
-			}
-			if v != Ask {
-				continue
-			}
-		}
-		keep, err := sp.pred(f.scratchRowAt(off, sp.refs), sp.ctx)
-		if err != nil {
-			ls.err = err
-			break
-		}
-		if keep {
-			out = append(out, off)
-		}
-	}
+	ls.err = f.refine(sp.filters)
+	ls.selBuf, ls.sel = f.selBuf, f.sel
 	clear(f.cols) // drop the heap runs until the next load
-	ls.selBuf, ls.sel = out, out
+	f.sel, f.selBuf = nil, nil
 }
 
 type batchColScan struct {
 	sp     *scanSpec
 	size   int
 	nSeg   int
-	degree int // ≤ 1: segments load inline, no goroutines
+	degree int // ≤ 1: segments load inline and filter per window, no goroutines
 	// An index scan views the segments holding its probed row IDs, ids
-	// those not yet viewed, instead of every segment.
+	// those not yet viewed, into view, instead of every segment.
 	probe bool
+	done  bool
 	ids   []storage.RowID
+	view  storage.ColSeg
 
-	inline  segLoad // the serial mode's one segment buffer
-	filter  *Batch  // the serial mode's predicate scratch; nil without one
+	snap    []storage.ColSeg // the one capture of the table, taken on the first pull
+	inline  segLoad          // the inline mode's one segment buffer
 	cur     *segLoad
 	next    int // next segment to take, in segment order
 	pos     int // next slot offset within cur
 	selPos  int // next index into cur.sel
 	hdrs    []ColVec
-	done    bool
 	skipped int
+	fan     *fanOut // set by start
+}
 
-	// Fan-out state, set by start.
-	started bool
+// fanOut is a fanned-out scan's worker state.
+type fanOut struct {
 	results chan *segLoad
 	free    chan *segLoad // segment buffers: a worker holds one to claim a segment
-	stopCh  chan struct{} // closed when the consumer is finished with us
+	stop    chan struct{} // closed when the consumer is finished with us
 	closed  sync.Once
 	pending map[int]*segLoad
 	// workerSegs[w] counts segments claimed by worker w — the occupancy
@@ -212,82 +256,85 @@ type batchColScan struct {
 	exited chan struct{}
 }
 
-// NewBatchColScan streams a table's segments as column-vector batches of
-// up to size rows, materializing only the requested columns (bound schema
-// indexes) — every other vector in the delivered batch is empty. The
-// vectors alias the heap's immutable column runs: zero rows are cloned,
-// zero cells are copied, and a batch is valid only until the next
-// NextBatch. Segments whose min/max statistics refute a prune conjunct are
-// skipped whole. Consumers must only touch requested columns. Segments load
-// inline, one at a time; NewParallelScan is the same scan fanned out.
-func NewBatchColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) BatchIterator {
-	return newColScan(t, size, cols, prunes)
-}
-
-func newColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) *batchColScan {
-	if size < 1 {
-		size = DefaultBatchSize
+// NewTableScan streams a table as column-vector batches of up to size
+// rows, materializing only the requested columns (bound schema indexes) —
+// every other vector in the delivered batch is empty. The vectors alias
+// the heap's immutable column runs: zero rows are cloned, zero cells are
+// copied, and a batch is valid only until the next NextBatch. Consumers
+// must only touch requested columns.
+//
+// The scan reads one Table.SnapshotCols capture, taken on the first pull,
+// so it sees the table at one instant: a row moved between segments while
+// the scan runs is seen once. Segments whose min/max statistics refute a
+// prune conjunct are skipped whole. The filters run in order — a row is
+// kept only when every one is definitely true, and a later filter runs
+// only on the rows the earlier ones kept. Filters must be bindable against
+// t's schema and read-only after Bind (every compiled closure is); a filter
+// error is terminal.
+//
+// degree is clamped to [1, segments]. At 1 the scan runs inline with no
+// goroutines and filters each emitted window, so a consumer that stops
+// early evaluates no row past its last batch. Above 1 it fans out: workers
+// claim segments, test the prunes and filter whole segments into selection
+// vectors, and the consumer takes them back in segment (so row-ID) order,
+// emitting the same segment-aligned windows over the heap runs.
+func NewTableScan(t *storage.Table, degree, size int, cols []int, prunes []SegPrune, filters []Expr, ctx *EvalContext) (BatchIterator, error) {
+	s, err := newColScan(t, size, cols, prunes, filters, ctx)
+	if err != nil {
+		return nil, err
 	}
-	// Prune columns must be viewed to read their stats, so the scan adds
-	// any the caller didn't request — to a clipped list, so that an
-	// addition copies it instead of writing into the caller's array.
-	sp := &scanSpec{t: t, width: len(t.Schema().Attrs), cols: slices.Clip(cols),
-		prunes: prunes, prAt: make([]int, len(prunes))}
-	for i, p := range prunes {
-		sp.prAt[i] = sp.colIndex(p.Col)
-	}
-	return &batchColScan{sp: sp, size: size, nSeg: t.Segments(), degree: 1}
+	s.degree = max(min(degree, s.nSeg), 1)
+	return s, nil
 }
 
 // NewIndexScan streams the rows of t whose target value lies in [lo, hi]
-// as the serial NewBatchColScan does, but over the row IDs of one
-// Table.Lookup instead of every segment. The target may address an
+// as the inline NewTableScan does, filters included, but over the row IDs
+// of one Table.Lookup instead of every segment. The target may address an
 // attribute or a quality indicator (attr@indicator). Each segment holding
 // probed rows is viewed zero-copy (Table.ViewRows) only when the consumer
 // reaches it, with a selection of its probed rows that are still live: rows
 // arrive in row-ID order, rows deleted since the probe are skipped, no row
-// is cloned, and a LIMIT 1 views one segment however many rows match.
-func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound, size int, cols []int) (BatchIterator, error) {
+// is cloned, and a LIMIT 1 views one segment however many rows match. The
+// filters re-check every probed row, since it is read after the probe and
+// may have changed.
+func NewIndexScan(t *storage.Table, target storage.IndexTarget, lo, hi storage.Bound, size int, cols []int, filters []Expr, ctx *EvalContext) (BatchIterator, error) {
 	ids, err := t.Lookup(target, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	s := newColScan(t, size, cols, nil)
-	s.probe, s.ids = true, ids
+	s, err := newColScan(t, size, cols, nil, filters, ctx)
+	if err != nil {
+		return nil, err
+	}
+	s.probe, s.ids, s.degree = true, ids, 1
 	return s, nil
 }
 
-// NewParallelScan is NewBatchColScan fanned out across degree workers, one
-// heap segment at a time, with pred (optional) fused into the workers. Each
-// worker views only the scan's columns, tests the prunes and runs pred over
-// its segment into a selection vector — as a column kernel when pred has
-// one (CompileColPred), else per live row over scratch rows. The consumer
-// takes segments back in segment (so row-ID) order and emits the same
-// segment-aligned windows over the heap runs as the serial scan: no cell is
-// copied on either side. pred must be bindable against t's schema;
-// evaluation must be read-only after Bind (every compiled closure is). A
-// predicate error is terminal. degree is clamped to [1, segments]; at 1
-// the scan runs inline with no goroutines.
-func NewParallelScan(t *storage.Table, degree, size int, cols []int, prunes []SegPrune, pred Expr, ctx *EvalContext) (BatchIterator, error) {
-	s := newColScan(t, size, cols, prunes)
-	if pred != nil {
-		if err := pred.Bind(t.Schema()); err != nil {
-			return nil, err
+func newColScan(t *storage.Table, size int, cols []int, prunes []SegPrune, filters []Expr, ctx *EvalContext) (*batchColScan, error) {
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	fs, err := compileFilters(filters, t.Schema(), ctx)
+	if err != nil {
+		return nil, err
+	}
+	// Prune and filter columns must be viewed too, so the scan adds any the
+	// caller didn't request — to a clipped list, so that an addition copies
+	// it instead of writing into the caller's array.
+	sp := &scanSpec{t: t, width: len(t.Schema().Attrs), cols: slices.Clip(cols),
+		prunes: prunes, filters: fs}
+	if len(prunes) > 0 {
+		sp.prAt = make([]int, len(prunes))
+		for i, p := range prunes {
+			sp.prAt[i] = sp.colIndex(p.Col)
 		}
-		sp := s.sp
-		sp.ctx, sp.refs = ctx, ReferencedCols(pred)
-		for _, c := range sp.refs {
+	}
+	for i := range fs {
+		for _, c := range fs[i].refs {
 			sp.colIndex(c)
 		}
-		k, defers, ok := CompileColPred(pred, sp.width, ctx)
-		sp.kern = k
-		if !ok || defers {
-			sp.pred = CompilePredicate(pred)
-		}
-		s.filter = new(Batch)
 	}
-	s.degree = max(min(degree, s.nSeg), 1)
-	return s, nil
+	return &batchColScan{sp: sp, size: size, nSeg: t.Segments(), degree: 1}, nil
 }
 
 // Stopper is implemented by iterators that hold background resources
@@ -304,8 +351,8 @@ func (s *batchColScan) SizeHint() int {
 	if s.probe {
 		return len(s.ids)
 	}
-	if s.sp.kern != nil || s.sp.pred != nil {
-		return -1 // the fused predicate's selectivity is unknown
+	if len(s.sp.filters) > 0 {
+		return -1 // the filters' selectivity is unknown
 	}
 	return s.sp.t.Len()
 }
@@ -313,8 +360,7 @@ func (s *batchColScan) SizeHint() int {
 // ExtraStats reports, for EXPLAIN ANALYZE, the segments the prunes skipped
 // and, for a fanned-out scan, worker occupancy — how many segments each
 // worker claimed. An even spread means the claim loop kept every worker
-// busy; a skewed one means a fused predicate or the consumer was the
-// bottleneck.
+// busy; a skewed one means a filter or the consumer was the bottleneck.
 func (s *batchColScan) ExtraStats() string {
 	if s.probe {
 		return "" // nothing is pruned or fanned out
@@ -322,34 +368,46 @@ func (s *batchColScan) ExtraStats() string {
 	if s.degree <= 1 {
 		return fmt.Sprintf("segments skipped=%d of %d", s.skipped, s.nSeg)
 	}
-	if s.workerSegs == nil {
+	if s.fan == nil {
 		return fmt.Sprintf("workers=%d segments=unstarted", s.degree)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "workers=%d segments=[", s.degree)
-	for w := range s.workerSegs {
+	for w := range s.fan.workerSegs {
 		if w > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%d", s.workerSegs[w].Load())
+		fmt.Fprintf(&b, "%d", s.fan.workerSegs[w].Load())
 	}
 	fmt.Fprintf(&b, "] skipped=%d", s.skipped)
 	return b.String()
 }
 
-// Stop ends the stream: it drops the scan's window over the heap, so an
-// early-terminated scan (a filled LIMIT) releases it immediately, and
-// releases the workers — one waiting for a segment buffer exits instead of
-// scanning further. It also drops the finalizer: an object with one
-// survives the first collection after it becomes unreachable, and with it
-// everything it references, the table included, so a stopped scan must not
-// keep one.
+// SegmentsSkipped reports, for a table scan, how many of the segments it
+// read its prunes skipped; ok is false for any other stream, index probes
+// included.
+func SegmentsSkipped(it BatchIterator) (skipped, of int, ok bool) {
+	s, ok := it.(*batchColScan)
+	if !ok || s.probe {
+		return 0, 0, false
+	}
+	return s.skipped, s.nSeg, true
+}
+
+// Stop ends the stream: it drops the scan's capture and its window over
+// the heap, so an early-terminated scan (a filled LIMIT) releases them
+// immediately, and releases the workers — one waiting for a segment buffer
+// exits instead of scanning further. It also drops the finalizer: an
+// object with one survives the first collection after it becomes
+// unreachable, and with it everything it references, the table included,
+// so a stopped scan must not keep one.
 func (s *batchColScan) Stop() {
 	s.done = true
-	s.cur, s.hdrs, s.pending = nil, nil, nil
-	s.inline = segLoad{}
-	s.stopWorkers()
-	if s.started {
+	s.cur, s.hdrs, s.snap = nil, nil, nil
+	s.inline, s.view = segLoad{}, storage.ColSeg{}
+	if s.fan != nil {
+		s.fan.pending = nil
+		s.stopWorkers()
 		runtime.SetFinalizer(s, nil)
 	}
 }
@@ -357,48 +415,51 @@ func (s *batchColScan) Stop() {
 // stopWorkers is also the finalizer of a fanned-out scan abandoned
 // mid-stream, so workers never scan the rest of the table for nobody.
 func (s *batchColScan) stopWorkers() {
-	if s.started {
-		s.closed.Do(func() { close(s.stopCh) })
+	if f := s.fan; f != nil {
+		f.closed.Do(func() { close(f.stop) })
 	}
 }
 
-// start launches the workers. Segments are claimed by atomic counter so
-// fast workers steal work from slow ones. A worker must hold one of
-// 2×degree+1 segment buffers to claim a segment, and the consumer returns a
-// buffer only once it has moved past that segment: besides the segment the
-// consumer is reading, at most 2×degree are in flight (loading, or loaded
-// and waiting), so a slow consumer holds resident memory to O(degree)
-// segments instead of the whole table. No deadlock is possible: segments
-// are claimed and consumed in ascending order, so the lowest unconsumed
-// segment is always either delivered or held by a worker that needs no
-// further buffer. Workers capture locals only (not s), so an abandoned scan
-// becomes unreachable and its finalizer runs stopWorkers.
+// start launches the workers over the capture. Segments are claimed by
+// atomic counter so fast workers steal work from slow ones. A worker must
+// hold one of 2×degree+1 segment buffers to claim a segment, and the
+// consumer returns a buffer only once it has moved past that segment:
+// besides the segment the consumer is reading, at most 2×degree are in
+// flight (loading, or loaded and waiting), so a slow consumer holds
+// resident selections to O(degree) segments instead of the whole table. No
+// deadlock is possible: segments are claimed and consumed in ascending
+// order, so the lowest unconsumed segment is always either delivered or
+// held by a worker that needs no further buffer. Workers capture locals
+// only (not s), so an abandoned scan becomes unreachable and its finalizer
+// runs stopWorkers.
 func (s *batchColScan) start() {
-	s.started, s.stopCh = true, make(chan struct{})
-	sp, nSeg, degree, stop := s.sp, s.nSeg, s.degree, s.stopCh
+	sp, snap, nSeg, degree := s.sp, s.snap, s.nSeg, s.degree
 	bufs := min(2*degree+1, nSeg)
-	results := make(chan *segLoad, nSeg) // never blocks a worker
-	free := make(chan *segLoad, bufs)
-	for range bufs {
-		free <- new(segLoad)
+	f := &fanOut{
+		results:    make(chan *segLoad, nSeg), // never blocks a worker
+		free:       make(chan *segLoad, bufs),
+		stop:       make(chan struct{}),
+		pending:    make(map[int]*segLoad, bufs),
+		workerSegs: make([]atomic.Int64, degree),
+		exited:     make(chan struct{}),
 	}
-	s.results, s.free = results, free
-	s.pending = make(map[int]*segLoad, bufs)
-	s.workerSegs = make([]atomic.Int64, degree)
-	exited := make(chan struct{})
-	s.exited = exited
+	s.fan = f
+	for range bufs {
+		f.free <- new(segLoad)
+	}
+	results, free, stop, exited := f.results, f.free, f.stop, f.exited
 	var next, live atomic.Int64
 	var failed atomic.Bool
 	live.Store(int64(degree))
 	for w := range degree {
-		mySegs := &s.workerSegs[w] // capture the counter, not s (finalizer)
+		mySegs := &f.workerSegs[w] // capture the counter, not s (finalizer)
 		go func() {
 			defer func() {
 				if live.Add(-1) == 0 {
 					close(exited)
 				}
 			}()
-			var f Batch // worker-local predicate scratch
+			var scratch Batch // worker-local filter scratch
 			for {
 				var ls *segLoad
 				select {
@@ -411,7 +472,8 @@ func (s *batchColScan) start() {
 					return
 				}
 				mySegs.Add(1)
-				sp.load(seg, ls, &f)
+				ls.seg = seg
+				sp.load(&snap[seg], ls, &scratch)
 				// Read the error before the hand-off: once sent, the
 				// consumer may recycle ls to another worker's load.
 				bad := ls.err != nil
@@ -434,35 +496,38 @@ func (s *batchColScan) take() (*segLoad, error) {
 		if len(s.ids) == 0 {
 			return nil, nil
 		}
-		ls := &s.inline
-		s.ids = s.sp.t.ViewRows(s.ids, s.sp.cols, &ls.cs)
-		ls.sel = ls.cs.Sel
-		return ls, nil
+		s.ids = s.sp.t.ViewRows(s.ids, s.sp.cols, &s.view)
+		s.inline.cs, s.inline.sel = &s.view, s.view.Sel
+		return &s.inline, nil
+	}
+	if s.snap == nil {
+		s.snap = s.sp.t.SnapshotCols(s.sp.cols)
+		s.nSeg = len(s.snap)
 	}
 	if s.next >= s.nSeg {
 		return nil, nil
 	}
 	if s.degree <= 1 {
-		s.sp.load(s.next, &s.inline, s.filter)
+		s.sp.load(&s.snap[s.next], &s.inline, nil)
 		s.next++
-		return &s.inline, s.inline.err
+		return &s.inline, nil
 	}
-	if !s.started {
+	if s.fan == nil {
 		s.start()
 	}
 	for {
-		if ls, ok := s.pending[s.next]; ok {
-			delete(s.pending, s.next)
+		if ls, ok := s.fan.pending[s.next]; ok {
+			delete(s.fan.pending, s.next)
 			s.next++
 			return ls, nil
 		}
 		select {
-		case ls := <-s.results:
+		case ls := <-s.fan.results:
 			if ls.err != nil {
 				return nil, ls.err
 			}
-			s.pending[ls.seg] = ls
-		case <-s.stopCh:
+			s.fan.pending[ls.seg] = ls
+		case <-s.fan.stop:
 			return nil, nil
 		}
 	}
@@ -471,8 +536,8 @@ func (s *batchColScan) take() (*segLoad, error) {
 // release hands a consumed segment's buffer back to the workers. Never
 // blocks: buffers never outnumber the channel's capacity.
 func (s *batchColScan) release(ls *segLoad) {
-	if s.free != nil {
-		s.free <- ls
+	if s.fan != nil {
+		s.fan.free <- ls
 	}
 }
 
@@ -522,8 +587,20 @@ func (s *batchColScan) NextBatch(b *Batch) (bool, error) {
 		if s.hdrs == nil {
 			s.hdrs = make([]ColVec, s.sp.width)
 		}
-		s.sp.viewCols(s.hdrs, &cur.cs, lo, lo+n)
+		s.sp.viewCols(s.hdrs, cur.cs, lo, lo+n)
 		b.cols, b.n, b.sel = s.hdrs, n, sel
+		b.base = cur.cs.Base + storage.RowID(lo)
+		if s.degree <= 1 && len(s.sp.filters) > 0 {
+			// Inline: filter this window only, so a consumer that stops
+			// early evaluates no row past it.
+			if err := b.refine(s.sp.filters); err != nil {
+				s.Stop()
+				return false, err
+			}
+			if len(b.sel) == 0 {
+				continue
+			}
+		}
 		return true, nil
 	}
 	return false, nil

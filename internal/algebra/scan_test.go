@@ -87,10 +87,14 @@ func sameRelation(t *testing.T, want, got *relation.Relation, label string) {
 }
 
 // parScan builds the column scan over every column of tbl at degree, with
-// pred fused (nil for none) and no prunes.
+// pred as its one filter (nil for none) and no prunes.
 func parScan(t *testing.T, tbl *storage.Table, degree int, pred Expr) BatchIterator {
 	t.Helper()
-	bit, err := NewParallelScan(tbl, degree, 0, tbl.Schema().ColIndexes(), nil, pred, ctx())
+	var filters []Expr
+	if pred != nil {
+		filters = []Expr{pred}
+	}
+	bit, err := NewTableScan(tbl, degree, 0, tbl.Schema().ColIndexes(), nil, filters, ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func holeyTable(t *testing.T) *storage.Table {
 }
 
 // TestParallelScanMatchesSerial is the ordering property test: for every
-// degree, with and without a fused predicate, the scan's output is
+// degree, with and without a filter, the scan's output is
 // byte-identical (tags and sources included) to storage's serial Scan,
 // filtered by the interpreted predicate. The inputs cover a wholly dead
 // segment, a segment with no tag run under an indicator predicate, and
@@ -220,14 +224,10 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	// Prunes on the fanned-out path: segments whose id range refutes the
 	// sarg are skipped by the workers and reported.
 	tbl := holeyTable(t)
-	sarg := preds[3].pred()
 	want := filterRows(t, scanRows(tbl), preds[3].pred())
-	if err := sarg.Bind(tbl.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	prunes := PrunableSargs(sarg)
+	prunes := []SegPrune{{Col: 0, Op: OpGe, K: value.Int(idFrom)}} // preds[3]'s sarg
 	for _, degree := range []int{1, 2, 4} {
-		bit, err := NewParallelScan(tbl, degree, 0, tbl.Schema().ColIndexes(), prunes, preds[3].pred(), ctx())
+		bit, err := NewTableScan(tbl, degree, 0, tbl.Schema().ColIndexes(), prunes, []Expr{preds[3].pred()}, ctx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,8 +306,8 @@ func TestParallelScanBackpressure(t *testing.T) {
 	// Let the workers run as far as the buffer budget allows, then stall.
 	time.Sleep(200 * time.Millisecond)
 	var claimed int64
-	for w := range bit.(*batchColScan).workerSegs {
-		claimed += bit.(*batchColScan).workerSegs[w].Load()
+	for w := range bit.(*batchColScan).fan.workerSegs {
+		claimed += bit.(*batchColScan).fan.workerSegs[w].Load()
 	}
 	// 4 in flight + the 1 the consumer holds; far below the 12 segments an
 	// unbounded fan-out would have claimed.
@@ -352,7 +352,7 @@ func drainedScanTable(t *testing.T) (weak.Pointer[storage.Table], <-chan struct{
 			break
 		}
 	}
-	return weak.Make(tbl), bit.(*batchColScan).exited
+	return weak.Make(tbl), bit.(*batchColScan).fan.exited
 }
 
 // TestParallelScanStop: Stop releases the workers deterministically and a
@@ -405,7 +405,7 @@ func TestIndexScanMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewIndexScan(tbl, pr.target, pr.lo, pr.hi, size, tbl.Schema().ColIndexes())
+			got, err := NewIndexScan(tbl, pr.target, pr.lo, pr.hi, size, tbl.Schema().ColIndexes(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +442,7 @@ func TestIndexScanLazyClones(t *testing.T) {
 		}
 	}
 	before := storage.TupleClones()
-	ix, err := NewIndexScan(tbl, target, lo, hi, 0, tbl.Schema().ColIndexes())
+	ix, err := NewIndexScan(tbl, target, lo, hi, 0, tbl.Schema().ColIndexes(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

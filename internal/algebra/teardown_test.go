@@ -96,7 +96,8 @@ var tailShapes = []tailShape{
 // ORDER BY key (or projection) error, or never executed, as an EXPLAIN
 // leaves it: built and stopped, with nothing pulled. Each case waits on
 // the scan's own workers; an un-executed plan must not have started them
-// at all, except that an aggregate drains its input when it is built.
+// at all — the aggregate included, which drains its input on the first
+// pull, not when it is built.
 func TestTailTeardown(t *testing.T) {
 	tbl := bigTable(t, 3*storage.SegmentSize+500)
 	live := tbl.Len()
@@ -148,17 +149,17 @@ func TestTailTeardown(t *testing.T) {
 				t.Errorf("%s: %d rows", name, rows)
 			}
 			sc := scan.(*batchColScan)
-			if !sc.started {
-				if shape.name == "aggregate" || rows >= 0 || end.bad {
+			if sc.fan == nil {
+				if rows >= 0 || end.bad {
 					t.Fatalf("%s: the scan never ran", name)
 				}
 				continue // nothing executed: no worker to wait for
 			}
-			if rows < 0 && shape.name != "aggregate" {
+			if rows < 0 {
 				t.Fatalf("%s: an un-executed plan started its scan", name)
 			}
 			select {
-			case <-sc.exited:
+			case <-sc.fan.exited:
 			case <-time.After(5 * time.Second):
 				t.Fatalf("%s: scan workers still running 5s after the plan ended", name)
 			}

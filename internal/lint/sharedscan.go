@@ -4,33 +4,38 @@ import (
 	"go/ast"
 )
 
-// Sharedscan keeps the query path on the zero-clone column views. A table
-// has one bulk read — ScanSegmentCols for one segment, ViewRows for an
-// index probe's rows of one segment, SnapshotCols for the whole table at
-// one instant — whose column vectors alias the heap's immutable runs, and
-// tuple_clones_per_query is held at zero by the benchmark. Table.Scan and
-// Table.Get, the two readers left that copy every row they return, exist
-// for tooling outside the engine; reintroduced anywhere on the query path
-// they silently pay an allocation per row read.
+// Sharedscan keeps the query path on the zero-clone column views, read the
+// one way that sees a table at one instant. A table has two bulk reads on
+// the query path — SnapshotCols for the whole table under one read lock,
+// ViewRows for an index probe's rows of one segment — whose column vectors
+// alias the heap's immutable runs, and tuple_clones_per_query is held at
+// zero by the benchmark. Table.Scan and Table.Get, the two readers left
+// that copy every row they return, exist for tooling outside the engine;
+// reintroduced anywhere on the query path they silently pay an allocation
+// per row read. Table.ScanSegmentCols views one segment per read lock, so
+// a scan built on it can see a row that moves between segments twice; it
+// stays in storage for tooling only.
 //
-// The analyzer flags calls to Table.Scan and Table.Get from the query-path
-// packages (algebra, qql, server). There is no escape: DML, index probes,
-// checkpoints and the quality gauges all read column views. That nobody
-// writes through a view is enforced by convention and -race, not by this
-// analyzer.
+// The analyzer flags calls to Table.Scan, Table.Get and
+// Table.ScanSegmentCols from the query-path packages (algebra, qql,
+// server). There is no escape: SELECT, DML, index probes, checkpoints and
+// the quality gauges all read column views. That nobody writes through a
+// view is enforced by convention and -race, not by this analyzer.
 var Sharedscan = &Analyzer{
 	Name: "sharedscan",
-	Doc: "report the cloning Table.Scan and Table.Get on the query path; " +
-		"read the zero-clone column views (ScanSegmentCols, ViewRows, SnapshotCols)",
+	Doc: "report the cloning Table.Scan and Table.Get and the segment-at-a-time " +
+		"Table.ScanSegmentCols on the query path; read the zero-clone column views " +
+		"(SnapshotCols, ViewRows)",
 	Match: matchAny("internal/algebra", "internal/qql", "internal/server"),
 	Run:   runSharedscan,
 }
 
-// cloningReaders are the *storage.Table methods that clone every row they
-// return.
-var cloningReaders = map[string]bool{
-	"Scan": true,
-	"Get":  true,
+// offPathReaders are the *storage.Table methods the query path must not
+// call, with why.
+var offPathReaders = map[string]string{
+	"Scan":            "Table.Scan clones every row it returns; on the query path read the column views SnapshotCols or ViewRows (read-only contract)",
+	"Get":             "Table.Get clones every row it returns; on the query path read the column views SnapshotCols or ViewRows (read-only contract)",
+	"ScanSegmentCols": "Table.ScanSegmentCols reads one segment per lock, so a row moved between segments can be seen twice; read the table at one instant with SnapshotCols",
 }
 
 func runSharedscan(pass *Pass) error {
@@ -41,13 +46,12 @@ func runSharedscan(pass *Pass) error {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn == nil || fn.Signature().Recv() == nil || !cloningReaders[fn.Name()] {
+			if fn == nil || fn.Signature().Recv() == nil {
 				return true
 			}
-			if isNamed(fn.Signature().Recv().Type(), "internal/storage", "Table") {
-				pass.Reportf(call.Pos(),
-					"Table.%s clones every row it returns; on the query path read the column views ScanSegmentCols, ViewRows or SnapshotCols (read-only contract)",
-					fn.Name())
+			msg, off := offPathReaders[fn.Name()]
+			if off && isNamed(fn.Signature().Recv().Type(), "internal/storage", "Table") {
+				pass.Reportf(call.Pos(), "%s", msg)
 			}
 			return true
 		})

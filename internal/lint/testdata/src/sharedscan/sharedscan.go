@@ -9,19 +9,29 @@ import (
 	"repro/internal/storage"
 )
 
-// countCols is the streaming query-path shape: ScanSegmentCols reads the
-// requested column vectors straight off the heap's immutable runs, one
-// segment at a time — never flagged.
+// countCols is the query-path scan shape: one SnapshotCols capture reads
+// the requested column vectors straight off the heap's immutable runs,
+// the whole table at one instant — never flagged.
 func countCols(t *storage.Table) int {
 	n := 0
-	var cs storage.ColSeg
-	for i := 0; t.ScanSegmentCols(i, []int{0}, &cs); i++ {
+	for _, cs := range t.SnapshotCols([]int{0}) {
 		n += cs.Live()
 	}
 	return n
 }
 
-// collectForUpdate is the DML shape: one SnapshotCols capture sees the
+// countSegmentsBad views one segment per read lock: a row the writer moves
+// from segment 0 to the tail between two calls is counted twice.
+func countSegmentsBad(t *storage.Table) int {
+	n := 0
+	var cs storage.ColSeg
+	for i := 0; t.ScanSegmentCols(i, []int{0}, &cs); i++ { // want `Table.ScanSegmentCols reads one segment per lock`
+		n += cs.Live()
+	}
+	return n
+}
+
+// collectForUpdate is a whole-row shape: one SnapshotCols capture sees the
 // whole table at one instant, and a scratch row is refilled per live slot
 // — never flagged.
 func collectForUpdate(t *storage.Table) []storage.RowID {

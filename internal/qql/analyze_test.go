@@ -54,17 +54,14 @@ func TestAnalyzeVectorizedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := stepByPrefix(t, rep, "BatchTableScan")
-	sel := stepByPrefix(t, rep, "BatchSelect")
+	// The scan filters: it emits the 40 rows with a >= 10.
+	scan := stepByPrefix(t, rep, "BatchTableScan(t WHERE ")
 	lim := stepByPrefix(t, rep, "Limit")
-	if scan.Rows != 50 {
-		t.Errorf("scan rows = %d, want 50", scan.Rows)
+	if scan.Rows != 40 {
+		t.Errorf("scan rows = %d, want 40", scan.Rows)
 	}
 	if scan.Batches == 0 {
 		t.Errorf("batch scan reported no batches")
-	}
-	if sel.Rows != 40 {
-		t.Errorf("select rows = %d, want 40", sel.Rows)
 	}
 	if lim.Rows != 12 {
 		t.Errorf("limit rows = %d, want 12", lim.Rows)
@@ -100,8 +97,8 @@ func TestAnalyzeSerialCounts(t *testing.T) {
 	}
 	scan := stepByPrefix(t, rep, "BatchTableScan")
 	sort := stepByPrefix(t, rep, "Sort")
-	if scan.Rows != 50 {
-		t.Errorf("scan rows = %d, want 50", scan.Rows)
+	if scan.Rows != 40 {
+		t.Errorf("scan rows = %d, want 40", scan.Rows)
 	}
 	if sort.Rows != 40 {
 		t.Errorf("sort rows = %d, want 40", sort.Rows)
@@ -131,7 +128,7 @@ func TestAnalyzeParallelScanOccupancy(t *testing.T) {
 	if root := rootRows(rep); root != int64(rep.Rows) {
 		t.Errorf("root rows = %d, want %d", root, rep.Rows)
 	}
-	// The fused predicate filters inside the workers, so the scan's output
+	// The filter runs inside the workers, so the scan's output
 	// count equals the result count.
 	if scan.Rows != int64(rep.Rows) {
 		t.Errorf("parallel scan rows = %d, want %d", scan.Rows, rep.Rows)
@@ -163,14 +160,14 @@ func TestAnalyzeVectorizedParallelScan(t *testing.T) {
 	if rep.Rows != 1 {
 		t.Fatalf("report rows = %d, want 1", rep.Rows)
 	}
-	// The aggregate drains its input in its constructor; that eager work
-	// must be charged to the aggregate step, not lost.
+	// The aggregate drains its input on its first pull; that work must be
+	// charged to the aggregate step, not lost.
 	agg := stepByPrefix(t, rep, "BatchAggregate")
 	if agg.Rows != 1 {
 		t.Errorf("aggregate rows = %d, want 1", agg.Rows)
 	}
 	if agg.Time <= 0 {
-		t.Errorf("aggregate time = %v, want > 0 (eager drain charged)", agg.Time)
+		t.Errorf("aggregate time = %v, want > 0 (drain charged)", agg.Time)
 	}
 }
 
@@ -213,8 +210,8 @@ func TestAnalyzeSegmentSkipping(t *testing.T) {
 	if scan.Extra != "segments skipped=2 of 3" {
 		t.Errorf("scan extra = %q, want \"segments skipped=2 of 3\"", scan.Extra)
 	}
-	if scan.Rows != int64(storage.SegmentSize) {
-		t.Errorf("scan rows = %d, want %d (only the first segment read)", scan.Rows, storage.SegmentSize)
+	if scan.Rows != 5 { // the scan filters what it reads
+		t.Errorf("scan rows = %d, want 5", scan.Rows)
 	}
 	if rep.Rows != 5 {
 		t.Errorf("report rows = %d, want 5", rep.Rows)

@@ -153,12 +153,12 @@ func TestCollectMatchesOracle(t *testing.T) {
 		{"btree_range", `employees >= 100 AND employees < 250`, "IndexScan(customer on employees:", 105},
 		{"indicator_eq", `employees@source = 'estimate'`, "IndexScan(customer on employees@source:", 79},
 		{"indicator_eq_recheck", `employees@source = 'estimate' AND region = 'east'`, "IndexScan(customer on employees@source:", 40},
-		{"or_not_sargable", `co_name = 'k00040' OR employees < 50`, "SnapshotScan(customer: ", 38},
-		{"age", `AGE(employees@creation_time) <= d'240h'`, "SnapshotScan(customer: ", 131},
+		{"or_not_sargable", `co_name = 'k00040' OR employees < 50`, "BatchTableScan(customer WHERE ", 38},
+		{"age", `AGE(employees@creation_time) <= d'240h'`, "BatchTableScan(customer WHERE ", 131},
 		{"null_const", `employees = null`, "IndexScan(customer on employees:", 0},
-		{"hash_range_skips", `co_name >= 'k08192'`, "SnapshotScan(customer: ", 60},
+		{"hash_range_skips", `co_name >= 'k08192'`, "BatchTableScan(customer WHERE ", 60},
 		{"never_true", `1 = 0`, "EmptyScan(customer)", 0},
-		{"no_where", ``, "SnapshotScan(customer, segments skipped=0 of 3)", 762},
+		{"no_where", ``, "BatchTableScan(customer, segments skipped=0 of 3)", 762},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,7 +173,7 @@ func TestCollectMatchesOracle(t *testing.T) {
 			oracle, otbl := collectFixture(t)
 
 			var got []storage.RowID
-			path, err := planned.collectMatches(ptbl, whereOf(t, del), func(id storage.RowID, _ relation.Tuple) error {
+			path, err := planned.collectMatches(ptbl, whereOf(t, del), nil, func(id storage.RowID, _ relation.Tuple) error {
 				got = append(got, id)
 				return nil
 			})

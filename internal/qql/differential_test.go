@@ -184,6 +184,18 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 // intersected and sources unioned across the columns it reads.
 func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relation {
 	t.Helper()
+	out, err := referenceSelectErr(t, tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// referenceSelectErr is referenceSelect returning the first error a filter
+// raises, in row-ID order, instead of failing the test: WHERE runs on every
+// live row, WITH QUALITY only on the rows WHERE kept.
+func referenceSelectErr(t *testing.T, tbl *storage.Table, q string) (*relation.Relation, error) {
+	t.Helper()
 	stmts, err := Parse(q)
 	if err != nil {
 		t.Fatal(err)
@@ -211,11 +223,13 @@ func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relat
 		}
 	}
 	var rows []relation.Tuple
+	var filterErr error
 	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
 		for _, pred := range preds {
 			ok, err := algebra.Truth(pred, tup, ctx)
 			if err != nil {
-				t.Fatal(err)
+				filterErr = err
+				return false
 			}
 			if !ok {
 				return true
@@ -224,6 +238,9 @@ func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relat
 		rows = append(rows, tup)
 		return true
 	})
+	if filterErr != nil {
+		return nil, filterErr
+	}
 
 	if len(st.OrderBy) > 0 {
 		keys := make([][]value.Value, len(rows))
@@ -288,7 +305,7 @@ func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relat
 		}
 		out.Tuples = append(out.Tuples, relation.Tuple{Cells: cells})
 	}
-	return out
+	return out, nil
 }
 
 func sqlEscape(s string) string {

@@ -237,15 +237,19 @@ func TestVectorizedExplain(t *testing.T) {
 	s := NewSession(cat)
 	s.SetParallelism(1)
 
+	// A table's filters run inside its scan: no Select step above it.
 	res := s.MustExec(`EXPLAIN SELECT COUNT(*) AS n FROM big WHERE qty >= 500`)
-	for _, want := range []string{"BatchTableScan(big)", "BatchSelect(", "BatchAggregate(1 aggregate(s))"} {
+	for _, want := range []string{"BatchTableScan(big WHERE (qty >= 500))", "BatchAggregate(1 aggregate(s))"} {
 		if !strings.Contains(res[0].Plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, res[0].Plan)
 		}
 	}
+	if strings.Contains(res[0].Plan, "Select(") {
+		t.Errorf("single-table plan has a Select step:\n%s", res[0].Plan)
+	}
 
-	res = s.MustExec(`EXPLAIN SELECT id FROM big WITH QUALITY grp@source = 'a' LIMIT 5`)
-	for _, want := range []string{"BatchQualitySelect(", "BatchProject(id)", "Limit(5, offset 0)"} {
+	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE qty >= 500 WITH QUALITY grp@source = 'a' LIMIT 5`)
+	for _, want := range []string{"BatchTableScan(big WHERE (qty >= 500) WITH QUALITY (grp@source = 'a'))", "BatchProject(id)", "Limit(5, offset 0)"} {
 		if !strings.Contains(res[0].Plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, res[0].Plan)
 		}
@@ -288,11 +292,11 @@ func TestVectorizedExplain(t *testing.T) {
 		t.Errorf("multi-way join plan:\n got %v\nwant %v", got, want)
 	}
 
-	// The parallel scan feeds the batch operators: workers fuse the
-	// predicate, the merge stays ordered, batching picks up above it.
+	// The parallel scan feeds the batch operators: workers run the
+	// filters, the merge stays ordered, batching picks up above it.
 	s.SetParallelism(8)
 	res = s.MustExec(`EXPLAIN SELECT COUNT(*) AS n FROM big WHERE qty >= 500`)
-	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3: ") || !strings.Contains(res[0].Plan, "BatchAggregate(") {
+	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3 WHERE (qty >= 500))") || !strings.Contains(res[0].Plan, "BatchAggregate(") {
 		t.Errorf("parallel plan:\n%s", res[0].Plan)
 	}
 	res = s.MustExec(`EXPLAIN SELECT b.id FROM big b JOIN dim d ON b.qty < d.boost`)
@@ -300,26 +304,26 @@ func TestVectorizedExplain(t *testing.T) {
 		t.Errorf("parallel join plan:\n%s", res[0].Plan)
 	}
 
-	// An index probe is a batch source like the table scans, and the
-	// predicate it probed by is rechecked on the batch tier.
+	// An index probe is a batch source like the table scans, and it
+	// rechecks the predicate it probed by on every row it reads.
 	s.MustExec(`CREATE INDEX ON big (qty) USING BTREE`)
 	got = planSteps(t, s, `SELECT id FROM big WHERE qty >= 990`)
-	want = []string{"IndexScan(big on qty: (qty >= 990))", "BatchSelect((qty >= 990))", "BatchProject(id)"}
+	want = []string{"IndexScan(big on qty: (qty >= 990) WHERE (qty >= 990))", "BatchProject(id)"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("indexed plan:\n got %v\nwant %v", got, want)
 	}
 }
 
 // TestSimplifiedPlans pins the bind-time predicate simplification: a
-// tautology drops its Select step, an unsatisfiable filter plans an empty
-// scan, and EXPLAIN reflects both.
+// tautology drops its filter, an unsatisfiable filter plans an empty scan,
+// and EXPLAIN reflects both.
 func TestSimplifiedPlans(t *testing.T) {
 	cat := engineCatalog(t, 500)
 	s := NewSession(cat)
 
 	res := s.MustExec(`EXPLAIN SELECT id FROM big WHERE 1 = 1`)
-	if strings.Contains(res[0].Plan, "Select(") {
-		t.Errorf("tautology should drop the Select step:\n%s", res[0].Plan)
+	if strings.Contains(res[0].Plan, "Select(") || strings.Contains(res[0].Plan, "WHERE") {
+		t.Errorf("tautology should drop the filter:\n%s", res[0].Plan)
 	}
 
 	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE 1 = 2`)
@@ -351,7 +355,7 @@ func TestSimplifiedPlans(t *testing.T) {
 
 	// Only the live conjunct survives.
 	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE 1 = 1 AND qty > 100`)
-	if !strings.Contains(res[0].Plan, "Select((qty > 100))") {
+	if !strings.Contains(res[0].Plan, "BatchTableScan(big WHERE (qty > 100))") {
 		t.Errorf("plan should keep only the live conjunct:\n%s", res[0].Plan)
 	}
 }

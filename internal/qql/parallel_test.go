@@ -40,25 +40,25 @@ func TestPlanRoutesLargeScansThroughParallelScan(t *testing.T) {
 	s, _ := bigCatalog(t, n)
 	s.SetParallelism(8)
 
-	// Unindexed filtered scan: ParallelScan with the predicate fused,
-	// degree clamped to the segment count.
+	// Unindexed filtered scan: ParallelScan carrying the filter, degree
+	// clamped to the segment count.
 	res := s.MustExec(`EXPLAIN SELECT id FROM big WHERE qty >= 500`)
-	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3: ") {
-		t.Errorf("plan missing fused ParallelScan:\n%s", res[0].Plan)
+	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3 WHERE ") {
+		t.Errorf("plan missing filtered ParallelScan:\n%s", res[0].Plan)
 	}
 	if strings.Contains(res[0].Plan, "Select(") {
-		t.Errorf("fused predicate should consume the Select step:\n%s", res[0].Plan)
+		t.Errorf("the scan's filter should consume the Select step:\n%s", res[0].Plan)
 	}
-	// No predicate: still parallel, no fused clause.
+	// No predicate: still parallel, no filter.
 	res = s.MustExec(`EXPLAIN SELECT id FROM big`)
 	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3)") {
 		t.Errorf("bare scan plan:\n%s", res[0].Plan)
 	}
-	// A bare LIMIT stops pulling early: the lazy serial scan (one segment
-	// at a time) must win over fan-out workers that would eagerly load and
+	// A bare LIMIT stops pulling early: the inline scan (one window at a
+	// time) must win over fan-out workers that would eagerly load and
 	// filter the whole table.
 	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE qty >= 500 LIMIT 5`)
-	if !strings.Contains(res[0].Plan, "TableScan(big)") {
+	if !strings.Contains(res[0].Plan, "BatchTableScan(big WHERE ") {
 		t.Errorf("LIMIT plan should stay serial:\n%s", res[0].Plan)
 	}
 	// ...but LIMIT behind a Sort or an Aggregate drains the scan anyway,
@@ -71,10 +71,10 @@ func TestPlanRoutesLargeScansThroughParallelScan(t *testing.T) {
 	if !strings.Contains(res[0].Plan, "ParallelScan(big, ×3") {
 		t.Errorf("aggregate + LIMIT plan should fan out:\n%s", res[0].Plan)
 	}
-	// Parallelism 1 forces the serial TableScan.
+	// Parallelism 1 forces the inline BatchTableScan.
 	s.SetParallelism(1)
 	res = s.MustExec(`EXPLAIN SELECT id FROM big WHERE qty >= 500`)
-	if !strings.Contains(res[0].Plan, "TableScan(big)") {
+	if !strings.Contains(res[0].Plan, "BatchTableScan(big WHERE ") {
 		t.Errorf("serial plan:\n%s", res[0].Plan)
 	}
 	// An applicable index wins over fan-out.
@@ -211,7 +211,7 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := stepByPrefix(t, rep, "ParallelScan(big, ×5: ")
+	scan := stepByPrefix(t, rep, "ParallelScan(big, ×5 WHERE ")
 	if !strings.HasSuffix(scan.Extra, "skipped=3") {
 		t.Errorf("parallel scan extra = %q, want 3 segments skipped", scan.Extra)
 	}
@@ -237,7 +237,7 @@ func TestParallelScanAllocsPerSegment(t *testing.T) {
 		}
 	}
 	const q = `SELECT COUNT(*) AS n FROM big WITH QUALITY grp@source = 'a'`
-	if plan := s.MustExec(`EXPLAIN ` + q)[0].Plan; !strings.Contains(plan, "ParallelScan(big, ×4: ") {
+	if plan := s.MustExec(`EXPLAIN ` + q)[0].Plan; !strings.Contains(plan, "ParallelScan(big, ×4 WITH QUALITY ") {
 		t.Fatalf("query does not fan out:\n%s", plan)
 	}
 	if _, err := s.Query(q); err != nil { // warm the plan cache

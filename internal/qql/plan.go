@@ -152,8 +152,7 @@ type plan struct {
 
 // tap records a step and, when the plan is analyzed, wraps the operator
 // with a batch/row/time counter. setup charges eager constructor work (the
-// hash join's build-side transpose, an aggregate's drain) to the
-// operator's actuals.
+// hash join's build-side transpose) to the operator's actuals.
 func (p *plan) tap(step string, bit algebra.BatchIterator, setup time.Duration) algebra.BatchIterator {
 	p.steps = append(p.steps, step)
 	if !p.analyze {
@@ -310,7 +309,8 @@ func flipOp(op algebra.CmpOp) algebra.CmpOp {
 }
 
 // indexPath is an indexed access path: the index target, the [lo, hi]
-// range to probe it with (storage.Table.Lookup), and the step description.
+// range to probe it with (storage.Table.Lookup), and the step description,
+// still open for tableSource to add the filters and close.
 type indexPath struct {
 	target storage.IndexTarget
 	lo, hi storage.Bound
@@ -318,13 +318,10 @@ type indexPath struct {
 }
 
 // chooseIndexPath picks an indexed access path from a table's filter
-// conjuncts — the one access-path decision of both SELECT and DML
-// collection. Both probe it with one Table.Lookup and read the probed rows
-// segment by segment through Table.ViewRows: SELECT as the batch source
-// algebra.NewIndexScan, DML in collectMatches' one loop. ok is false when
-// no index applies. The conjuncts it prunes by are not consumed: callers
-// re-check the whole predicate on every row they read, since rows are read
-// after the probe and may have changed.
+// conjuncts — the one access-path decision of tableSource, so of SELECT and
+// DML collection alike. ok is false when no index applies. The conjuncts it
+// prunes by are not consumed: the index scan re-checks the filters on every
+// row it reads, since rows are read after the probe and may have changed.
 func chooseIndexPath(tbl *storage.Table, conjuncts []algebra.Expr) (indexPath, bool) {
 	// Candidate targets in order of first use; a statement has a handful.
 	type candidate struct {
@@ -388,7 +385,6 @@ func chooseIndexPath(tbl *storage.Table, conjuncts []algebra.Expr) (indexPath, b
 			break // equality pins the range; stop accumulating
 		}
 	}
-	desc.WriteByte(')')
 	return indexPath{target: target, lo: lo, hi: hi, desc: desc.String()}, true
 }
 
@@ -776,9 +772,8 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 		}
 	}
 	// A scan feeding a Sort or an Aggregate is always drained; under a bare
-	// LIMIT the consumer stops early, and the lazy serial scan (one segment
-	// at a time) beats fan-out workers that would eagerly load and filter
-	// segments nobody reads.
+	// LIMIT the consumer stops early, and the inline scan (one window at a
+	// time) beats fan-out workers (parallelDegree).
 	consumesAll := st.Limit < 0 || len(st.OrderBy) > 0 || hasAgg
 
 	whereConjuncts, whereNever := simplifyFilter(st.Where)
@@ -807,73 +802,39 @@ func (s *Session) buildSelect(st *SelectStmt, tables boundTables) (*plan, error)
 			desc = "EmptyScan(join: filter is never true)"
 		}
 		bit = p.tap(desc, algebra.NewRelationScan(relation.New(sch), s.batchSize), 0)
-		whereConjuncts, qualityConjuncts = nil, nil
 	case len(st.Joins) > 0:
+		// A join's filters run above it, WHERE then WITH QUALITY.
 		var err error
 		if bit, err = s.planJoins(st, tables, baseTable, all, hasAgg, p, consumesAll); err != nil {
 			return nil, err
 		}
-	default:
-		// Every single-table source is a zero-clone column scan that views
-		// only the columns the plan touches. Zero-clone reads are safe
-		// because every row that reaches the result passes through a
-		// projection or aggregation that rebuilds its cells.
-		cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
-		if ip, ok := chooseIndexPath(baseTable, all); ok {
-			// The sarg conjuncts stay in the BatchSelect below even though
-			// the index already pruned by them: the scan views each segment
-			// when the consumer reaches it, so a row updated after the probe
-			// could otherwise slip into the result no longer satisfying the
-			// predicate.
-			ix, err := algebra.NewIndexScan(baseTable, ip.target, ip.lo, ip.hi, s.batchSize, cols)
-			if err != nil {
+		if pred := andAll(whereConjuncts); pred != nil {
+			if bit, err = algebra.NewBatchSelect(bit, pred, s.ctx); err != nil {
 				return nil, err
 			}
-			bit = p.tap(ip.desc, ix, 0)
-		} else {
-			// Skip whole segments whose min/max statistics refute a
-			// sargable conjunct.
-			prunes := segPrunes(all, baseTable.Schema())
-			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-				// Large unindexed scan: workers filter their segments with
-				// the fused WHERE and WITH QUALITY conjunction into
-				// selection vectors, and the merge stays row-ID-ordered.
-				fused := andAll(all)
-				scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, cols, prunes, fused, s.ctx)
-				if err != nil {
-					return nil, err
-				}
-				desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
-				if fused != nil {
-					desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
-				}
-				bit = p.tap(desc, scan, 0)
-				whereConjuncts, qualityConjuncts = nil, nil
-			} else {
-				// Serial: the conjuncts are not consumed — pruning only
-				// removes segments where the predicate cannot hold for any
-				// row, and the BatchSelect below filters the survivors.
-				bit = p.tap(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, prunes), 0)
-			}
+			bit = p.tap("BatchSelect("+pred.String()+")", bit, 0)
 		}
+		if pred := andAll(qualityConjuncts); pred != nil {
+			if bit, err = algebra.NewBatchSelect(bit, pred, s.ctx); err != nil {
+				return nil, err
+			}
+			bit = p.tap("BatchQualitySelect("+pred.String()+")", bit, 0)
+		}
+	default:
+		// Every single-table source is a zero-clone column read that views
+		// only the columns the plan touches and carries the filters.
+		// Zero-clone reads are safe because every row that reaches the
+		// result passes through a projection or aggregation that rebuilds
+		// its cells.
+		cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
+		src, desc, err := s.tableSource(baseTable, cols, whereConjuncts, qualityConjuncts, s.parallelDegree(baseTable, consumesAll))
+		if err != nil {
+			return nil, err
+		}
+		bit = p.tap(desc, src, 0)
 		if st.From.Alias != st.From.Table {
 			bit = algebra.NewBatchRename(bit, st.From.Alias)
 		}
-	}
-
-	if pred := andAll(whereConjuncts); pred != nil {
-		nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		bit = p.tap("BatchSelect("+pred.String()+")", nb, 0)
-	}
-	if pred := andAll(qualityConjuncts); pred != nil {
-		nb, err := algebra.NewBatchSelect(bit, pred, s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		bit = p.tap("BatchQualitySelect("+pred.String()+")", nb, 0)
 	}
 
 	// The tail. ORDER BY sorts below a plain projection, so it can read
@@ -930,13 +891,59 @@ func (s *Session) planSort(st *SelectStmt, bit algebra.BatchIterator, p *plan) (
 	return p.tap(fmt.Sprintf("Sort(%s)", orderDesc(st.OrderBy)), sorted, 0), nil
 }
 
+// tableSource plans the one read of a single table — a SELECT's source
+// without joins and DML's collection alike — and returns it with its
+// EXPLAIN step. An indexed sarg among the conjuncts makes it an index
+// probe; otherwise it is a column scan at degree over one snapshot of the
+// table, skipping the segments whose min/max statistics refute a
+// conjunct. Either way the source carries the filters, WHERE's conjuncts
+// then WITH QUALITY's: a row is kept only when both are definitely true,
+// and WITH QUALITY runs only on the rows WHERE kept.
+func (s *Session) tableSource(tbl *storage.Table, cols []int, where, quality []algebra.Expr, degree int) (algebra.BatchIterator, string, error) {
+	all := append(slices.Clip(where), quality...)
+	w, q := andAll(where), andAll(quality)
+	var buf [2]algebra.Expr
+	filters := buf[:0]
+	if w != nil {
+		filters = append(filters, w)
+	}
+	if q != nil {
+		filters = append(filters, q)
+	}
+	if ip, ok := chooseIndexPath(tbl, all); ok {
+		src, err := algebra.NewIndexScan(tbl, ip.target, ip.lo, ip.hi, s.batchSize, cols, filters, s.ctx)
+		return src, sourceDesc(ip.desc, w, q), err
+	}
+	head := "BatchTableScan(" + tbl.Schema().Name
+	if degree > 1 {
+		head = fmt.Sprintf("ParallelScan(%s, ×%d", tbl.Schema().Name, degree)
+	}
+	src, err := algebra.NewTableScan(tbl, degree, s.batchSize, cols, segPrunes(all, tbl.Schema()), filters, s.ctx)
+	return src, sourceDesc(head, w, q), err
+}
+
+// sourceDesc closes a source step's head with its filters.
+func sourceDesc(head string, where, quality algebra.Expr) string {
+	switch {
+	case where != nil && quality != nil:
+		return head + " WHERE " + where.String() + " WITH QUALITY " + quality.String() + ")"
+	case where != nil:
+		return head + " WHERE " + where.String() + ")"
+	case quality != nil:
+		return head + " WITH QUALITY " + quality.String() + ")"
+	}
+	return head + ")"
+}
+
 // parallelDegree decides the fan-out for scanning tbl: the session's
-// parallelism clamped to the segment count, and 0 (serial) for tables that
-// do not span multiple heap segments — fan-out overhead only pays off once
-// there is more than one segment's worth of rows to split.
-func (s *Session) parallelDegree(tbl *storage.Table) int {
-	if s.par <= 1 || tbl.Len() <= storage.SegmentSize {
-		return 0
+// parallelism clamped to the segment count, and 1 (inline) for a scan its
+// consumer may stop early (drained false) or a table that does not span
+// multiple heap segments — fan-out overhead only pays off once there is
+// more than one segment's worth of rows to split, and workers would load
+// and filter segments an early-stopping consumer never reads.
+func (s *Session) parallelDegree(tbl *storage.Table, drained bool) int {
+	if !drained || s.par <= 1 || tbl.Len() <= storage.SegmentSize {
+		return 1
 	}
 	if n := tbl.Segments(); s.par > n {
 		return n
@@ -1069,14 +1076,12 @@ func collectAggSpecs(st *SelectStmt) (aggs []algebra.AggSpec, finalItems []algeb
 // sink the stream directly — COUNT(*) never touches a row. Grouped
 // aggregation reads plain-column group keys and aggregate arguments
 // straight off the column vectors, with no row assembled before the
-// per-group fold. Both sinks drain their input in the constructor.
+// per-group fold. Both sinks drain their input on their first pull.
 func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *plan) (algebra.BatchIterator, []algebra.ProjectItem, error) {
 	aggs, finalItems, err := collectAggSpecs(st)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Time the eager drain so the work shows up in the operator's actuals.
-	t0 := time.Now()
 	var agg algebra.BatchIterator
 	var desc string
 	if len(st.GroupBy) == 0 {
@@ -1089,12 +1094,12 @@ func (s *Session) planAggregate(st *SelectStmt, bit algebra.BatchIterator, p *pl
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.tap(desc, agg, time.Since(t0)), finalItems, nil
+	return p.tap(desc, agg, 0), finalItems, nil
 }
 
 // planJoins builds the join chain left-deep: the FROM table streams as
-// column batches (through the parallel scan when the table is large enough
-// and the plan drains it), and each JOIN drains its table into the
+// column batches from tableSource (fanned out when the table is large
+// enough and the plan drains it), and each JOIN drains its table into the
 // columnar build side of one batch hash join, keyed by the equi-key
 // equiJoinKeys finds against the schema joined so far. A join with no
 // equi-key runs the same operator with constant true keys and the whole ON
@@ -1153,21 +1158,20 @@ func (s *Session) planJoins(st *SelectStmt, tables boundTables, baseTable *stora
 		rightCols[k] = marked(offs[k], offs[k+1])
 	}
 
-	var left algebra.BatchIterator
-	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		scan, err := algebra.NewParallelScan(baseTable, degree, s.batchSize, marked(0, offs[0]), nil, nil, s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		left = p.tap(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), scan, 0)
-	} else {
-		left = p.tap(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, marked(0, offs[0]), nil), 0)
+	left, desc, err := s.tableSource(baseTable, marked(0, offs[0]), nil, nil, s.parallelDegree(baseTable, consumesAll))
+	if err != nil {
+		return nil, err
 	}
+	left = p.tap(desc, left, 0)
 	if st.From.Alias != st.From.Table {
 		left = algebra.NewBatchRename(left, st.From.Alias)
 	}
 	for k, j := range st.Joins {
-		right := p.tap(fmt.Sprintf("BatchTableScan(%s)", j.Ref.Table), algebra.NewBatchColScan(rights[k], s.batchSize, rightCols[k], nil), 0)
+		right, rdesc, err := s.tableSource(rights[k], rightCols[k], nil, nil, 1)
+		if err != nil {
+			return nil, err
+		}
+		right = p.tap(rdesc, right, 0)
 		if j.Ref.Alias != j.Ref.Table {
 			right = algebra.NewBatchRename(right, j.Ref.Alias)
 		}

@@ -82,9 +82,11 @@ type ExecInfo struct {
 	// bypass); empty for non-SELECT statements.
 	CacheTier string
 	// PlanShape is the compact " -> "-joined operator pipeline for SELECTs,
-	// and the row-collection path for UPDATE/DELETE — IndexScan(...) for an
-	// index probe, SnapshotScan(... segments skipped=N of M) for a scan,
-	// EmptyScan(...) for a WHERE that is never true; empty otherwise.
+	// and the row-collection path for UPDATE/DELETE: the source step EXPLAIN
+	// prints for a SELECT with the same WHERE — IndexScan(...) for an index
+	// probe, BatchTableScan(...) or ParallelScan(...) for a scan, with
+	// ", segments skipped=N of M" added — or EmptyScan(...) for a WHERE that
+	// is never true; empty otherwise.
 	PlanShape string
 	// Rows is the number of rows returned (queries) or affected (DML).
 	Rows int
@@ -588,7 +590,9 @@ func (s *Session) execDelete(st *DeleteStmt) (Result, error) {
 		return Result{}, fmt.Errorf("qql: unknown table %q", st.Table)
 	}
 	var ids []storage.RowID
-	shape, err := s.collectMatches(tbl, st.Where, func(id storage.RowID, _ relation.Tuple) error {
+	// DELETE needs no cell of the rows it collects: the scan views only
+	// the columns the WHERE reads.
+	shape, err := s.collectMatches(tbl, st.Where, nil, func(id storage.RowID, _ relation.Tuple) error {
 		ids = append(ids, id)
 		return nil
 	})
@@ -622,7 +626,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 		tup relation.Tuple
 	}
 	var changes []change
-	shape, err := s.collectMatches(tbl, st.Where, func(id storage.RowID, tup relation.Tuple) error {
+	shape, err := s.collectMatches(tbl, st.Where, tbl.Schema().ColIndexes(), func(id storage.RowID, tup relation.Tuple) error {
 		updated, err := s.updatedRow(st.Sets, cols, tbl.Schema(), tup)
 		if err != nil {
 			return err
@@ -726,24 +730,19 @@ func ownIndicator(a *schema.Attr, name string) string {
 }
 
 // collectMatches is DML's collect phase: it binds where (nil matches all)
-// against tbl, calls fn for every live row it accepts, in row-ID order, and
-// returns the path it took for ExecInfo.PlanShape. The path is SELECT's
-// access-path decision over the simplified WHERE:
+// against tbl, calls fn for every live row it accepts, in row-ID order,
+// and returns the path it took for ExecInfo.PlanShape. A WHERE that can
+// never be true reads no row at all; otherwise the rows come from SELECT's
+// own source, tableSource over the simplified WHERE — an index probe, or
+// a column scan of one snapshot, fanned out over a large table — and the
+// path is its EXPLAIN step, with the segments the scan skipped.
 //
-//   - a WHERE that can never be true reads no row at all;
-//   - when chooseIndexPath finds an indexed sarg, the row IDs come from one
-//     Table.Lookup and each segment holding them is viewed with ViewRows,
-//     which skips rows deleted since; the whole predicate is re-checked on
-//     every row, as SELECT's BatchSelect over IndexScan does;
-//   - otherwise one SnapshotCols capture is read, skipping segments whose
-//     min/max statistics refute a sarg.
-//
-// Either way rows are tested with the compiled predicate and no statement
-// matches a row twice: the probe's row-ID list, like the capture, is the
-// table at one instant, so a key a concurrent writer deletes and reinserts
-// cannot match at two row IDs. row is read-only and may be a scratch tuple
-// refilled per row: fn must clone whatever it keeps.
-func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func(id storage.RowID, row relation.Tuple) error) (string, error) {
+// No statement matches a row twice: the probe's row-ID list, like the
+// scan's capture, is the table at one instant, so a key a concurrent
+// writer deletes and reinserts cannot match at two row IDs. fn's row has
+// the cells of cols filled and the rest zero; it is a scratch tuple
+// refilled per row, so fn must clone whatever it keeps.
+func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, cols []int, fn func(id storage.RowID, row relation.Tuple) error) (string, error) {
 	sc := tbl.Schema()
 	if where != nil {
 		if err := where.Bind(sc); err != nil {
@@ -754,69 +753,34 @@ func (s *Session) collectMatches(tbl *storage.Table, where algebra.Expr, fn func
 	if neverTrue {
 		return fmt.Sprintf("EmptyScan(%s)", sc.Name), nil
 	}
-	pred := andAll(conjuncts)
-	keep := func(relation.Tuple, *algebra.EvalContext) (bool, error) { return true, nil }
-	if pred != nil {
-		keep = algebra.CompilePredicate(pred)
+	src, shape, err := s.tableSource(tbl, cols, conjuncts, nil, s.parallelDegree(tbl, true))
+	if err != nil {
+		return "", err
 	}
-	cols := sc.ColIndexes()
-	var views []storage.ColSeg
-	var prunes []algebra.SegPrune
-	ip, indexed := chooseIndexPath(tbl, conjuncts)
-	if indexed {
-		ids, err := tbl.Lookup(ip.target, ip.lo, ip.hi)
+	if st, ok := src.(algebra.Stopper); ok {
+		defer st.Stop()
+	}
+	b := new(algebra.Batch)
+	row := relation.Tuple{Cells: make([]relation.Cell, len(sc.Attrs))}
+	for {
+		ok, err := src.NextBatch(b)
 		if err != nil {
 			return "", err
 		}
-		for len(ids) > 0 {
-			views = append(views, storage.ColSeg{})
-			ids = tbl.ViewRows(ids, cols, &views[len(views)-1])
+		if !ok {
+			break
 		}
-	} else {
-		prunes = segPrunes(conjuncts, sc)
-		views = tbl.SnapshotCols(cols)
-	}
-	row := relation.Tuple{Cells: make([]relation.Cell, len(sc.Attrs))}
-	skipped := 0
-	for v := range views {
-		cs := &views[v]
-		if refuted(cs, prunes) {
-			skipped++
-			continue
-		}
-		for k := 0; k < cs.Live(); k++ {
-			id := cs.RowInto(k, row.Cells)
-			ok, err := keep(row, s.ctx)
-			if err != nil {
-				return "", err
-			}
-			if !ok {
-				continue
-			}
-			if err := fn(id, row); err != nil {
+		for i := range b.Len() {
+			b.FillRow(i, cols, row.Cells)
+			if err := fn(b.RowID(i), row); err != nil {
 				return "", err
 			}
 		}
 	}
-	if indexed {
-		return ip.desc, nil
+	if skipped, of, ok := algebra.SegmentsSkipped(src); ok {
+		shape = fmt.Sprintf("%s, segments skipped=%d of %d)", strings.TrimSuffix(shape, ")"), skipped, of)
 	}
-	desc := "SnapshotScan(" + sc.Name
-	if pred != nil {
-		desc += ": " + pred.String()
-	}
-	return fmt.Sprintf("%s, segments skipped=%d of %d)", desc, skipped, len(views)), nil
-}
-
-// refuted reports whether a segment view (of every column, in schema
-// order) can be skipped because its min/max statistics refute a prune.
-func refuted(cs *storage.ColSeg, prunes []algebra.SegPrune) bool {
-	for i := range prunes {
-		if prunes[i].Skips(cs.Cols[prunes[i].Col].Stats) {
-			return true
-		}
-	}
-	return false
+	return shape, nil
 }
 
 func (s *Session) execTagTable(st *TagTableStmt) (Result, error) {

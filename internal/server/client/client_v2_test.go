@@ -60,11 +60,11 @@ func TestDoContextTimeoutDoesNotStrandConnection(t *testing.T) {
 	if _, err := c.Exec(`CREATE TABLE slow (a int, g int)`); err != nil {
 		t.Fatal(err)
 	}
-	// 2000 rows over 5 join-key groups: the skewed self-join COUNT below
-	// produces 2000*400 = 800k pairs, comfortably slower than the 5ms
-	// deadline.
-	ins := make([]string, 0, 40)
-	for i := 0; i < 40; i++ {
+	// 4000 rows over 5 join-key groups: the skewed self-join COUNT below
+	// produces 4000*800 = 3.2M pairs, comfortably slower than the 5ms
+	// deadline (800k pairs took ≈ 4 ms on a 2-core host, inside it).
+	ins := make([]string, 0, 80)
+	for i := 0; i < 80; i++ {
 		vals := make([]string, 50)
 		for j := range vals {
 			n := i*50 + j
@@ -94,8 +94,8 @@ func TestDoContextTimeoutDoesNotStrandConnection(t *testing.T) {
 	// The connection still works, and the next response is the right one —
 	// not the abandoned cross-join's.
 	n, err := c.QueryInt(`SELECT COUNT(*) AS n FROM slow`)
-	if err != nil || n != 2000 {
-		t.Fatalf("after timeout: count = %d, %v (want 2000)", n, err)
+	if err != nil || n != 4000 {
+		t.Fatalf("after timeout: count = %d, %v (want 4000)", n, err)
 	}
 	// An already-expired context fails fast without touching the wire.
 	done, cancel2 := context.WithCancel(context.Background())

@@ -374,8 +374,8 @@ func TestSlowQueryLogNamesDMLPath(t *testing.T) {
 		}
 	}
 	for stmt, want := range map[string]string{
-		"UPDATE slow SET n = 1 WHERE id = 2": `plan="IndexScan(slow on id: (id = 2))"`,
-		"UPDATE slow SET n = 2 WHERE n = 1":  `plan="SnapshotScan(slow: (n = 1), segments skipped=0 of 1)"`,
+		"UPDATE slow SET n = 1 WHERE id = 2": `plan="IndexScan(slow on id: (id = 2) WHERE (id = 2))"`,
+		"UPDATE slow SET n = 2 WHERE n = 1":  `plan="BatchTableScan(slow WHERE (n = 1), segments skipped=0 of 1)"`,
 	} {
 		line, ok := lines[stmt]
 		if !ok {

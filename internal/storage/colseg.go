@@ -190,10 +190,10 @@ func (r *ColRun) Cell(off int) relation.Cell {
 
 // ColSeg is a zero-clone columnar view of one segment: N row slots, the
 // live-slot selection, and one ColRun per requested column. It is the only
-// bulk read of a table — ScanSegmentCols fills one segment's view,
-// SnapshotCols every segment's at one instant, ViewRows one segment's
-// probed rows. Reuse one ColSeg across ScanSegmentCols or ViewRows calls
-// to recycle its internal buffers.
+// bulk read of a table — SnapshotCols fills every segment's at one
+// instant, ViewRows one segment's probed rows, ScanSegmentCols one
+// segment's. Reuse one ColSeg across ViewRows or ScanSegmentCols calls to
+// recycle its internal buffers.
 type ColSeg struct {
 	// N is the number of row slots in the view (live and dead).
 	N int
@@ -237,8 +237,10 @@ func (s *ColSeg) RowInto(k int, cells []relation.Cell) RowID {
 // returns false for an out-of-range segment. The returned runs alias heap
 // storage under the column-run immutability contract: treat them as
 // read-only. No tuple is cloned and no per-row work is done beyond the
-// live-slot selection (skipped entirely for segments with no deletes), so
-// this is the scan primitive of both execution tiers.
+// live-slot selection (skipped entirely for segments with no deletes).
+// Each call takes its own read lock, so a run of calls is not one table
+// state: the query path reads SnapshotCols instead, and this read is left
+// to tooling outside the engine.
 func (t *Table) ScanSegmentCols(i int, colIdxs []int, buf *ColSeg) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -255,8 +257,10 @@ func (t *Table) ScanSegmentCols(i int, colIdxs []int, buf *ColSeg) bool {
 // and reinserted into a later one between two calls would be seen twice.
 // It costs O(segments) slice headers plus a selection list per segment
 // with deletes; no cell is copied, because runs are copy-on-write and the
-// views stay valid after the lock is released. Callers that must see each
-// row once (DML collection, checkpoints, whole-table statistics) read this.
+// views stay valid after the lock is released. Every reader that must see
+// each row once reads this: every table scan of the engine (SELECT at any
+// degree, and UPDATE/DELETE collection), checkpoints and whole-table
+// statistics.
 func (t *Table) SnapshotCols(colIdxs []int) []ColSeg {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
