@@ -3,7 +3,7 @@
 // compiler cannot see — storage lock discipline (locksafe), deterministic
 // pool release (releasepair), pointer-based Value comparison on hot paths
 // (valuecopy), construction-time metrics registration (metricsreg) and
-// zero-clone query scans (sharedscan).
+// zero-clone query scans with compiled expressions only (sharedscan).
 //
 // It runs in two modes:
 //

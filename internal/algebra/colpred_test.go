@@ -85,7 +85,7 @@ func colPredRows() []relation.Tuple {
 // operator on AGE with the constant on either side and over each operand
 // kind, meta refs, SOURCE(), and AND/OR trees mixing leaves that may ask
 // with leaves that never do — among them a left side that is null rather
-// than false, after which the interpreted AND still evaluates (and may
+// than false, after which the Kleene AND still evaluates (and may
 // raise the error of) its right side.
 func kernelCases() []Expr {
 	c := func(v value.Value) Expr { return &Const{V: v} }
@@ -137,7 +137,7 @@ type truthOf struct {
 }
 
 func truthAt(e Expr, row relation.Tuple, ctx *EvalContext) truthOf {
-	keep, err := Truth(e, row, ctx)
+	keep, err := ReferenceTruth(e, row, ctx)
 	if err != nil {
 		return truthOf{err: err.Error()}
 	}
@@ -182,9 +182,9 @@ func selectAnswer(e Expr, rows []relation.Tuple, ctx *EvalContext) (kept []int, 
 	return kept, ""
 }
 
-// TestColPredMatchesTruth holds every column kernel to Truth, slot by slot
-// and through the operators that run kernels: Keep and Drop must be
-// Truth's answer with no error, and wherever Truth errors the kernel must
+// TestColPredMatchesTruth holds every column kernel to ReferenceTruth, slot
+// by slot and through the operators that run kernels: Keep and Drop must be
+// its answer with no error, and wherever it errors the kernel must
 // ask, so that the row predicate raises the same error. It runs at batch
 // sizes 1, 3 and 1024, with and without a selection vector, over
 // NewBatchSelect and over NewTableScan's filter at degrees 1 and 2.
@@ -249,12 +249,12 @@ func TestColPredMatchesTruth(t *testing.T) {
 							g = truthOf{err: err.Error()}
 						}
 						if g != want {
-							t.Fatalf("%s, row %d: asked, row predicate %+v, Truth %+v", e.String(), next-1, g, want)
+							t.Fatalf("%s, row %d: asked, row predicate %+v, ReferenceTruth %+v", e.String(), next-1, g, want)
 						}
 					case want.err != "":
-						t.Fatalf("%s, row %d: kernel answered %v where Truth errors: %s", e.String(), next-1, got, want.err)
+						t.Fatalf("%s, row %d: kernel answered %v where ReferenceTruth errors: %s", e.String(), next-1, got, want.err)
 					case (got == Keep) != want.keep:
-						t.Fatalf("%s, row %d: kernel %v, Truth keep=%v", e.String(), next-1, got, want.keep)
+						t.Fatalf("%s, row %d: kernel %v, ReferenceTruth keep=%v", e.String(), next-1, got, want.keep)
 					}
 				}
 			}
@@ -262,7 +262,7 @@ func TestColPredMatchesTruth(t *testing.T) {
 				t.Fatalf("%s: kernel asked but CompileColPred reported it never defers", e.String())
 			}
 
-			// The operators: all rows, the rows Truth does not error on,
+			// The operators: all rows, the rows ReferenceTruth does not error on,
 			// and every other row of each batch.
 			clean := rows[:0:0]
 			for _, row := range rows {
@@ -296,7 +296,7 @@ func TestColPredMatchesTruth(t *testing.T) {
 			got, err := Collect(scan)
 			if wantErr != "" {
 				// Workers race to a failing segment: the error must be one
-				// Truth raises on some stored row.
+				// ReferenceTruth raises on some stored row.
 				if err == nil || (degree == 1 && err.Error() != wantErr) || !someRowErrs(e, stored, ctx, err.Error()) {
 					t.Fatalf("%s, scan ×%d: err %v, want %s", e.String(), degree, err, wantErr)
 				}

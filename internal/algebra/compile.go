@@ -19,21 +19,20 @@ type Compiled func(relation.Tuple, *EvalContext) (value.Value, error)
 
 // Predicate is a compiled boolean filter: it reports whether the expression
 // is definitely true for the row (Kleene semantics — null and non-bool are
-// not true), mirroring Truth.
+// not true).
 type Predicate func(relation.Tuple, *EvalContext) (bool, error)
 
-// Compile specializes a bound expression into a Compiled closure chain.
-// Every node kind this package defines compiles: operators are selected
-// once, at compile time, Const⊗Const subtrees are folded to constants,
-// IndRef, MetaRef and SrcContains run their own Eval bound on the concrete
-// type, and a Call resolves its builtin once, so no row pays the name
-// lookup or an argument slice; AGE and NOW read ctx.Now, the statement's
-// instant. Compile never
-// changes semantics, only dispatch cost: the interpreted Eval is the
-// oracle, and an unbound node compiles to its Eval so the interpreted
-// error surfaces. Expr types defined outside this package run their Eval.
-// The expression must already be bound (Bind) and must not be mutated
-// afterwards.
+// Compile specializes a bound expression into a Compiled closure chain. It
+// is the one evaluator the engine runs: SELECT's filters and projections,
+// INSERT's values and UPDATE's SETs. Operators are selected once, at
+// compile time, Const⊗Const subtrees are folded to constants, references
+// read their cell directly, and a Call resolves its builtin once, so no
+// row pays the name lookup or an argument slice; AGE and NOW read ctx.Now,
+// the statement's instant. A row too short for a reference — INSERT
+// evaluates over the empty row — is that reference's not-bound error. The
+// tree-walking Reference is the oracle Compile is tested and fuzzed
+// against. The expression must already be bound (Bind) and must not be
+// mutated afterwards.
 func Compile(e Expr) Compiled {
 	switch v := e.(type) {
 	case *Const:
@@ -41,14 +40,32 @@ func Compile(e Expr) Compiled {
 		return func(relation.Tuple, *EvalContext) (value.Value, error) { return c, nil }
 	case *ColRef:
 		return compileColRef(v)
-	// The reference nodes read their cell in their own Eval; binding the
-	// method on the concrete type spares each row the interface dispatch.
 	case *IndRef:
-		return v.Eval
+		idx, ind := v.idx, v.Indicator
+		return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {
+			if idx < 0 || idx >= len(row.Cells) {
+				return value.Null, notBound(v)
+			}
+			t, _ := row.Cells[idx].Tags.Get(ind) // null when untagged
+			return t, nil
+		}
 	case *MetaRef:
-		return v.Eval
+		idx, ind, meta := v.idx, v.Indicator, v.Meta
+		return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {
+			if idx < 0 || idx >= len(row.Cells) {
+				return value.Null, notBound(v)
+			}
+			t, _ := row.Cells[idx].MetaFor(ind).Get(meta)
+			return t, nil
+		}
 	case *SrcContains:
-		return v.Eval
+		idx, src := v.idx, v.Source
+		return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {
+			if idx < 0 || idx >= len(row.Cells) {
+				return value.Null, notBound(v)
+			}
+			return value.Bool(row.Cells[idx].Sources.Contains(src)), nil
+		}
 	case *Call:
 		return compileCall(v)
 	case *Cmp:
@@ -96,18 +113,36 @@ func Compile(e Expr) Compiled {
 				return value.Null, err
 			}
 			if x.Kind() != value.KindString {
-				return v.Eval(row, ctx) // reuse the interpreted error path
+				return value.Null, likeErr(x)
 			}
 			return value.Bool(likeMatch(pattern, x.AsString()) != negate), nil
 		}
 	}
-	// An Expr type this package does not define: its own evaluator.
-	return e.Eval
+	// Only an Expr type defined outside this package gets here; none
+	// exists.
+	panic(fmt.Sprintf("algebra: cannot compile %T", e))
+}
+
+// notBound is the error of a reference evaluated over a row that has no
+// cell for its column.
+func notBound(e Expr) error {
+	switch r := e.(type) {
+	case *ColRef:
+		return fmt.Errorf("algebra: column %q not bound", r.Name)
+	case *IndRef:
+		return fmt.Errorf("algebra: indicator ref %s@%s not bound", r.Col, r.Indicator)
+	case *MetaRef:
+		return fmt.Errorf("algebra: meta ref %s@%s@%s not bound", r.Col, r.Indicator, r.Meta)
+	}
+	return fmt.Errorf("algebra: SOURCE(%s) not bound", e.(*SrcContains).Col)
+}
+
+func likeErr(x value.Value) error {
+	return fmt.Errorf("algebra: LIKE on non-string %v", x.Kind())
 }
 
 // compileCall resolves c's builtin once. A call Bind would reject — an
-// unknown name or a wrong argument count — compiles to its Eval, which
-// surfaces the interpreted error.
+// unknown name or a wrong argument count — compiles to Bind's error.
 func compileCall(c *Call) Compiled {
 	name := strings.ToUpper(c.Name)
 	args := make([]Compiled, len(c.Args))
@@ -140,7 +175,8 @@ func compileCall(c *Call) Compiled {
 			return fn(x, ctx)
 		}
 	}
-	return c.Eval
+	err := c.check()
+	return func(relation.Tuple, *EvalContext) (value.Value, error) { return value.Null, err }
 }
 
 // CompilePredicate compiles a bound boolean expression into a Predicate.
@@ -166,9 +202,9 @@ func CompilePredicate(e Expr) Predicate {
 // AND/OR over ref⊗const comparisons. The collapse from Kleene to boolean
 // logic is sound here: at every level of such a tree, "definitely true"
 // composes through AND/OR exactly as && and || do (null behaves as false),
-// and the leaves cannot error after a successful Bind — the only error
-// path is the defensive arity guard — so truth-level short-circuiting
-// never skips an error the interpreted walk would have surfaced.
+// and over a row of the bound width the leaves cannot error — the only
+// error path is a row with no cell for the reference — so truth-level
+// short-circuiting never skips an error the Kleene walk would surface.
 func compileBoolPred(e Expr) (Predicate, bool) {
 	switch v := e.(type) {
 	case *Logic:
@@ -194,13 +230,11 @@ func compileBoolPred(e Expr) (Predicate, bool) {
 			return r(row, ctx)
 		}, true
 	case *Cmp:
+		// ref ⊗ null is null, never definitely true; it is left to the
+		// Kleene walk, which still raises the ref's error.
 		rc, ok := extractRefConst(v)
-		if !ok {
+		if !ok || rc.k.IsNull() {
 			return nil, false
-		}
-		if rc.k.IsNull() {
-			// ref ⊗ null is null: never definitely true.
-			return func(relation.Tuple, *EvalContext) (bool, error) { return false, nil }, true
 		}
 		if rc.indicator == "" {
 			return func(row relation.Tuple, _ *EvalContext) (bool, error) {
@@ -234,7 +268,7 @@ func compileBoolPred(e Expr) (Predicate, bool) {
 // to share across parallel scan workers.
 type refConst struct {
 	idx       int
-	name      string // for the defensive not-bound error
+	ref       Expr   // for the not-bound error
 	indicator string // "" compares the application value
 	meta      string // with an indicator: compares that tag's meta tag
 	k         value.Value
@@ -242,9 +276,7 @@ type refConst struct {
 	flip      bool // constant was the left operand
 }
 
-func (rc *refConst) boundErr() error {
-	return fmt.Errorf("algebra: %s not bound", rc.name)
-}
+func (rc *refConst) boundErr() error { return notBound(rc.ref) }
 
 // cmp orders the row operand against the constant through pointers — the
 // Value struct copy is what dominates a tight comparison loop.
@@ -338,11 +370,11 @@ func splitCmp(c *Cmp, ref func(Expr) (*refConst, bool)) (*refConst, bool) {
 func refOf(e Expr) (*refConst, bool) {
 	switch r := e.(type) {
 	case *ColRef:
-		return &refConst{idx: r.idx, name: r.Name}, true
+		return &refConst{idx: r.idx, ref: r}, true
 	case *IndRef:
-		return &refConst{idx: r.idx, name: r.String(), indicator: r.Indicator}, true
+		return &refConst{idx: r.idx, ref: r, indicator: r.Indicator}, true
 	case *MetaRef:
-		return &refConst{idx: r.idx, name: r.String(), indicator: r.Indicator, meta: r.Meta}, true
+		return &refConst{idx: r.idx, ref: r, indicator: r.Indicator, meta: r.Meta}, true
 	}
 	return nil, false
 }
@@ -356,7 +388,7 @@ const (
 	// Keep: the predicate is definitely true for the slot.
 	Keep
 	// Ask: the kernel cannot answer without deciding whether the
-	// interpreted walk errors here; the caller runs the compiled row
+	// predicate errors here; the caller runs the compiled row
 	// predicate (CompilePredicate) over the slot instead.
 	Ask
 )
@@ -370,10 +402,10 @@ func keepIf(b bool) Verdict {
 
 // ColPred is a compiled column kernel: it tests one physical slot of a
 // batch's column vectors without assembling a row. Keep and Drop are
-// answers the interpreted Truth would give with no error; a kernel answers
-// Ask where Truth might error — AGE over a tag that is not a time — and the
+// answers the row predicate would give with no error; a kernel answers
+// Ask where it might error — AGE over a tag that is not a time — and the
 // caller then evaluates the row predicate for that one slot, so the error
-// surfaces exactly as the interpreted walk raises it. The signature has no
+// surfaces exactly as the row predicate raises it. The signature has no
 // error return, which is what keeps the per-slot loop branch-light.
 type ColPred func(cols []ColVec, off int32) Verdict
 
@@ -383,7 +415,7 @@ type ColPred func(cols []ColVec, off int32) Verdict
 // SOURCE(col, 'x') tests, the constant on either side. Comparisons are
 // specialized once (value.CompareFn), so the slot loop runs a direct
 // comparison on the already-loaded value instead of a generic dispatch;
-// AGE computes ctx.Now.Sub(t) per slot exactly as Call.Eval does. defers
+// AGE computes ctx.Now.Sub(t) per slot exactly as the compiled AGE does. defers
 // reports whether the kernel may answer Ask, in which case the caller needs
 // the row predicate too. Not ok means the caller should fall back to scalar
 // predicate evaluation over scratch rows.
@@ -396,7 +428,7 @@ func CompileColPred(e Expr, width int, ctx *EvalContext) (k ColPred, defers, ok 
 			return nil, false, false
 		}
 		if v.Op == OpOr {
-			// Keep short-circuits as the interpreted OR does; a dropped
+			// Keep short-circuits as the Kleene OR does; a dropped
 			// left side leaves the answer to the right.
 			return func(cols []ColVec, off int32) Verdict {
 				if a := l(cols, off); a != Drop {
@@ -416,7 +448,7 @@ func CompileColPred(e Expr, width int, ctx *EvalContext) (k ColPred, defers, ok 
 			}, ld, true
 		}
 		// A left side that is null rather than false would leave the
-		// interpreted AND evaluating the right one, whose error must
+		// Kleene AND evaluating the right one, whose error must
 		// surface: the right side runs even after a Drop.
 		return func(cols []ColVec, off int32) Verdict {
 			a := l(cols, off)
@@ -548,7 +580,7 @@ func compileColRef(c *ColRef) Compiled {
 	idx := c.idx
 	return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {
 		if idx < 0 || idx >= len(row.Cells) {
-			return c.Eval(row, nil) // interpreted not-bound error path
+			return value.Null, notBound(c)
 		}
 		return row.Cells[idx].V, nil
 	}
@@ -556,27 +588,32 @@ func compileColRef(c *ColRef) Compiled {
 
 // foldConst evaluates a row-independent subtree once; not ok when the
 // evaluation errors (the node is kept, so the error still surfaces per row
-// at execution time, exactly as interpreted evaluation would).
+// at execution time).
 func foldConst(e Expr) (value.Value, bool) {
-	v, err := e.Eval(relation.Tuple{}, &EvalContext{})
-	if err != nil {
-		return value.Null, false
+	v, err := Compile(e)(relation.Tuple{}, &EvalContext{})
+	return v, err == nil
+}
+
+// folded is f, the compiled form of a binary node over l and r, evaluated
+// once into a constant when both operands are constants and the evaluation
+// succeeds; otherwise f itself.
+func folded(f Compiled, l, r Expr) Compiled {
+	if !isConst(l) || !isConst(r) {
+		return f
 	}
-	return v, true
+	v, err := f(relation.Tuple{}, &EvalContext{})
+	if err != nil {
+		return f
+	}
+	return func(relation.Tuple, *EvalContext) (value.Value, error) { return v, nil }
 }
 
 func isConst(e Expr) bool { _, ok := e.(*Const); return ok }
 
 func compileCmp(c *Cmp) Compiled {
-	if isConst(c.L) && isConst(c.R) {
-		if v, ok := foldConst(c); ok {
-			return func(relation.Tuple, *EvalContext) (value.Value, error) { return v, nil }
-		}
-	}
-	if rc, ok := extractRefConst(c); ok {
-		if rc.k.IsNull() {
-			return func(relation.Tuple, *EvalContext) (value.Value, error) { return value.Null, nil }
-		}
+	// ref ⊗ null takes the general path below: null, after the ref's
+	// not-bound check.
+	if rc, ok := extractRefConst(c); ok && !rc.k.IsNull() {
 		if rc.indicator == "" {
 			return func(row relation.Tuple, _ *EvalContext) (value.Value, error) {
 				if rc.idx < 0 || rc.idx >= len(row.Cells) {
@@ -602,7 +639,7 @@ func compileCmp(c *Cmp) Compiled {
 	}
 	l, r := Compile(c.L), Compile(c.R)
 	test := cmpTests[c.Op]
-	return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+	return folded(func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 		lv, err := l(row, ctx)
 		if err != nil {
 			return value.Null, err
@@ -615,7 +652,7 @@ func compileCmp(c *Cmp) Compiled {
 			return value.Null, nil
 		}
 		return value.Bool(test(value.ComparePtr(&lv, &rv))), nil
-	}
+	}, c.L, c.R)
 }
 
 // cmpTests maps a CmpOp to its test over value.Compare's result, selected
@@ -630,14 +667,9 @@ var cmpTests = [...]func(int) bool{
 }
 
 func compileLogic(lg *Logic) Compiled {
-	if isConst(lg.L) && isConst(lg.R) {
-		if v, ok := foldConst(lg); ok {
-			return func(relation.Tuple, *EvalContext) (value.Value, error) { return v, nil }
-		}
-	}
 	l, r := Compile(lg.L), Compile(lg.R)
 	if lg.Op == OpAnd {
-		return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+		return folded(func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 			lv, err := l(row, ctx)
 			if err != nil {
 				return value.Null, err
@@ -659,9 +691,9 @@ func compileLogic(lg *Logic) Compiled {
 			default:
 				return value.Bool(true), nil
 			}
-		}
+		}, lg.L, lg.R)
 	}
-	return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+	return folded(func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 		lv, err := l(row, ctx)
 		if err != nil {
 			return value.Null, err
@@ -683,18 +715,13 @@ func compileLogic(lg *Logic) Compiled {
 		default:
 			return value.Bool(false), nil
 		}
-	}
+	}, lg.L, lg.R)
 }
 
 func compileArith(a *Arith) Compiled {
-	if isConst(a.L) && isConst(a.R) {
-		if v, ok := foldConst(a); ok {
-			return func(relation.Tuple, *EvalContext) (value.Value, error) { return v, nil }
-		}
-	}
 	l, r := Compile(a.L), Compile(a.R)
 	op := arithFns[a.Op]
-	return func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
+	return folded(func(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
 		lv, err := l(row, ctx)
 		if err != nil {
 			return value.Null, err
@@ -704,7 +731,7 @@ func compileArith(a *Arith) Compiled {
 			return value.Null, err
 		}
 		return op(lv, rv)
-	}
+	}, a.L, a.R)
 }
 
 var arithFns = [...]func(l, r value.Value) (value.Value, error){
@@ -864,7 +891,7 @@ func collapseLogic(op LogicOp, b bool, other Expr) (Expr, bool) {
 // ConstTruth classifies a (possibly simplified) predicate that is a
 // constant: decided reports whether e is row-independent, and truth whether
 // it is definitely true. A constant that is null, false, or not a bool
-// keeps no rows under Truth semantics, so decided && !truth means a filter
+// keeps no rows under Predicate semantics, so decided && !truth means a filter
 // using e keeps nothing.
 func ConstTruth(e Expr) (truth, decided bool) {
 	c, ok := e.(*Const)

@@ -119,17 +119,20 @@ func errText(err error) string {
 }
 
 // FuzzCompileMatchesEval decodes bytes into expression trees over
-// exprSchema and requires the compiled forms to agree with the interpreted
-// oracle on every sample row: Compile with Eval (same value and kind, or
-// the same error text), CompilePredicate with Truth, and the column kernel,
-// where one exists, with Truth — Keep and Drop only where Truth answers
-// that without error, and Ask only when CompileColPred said it might.
+// exprSchema and requires the compiled forms to agree with the reference
+// evaluator on every sample row and on the empty row INSERT evaluates
+// over: Compile with Reference (same value and kind, or the same error
+// text), CompilePredicate with ReferenceTruth, and the column kernel, where
+// one exists, with ReferenceTruth on the sample rows — Keep and Drop only
+// where ReferenceTruth answers that without error, and Ask only when
+// CompileColPred said it might.
 func FuzzCompileMatchesEval(f *testing.F) {
 	f.Add([]byte{5, 1, 3, 1, 0, 0, 3, 12})  // AGE(when@creation_time) ⊗ d'720h'
 	f.Add([]byte{6, 2, 1, 0, 1, 1, 1, 7})   // n@source@credibility ⊗ 'high'
 	f.Add([]byte{7, 2, 0, 0, 5, 1, 1, 1})   // SOURCE() AND a kernel comparison
 	f.Add([]byte{8, 13, 0, 3, 0, 4, 0, 1})  // AGE(...) OR ...
 	f.Add([]byte{11, 9, 10, 12, 14, 15, 3}) // IN, NOT, IS NULL, LIKE, COALESCE, builtins
+	f.Add([]byte{15, 0, 0, 1, 0})           // LENGTH(n): a string builtin over an int
 	rows := fuzzRows()
 	sch := exprSchema()
 	rel := &relation.Relation{Schema: sch, Tuples: rows}
@@ -141,19 +144,19 @@ func FuzzCompileMatchesEval(f *testing.F) {
 			t.Skip() // only trees the planner could hand over
 		}
 		compiled, pred := Compile(e), CompilePredicate(e)
-		for i, row := range rows {
-			want, wantErr := e.Eval(row, ctx)
+		for i, row := range append(rows[:len(rows):len(rows)], relation.Tuple{}) {
+			want, wantErr := Reference(e, row, ctx)
 			got, gotErr := compiled(row, ctx)
 			if errText(wantErr) != errText(gotErr) {
-				t.Fatalf("%s, row %d: Eval err %v, Compile err %v", e.String(), i, wantErr, gotErr)
+				t.Fatalf("%s, row %d: Reference err %v, Compile err %v", e.String(), i, wantErr, gotErr)
 			}
 			if wantErr == nil && (want.Kind() != got.Kind() || !value.Equal(want, got)) {
-				t.Fatalf("%s, row %d: Eval %v, Compile %v", e.String(), i, want, got)
+				t.Fatalf("%s, row %d: Reference %v, Compile %v", e.String(), i, want, got)
 			}
-			tk, tErr := Truth(e, row, ctx)
+			tk, tErr := ReferenceTruth(e, row, ctx)
 			pk, pErr := pred(row, ctx)
 			if tk != pk || errText(tErr) != errText(pErr) {
-				t.Fatalf("%s, row %d: Truth (%v, %v), CompilePredicate (%v, %v)", e.String(), i, tk, tErr, pk, pErr)
+				t.Fatalf("%s, row %d: ReferenceTruth (%v, %v), CompilePredicate (%v, %v)", e.String(), i, tk, tErr, pk, pErr)
 			}
 		}
 		k, defers, ok := CompileColPred(e, len(sch.Attrs), ctx)
@@ -165,16 +168,16 @@ func FuzzCompileMatchesEval(f *testing.F) {
 			t.Fatalf("batch: %v, %v", ok, err)
 		}
 		for i, row := range rows {
-			tk, tErr := Truth(e, row, ctx)
+			tk, tErr := ReferenceTruth(e, row, ctx)
 			switch v := k(b.cols, int32(i)); {
 			case v == Ask:
 				if !defers {
 					t.Fatalf("%s, row %d: kernel asked but CompileColPred said it never would", e.String(), i)
 				}
 			case tErr != nil:
-				t.Fatalf("%s, row %d: kernel answered %v where Truth errors: %v", e.String(), i, v, tErr)
+				t.Fatalf("%s, row %d: kernel answered %v where ReferenceTruth errors: %v", e.String(), i, v, tErr)
 			case (v == Keep) != tk:
-				t.Fatalf("%s, row %d: kernel %v, Truth %v", e.String(), i, v, tk)
+				t.Fatalf("%s, row %d: kernel %v, ReferenceTruth %v", e.String(), i, v, tk)
 			}
 		}
 	})

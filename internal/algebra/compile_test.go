@@ -9,7 +9,7 @@ import (
 )
 
 // compileCases is a catalog of expressions spanning every node kind the
-// compiler specializes plus the interpreted fallbacks, evaluated over
+// compiler specializes plus its fallbacks, evaluated over
 // exprRow and a row of nulls.
 func compileCases() []Expr {
 	c := func(v value.Value) Expr { return &Const{V: v} }
@@ -89,13 +89,13 @@ func TestCompileMatchesEval(t *testing.T) {
 		}
 		f := Compile(e)
 		for _, row := range []relation.Tuple{exprRow(), nullRow} {
-			want, wantErr := e.Eval(row, ctx)
+			want, wantErr := Reference(e, row, ctx)
 			got, gotErr := f(row, ctx)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: interpreted err %v, compiled err %v", e.String(), wantErr, gotErr)
+				t.Fatalf("%s: reference err %v, compiled err %v", e.String(), wantErr, gotErr)
 			}
 			if wantErr == nil && !value.Equal(want, got) {
-				t.Fatalf("%s: interpreted %v, compiled %v", e.String(), want, got)
+				t.Fatalf("%s: reference %v, compiled %v", e.String(), want, got)
 			}
 		}
 	}
@@ -109,10 +109,10 @@ func TestCompilePredicateMatchesTruth(t *testing.T) {
 		if err := e.Bind(exprSchema()); err != nil {
 			t.Fatalf("bind %s: %v", e.String(), err)
 		}
-		want, wantErr := Truth(e, row, ctx)
+		want, wantErr := ReferenceTruth(e, row, ctx)
 		got, gotErr := CompilePredicate(e)(row, ctx)
 		if (wantErr == nil) != (gotErr == nil) || want != got {
-			t.Fatalf("%s: Truth=(%v,%v) compiled=(%v,%v)", e.String(), want, wantErr, got, gotErr)
+			t.Fatalf("%s: ReferenceTruth=(%v,%v) compiled=(%v,%v)", e.String(), want, wantErr, got, gotErr)
 		}
 	}
 }
@@ -166,13 +166,13 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 		if err := orig.Bind(exprSchema()); err != nil {
 			t.Fatalf("bind %s: %v", orig.String(), err)
 		}
-		want, wantErr := orig.Eval(row, ctx)
+		want, wantErr := Reference(orig, row, ctx)
 
 		simp := Simplify(CloneExpr(e))
 		if err := simp.Bind(exprSchema()); err != nil {
 			t.Fatalf("bind simplified %s: %v", simp.String(), err)
 		}
-		got, gotErr := simp.Eval(row, ctx)
+		got, gotErr := Reference(simp, row, ctx)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: orig err %v, simplified err %v", e.String(), wantErr, gotErr)
 		}
@@ -182,7 +182,7 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestConstTruth classifies constants the way Select's Truth would.
+// TestConstTruth classifies constants the way a compiled Predicate would.
 func TestConstTruth(t *testing.T) {
 	cases := []struct {
 		e              Expr

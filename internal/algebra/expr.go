@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -36,13 +35,12 @@ type EvalContext struct {
 	Now time.Time
 }
 
-// Expr is a bound-or-bindable expression over a tuple.
+// Expr is a bound-or-bindable expression over a tuple. An Expr is data:
+// Compile turns a bound one into its evaluator.
 type Expr interface {
 	// Bind resolves column and indicator references against the schema.
-	// It must be called before Eval.
+	// It must be called before Compile.
 	Bind(s *schema.Schema) error
-	// Eval computes the expression over one tuple.
-	Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error)
 	// String renders QQL-compatible syntax.
 	String() string
 	// Walk visits this node and all children.
@@ -54,9 +52,6 @@ type Const struct{ V value.Value }
 
 // Bind implements Expr.
 func (c *Const) Bind(*schema.Schema) error { return nil }
-
-// Eval implements Expr.
-func (c *Const) Eval(relation.Tuple, *EvalContext) (value.Value, error) { return c.V, nil }
 
 // String implements Expr.
 func (c *Const) String() string { return c.V.Literal() }
@@ -77,14 +72,6 @@ func (c *ColRef) Bind(s *schema.Schema) error {
 		return fmt.Errorf("algebra: unknown column %q in %s", c.Name, s.Name)
 	}
 	return nil
-}
-
-// Eval implements Expr.
-func (c *ColRef) Eval(row relation.Tuple, _ *EvalContext) (value.Value, error) {
-	if c.idx < 0 || c.idx >= len(row.Cells) {
-		return value.Null, fmt.Errorf("algebra: column %q not bound", c.Name)
-	}
-	return row.Cells[c.idx].V, nil
 }
 
 // String implements Expr.
@@ -114,18 +101,6 @@ func (r *IndRef) Bind(s *schema.Schema) error {
 	return nil
 }
 
-// Eval implements Expr.
-func (r *IndRef) Eval(row relation.Tuple, _ *EvalContext) (value.Value, error) {
-	if r.idx < 0 || r.idx >= len(row.Cells) {
-		return value.Null, fmt.Errorf("algebra: indicator ref %s@%s not bound", r.Col, r.Indicator)
-	}
-	v, ok := row.Cells[r.idx].Tags.Get(r.Indicator)
-	if !ok {
-		return value.Null, nil
-	}
-	return v, nil
-}
-
 // String implements Expr.
 func (r *IndRef) String() string { return r.Col + "@" + r.Indicator }
 
@@ -151,18 +126,6 @@ func (r *MetaRef) Bind(s *schema.Schema) error {
 	return nil
 }
 
-// Eval implements Expr.
-func (r *MetaRef) Eval(row relation.Tuple, _ *EvalContext) (value.Value, error) {
-	if r.idx < 0 || r.idx >= len(row.Cells) {
-		return value.Null, fmt.Errorf("algebra: meta ref %s@%s@%s not bound", r.Col, r.Indicator, r.Meta)
-	}
-	v, ok := row.Cells[r.idx].MetaFor(r.Indicator).Get(r.Meta)
-	if !ok {
-		return value.Null, nil
-	}
-	return v, nil
-}
-
 // String implements Expr.
 func (r *MetaRef) String() string { return r.Col + "@" + r.Indicator + "@" + r.Meta }
 
@@ -184,14 +147,6 @@ func (s *SrcContains) Bind(sc *schema.Schema) error {
 		return fmt.Errorf("algebra: unknown column %q in %s", s.Col, sc.Name)
 	}
 	return nil
-}
-
-// Eval implements Expr.
-func (s *SrcContains) Eval(row relation.Tuple, _ *EvalContext) (value.Value, error) {
-	if s.idx < 0 || s.idx >= len(row.Cells) {
-		return value.Null, fmt.Errorf("algebra: SOURCE(%s) not bound", s.Col)
-	}
-	return value.Bool(row.Cells[s.idx].Sources.Contains(s.Source)), nil
 }
 
 // String implements Expr.
@@ -231,38 +186,6 @@ func (c *Cmp) Bind(s *schema.Schema) error {
 	return c.R.Bind(s)
 }
 
-// Eval implements Expr.
-func (c *Cmp) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	l, err := c.L.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	r, err := c.R.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return value.Null, nil
-	}
-	cv := value.Compare(l, r)
-	var out bool
-	switch c.Op {
-	case OpEq:
-		out = cv == 0
-	case OpNe:
-		out = cv != 0
-	case OpLt:
-		out = cv < 0
-	case OpLe:
-		out = cv <= 0
-	case OpGt:
-		out = cv > 0
-	case OpGe:
-		out = cv >= 0
-	}
-	return value.Bool(out), nil
-}
-
 // String implements Expr.
 func (c *Cmp) String() string {
 	return "(" + c.L.String() + " " + cmpNames[c.Op] + " " + c.R.String() + ")"
@@ -294,47 +217,6 @@ func (l *Logic) Bind(s *schema.Schema) error {
 	return l.R.Bind(s)
 }
 
-// Eval implements Expr.
-func (l *Logic) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	lv, err := l.L.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	// Short-circuit on determined results.
-	if !lv.IsNull() && lv.Kind() == value.KindBool {
-		if l.Op == OpAnd && !lv.AsBool() {
-			return value.Bool(false), nil
-		}
-		if l.Op == OpOr && lv.AsBool() {
-			return value.Bool(true), nil
-		}
-	}
-	rv, err := l.R.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	lb, lNull := boolOf(lv)
-	rb, rNull := boolOf(rv)
-	if l.Op == OpAnd {
-		switch {
-		case !lNull && !lb, !rNull && !rb:
-			return value.Bool(false), nil
-		case lNull || rNull:
-			return value.Null, nil
-		default:
-			return value.Bool(true), nil
-		}
-	}
-	switch {
-	case !lNull && lb, !rNull && rb:
-		return value.Bool(true), nil
-	case lNull || rNull:
-		return value.Null, nil
-	default:
-		return value.Bool(false), nil
-	}
-}
-
 func boolOf(v value.Value) (b, isNull bool) {
 	if v.IsNull() {
 		return false, true
@@ -359,15 +241,6 @@ type Not struct{ E Expr }
 
 // Bind implements Expr.
 func (n *Not) Bind(s *schema.Schema) error { return n.E.Bind(s) }
-
-// Eval implements Expr.
-func (n *Not) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	v, err := n.E.Eval(row, ctx)
-	if err != nil || v.IsNull() {
-		return value.Null, err
-	}
-	return value.Bool(!v.AsBool()), nil
-}
 
 // String implements Expr.
 func (n *Not) String() string { return "(NOT (" + n.E.String() + "))" }
@@ -402,28 +275,6 @@ func (a *Arith) Bind(s *schema.Schema) error {
 	return a.R.Bind(s)
 }
 
-// Eval implements Expr.
-func (a *Arith) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	l, err := a.L.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	r, err := a.R.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	switch a.Op {
-	case OpAdd:
-		return value.Add(l, r)
-	case OpSub:
-		return value.Sub(l, r)
-	case OpMul:
-		return value.Mul(l, r)
-	default:
-		return value.Div(l, r)
-	}
-}
-
 // String implements Expr.
 func (a *Arith) String() string {
 	return "(" + a.L.String() + " " + arithNames[a.Op] + " " + a.R.String() + ")"
@@ -437,15 +288,6 @@ type Neg struct{ E Expr }
 
 // Bind implements Expr.
 func (n *Neg) Bind(s *schema.Schema) error { return n.E.Bind(s) }
-
-// Eval implements Expr.
-func (n *Neg) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	v, err := n.E.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	return value.Neg(v)
-}
 
 // String implements Expr.
 func (n *Neg) String() string { return "-(" + n.E.String() + ")" }
@@ -461,15 +303,6 @@ type IsNull struct {
 
 // Bind implements Expr.
 func (i *IsNull) Bind(s *schema.Schema) error { return i.E.Bind(s) }
-
-// Eval implements Expr.
-func (i *IsNull) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	v, err := i.E.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	return value.Bool(v.IsNull() != i.Negate), nil
-}
 
 // String implements Expr.
 func (i *IsNull) String() string {
@@ -500,35 +333,6 @@ func (in *InList) Bind(s *schema.Schema) error {
 		}
 	}
 	return nil
-}
-
-// Eval implements Expr.
-func (in *InList) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	v, err := in.E.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	if v.IsNull() {
-		return value.Null, nil
-	}
-	sawNull := false
-	for _, e := range in.List {
-		ev, err := e.Eval(row, ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		if ev.IsNull() {
-			sawNull = true
-			continue
-		}
-		if value.EqualPtr(&v, &ev) {
-			return value.Bool(!in.Negate), nil
-		}
-	}
-	if sawNull {
-		return value.Null, nil
-	}
-	return value.Bool(in.Negate), nil
 }
 
 // String implements Expr.
@@ -562,21 +366,6 @@ type Like struct {
 
 // Bind implements Expr.
 func (l *Like) Bind(s *schema.Schema) error { return l.E.Bind(s) }
-
-// Eval implements Expr.
-func (l *Like) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	v, err := l.E.Eval(row, ctx)
-	if err != nil {
-		return value.Null, err
-	}
-	if v.IsNull() {
-		return value.Null, nil
-	}
-	if v.Kind() != value.KindString {
-		return value.Null, fmt.Errorf("algebra: LIKE on non-string %v", v.Kind())
-	}
-	return value.Bool(likeMatch(l.Pattern, v.AsString()) != l.Negate), nil
-}
 
 // likeMatch implements %/_ glob matching with linear backtracking on %.
 func likeMatch(pattern, s string) bool {
@@ -631,6 +420,19 @@ type Call struct {
 
 // Bind implements Expr.
 func (c *Call) Bind(s *schema.Schema) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	for _, a := range c.Args {
+		if err := a.Bind(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check reports an unknown function name or a wrong argument count.
+func (c *Call) check() error {
 	name := strings.ToUpper(c.Name)
 	arity, ok := builtinArity[name]
 	if !ok {
@@ -642,11 +444,6 @@ func (c *Call) Bind(s *schema.Schema) error {
 	if arity < 0 && len(c.Args) == 0 {
 		return fmt.Errorf("algebra: %s needs at least one argument", name)
 	}
-	for _, a := range c.Args {
-		if err := a.Bind(s); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -657,8 +454,7 @@ var builtinArity = map[string]int{
 
 // unaryBuiltins are the one-argument builtins, by upper-cased name, applied
 // to their argument's value when it is not null; each maps null to null.
-// Call.Eval looks one up per call; Compile resolves it once per
-// expression.
+// Compile resolves one once per expression.
 var unaryBuiltins = map[string]func(x value.Value, ctx *EvalContext) (value.Value, error){
 	"AGE":    builtinAge,
 	"LENGTH": builtinLength,
@@ -666,41 +462,6 @@ var unaryBuiltins = map[string]func(x value.Value, ctx *EvalContext) (value.Valu
 	"UPPER":  builtinUpper,
 	"ABS":    builtinAbs,
 	"YEAR":   builtinYear,
-}
-
-// Eval implements Expr.
-func (c *Call) Eval(row relation.Tuple, ctx *EvalContext) (value.Value, error) {
-	name := strings.ToUpper(c.Name)
-	if name == "COALESCE" {
-		for _, a := range c.Args {
-			v, err := a.Eval(row, ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return value.Null, nil
-	}
-	args := make([]value.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(row, ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		args[i] = v
-	}
-	if name == "NOW" {
-		return value.Time(ctx.Now), nil
-	}
-	if fn, ok := unaryBuiltins[name]; ok {
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return fn(args[0], ctx)
-	}
-	return value.Null, fmt.Errorf("algebra: unknown function %q", c.Name)
 }
 
 func builtinAge(x value.Value, ctx *EvalContext) (value.Value, error) {
@@ -711,14 +472,23 @@ func builtinAge(x value.Value, ctx *EvalContext) (value.Value, error) {
 }
 
 func builtinLength(x value.Value, _ *EvalContext) (value.Value, error) {
+	if x.Kind() != value.KindString {
+		return value.Null, fmt.Errorf("algebra: LENGTH wants a string, got %v", x.Kind())
+	}
 	return value.Int(int64(len(x.AsString()))), nil
 }
 
 func builtinLower(x value.Value, _ *EvalContext) (value.Value, error) {
+	if x.Kind() != value.KindString {
+		return value.Null, fmt.Errorf("algebra: LOWER wants a string, got %v", x.Kind())
+	}
 	return value.Str(strings.ToLower(x.AsString())), nil
 }
 
 func builtinUpper(x value.Value, _ *EvalContext) (value.Value, error) {
+	if x.Kind() != value.KindString {
+		return value.Null, fmt.Errorf("algebra: UPPER wants a string, got %v", x.Kind())
+	}
 	return value.Str(strings.ToUpper(x.AsString())), nil
 }
 
@@ -788,13 +558,4 @@ func ReferencedCols(e Expr) []int {
 		}
 	})
 	return out
-}
-
-// Truth evaluates a predicate and reports whether it is definitely true.
-func Truth(e Expr, row relation.Tuple, ctx *EvalContext) (bool, error) {
-	v, err := e.Eval(row, ctx)
-	if err != nil {
-		return false, err
-	}
-	return !v.IsNull() && v.Kind() == value.KindBool && v.AsBool(), nil
 }

@@ -37,7 +37,7 @@ func evalOn(t *testing.T, e Expr) value.Value {
 	if err := e.Bind(exprSchema()); err != nil {
 		t.Fatalf("bind %s: %v", e.String(), err)
 	}
-	v, err := e.Eval(exprRow(), &EvalContext{Now: exprNow})
+	v, err := Reference(e, exprRow(), &EvalContext{Now: exprNow})
 	if err != nil {
 		t.Fatalf("eval %s: %v", e.String(), err)
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/storage"
 )
 
-// The reference evaluator: row-at-a-time operators that evaluate every
-// predicate through the interpreted Expr.Eval and fetch indexed rows one
+// The reference executor: row-at-a-time operators that evaluate every
+// predicate through the tree-walking Reference and fetch indexed rows one
 // Table.Get at a time. The engine runs none of them — it has no row stream
 // at all; tests hold the batch operators, the compiled kernels and the
 // index scan to their answers.
@@ -107,7 +107,7 @@ func (s *refSelect) Next() (relation.Tuple, bool, error) {
 		if err != nil || !ok {
 			return relation.Tuple{}, false, err
 		}
-		keep, err := Truth(s.pred, t, s.ctx)
+		keep, err := ReferenceTruth(s.pred, t, s.ctx)
 		if err != nil {
 			return relation.Tuple{}, false, err
 		}

@@ -67,11 +67,11 @@ func scanRows(tbl *storage.Table) *relation.Relation {
 	return out
 }
 
-// InterpretedPredicate wraps the tree-walking Truth as a Predicate: the
+// InterpretedPredicate wraps ReferenceTruth as a Predicate: the
 // reference CompilePredicate is checked against.
 func InterpretedPredicate(e Expr) Predicate {
 	return func(row relation.Tuple, ctx *EvalContext) (bool, error) {
-		return Truth(e, row, ctx)
+		return ReferenceTruth(e, row, ctx)
 	}
 }
 

@@ -21,11 +21,19 @@ import (
 // server). There is no escape: SELECT, DML, index probes, checkpoints and
 // the quality gauges all read column views. That nobody writes through a
 // view is enforced by convention and -race, not by this analyzer.
+//
+// The same packages evaluate expressions one way: compiled
+// (algebra.Compile, CompilePredicate, CompileColPred). algebra.Reference
+// and ReferenceTruth, the tree-walking evaluator, are the oracle those are
+// tested against; a call on the query path would run a second evaluator
+// whose answers no test compares with anything, so the analyzer flags it
+// too, everywhere but in the file that defines them.
 var Sharedscan = &Analyzer{
 	Name: "sharedscan",
 	Doc: "report the cloning Table.Scan and Table.Get and the segment-at-a-time " +
 		"Table.ScanSegmentCols on the query path; read the zero-clone column views " +
-		"(SnapshotCols, ViewRows)",
+		"(SnapshotCols, ViewRows). Report calls to the reference evaluator " +
+		"(algebra.Reference, ReferenceTruth) there too; run compiled expressions",
 	Match: matchAny("internal/algebra", "internal/qql", "internal/server"),
 	Run:   runSharedscan,
 }
@@ -38,6 +46,10 @@ var offPathReaders = map[string]string{
 	"ScanSegmentCols": "Table.ScanSegmentCols reads one segment per lock, so a row moved between segments can be seen twice; read the table at one instant with SnapshotCols",
 }
 
+// oracleEvaluators are the algebra functions that evaluate an expression
+// by walking its tree: test oracles, off the query path.
+var oracleEvaluators = map[string]bool{"Reference": true, "ReferenceTruth": true}
+
 func runSharedscan(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -46,7 +58,15 @@ func runSharedscan(pass *Pass) error {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn == nil || fn.Signature().Recv() == nil {
+			if fn == nil {
+				return true
+			}
+			if fn.Signature().Recv() == nil {
+				if oracleEvaluators[fn.Name()] && fn.Pkg() != nil && hasPathSuffix(fn.Pkg().Path(), "internal/algebra") &&
+					pass.Fset.File(fn.Pos()) != pass.Fset.File(call.Pos()) {
+					pass.Reportf(call.Pos(), "algebra.%s is the test oracle of the compiled evaluators; "+
+						"on the query path run the compiled expression (algebra.Compile, CompilePredicate)", fn.Name())
+				}
 				return true
 			}
 			msg, off := offPathReaders[fn.Name()]

@@ -1,12 +1,15 @@
 // Package sharedscantest exercises the sharedscan analyzer: the query
 // path reads tables through the zero-clone column views; the cloning
 // Table.Scan and Table.Get are flagged wherever they appear, DML-shaped
-// code included.
+// code included. It evaluates expressions compiled; the tree-walking
+// reference evaluator is flagged.
 package sharedscantest
 
 import (
+	"repro/internal/algebra"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // countCols is the query-path scan shape: one SnapshotCols capture reads
@@ -91,4 +94,27 @@ func probeBad(t *storage.Table, ids []storage.RowID) []relation.Tuple {
 		}
 	}
 	return out
+}
+
+// insertValue is the DML shape: the expression compiled once, then run
+// over the empty row an INSERT reads — never flagged.
+func insertValue(e algebra.Expr, ctx *algebra.EvalContext) (value.Value, error) {
+	return algebra.Compile(e)(relation.Tuple{}, ctx)
+}
+
+// insertValueBad evaluates an INSERT value through the test oracle.
+func insertValueBad(e algebra.Expr, ctx *algebra.EvalContext) (value.Value, error) {
+	return algebra.Reference(e, relation.Tuple{}, ctx) // want `algebra.Reference is the test oracle`
+}
+
+// keepBad filters a row through the oracle's truth test.
+func keepBad(e algebra.Expr, row relation.Tuple, ctx *algebra.EvalContext) bool {
+	ok, err := algebra.ReferenceTruth(e, row, ctx) // want `algebra.ReferenceTruth is the test oracle`
+	return ok && err == nil
+}
+
+// keep is the filter shape: a compiled predicate — never flagged.
+func keep(e algebra.Expr, row relation.Tuple, ctx *algebra.EvalContext) bool {
+	ok, err := algebra.CompilePredicate(e)(row, ctx)
+	return ok && err == nil
 }

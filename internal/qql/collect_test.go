@@ -15,8 +15,8 @@ import (
 )
 
 // oracleCollect is DML collection without the planner: bind the WHERE, walk
-// one SnapshotCols capture and test every live row with the interpreted
-// algebra.Truth. It shares no access-path, compile or skipping code with
+// one SnapshotCols capture and test every live row with
+// algebra.ReferenceTruth. It shares no access-path, compile or skipping code with
 // collectMatches, which is what makes it an oracle for it.
 func oracleCollect(s *Session, tbl *storage.Table, where algebra.Expr) ([]storage.RowID, []relation.Tuple, error) {
 	if where != nil {
@@ -32,7 +32,7 @@ func oracleCollect(s *Session, tbl *storage.Table, where algebra.Expr) ([]storag
 			row := relation.Tuple{Cells: make([]relation.Cell, len(cols))}
 			id := cs.RowInto(k, row.Cells)
 			if where != nil {
-				keep, err := algebra.Truth(where, row, s.ctx)
+				keep, err := algebra.ReferenceTruth(where, row, s.ctx)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -139,7 +139,7 @@ func whereOf(t *testing.T, src string) algebra.Expr {
 
 // TestCollectMatchesOracle holds the planned DML collection — index probe
 // plus re-check, compiled snapshot scan with segment skipping, or nothing
-// for a never-true WHERE — to the interpreted snapshot walk: the same row
+// for a never-true WHERE — to the reference snapshot walk: the same row
 // IDs for every predicate, and byte-identical tables after the same UPDATE
 // and the same DELETE.
 func TestCollectMatchesOracle(t *testing.T) {
@@ -195,7 +195,7 @@ func TestCollectMatchesOracle(t *testing.T) {
 			}
 
 			// The same UPDATE: planned through Exec, oracle through the
-			// interpreted walk and the same SET evaluation.
+			// reference walk and the reference SET evaluation.
 			if _, err := planned.Exec(upd); err != nil {
 				t.Fatal(err)
 			}
@@ -204,16 +204,12 @@ func TestCollectMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			ust := stmts[0].(*UpdateStmt)
-			cols, err := bindSets(ust.Sets, otbl.Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
 			ids, rows, err := oracleCollect(oracle, otbl, ust.Where)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, id := range ids {
-				tup, err := oracle.updatedRow(ust.Sets, cols, otbl.Schema(), rows[i])
+				tup, err := referenceUpdatedRow(ust.Sets, otbl.Schema(), rows[i], oracle.ctx)
 				if err != nil {
 					t.Fatal(err)
 				}

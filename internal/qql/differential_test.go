@@ -179,7 +179,7 @@ func TestIndexedVersusScannedDifferential(t *testing.T) {
 // referenceSelect evaluates a single-table, non-aggregate SELECT the
 // naive way, in plain Go over rows and with none of the engine's operators:
 // every live row cloned out of the table in row-ID order, both filters and
-// the ORDER BY keys through the interpreted Expr.Eval, a stable sort, LIMIT
+// the ORDER BY keys through algebra.Reference, a stable sort, LIMIT
 // by slicing, and each computed item's cell derived by hand — tags
 // intersected and sources unioned across the columns it reads.
 func referenceSelect(t *testing.T, tbl *storage.Table, q string) *relation.Relation {
@@ -204,7 +204,7 @@ func referenceSelectErr(t *testing.T, tbl *storage.Table, q string) (*relation.R
 	sch := tbl.Schema()
 	ctx := &algebra.EvalContext{Now: workload.Epoch}
 	eval := func(e algebra.Expr, tup relation.Tuple) value.Value {
-		v, err := e.Eval(tup, ctx)
+		v, err := algebra.Reference(e, tup, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func referenceSelectErr(t *testing.T, tbl *storage.Table, q string) (*relation.R
 	var filterErr error
 	tbl.Scan(func(_ storage.RowID, tup relation.Tuple) bool {
 		for _, pred := range preds {
-			ok, err := algebra.Truth(pred, tup, ctx)
+			ok, err := algebra.ReferenceTruth(pred, tup, ctx)
 			if err != nil {
 				filterErr = err
 				return false

@@ -525,13 +525,17 @@ func (s *Session) execCreateIndex(st *CreateIndexStmt) (Result, error) {
 	return Result{Msg: fmt.Sprintf("created %s index on %s(%s)", kind, st.Table, st.Target)}, nil
 }
 
-// evalConst evaluates an insert/update expression that must not reference
-// columns (it is evaluated against an empty tuple; column references fail).
+// evalConst evaluates an INSERT expression, which reads no row: it runs
+// over the empty tuple, where a column reference is not bound. A literal
+// is its own value and is not compiled.
 func (s *Session) evalConst(e algebra.Expr, sc *schema.Schema) (value.Value, error) {
 	if err := e.Bind(sc); err != nil {
 		return value.Null, err
 	}
-	return e.Eval(relation.Tuple{}, s.ctx)
+	if c, ok := e.(*algebra.Const); ok {
+		return c.V, nil
+	}
+	return algebra.Compile(e)(relation.Tuple{}, s.ctx)
 }
 
 func (s *Session) execInsert(st *InsertStmt) (Result, error) {
@@ -614,10 +618,10 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("qql: unknown table %q", st.Table)
 	}
-	// The SET clauses are checked and bound once per statement, before any
-	// row is collected: an unknown column is an error even when no row
-	// matches.
-	cols, err := bindSets(st.Sets, tbl.Schema())
+	// The SET clauses are checked, bound and compiled once per statement,
+	// before any row is collected: an unknown column is an error even when
+	// no row matches.
+	cols, fns, err := compileSets(st.Sets, tbl.Schema())
 	if err != nil {
 		return Result{}, err
 	}
@@ -627,7 +631,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	}
 	var changes []change
 	shape, err := s.collectMatches(tbl, st.Where, tbl.Schema().ColIndexes(), func(id storage.RowID, tup relation.Tuple) error {
-		updated, err := s.updatedRow(st.Sets, cols, tbl.Schema(), tup)
+		updated, err := s.updatedRow(st.Sets, cols, fns, tbl.Schema(), tup)
 		if err != nil {
 			return err
 		}
@@ -647,56 +651,78 @@ func (s *Session) execUpdate(st *UpdateStmt) (Result, error) {
 	return Result{Msg: fmt.Sprintf("updated %d row(s) in %s", len(changes), st.Table)}, nil
 }
 
-// bindSets checks every SET column exists and binds each clause's value,
-// tag and meta-tag expressions against sc. It returns the clauses' column
-// indexes.
-func bindSets(sets []SetClause, sc *schema.Schema) ([]int, error) {
+// compileSets checks every SET column exists and binds each clause's
+// value, tag and meta-tag expressions against sc. It returns the clauses'
+// column indexes and the compiled forms of the expressions that are not
+// literals, in the order updatedRow evaluates them: each clause's value,
+// then each tag and its meta tags. A literal is its own value and takes no
+// slot, so an all-literal SET compiles nothing.
+func compileSets(sets []SetClause, sc *schema.Schema) ([]int, []algebra.Compiled, error) {
 	cols := make([]int, len(sets))
+	var fns []algebra.Compiled
+	bind := func(e algebra.Expr) error {
+		if err := e.Bind(sc); err != nil {
+			return err
+		}
+		if _, ok := e.(*algebra.Const); !ok {
+			fns = append(fns, algebra.Compile(e))
+		}
+		return nil
+	}
 	for i, set := range sets {
 		if cols[i] = sc.ColIndex(set.Col); cols[i] < 0 {
-			return nil, fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
+			return nil, nil, fmt.Errorf("qql: unknown column %q in UPDATE", set.Col)
 		}
 		if set.Expr != nil {
-			if err := set.Expr.Bind(sc); err != nil {
-				return nil, err
+			if err := bind(set.Expr); err != nil {
+				return nil, nil, err
 			}
 		}
 		for _, ta := range set.Tags {
-			if err := ta.Expr.Bind(sc); err != nil {
-				return nil, err
+			if err := bind(ta.Expr); err != nil {
+				return nil, nil, err
 			}
 			for _, m := range ta.Meta {
-				if err := m.Expr.Bind(sc); err != nil {
-					return nil, err
+				if err := bind(m.Expr); err != nil {
+					return nil, nil, err
 				}
 			}
 		}
 	}
-	return cols, nil
+	return cols, fns, nil
 }
 
-// updatedRow applies bound SET clauses (cols from bindSets) to a copy of
-// tup. Every expression reads tup as collected, so SET a = b, b = a swaps.
-func (s *Session) updatedRow(sets []SetClause, cols []int, sc *schema.Schema, tup relation.Tuple) (relation.Tuple, error) {
+// updatedRow applies SET clauses, compiled by compileSets into cols and
+// fns, to a copy of tup. Every expression reads tup as collected, so
+// SET a = b, b = a swaps.
+func (s *Session) updatedRow(sets []SetClause, cols []int, fns []algebra.Compiled, sc *schema.Schema, tup relation.Tuple) (relation.Tuple, error) {
+	eval := func(e algebra.Expr) (value.Value, error) {
+		if c, ok := e.(*algebra.Const); ok {
+			return c.V, nil
+		}
+		f := fns[0]
+		fns = fns[1:]
+		return f(tup, s.ctx)
+	}
 	updated := tup.Clone()
 	for i, set := range sets {
 		cell := updated.Cells[cols[i]]
 		if set.Expr != nil {
-			v, err := set.Expr.Eval(tup, s.ctx)
+			v, err := eval(set.Expr)
 			if err != nil {
 				return relation.Tuple{}, err
 			}
 			cell.V = ownValue(v)
 		}
 		for _, ta := range set.Tags {
-			tv, err := ta.Expr.Eval(tup, s.ctx)
+			tv, err := eval(ta.Expr)
 			if err != nil {
 				return relation.Tuple{}, err
 			}
 			name := ownIndicator(&sc.Attrs[cols[i]], ta.Name)
 			cell.Tags = cell.Tags.With(name, ownValue(tv))
 			for _, m := range ta.Meta {
-				mv, err := m.Expr.Eval(tup, s.ctx)
+				mv, err := eval(m.Expr)
 				if err != nil {
 					return relation.Tuple{}, err
 				}
