@@ -156,11 +156,11 @@ func TestUpdateMatchesReference(t *testing.T) {
 	stmts := []string{
 		`UPDATE m SET a = b, b = a`,
 		`UPDATE m SET a = a * 2 + b - 1, b = -a WHERE id > 4000`,
-		`UPDATE m SET a = (b) @ {source: b@source, creation_time: a@creation_time}, b = (a) @ {source: a@source}`,
-		`UPDATE m SET b = 1 @ {source: (a@source) @ {credibility: a@source@credibility}} WHERE a@source@credibility = 'high' OR b IS NULL`,
+		`UPDATE m SET a = b @ {source: b@source, creation_time: a@creation_time}, b = a @ {source: a@source}`,
+		`UPDATE m SET b = 1 @ {source: a@source @ {credibility: a@source@credibility}} WHERE a@source@credibility = 'high' OR b IS NULL`,
 		`UPDATE m SET a = COALESCE(a, b, 0), s = COALESCE(s, LOWER(b@source), 'none')`,
 		`UPDATE m SET a @ {creation_time: NOW(), source: 'recert'} WHERE AGE(a@creation_time) > d'240h'`,
-		`UPDATE m SET s = UPPER(s) @ {source: (s)}, b = YEAR(NOW()) - YEAR(b@creation_time) WHERE SOURCE(s, 'x') = false`,
+		`UPDATE m SET s = UPPER(s) @ {source: s}, b = YEAR(NOW()) - YEAR(b@creation_time) WHERE SOURCE(s, 'x') = false`,
 		`UPDATE m SET a = 5 @ {source: 'recert'} WHERE id = 4099`,
 		`UPDATE m SET a = a, b = a + b WHERE a IN (1, 2, 3) OR b NOT IN (7, NULL)`,
 	}

@@ -93,3 +93,50 @@ func TestMetaQualityParserLimits(t *testing.T) {
 		t.Errorf("meta ref string = %q", got)
 	}
 }
+
+// TestTagBlockAfterReference: an @ directly followed by { after a column,
+// indicator or meta reference opens the enclosing tag block instead of
+// naming another indicator, so a copied value or indicator can be tagged
+// without parentheses.
+func TestTagBlockAfterReference(t *testing.T) {
+	cases := []struct {
+		stmt, expr, tag, tagExpr, meta string
+	}{
+		{`UPDATE m SET a = b @ {source: 'x'}`, "b", "source", "'x'", ""},
+		{`UPDATE m SET a = m.b @ {source: 'x'}`, "m.b", "source", "'x'", ""},
+		{`UPDATE m SET a = b@source @ {source: 'x'}`, "b@source", "source", "'x'", ""},
+		{`UPDATE m SET a = b@source@credibility @ {source: 'x'}`, "b@source@credibility", "source", "'x'", ""},
+		{`UPDATE m SET a = 1 @ {source: b@source @ {credibility: 'high'}}`, "1", "source", "b@source", "credibility"},
+		{`UPDATE m SET a = 1 @ {source: b@source@credibility @ {credibility: 'high'}}`, "1", "source", "b@source@credibility", "credibility"},
+	}
+	for _, c := range cases {
+		st, err := ParseOne(c.stmt)
+		if err != nil {
+			t.Errorf("%s: %v", c.stmt, err)
+			continue
+		}
+		set := st.(*UpdateStmt).Sets[0]
+		if got := set.Expr.String(); got != c.expr {
+			t.Errorf("%s: value %s, want %s", c.stmt, got, c.expr)
+		}
+		if len(set.Tags) != 1 || set.Tags[0].Name != c.tag || set.Tags[0].Expr.String() != c.tagExpr {
+			t.Errorf("%s: tags %+v, want %s: %s", c.stmt, set.Tags, c.tag, c.tagExpr)
+			continue
+		}
+		if meta := set.Tags[0].Meta; (c.meta == "") != (len(meta) == 0) || (c.meta != "" && meta[0].Name != c.meta) {
+			t.Errorf("%s: meta %+v, want %q", c.stmt, meta, c.meta)
+		}
+	}
+
+	s := NewSession(storage.NewCatalog())
+	s.MustExec(`CREATE TABLE m (a int QUALITY (source string), b int QUALITY (source string));
+INSERT INTO m VALUES (1, 2 @ {source: 'feed'});
+UPDATE m SET a = b @ {source: b@source @ {credibility: 'high'}}`)
+	rel, err := s.Query(`SELECT a FROM m WITH QUALITY a@source = 'feed' AND a@source@credibility = 'high'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != 1 || rel.Tuples[0].Cells[0].V.AsInt() != 2 {
+		t.Fatalf("tagged copy = %v", rel.Tuples)
+	}
+}

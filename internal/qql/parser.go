@@ -85,6 +85,15 @@ func (p *Parser) isPunct(s string) bool {
 	return p.cur.Kind == TokPunct && p.cur.Text == s
 }
 
+// peekPunct reports whether the token after the current one is the
+// punctuation s, consuming nothing.
+func (p *Parser) peekPunct(s string) bool {
+	saved := *p.lx
+	t, err := p.lx.Next()
+	*p.lx = saved
+	return err == nil && t.Kind == TokPunct && t.Text == s
+}
+
 func (p *Parser) isOp(s string) bool {
 	return p.cur.Kind == TokOp && p.cur.Text == s
 }
@@ -1220,8 +1229,10 @@ func (p *Parser) primary() (algebra.Expr, error) {
 			}
 			full = name + "." + attr
 		}
-		// Indicator ref: col@indicator, or meta ref: col@indicator@meta
-		if p.isPunct("@") {
+		// Indicator ref: col@indicator, or meta ref: col@indicator@meta.
+		// An @ followed by { opens the enclosing cell's tag block, so it
+		// is left for tagBlock's caller.
+		if p.isPunct("@") && !p.peekPunct("{") {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -1229,7 +1240,7 @@ func (p *Parser) primary() (algebra.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if p.isPunct("@") {
+			if p.isPunct("@") && !p.peekPunct("{") {
 				if err := p.next(); err != nil {
 					return nil, err
 				}

@@ -196,7 +196,7 @@ func (s *Server) registerMetrics() {
 		r.Help("qqld_wal_segments", "Live log segment files.")
 		r.Help("qqld_wal_recovery_seconds", "Duration of crash recovery at boot.")
 		r.Help("qqld_wal_recovery_snapshot_seconds", "Time crash recovery spent reading and decoding the checkpoint.")
-		r.Help("qqld_wal_recovery_snapshot_fallback", "1 if the checkpoint departed from the layout Save writes and was decoded by encoding/json.")
+		r.Help("qqld_wal_recovery_snapshot_fallback", "1 if the checkpoint recovery read was a JSON document (written before checkpoints were binary, or by hand); the next checkpoint rewrites it in the binary format.")
 		r.Help("qqld_wal_recovery_replayed", "Log records replayed by crash recovery at boot.")
 	}
 	registerQualityHelp(r)

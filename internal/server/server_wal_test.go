@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/storage"
 	"repro/internal/storage/wal"
 )
 
@@ -92,8 +93,8 @@ func TestServerDurableRestart(t *testing.T) {
 
 // TestRecoveryMetrics: /metrics reports how the boot's recovery split
 // between loading the checkpoint and replaying the log, and whether the
-// checkpoint had to be decoded by encoding/json: not for the file a
-// checkpoint writes, but for one edited by hand.
+// checkpoint was a JSON document: not for the binary file a checkpoint
+// writes, but for a hand-edited JSON one put in its place.
 func TestRecoveryMetrics(t *testing.T) {
 	dir := t.TempDir()
 	stop := func(srv *server.Server, l *wal.Log) {
@@ -128,11 +129,22 @@ func TestRecoveryMetrics(t *testing.T) {
 			if err != nil || len(ckpts) != 1 {
 				t.Fatalf("checkpoints %v, %v", ckpts, err)
 			}
+			// Install the checkpoint's catalog as a hand-edited JSON
+			// document, the format checkpoints had before they were
+			// binary.
 			data, err := os.ReadFile(ckpts[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = bytes.Replace(data, []byte(`"format"`), []byte(`"note": "edited by hand", "format"`), 1)
+			cat, err := storage.LoadCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc bytes.Buffer
+			if err := cat.Save(&doc); err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Replace(doc.Bytes(), []byte(`"format"`), []byte(`"note": "edited by hand", "format"`), 1)
 			if err := os.WriteFile(ckpts[0], data, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"repro/internal/value"
 )
@@ -25,11 +23,8 @@ import (
 //	               uvarint ncols, ncols × string,
 //	               uvarint nrows, nrows × (uvarint ncells, ncells × cell)
 //	string:        uvarint length, length × byte
-//	cell:          kind byte, then per kind:
-//	               null (nothing) | bool (1 byte) | int (zigzag varint) |
-//	               float (8-byte IEEE 754 big-endian) | string |
-//	               time (zigzag unix seconds, uvarint nanoseconds) |
-//	               duration (zigzag varint nanoseconds)
+//	cell:          value.AppendBinary's encoding: a kind byte, then
+//	               the kind's payload
 
 // TypedResponse is the binary-encoding response payload: the same shape as
 // Response, with typed cells instead of rendered literals.
@@ -85,90 +80,6 @@ func readString(b []byte) (string, []byte, error) {
 		return "", nil, errShortPayload
 	}
 	return string(b[:n]), b[n:], nil
-}
-
-func zigzag(i int64) uint64   { return uint64((i << 1) ^ (i >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// AppendValue appends the binary cell encoding of v.
-func AppendValue(b []byte, v value.Value) []byte {
-	b = append(b, byte(v.Kind()))
-	switch v.Kind() {
-	case value.KindNull:
-	case value.KindBool:
-		if v.AsBool() {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case value.KindInt:
-		b = binary.AppendUvarint(b, zigzag(v.AsInt()))
-	case value.KindFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.AsFloat()))
-	case value.KindString:
-		b = appendString(b, v.AsString())
-	case value.KindTime:
-		t := v.AsTime()
-		b = binary.AppendUvarint(b, zigzag(t.Unix()))
-		b = binary.AppendUvarint(b, uint64(t.Nanosecond()))
-	case value.KindDuration:
-		b = binary.AppendUvarint(b, zigzag(int64(v.AsDuration())))
-	}
-	return b
-}
-
-// ReadValue decodes one cell, returning it and the remaining bytes.
-func ReadValue(b []byte) (value.Value, []byte, error) {
-	if len(b) == 0 {
-		return value.Null, nil, errShortPayload
-	}
-	kind, b := value.Kind(b[0]), b[1:]
-	switch kind {
-	case value.KindNull:
-		return value.Null, b, nil
-	case value.KindBool:
-		if len(b) == 0 {
-			return value.Null, nil, errShortPayload
-		}
-		return value.Bool(b[0] != 0), b[1:], nil
-	case value.KindInt:
-		u, b, err := readUvarint(b)
-		if err != nil {
-			return value.Null, nil, err
-		}
-		return value.Int(unzigzag(u)), b, nil
-	case value.KindFloat:
-		if len(b) < 8 {
-			return value.Null, nil, errShortPayload
-		}
-		return value.Float(math.Float64frombits(binary.BigEndian.Uint64(b[:8]))), b[8:], nil
-	case value.KindString:
-		s, b, err := readString(b)
-		if err != nil {
-			return value.Null, nil, err
-		}
-		return value.Str(s), b, nil
-	case value.KindTime:
-		sec, b, err := readUvarint(b)
-		if err != nil {
-			return value.Null, nil, err
-		}
-		nsec, b, err := readUvarint(b)
-		if err != nil {
-			return value.Null, nil, err
-		}
-		if nsec >= uint64(time.Second) {
-			return value.Null, nil, fmt.Errorf("wire: time cell nanoseconds %d out of range", nsec)
-		}
-		return value.Time(time.Unix(unzigzag(sec), int64(nsec)).UTC()), b, nil
-	case value.KindDuration:
-		u, b, err := readUvarint(b)
-		if err != nil {
-			return value.Null, nil, err
-		}
-		return value.Duration(time.Duration(unzigzag(u))), b, nil
-	}
-	return value.Null, nil, fmt.Errorf("wire: unknown cell kind 0x%02x", byte(kind))
 }
 
 // AppendRequest appends the binary FrameExec payload.
@@ -230,7 +141,7 @@ func AppendTypedResponse(b []byte, t *TypedResponse) []byte {
 	for _, row := range t.Rows {
 		b = binary.AppendUvarint(b, uint64(len(row)))
 		for _, v := range row {
-			b = AppendValue(b, v)
+			b = value.AppendBinary(b, v)
 		}
 	}
 	return b
@@ -287,7 +198,7 @@ func readTypedResponse(b []byte) (*TypedResponse, []byte, error) {
 			}
 			row := make([]value.Value, ncells)
 			for j := range row {
-				if row[j], b, err = ReadValue(b); err != nil {
+				if row[j], b, err = value.ReadBinary(b); err != nil {
 					return nil, nil, err
 				}
 			}

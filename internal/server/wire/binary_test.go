@@ -46,13 +46,13 @@ func sampleValues() []value.Value {
 
 func TestValueRoundTrip(t *testing.T) {
 	for _, v := range sampleValues() {
-		buf := AppendValue(nil, v)
-		got, rest, err := ReadValue(buf)
+		buf := value.AppendBinary(nil, v)
+		got, rest, err := value.ReadBinary(buf)
 		if err != nil {
-			t.Fatalf("ReadValue(%v): %v", v, err)
+			t.Fatalf("value.ReadBinary(%v): %v", v, err)
 		}
 		if len(rest) != 0 {
-			t.Errorf("ReadValue(%v): %d trailing bytes", v, len(rest))
+			t.Errorf("value.ReadBinary(%v): %d trailing bytes", v, len(rest))
 		}
 		if got.Kind() != v.Kind() {
 			t.Errorf("kind drift: %v -> %v", v.Kind(), got.Kind())
@@ -72,12 +72,12 @@ func TestValueStreamRoundTrip(t *testing.T) {
 	vals := sampleValues()
 	var buf []byte
 	for _, v := range vals {
-		buf = AppendValue(buf, v)
+		buf = value.AppendBinary(buf, v)
 	}
 	for i, v := range vals {
 		var got value.Value
 		var err error
-		got, buf, err = ReadValue(buf)
+		got, buf, err = value.ReadBinary(buf)
 		if err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}
@@ -261,7 +261,7 @@ func FuzzValueRoundTrip(f *testing.F) {
 			value.Duration(time.Duration(dur)),
 		}
 		for _, v := range vals {
-			got, rest, err := ReadValue(AppendValue(nil, v))
+			got, rest, err := value.ReadBinary(value.AppendBinary(nil, v))
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("round trip %v: %v, %d rest", v, err, len(rest))
 			}

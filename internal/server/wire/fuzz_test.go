@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/value"
 )
 
 // fuzzFrameMax caps payloads during fuzzing well below MaxFrameBytes so a
@@ -63,11 +65,11 @@ func FuzzDecodeRequestPayloads(f *testing.F) {
 				t.Fatalf("batch round-trip: %d -> %d stmts, err=%v", len(qs), len(rt), err)
 			}
 		}
-		if v, _, err := ReadValue(data); err == nil {
+		if v, _, err := value.ReadBinary(data); err == nil {
 			// Re-encoding an accepted value must itself decode cleanly.
 			// (Equality is not asserted: NaN payloads survive the trip but
 			// compare unequal by design.)
-			if _, _, err := ReadValue(AppendValue(nil, v)); err != nil {
+			if _, _, err := value.ReadBinary(value.AppendBinary(nil, v)); err != nil {
 				t.Fatalf("value round-trip rejected re-encoding: %v", err)
 			}
 		}

@@ -1,13 +1,12 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"slices"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -15,15 +14,14 @@ import (
 	"repro/internal/value"
 )
 
-// JSON persistence for catalogs. The format is self-describing: every value
-// carries its kind so the full tagged model — application values, indicator
-// tags, polygen sources, meta-quality, table tags, schemas, and index
-// definitions — round-trips losslessly through Save and Load. The json*
-// types below define the document. Save streams its bytes straight from
-// the column runs (snapwrite.go) and LoadCatalog reads them back in one
-// pass (snapread.go), neither building the json* values; encoding/json
-// decodes into them only for a document that departs from Save's layout,
-// such as a hand-edited one.
+// JSON persistence for catalogs: the export format (qqlsh -load/-save),
+// and the format of checkpoints written before the binary one in
+// checkpoint.go, which recovery still reads. The format is
+// self-describing: every value carries its kind, so the full tagged model
+// — application values, indicator tags, polygen sources, meta-quality,
+// table tags, schemas and index definitions — round-trips losslessly
+// through Save and LoadCatalog. The json* types below define the document,
+// and encoding/json writes and reads it.
 
 type jsonValue struct {
 	Kind string `json:"k"`
@@ -144,24 +142,31 @@ func UnmarshalTableDef(data []byte) (*schema.Schema, bool, error) {
 	if err := json.Unmarshal(data, &def); err != nil {
 		return nil, false, fmt.Errorf("storage: table def: %w", err)
 	}
-	attrs, err := decodeAttrs(def.Attrs)
+	sc, err := def.schema()
 	if err != nil {
 		return nil, false, fmt.Errorf("storage: table def %s: %w", def.Name, err)
 	}
-	sc, err := schema.New(def.Name, attrs, def.Key...)
-	if err != nil {
-		return nil, false, fmt.Errorf("storage: table def %s: %w", def.Name, err)
-	}
-	sc.Doc = def.Doc
 	return sc, def.Strict, nil
 }
 
+// schema builds the schema def describes.
+func (def *jsonTableDef) schema() (*schema.Schema, error) {
+	attrs, err := decodeAttrs(def.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := schema.New(def.Name, attrs, def.Key...)
+	if err != nil {
+		return nil, err
+	}
+	sc.Doc = def.Doc
+	return sc, nil
+}
+
+// jsonTable is one table of the document. Its definition's members come
+// first: encoding/json writes an embedded struct's fields in its place.
 type jsonTable struct {
-	Name      string      `json:"name"`
-	Doc       string      `json:"doc,omitempty"`
-	Attrs     []jsonAttr  `json:"attrs"`
-	Key       []string    `json:"key,omitempty"`
-	Strict    bool        `json:"strict,omitempty"`
+	jsonTableDef
 	TableTags jsonTagSet  `json:"table_tags,omitempty"`
 	Indexes   []jsonIndex `json:"indexes,omitempty"`
 	// Slots and Dead keep row IDs stable across a save and load, because
@@ -182,77 +187,92 @@ type jsonCatalog struct {
 // formatName identifies the persistence format.
 const formatName = "repro-dq-catalog/1"
 
-// Save writes the whole catalog as indented JSON. It streams: each table's
-// rows are encoded straight from one SnapshotCols capture of its column
-// runs and written out in chunks (see snapWriter), with no document built
-// first. The bytes are exactly those encoding/json writes for the
-// jsonCatalog document, which is what LoadCatalog decodes.
+// Save writes the whole catalog as one indented JSON document. Each
+// table's rows come from one SnapshotCols capture of its column runs, so a
+// concurrent writer cannot make the file hold a state no table ever had
+// (a deleted-and-reinserted key twice, say).
 func (c *Catalog) Save(w io.Writer) error {
-	sw := snapWriter{w: w, b: make([]byte, 0, 2*snapFlushBytes)}
-	sw.open('{')
-	sw.field(`"format": `)
-	sw.str(formatName)
-	sw.field(`"tables": `)
-	if names := c.Names(); len(names) == 0 {
-		sw.b = append(sw.b, "null"...)
-	} else {
-		sw.open('[')
-		for _, name := range names {
-			tbl, _ := c.Get(name)
-			if sw.table(name, tbl); sw.err != nil {
-				return sw.err
+	doc := jsonCatalog{Format: formatName}
+	for _, name := range c.Names() {
+		tbl, _ := c.Get(name)
+		sc := tbl.Schema()
+		jt := jsonTable{
+			jsonTableDef: jsonTableDef{Name: name, Doc: sc.Doc, Attrs: encodeAttrs(sc), Key: sc.Key, Strict: tbl.Strict()},
+			TableTags:    encodeTagSet(tbl.TableTags()),
+			Rows:         [][]jsonCell{},
+		}
+		for _, ix := range tbl.IndexSpecs() {
+			jt.Indexes = append(jt.Indexes, jsonIndex{
+				Attr: ix.Target.Attr, Indicator: ix.Target.Indicator, Kind: ix.Kind.name()})
+		}
+		views := tbl.SnapshotCols(sc.ColIndexes())
+		cells := make([]relation.Cell, len(sc.Attrs))
+		for v := range views {
+			next := views[v].Base
+			for k := 0; k < views[v].Live(); k++ {
+				id := views[v].RowInto(k, cells)
+				for ; next < id; next++ {
+					jt.Dead = append(jt.Dead, next)
+				}
+				next++
+				row := make([]jsonCell, len(cells))
+				for i, cell := range cells {
+					row[i] = encodeCell(cell)
+				}
+				jt.Rows = append(jt.Rows, row)
+			}
+			for end := views[v].Base + RowID(views[v].N); next < end; next++ {
+				jt.Dead = append(jt.Dead, next)
 			}
 		}
-		sw.close(']')
+		if len(jt.Dead) > 0 {
+			jt.Slots = len(jt.Rows) + len(jt.Dead)
+		}
+		doc.Tables = append(doc.Tables, jt)
 	}
-	sw.close('}')
-	sw.b = append(sw.b, '\n')
-	sw.flush(true)
-	return sw.err
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(doc)
 }
 
-// snapshotFallbacks counts LoadCatalog calls the streaming reader handed
-// to encoding/json: process-wide instrumentation, like tupleClones, for
-// tests asserting that what Save writes always loads on the fast path.
-var snapshotFallbacks atomic.Int64
+// encodeValue writes v's kind and its text: value.String(), except that
+// times keep their nanoseconds.
+func encodeValue(v value.Value) jsonValue {
+	if v.Kind() == value.KindTime {
+		return jsonValue{Kind: v.Kind().String(), Val: v.AsTime().Format(time.RFC3339Nano)}
+	}
+	return jsonValue{Kind: v.Kind().String(), Val: v.String()}
+}
 
-// SnapshotFallbacks reports the process-wide count of catalog loads that
-// fell back from the streaming reader to encoding/json; measure deltas
-// around an operation.
-func SnapshotFallbacks() int64 { return snapshotFallbacks.Load() }
+func encodeTagSet(s tag.Set) jsonTagSet {
+	if s.IsEmpty() {
+		return nil
+	}
+	out := make(jsonTagSet, s.Len())
+	for _, t := range s.Tags() {
+		out[t.Indicator] = encodeValue(t.Value)
+	}
+	return out
+}
+
+func encodeCell(cell relation.Cell) jsonCell {
+	jc := jsonCell{V: encodeValue(cell.V), Tags: encodeTagSet(cell.Tags), Sources: cell.Sources}
+	if len(cell.Meta) > 0 {
+		jc.Meta = make(map[string]jsonTagSet, len(cell.Meta))
+		for ind, ms := range cell.Meta {
+			jc.Meta[ind] = encodeTagSet(ms)
+		}
+	}
+	return jc
+}
 
 // LoadCatalog reads a catalog written by Save, or any JSON document
 // encoding/json decodes to the same jsonCatalog.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
-	// io.Copy hands a bytes or strings Reader's contents over in one
-	// write, where io.ReadAll would grow its buffer step by step.
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
 	}
-	cat, _, err := LoadCatalogBytes(buf.Bytes())
-	return cat, err
-}
-
-// LoadCatalogBytes is LoadCatalog over a document already in memory,
-// which it reads but neither modifies nor retains. It decodes with the
-// streaming reader (snapread.go). At the first departure from the layout
-// Save writes, or the first check that fails, it drops what that reader
-// built and decodes data again with encoding/json, reporting fellBack.
-// Errors, and everything accepted beyond Save's layout, are therefore
-// encoding/json's.
-func LoadCatalogBytes(data []byte) (cat *Catalog, fellBack bool, err error) {
-	if cat, ok := readSnapshot(data); ok {
-		return cat, false, nil
-	}
-	snapshotFallbacks.Add(1)
-	cat, err = loadCatalogJSON(data)
-	return cat, true, err
-}
-
-// loadCatalogJSON decodes data into the jsonCatalog document with
-// encoding/json and builds the catalog from it.
-func loadCatalogJSON(data []byte) (*Catalog, error) {
 	var doc jsonCatalog
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
@@ -266,7 +286,11 @@ func loadCatalogJSON(data []byte) (*Catalog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
 		}
-		tbl, err := createTable(cat, &jt, ts)
+		sc, err := jt.schema()
+		if err != nil {
+			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
+		}
+		tbl, err := createTable(cat, sc, jt.Strict, ts, jt.Indexes)
 		if err != nil {
 			return nil, err
 		}
@@ -314,41 +338,40 @@ func loadCatalogJSON(data []byte) (*Catalog, error) {
 	return cat, nil
 }
 
-// createTable creates the table jt defines in cat: its schema, the table
-// tags ts and its indexes, which come before the rows so that loading
-// populates them incrementally. jt's rows and dead slots are not read.
-func createTable(cat *Catalog, jt *jsonTable, ts tag.Set) (*Table, error) {
-	attrs, err := decodeAttrs(jt.Attrs)
-	if err != nil {
-		return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
-	}
-	sc, err := schema.New(jt.Name, attrs, jt.Key...)
-	if err != nil {
-		return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
-	}
-	sc.Doc = jt.Doc
-	tbl, err := cat.Create(sc, jt.Strict)
+// createTable creates the table sc defines in cat, with its table tags ts
+// and its indexes, which come before the rows so that loading populates
+// them incrementally.
+func createTable(cat *Catalog, sc *schema.Schema, strict bool, ts tag.Set, indexes []jsonIndex) (*Table, error) {
+	tbl, err := cat.Create(sc, strict)
 	if err != nil {
 		return nil, err
 	}
 	for _, tg := range ts.Tags() {
 		tbl.SetTableTag(tg.Indicator, tg.Value)
 	}
-	for _, ji := range jt.Indexes {
+	for _, ji := range indexes {
 		var kind IndexKind
 		switch ji.Kind {
-		case "hash":
+		case IndexHash.name():
 			kind = IndexHash
-		case "btree":
+		case IndexBTree.name():
 			kind = IndexBTree
 		default:
-			return nil, fmt.Errorf("storage: load table %s: unknown index kind %q", jt.Name, ji.Kind)
+			return nil, fmt.Errorf("storage: load table %s: unknown index kind %q", sc.Name, ji.Kind)
 		}
 		if err := tbl.CreateIndex(IndexTarget{Attr: ji.Attr, Indicator: ji.Indicator}, kind); err != nil {
-			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
+			return nil, fmt.Errorf("storage: load table %s: %w", sc.Name, err)
 		}
 	}
 	return tbl, nil
+}
+
+// name is the kind's name in a saved index definition.
+func (k IndexKind) name() string {
+	if k == IndexHash {
+		return "hash"
+	}
+	return "btree"
 }
 
 // rowLoader inserts a table's saved rows in order and puts its dead

@@ -13,7 +13,7 @@ import (
 	"repro/internal/value"
 )
 
-// benchSaveRows is the catalog size the persistence benchmarks encode and
+// benchSaveRows is the catalog size the checkpoint benchmarks encode and
 // decode: one durable_ingest round's largest checkpoint is of this order.
 const benchSaveRows = 20000
 
@@ -68,8 +68,9 @@ func customerCatalog(tb testing.TB, n int) *Catalog {
 	return cat
 }
 
-// BenchmarkCatalogSave measures a checkpoint's encode: Save of 20k
-// customer rows into a buffer, reported per row.
+// BenchmarkCatalogSave measures a checkpoint's encode: WriteCheckpoint of
+// 20k customer rows into a buffer, reported per row, with the checkpoint's
+// size per row.
 func BenchmarkCatalogSave(b *testing.B) {
 	cat := customerCatalog(b, benchSaveRows)
 	var buf bytes.Buffer
@@ -77,7 +78,7 @@ func BenchmarkCatalogSave(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := cat.Save(&buf); err != nil {
+		if err := cat.WriteCheckpoint(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,19 +86,21 @@ func BenchmarkCatalogSave(b *testing.B) {
 	b.ReportMetric(float64(buf.Len())/benchSaveRows, "B/row")
 }
 
-// BenchmarkLoadCatalog measures recovery's snapshot decode: LoadCatalog
-// of the same 20k rows, index rebuild included, reported per row.
+// BenchmarkLoadCatalog measures recovery's checkpoint decode:
+// LoadCheckpoint of the same 20k rows, index rebuild included, reported
+// per row.
 func BenchmarkLoadCatalog(b *testing.B) {
 	var buf bytes.Buffer
-	if err := customerCatalog(b, benchSaveRows).Save(&buf); err != nil {
+	if err := customerCatalog(b, benchSaveRows).WriteCheckpoint(&buf); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadCatalog(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := LoadCheckpoint(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchSaveRows), "ns/row")
+	b.ReportMetric(float64(buf.Len())/benchSaveRows, "B/row")
 }

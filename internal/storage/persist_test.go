@@ -3,15 +3,18 @@ package storage
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +28,7 @@ import (
 // buildRichCatalog exercises every persisted feature: schemas with required
 // indicators, strict mode, keys, indexes of both kinds, table tags, cell
 // tags, polygen sources, meta-quality, nulls, and all value kinds.
-func buildRichCatalog(t *testing.T) *Catalog {
+func buildRichCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	cat := NewCatalog()
 	sc := schema.MustNew("rich", []schema.Attr{
@@ -167,7 +170,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // mutateRichCatalog leaves dead slots and copy-on-write replaced runs in
 // both tables of buildRichCatalog, so Save must skip tombstones and read
 // the runs an Update published rather than the ones it displaced.
-func mutateRichCatalog(t *testing.T, cat *Catalog) {
+func mutateRichCatalog(t testing.TB, cat *Catalog) {
 	t.Helper()
 	rich, _ := cat.Get("rich")
 	gone := relation.Tuple{Cells: []relation.Cell{
@@ -220,20 +223,7 @@ func TestLoadKeepsRowIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range cat.Names() {
-		a, _ := cat.Get(name)
-		b, _ := loaded.Get(name)
-		if a.slots() != b.slots() {
-			t.Fatalf("%s: %d slots loaded, want %d", name, b.slots(), a.slots())
-		}
-		for id := RowID(0); int(id) < a.slots(); id++ {
-			want, wantLive := a.Get(id)
-			got, gotLive := b.Get(id)
-			if gotLive != wantLive || (wantLive && !got.Equal(want)) {
-				t.Errorf("%s row %d: loaded %v (live %v), want %v (live %v)", name, id, got, gotLive, want, wantLive)
-			}
-		}
-	}
+	requireSameRows(t, loaded, cat)
 	var again bytes.Buffer
 	if err := loaded.Save(&again); err != nil {
 		t.Fatal(err)
@@ -245,6 +235,58 @@ func TestLoadKeepsRowIDs(t *testing.T) {
 	bad := strings.Replace(saved, `"slots": 5`, `"slots": 9`, 1)
 	if _, err := LoadCatalog(strings.NewReader(bad)); err == nil {
 		t.Error("inconsistent slot count should fail to load")
+	}
+}
+
+// requireSameRows fails unless got has want's tables with the same slot
+// counts, the same row under every live row ID and the same dead slots,
+// and unless every index of got answers as want's does: an equality probe
+// for each live row's key and, on a B-tree, the whole ordered range.
+func requireSameRows(t testing.TB, got, want *Catalog) {
+	t.Helper()
+	if g, w := got.Names(), want.Names(); !slices.Equal(g, w) {
+		t.Fatalf("tables %q, want %q", g, w)
+	}
+	for _, name := range want.Names() {
+		a, _ := want.Get(name)
+		b, _ := got.Get(name)
+		if a.slots() != b.slots() {
+			t.Fatalf("%s: %d slots loaded, want %d", name, b.slots(), a.slots())
+		}
+		for id := RowID(0); int(id) < a.slots(); id++ {
+			wantRow, wantLive := a.Get(id)
+			gotRow, gotLive := b.Get(id)
+			if gotLive != wantLive || (wantLive && !gotRow.Equal(wantRow)) {
+				t.Fatalf("%s row %d: loaded %v (live %v), want %v (live %v)", name, id, gotRow, gotLive, wantRow, wantLive)
+			}
+		}
+		if g, w := b.IndexSpecs(), a.IndexSpecs(); !slices.Equal(g, w) {
+			t.Fatalf("%s: indexes %v, want %v", name, g, w)
+		}
+		for _, ix := range a.IndexSpecs() {
+			col := a.Schema().ColIndex(ix.Target.Attr)
+			probe := func(lookup func(*Table) ([]RowID, error), what string) {
+				w, werr := lookup(a)
+				g, gerr := lookup(b)
+				if (werr == nil) != (gerr == nil) || !slices.Equal(g, w) {
+					t.Fatalf("%s index %v %s: loaded %v (%v), want %v (%v)", name, ix.Target, what, g, gerr, w, werr)
+				}
+			}
+			a.Scan(func(_ RowID, tup relation.Tuple) bool {
+				key, ok := tup.Cells[col].V, true
+				if ix.Target.Indicator != "" {
+					key, ok = tup.Cells[col].Tags.Get(ix.Target.Indicator)
+				}
+				if ok {
+					probe(func(tbl *Table) ([]RowID, error) { return tbl.LookupEq(ix.Target, key) }, "= "+key.String())
+				}
+				return true
+			})
+			if ix.Kind == IndexBTree {
+				all := Bound{Unbounded: true}
+				probe(func(tbl *Table) ([]RowID, error) { return tbl.LookupRange(ix.Target, all, all) }, "range")
+			}
+		}
 	}
 }
 
@@ -350,139 +392,74 @@ func TestLoadErrors(t *testing.T) {
 		`{"format":"repro-dq-catalog/1","tables":[{"name":"t","attrs":[{"name":"x","kind":"int"}],"rows":[[{"k":"int","v":"1"},{"k":"int","v":"2"}]]}]}`)); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	// Both decoders refuse an index kind other than exactly hash or
-	// btree, and anything but whitespace after the document.
+	// An index kind other than exactly hash or btree is refused, and so
+	// is anything but whitespace after the document.
 	var buf bytes.Buffer
 	if err := buildRichCatalog(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	saved := buf.String()
-	for name, load := range map[string]func(string) error{
-		"LoadCatalog":     func(doc string) error { _, err := LoadCatalog(strings.NewReader(doc)); return err },
-		"loadCatalogJSON": func(doc string) error { _, err := loadCatalogJSON([]byte(doc)); return err },
-	} {
-		for _, kind := range []string{"hsah", "HASH", "Btree", ""} {
-			doc := strings.Replace(saved, `"kind": "hash"`, `"kind": "`+kind+`"`, 1)
-			if err := load(doc); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
-				t.Errorf("%s of index kind %q: error %v, want unknown index kind", name, kind, err)
-			}
+	load := func(doc string) error { _, err := LoadCatalog(strings.NewReader(doc)); return err }
+	for _, kind := range []string{"hsah", "HASH", "Btree", ""} {
+		doc := strings.Replace(saved, `"kind": "hash"`, `"kind": "`+kind+`"`, 1)
+		if err := load(doc); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
+			t.Errorf("index kind %q: error %v, want unknown index kind", kind, err)
 		}
-		if err := load(saved + "garbage"); err == nil {
-			t.Errorf("%s accepted trailing garbage", name)
-		}
-		if err := load(saved + saved); err == nil {
-			t.Errorf("%s accepted a second document", name)
-		}
-		if err := load(saved + " \r\n\t"); err != nil {
-			t.Errorf("%s refused trailing whitespace: %v", name, err)
-		}
+	}
+	if err := load(saved + "garbage"); err == nil {
+		t.Error("trailing garbage accepted")
+	}
+	if err := load(saved + saved); err == nil {
+		t.Error("a second document accepted")
+	}
+	if err := load(saved + " \r\n\t"); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }
 
-// saveJSONOracle is the encoding/json implementation of Save that the
-// streaming writer replaced: it builds the whole jsonCatalog document,
-// cell by cell, and encodes it with an indenting json.Encoder. It is the
-// reference Save's bytes are held to.
-func saveJSONOracle(c *Catalog, w io.Writer) error {
-	doc := jsonCatalog{Format: formatName}
-	for _, name := range c.Names() {
-		tbl, _ := c.Get(name)
-		jt := jsonTable{Name: name, Strict: tbl.Strict()}
-		sc := tbl.Schema()
-		jt.Doc = sc.Doc
-		jt.Key = sc.Key
-		jt.Attrs = encodeAttrs(sc)
-		jt.TableTags = oracleTagSet(tbl.TableTags())
-		for _, ix := range tbl.IndexSpecs() {
-			kind := "btree"
-			if ix.Kind == IndexHash {
-				kind = "hash"
-			}
-			jt.Indexes = append(jt.Indexes, jsonIndex{
-				Attr: ix.Target.Attr, Indicator: ix.Target.Indicator, Kind: kind})
-		}
-		jt.Rows = [][]jsonCell{}
-		views := tbl.SnapshotCols(sc.ColIndexes())
-		cells := make([]relation.Cell, len(sc.Attrs))
-		for v := range views {
-			next := views[v].Base
-			for k := 0; k < views[v].Live(); k++ {
-				id := views[v].RowInto(k, cells)
-				for ; next < id; next++ {
-					jt.Dead = append(jt.Dead, next)
-				}
-				next++
-				row := make([]jsonCell, len(cells))
-				for i, cell := range cells {
-					row[i] = oracleCell(cell)
-				}
-				jt.Rows = append(jt.Rows, row)
-			}
-			for end := views[v].Base + RowID(views[v].N); next < end; next++ {
-				jt.Dead = append(jt.Dead, next)
-			}
-		}
-		if len(jt.Dead) > 0 {
-			jt.Slots = len(jt.Rows) + len(jt.Dead)
-		}
-		doc.Tables = append(doc.Tables, jt)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-func oracleValue(v value.Value) jsonValue {
-	if v.Kind() == value.KindTime {
-		return jsonValue{Kind: v.Kind().String(), Val: v.AsTime().Format(time.RFC3339Nano)}
-	}
-	return jsonValue{Kind: v.Kind().String(), Val: v.String()}
-}
-
-func oracleTagSet(s tag.Set) jsonTagSet {
-	if s.IsEmpty() {
-		return nil
-	}
-	out := make(jsonTagSet, s.Len())
-	for _, t := range s.Tags() {
-		out[t.Indicator] = oracleValue(t.Value)
-	}
-	return out
-}
-
-func oracleCell(cell relation.Cell) jsonCell {
-	jc := jsonCell{V: oracleValue(cell.V), Tags: oracleTagSet(cell.Tags), Sources: cell.Sources}
-	if len(cell.Meta) > 0 {
-		jc.Meta = make(map[string]jsonTagSet, len(cell.Meta))
-		for ind, ms := range cell.Meta {
-			jc.Meta[ind] = oracleTagSet(ms)
-		}
-	}
-	return jc
-}
-
-// requireSaveMatchesOracle fails the test unless Save writes exactly the
-// oracle's bytes for cat.
-func requireSaveMatchesOracle(t testing.TB, cat *Catalog) {
+// checkpointBytes writes cat's binary checkpoint.
+func checkpointBytes(t testing.TB, cat *Catalog) []byte {
 	t.Helper()
-	var got, want bytes.Buffer
-	if err := cat.Save(&got); err != nil {
+	var buf bytes.Buffer
+	if err := cat.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveJSONOracle(cat, &want); err != nil {
+	return buf.Bytes()
+}
+
+// saveBytes writes cat's JSON document.
+func saveBytes(t testing.TB, cat *Catalog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := cat.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got.Bytes(), want.Bytes()) {
-		return
+	return buf.Bytes()
+}
+
+// requireCheckpointMatches fails unless the catalog LoadCheckpoint reads
+// from cat's checkpoint saves, as JSON, byte for byte what cat saves, and
+// returns that catalog. The JSON document is the oracle: it shows every
+// value with its kind, every tag, source and meta tag, the table tags,
+// the indexes and the dead slots.
+func requireCheckpointMatches(t testing.TB, cat *Catalog) *Catalog {
+	t.Helper()
+	loaded, err := LoadCheckpoint(checkpointBytes(t, cat))
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, w := got.Bytes(), want.Bytes()
+	got, want := saveBytes(t, loaded), saveBytes(t, cat)
+	if bytes.Equal(got, want) {
+		return loaded
+	}
 	i := 0
-	for i < len(g) && i < len(w) && g[i] == w[i] {
+	for i < len(got) && i < len(want) && got[i] == want[i] {
 		i++
 	}
 	lo := max(i-200, 0)
-	t.Fatalf("Save differs from encoding/json at byte %d (%d vs %d bytes)\nSave:   %q\noracle: %q",
-		i, len(g), len(w), g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
+	t.Fatalf("the checkpoint loads a catalog that saves differently at byte %d (%d vs %d bytes)\nloaded: %q\nsource: %q",
+		i, len(got), len(want), got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+	return nil
 }
 
 // nastyStrings exercise every branch of JSON string escaping: HTML
@@ -702,14 +679,15 @@ func randomCatalog(t testing.TB, seed int64) *Catalog {
 	return cat
 }
 
-// TestSaveMatchesJSON holds Save to the encoding/json oracle byte for
-// byte over random catalogs: every value kind, nulls and float edges,
-// strings needing every kind of escape, tags, sources, meta tags (one
-// empty), table tags, keys, both index kinds, and dead slots mid-segment,
-// trailing and filling a whole segment.
+// TestSaveMatchesJSON holds the binary checkpoint to the JSON oracle over
+// random catalogs: the catalog LoadCheckpoint reads back saves byte for
+// byte what the source catalog saves. The catalogs hold every value kind,
+// nulls and float edges, strings of every kind of bytes, tags, sources,
+// meta tags (one an empty set), table tags, keys, both index kinds, and
+// dead slots mid-segment, trailing and filling a whole segment.
 func TestSaveMatchesJSON(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		requireSaveMatchesOracle(t, randomCatalog(t, seed))
+		requireCheckpointMatches(t, randomCatalog(t, seed))
 	}
 }
 
@@ -752,51 +730,23 @@ func edgeCatalogs(t *testing.T, visit func(*Catalog)) {
 	visit(rich)
 }
 
-// TestSaveMatchesJSONEdges holds Save to the oracle on edgeCatalogs.
+// TestSaveMatchesJSONEdges holds the checkpoint to the JSON oracle on
+// edgeCatalogs.
 func TestSaveMatchesJSONEdges(t *testing.T) {
-	edgeCatalogs(t, func(cat *Catalog) { requireSaveMatchesOracle(t, cat) })
+	edgeCatalogs(t, func(cat *Catalog) { requireCheckpointMatches(t, cat) })
 }
 
-// requireLoadMatchesJSON decodes data through LoadCatalog and through
-// the encoding/json path alone, and requires the same outcome: the same
-// error, or catalogs that Save writes byte for byte the same.
-func requireLoadMatchesJSON(t testing.TB, data []byte) {
-	t.Helper()
-	got, gotErr := LoadCatalog(bytes.NewReader(data))
-	want, wantErr := loadCatalogJSON(data)
-	if gotErr != nil || wantErr != nil {
-		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("LoadCatalog error %v, encoding/json error %v", gotErr, wantErr)
-		}
-		return
-	}
-	var g, w bytes.Buffer
-	if err := got.Save(&g); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Save(&w); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g.Bytes(), w.Bytes()) {
-		t.Fatalf("LoadCatalog and encoding/json load different catalogs:\nLoadCatalog:   %.2000s\nencoding/json: %.2000s",
-			g.Bytes(), w.Bytes())
-	}
-}
-
-// TestLoadMatchesJSON holds LoadCatalog to the encoding/json decode of
-// every catalog TestSaveMatchesJSON and TestSaveMatchesJSONEdges save, and
-// requires each of those Save-written files to load without falling back.
+// TestLoadMatchesJSON: a catalog loaded from a checkpoint keeps every row
+// under its ID, and its indexes of both kinds answer every probe as the
+// source catalog's do, over the catalogs of TestSaveMatchesJSON and
+// TestSaveMatchesJSONEdges.
 func TestLoadMatchesJSON(t *testing.T) {
-	before := SnapshotFallbacks()
 	check := func(cat *Catalog) {
-		var buf bytes.Buffer
-		if err := cat.Save(&buf); err != nil {
+		loaded, err := LoadCheckpoint(checkpointBytes(t, cat))
+		if err != nil {
 			t.Fatal(err)
 		}
-		requireLoadMatchesJSON(t, buf.Bytes())
-		if n := SnapshotFallbacks() - before; n != 0 {
-			t.Fatalf("a Save-written catalog fell back to encoding/json:\n%.4000s", buf.Bytes())
-		}
+		requireSameRows(t, loaded, cat)
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		check(randomCatalog(t, seed))
@@ -804,9 +754,10 @@ func TestLoadMatchesJSON(t *testing.T) {
 	edgeCatalogs(t, check)
 }
 
-// TestLoadMatchesJSONHandEdited holds LoadCatalog to encoding/json on
-// documents Save does not write, each a hand edit of the golden file or
-// a small document of its own: the same catalog or the same error.
+// TestLoadMatchesJSONHandEdited loads documents Save does not write, each
+// a hand edit of the golden file or a small document of its own: those
+// LoadCatalog refuses are the listed ones, and every catalog it accepts
+// survives a checkpoint round trip unchanged.
 func TestLoadMatchesJSONHandEdited(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "save.golden.json"))
 	if err != nil {
@@ -875,8 +826,22 @@ func TestLoadMatchesJSONHandEdited(t *testing.T) {
 		"truncated end":       g[:len(g)-3],
 		"empty":               "",
 	}
+	refused := map[string]bool{
+		"trailing garbage": true, "second document": true, "bad int": true, "bad slot count": true,
+		"index kind typo": true, "index kind case": true, "arity": true, "truncated": true,
+		"truncated end": true, "empty": true, "raw control byte": true, "slots leading zero": true,
+		"slots float": true, "null meta set": true, "null value": true,
+	}
 	for name, doc := range cases {
-		t.Run(name, func(t *testing.T) { requireLoadMatchesJSON(t, []byte(doc)) })
+		t.Run(name, func(t *testing.T) {
+			cat, err := LoadCatalog(strings.NewReader(doc))
+			if (err != nil) != refused[name] {
+				t.Fatalf("LoadCatalog error %v, want refused %v", err, refused[name])
+			}
+			if err == nil {
+				requireCheckpointMatches(t, cat)
+			}
+		})
 	}
 }
 
@@ -890,8 +855,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSaveReportsWriteError: a failing destination fails Save, whether
-// the failure hits a chunk written mid-table or the final one.
+// TestSaveReportsWriteError: a failing destination fails Save and
+// WriteCheckpoint, whether the failure hits the first write, one in the
+// middle or the last.
 func TestSaveReportsWriteError(t *testing.T) {
 	cat := NewCatalog()
 	tbl, err := cat.Create(schema.MustNew("t", []schema.Attr{{Name: "x", Kind: value.KindInt}}), false)
@@ -903,13 +869,15 @@ func TestSaveReportsWriteError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var full bytes.Buffer
-	if err := cat.Save(&full); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, snapFlushBytes, full.Len() - 1} {
-		if err := cat.Save(&failAfter{n: n}); err == nil {
-			t.Errorf("Save into a writer failing after %d of %d bytes reported no error", n, full.Len())
+	for name, write := range map[string]func(io.Writer) error{"Save": cat.Save, "WriteCheckpoint": cat.WriteCheckpoint} {
+		var full bytes.Buffer
+		if err := write(&full); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, full.Len() / 2, full.Len() - 1} {
+			if err := write(&failAfter{n: n}); err == nil {
+				t.Errorf("%s into a writer failing after %d of %d bytes reported no error", name, n, full.Len())
+			}
 		}
 	}
 }
@@ -978,7 +946,7 @@ func (f *fuzzBytes) tags() tag.Set {
 // FuzzSaveMatchesJSON lets the fuzzer choose the strings and values of a
 // catalog — cell values of every kind, tag names and values, sources, meta
 // tags, table tags, the table's name and doc — and which rows die, and
-// holds Save to the encoding/json oracle byte for byte.
+// holds the checkpoint to the JSON oracle byte for byte.
 func FuzzSaveMatchesJSON(f *testing.F) {
 	f.Add([]byte("\x04\x03<&>\x02\x01\x05hello"))
 	f.Add([]byte("\x03\x02\xe2\x80\xa8\x04\x04\xff\xfe\x00\x01\x07\x05\x06\x07\x08"))
@@ -1028,13 +996,12 @@ func FuzzSaveMatchesJSON(f *testing.F) {
 				}
 			}
 		}
-		requireSaveMatchesOracle(t, cat)
+		requireCheckpointMatches(t, cat)
 	})
 }
 
-// FuzzLoadMatchesJSON mutates Save-written catalogs and holds LoadCatalog
-// to the encoding/json decode of the same bytes: the same catalog, or
-// the same error.
+// FuzzLoadMatchesJSON mutates Save-written catalogs: every catalog
+// LoadCatalog accepts survives a checkpoint round trip unchanged.
 func FuzzLoadMatchesJSON(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "save.golden.json"))
 	if err != nil {
@@ -1064,6 +1031,108 @@ func FuzzLoadMatchesJSON(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		requireLoadMatchesJSON(t, data)
+		if cat, err := LoadCatalog(bytes.NewReader(data)); err == nil {
+			requireCheckpointMatches(t, cat)
+		}
+	})
+}
+
+// smallMultiSegment builds a catalog of two tables, one spanning two
+// segments with deletes, tags, sources and meta tags, small enough to
+// damage at every byte.
+func smallMultiSegment(t testing.TB) *Catalog {
+	t.Helper()
+	cat := buildRichCatalog(t)
+	mutateRichCatalog(t, cat)
+	sc := schema.MustNew("wide", []schema.Attr{
+		{Name: "b", Kind: value.KindBool,
+			Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
+	})
+	tbl, err := cat.Create(sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < SegmentSize+20; i++ {
+		c := relation.Cell{V: value.Bool(i%2 == 0)}
+		if i%3 == 0 {
+			c.Tags = tag.NewSet(tag.Tag{Indicator: "source", Value: value.Str([]string{"a", "b"}[i%2])})
+			c.Sources = tag.NewSources("feed")
+		}
+		if i%500 == 0 {
+			c = c.WithMetaTag("source", "credibility", value.Str("high"))
+		}
+		if _, err := tbl.Insert(relation.Tuple{Cells: []relation.Cell{c}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []RowID{7, SegmentSize - 1, SegmentSize + 3} {
+		if err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// TestCheckpointRefusesDamage: a multi-segment checkpoint with any one
+// byte flipped, or cut at any length, fails to load.
+func TestCheckpointRefusesDamage(t *testing.T) {
+	cat := smallMultiSegment(t)
+	data := checkpointBytes(t, cat)
+	requireSameRows(t, requireCheckpointMatches(t, cat), cat)
+	damaged := make([]byte, len(data))
+	for i := range data {
+		copy(damaged, data)
+		damaged[i] ^= 0xff
+		if _, err := LoadCheckpoint(damaged); err == nil {
+			t.Fatalf("byte %d of %d flipped: loaded", i, len(data))
+		}
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := LoadCheckpoint(data[:n]); err == nil {
+			t.Fatalf("cut at %d of %d bytes: loaded", n, len(data))
+		}
+	}
+	if _, err := LoadCheckpoint(append(slices.Clip(data), 0)); err == nil {
+		t.Fatal("a trailing byte: loaded")
+	}
+	if _, err := LoadCheckpoint(saveBytes(t, cat)); err == nil {
+		t.Fatal("a JSON document loaded as a binary checkpoint")
+	}
+}
+
+// withChecksums returns data with every section's checksum recomputed
+// where its length fits, so damage inside a section body reaches the
+// decoder rather than stopping at the checksum.
+func withChecksums(data []byte) []byte {
+	out := slices.Clone(data)
+	i := len(checkpointMagic) + 1
+	for i+sectionHeader <= len(out) {
+		n := int(binary.LittleEndian.Uint32(out[i:]))
+		if n > len(out)-i-sectionHeader {
+			break
+		}
+		body := out[i+sectionHeader : i+sectionHeader+n]
+		binary.LittleEndian.PutUint32(out[i+4:], crc32.Checksum(body, castagnoli))
+		i += sectionHeader + n
+	}
+	return out
+}
+
+// FuzzCheckpoint feeds LoadCheckpoint arbitrary bytes, as they are and
+// with their section checksums made good: it must never panic, and every
+// catalog it accepts must survive a second checkpoint round trip
+// unchanged.
+func FuzzCheckpoint(f *testing.F) {
+	mutated := buildRichCatalog(f)
+	mutateRichCatalog(f, mutated)
+	for _, cat := range []*Catalog{NewCatalog(), buildRichCatalog(f), mutated} {
+		f.Add(checkpointBytes(f, cat))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, withChecksums(data)} {
+			if cat, err := LoadCheckpoint(in); err == nil {
+				requireCheckpointMatches(t, cat)
+			}
+		}
 	})
 }

@@ -95,9 +95,10 @@ type RecoveryStats struct {
 	Duration time.Duration
 	// SnapshotLoad is the time spent reading and decoding the checkpoint.
 	SnapshotLoad time.Duration
-	// SnapshotFallback is set when the checkpoint departed from the
-	// layout Catalog.Save writes, so it was decoded by encoding/json
-	// instead of the streaming reader (see storage.LoadCatalogBytes).
+	// SnapshotFallback is set when the checkpoint was a JSON document —
+	// written before checkpoints were binary, or by hand — and so was
+	// read by storage.LoadCatalog instead of storage.LoadCheckpoint. The
+	// next checkpoint is binary and removes it.
 	SnapshotFallback bool
 	// Replay is the time spent replaying log segments after the
 	// checkpoint.
@@ -713,13 +714,13 @@ func (l *Log) Checkpoint() error {
 	}
 	// Serialize the catalog under appendMu: every mutation flows through
 	// append1, so holding appendMu yields a state exactly equal to
-	// "replay through seq". Catalog.Save snapshots tables one at a time
-	// and would otherwise interleave with concurrent DML.
+	// "replay through seq". WriteCheckpoint snapshots tables one at a
+	// time and would otherwise interleave with concurrent DML.
 	//
-	// Known write stall: appendMu is held while Save encodes the whole
-	// catalog into snap, so every writer and group commit waits for it,
-	// once per CheckpointRecords. Save streams JSON straight from the
-	// column runs; the stall is its per-row cost (storage's
+	// Known write stall: appendMu is held while WriteCheckpoint encodes
+	// the whole catalog into snap, so every writer and group commit waits
+	// for it, once per CheckpointRecords. The binary encode reads the
+	// column runs directly; the stall is its per-row cost (storage's
 	// BenchmarkCatalogSave) times the database size. Encoding outside
 	// the lock needs the active segment rotated at the cut first:
 	// otherwise the segment holding records on both sides of it is never
@@ -729,7 +730,7 @@ func (l *Log) Checkpoint() error {
 	l.appendMu.Lock()
 	seq := l.nextSeq - 1
 	since := l.sinceCkpt.Load()
-	err := l.cat.Save(&snap)
+	err := l.cat.WriteCheckpoint(&snap)
 	l.appendMu.Unlock()
 	if err != nil {
 		l.nCkptErr.Add(1)

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 
 	"repro/internal/relation"
-	"repro/internal/server/wire"
 	"repro/internal/storage"
 	"repro/internal/tag"
 	"repro/internal/value"
@@ -73,8 +72,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // On-disk frame: u32-LE body length | u32-LE CRC32C(body) | body.
 // The body is: uvarint seq, kind byte, uvarint len(table), table,
-// kind-specific payload. Values inside tuples use the wire v2 binary cell
-// codec so tagged cells round-trip bit-exactly with the protocol.
+// kind-specific payload. Values inside tuples use value.AppendBinary, the
+// codec of the wire protocol's typed cells and of checkpoints, so tagged
+// cells round-trip bit-exactly.
 const frameHeader = 8
 
 // maxRecordBytes bounds a single record body so a corrupt length prefix
@@ -112,22 +112,12 @@ func readString(b []byte) (string, []byte, error) {
 
 var errTruncatedRecord = fmt.Errorf("wal: truncated record body")
 
-func appendValue(b []byte, v value.Value) []byte { return wire.AppendValue(b, v) }
-
-func readValue(b []byte) (value.Value, []byte, error) {
-	v, rest, err := wire.ReadValue(b)
-	if err != nil {
-		return value.Null, nil, err
-	}
-	return v, rest, nil
-}
-
 func appendTagSet(b []byte, s tag.Set) []byte {
 	tags := s.Tags()
 	b = appendUvarint(b, uint64(len(tags)))
 	for _, t := range tags {
 		b = appendString(b, t.Indicator)
-		b = appendValue(b, t.Value)
+		b = value.AppendBinary(b, t.Value)
 	}
 	return b
 }
@@ -151,7 +141,7 @@ func readTagSet(b []byte) (tag.Set, []byte, error) {
 		if err != nil {
 			return tag.EmptySet, nil, err
 		}
-		v, b, err = readValue(b)
+		v, b, err = value.ReadBinary(b)
 		if err != nil {
 			return tag.EmptySet, nil, err
 		}
@@ -161,7 +151,7 @@ func readTagSet(b []byte) (tag.Set, []byte, error) {
 }
 
 func appendCell(b []byte, c relation.Cell) []byte {
-	b = appendValue(b, c.V)
+	b = value.AppendBinary(b, c.V)
 	b = appendTagSet(b, c.Tags)
 	b = appendUvarint(b, uint64(len(c.Sources)))
 	for _, s := range c.Sources {
@@ -178,7 +168,7 @@ func appendCell(b []byte, c relation.Cell) []byte {
 func readCell(b []byte) (relation.Cell, []byte, error) {
 	var c relation.Cell
 	var err error
-	c.V, b, err = readValue(b)
+	c.V, b, err = value.ReadBinary(b)
 	if err != nil {
 		return c, nil, err
 	}
@@ -283,7 +273,7 @@ func appendRecord(b []byte, rec *Record) []byte {
 		body = append(body, byte(rec.Index))
 	case KindTagTable:
 		body = appendString(body, rec.Indicator)
-		body = appendValue(body, rec.TagValue)
+		body = value.AppendBinary(body, rec.TagValue)
 	default:
 		// Unreachable: records are built by Log methods with fixed kinds.
 	}
@@ -382,7 +372,7 @@ func decodeBody(body []byte) (*Record, error) {
 	case KindTagTable:
 		rec.Indicator, body, err = readString(body)
 		if err == nil {
-			rec.TagValue, body, err = readValue(body)
+			rec.TagValue, body, err = value.ReadBinary(body)
 		}
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", byte(rec.Kind))

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -54,7 +55,15 @@ func (l *Log) replay() error {
 		if err != nil {
 			return fmt.Errorf("wal: recover: read checkpoint %d: %w", ckpt, err)
 		}
-		cat, fellBack, err := storage.LoadCatalogBytes(data)
+		// A checkpoint written before they were binary, or by hand, is
+		// a JSON document.
+		var cat *storage.Catalog
+		legacy := !storage.IsCheckpoint(data)
+		if legacy {
+			cat, err = storage.LoadCatalog(bytes.NewReader(data))
+		} else {
+			cat, err = storage.LoadCheckpoint(data)
+		}
 		if err != nil {
 			// The checkpoint was fsynced before its rename became
 			// visible, so this is not a crash artifact.
@@ -64,7 +73,7 @@ func (l *Log) replay() error {
 		l.ckptSeq.Store(ckpt)
 		l.recov.CheckpointSeq = ckpt
 		l.recov.SnapshotLoad = time.Since(start)
-		l.recov.SnapshotFallback = fellBack
+		l.recov.SnapshotFallback = legacy
 	}
 	replayStart := time.Now()
 	// Older checkpoints are superseded; a crash between rename and prune

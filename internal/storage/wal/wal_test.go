@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -814,5 +816,85 @@ func TestInjectedWriteFailureIsSticky(t *testing.T) {
 	}
 	if err := l.Insert("customer", taggedRow(2, "y")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append after failure = %v, want sticky injected error", err)
+	}
+}
+
+// TestOpenJSONCheckpoint: a data directory whose checkpoint is a JSON
+// document — every checkpoint was, before they became binary — opens to
+// the same catalog and reports the fallback, and the next checkpoint
+// writes the binary format and removes the JSON file.
+func TestOpenJSONCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncAlways, CheckpointRecords: -1}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := workloadOps(t) // a checkpoint over a dead slot, then records after it
+	if n := runLogged(l, ops); n != len(ops) {
+		t.Fatalf("acked %d of %d", n, len(ops))
+	}
+	want := catalogDump(t, l.Catalog())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints %v, %v", ckpts, err)
+	}
+	legacy := ckpts[0]
+	data, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := storage.LoadCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(catalogDump(t, cat)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := l.RecoveryStats(); !rs.SnapshotFallback || rs.Replayed == 0 {
+		t.Errorf("recovery stats %+v: want a JSON checkpoint and replayed records", rs)
+	}
+	if got := catalogDump(t, l.Catalog()); got != want {
+		t.Fatalf("recovered catalog differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if err := l.Insert("customer", taggedRow(7, "after-json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want = catalogDump(t, l.Catalog())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err = filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if err != nil || len(ckpts) != 1 || ckpts[0] == legacy {
+		t.Fatalf("checkpoints after the next one: %v, %v (the JSON one was %s)", ckpts, err, legacy)
+	}
+	if data, err := os.ReadFile(ckpts[0]); err != nil || !storage.IsCheckpoint(data) {
+		t.Fatalf("the next checkpoint is not binary (%v): %.40q", err, data)
+	}
+
+	l, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rs := l.RecoveryStats(); rs.SnapshotFallback {
+		t.Errorf("recovery stats %+v: the binary checkpoint fell back", rs)
+	}
+	if got := catalogDump(t, l.Catalog()); got != want {
+		t.Fatalf("catalog after the binary checkpoint differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
