@@ -1,10 +1,8 @@
 package algebra
 
 import (
-	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -20,7 +18,7 @@ import (
 // groups come out in sorted order of their joined key literals; each keeps
 // its first-seen key cells, and aggregate cells carry tags intersected and
 // sources unioned across their inputs. Groups are found by a hash of the
-// key values and confirmed by sameLiteral, so no key string is built per
+// key values and confirmed by value.SameLiteral, so no key string is built per
 // row: each group's literal is built once, for the final sort. Plain-column
 // and indicator (col@ind) group keys and plain-column aggregate arguments
 // read straight off the column vectors; computed expressions evaluate over
@@ -102,7 +100,7 @@ func NewBatchGroupedAggregate(in BatchIterator, groupBy []Expr, aggs []AggSpec, 
 					first = -1
 				}
 				g := first
-				for g >= 0 && !sameLiterals(row, keyVals[int(g)*nk:int(g)*nk+nk]) {
+				for g >= 0 && !value.SameLiterals(row, keyVals[int(g)*nk:int(g)*nk+nk]) {
 					g = next[g]
 				}
 				if g < 0 {
@@ -202,52 +200,6 @@ func (k *groupKey) cell(b *Batch, p int32, t relation.Tuple, v value.Value) rela
 	}
 	c := b.cols[k.col].Cell(int(p))
 	return relation.Cell{V: v, Tags: c.Tags, Sources: c.Sources}
-}
-
-// sameLiterals reports whether two key rows' joined literals match: no
-// literal contains the 0 byte outside a quoted string and a quoted string
-// delimits itself, so joined literals match exactly when each pair does.
-func sameLiterals(a, b []value.Value) bool {
-	for i := range a {
-		if !sameLiteral(&a[i], &b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameLiteral reports whether a.Literal() == b.Literal() without building
-// either string. Within a kind that is Equal, except that a float's sign
-// of zero prints (-0 is not 0) and every NaN prints alike. Across kinds
-// only an int and a float can print alike — Float(1) prints as 1 but
-// Float(1e6) as 1e+06 — so that rare pair compares the two formats in
-// stack buffers.
-func sameLiteral(a, b *value.Value) bool {
-	ka, kb := a.Kind(), b.Kind()
-	if ka != kb {
-		switch {
-		case ka == value.KindInt && kb == value.KindFloat:
-			return intPrintsAsFloat(a.AsInt(), b.AsFloat())
-		case ka == value.KindFloat && kb == value.KindInt:
-			return intPrintsAsFloat(b.AsInt(), a.AsFloat())
-		}
-		return false
-	}
-	if ka == value.KindFloat {
-		fa, fb := a.AsFloat(), b.AsFloat()
-		if math.IsNaN(fa) || math.IsNaN(fb) {
-			return math.IsNaN(fa) && math.IsNaN(fb)
-		}
-		return fa == fb && math.Signbit(fa) == math.Signbit(fb)
-	}
-	return value.EqualPtr(a, b)
-}
-
-// intPrintsAsFloat reports whether Int(i) and Float(f) have the same
-// literal.
-func intPrintsAsFloat(i int64, f float64) bool {
-	var ib, fb [32]byte
-	return string(strconv.AppendInt(ib[:0], i, 10)) == string(strconv.AppendFloat(fb[:0], f, 'g', -1, 64))
 }
 
 // refSet collects the distinct columns a sink's computed expressions read,

@@ -279,15 +279,15 @@ func TestGroupedAggregateMatchesLiteralOracle(t *testing.T) {
 	}
 }
 
-// TestSameLiteral holds sameLiteral to its definition, a.Literal() ==
+// TestSameLiteral holds value.SameLiteral to its definition, a.Literal() ==
 // b.Literal(), over every pair of the equivalence pools.
 func TestSameLiteral(t *testing.T) {
 	pool := append(append(append([]value.Value(nil), equivVals...), equivNums...), equivTagVals...)
 	pool = append(pool, value.Int(123456), value.Float(123456), value.Int(-7), value.Float(-7), value.Float(1e21), value.Int(1e18))
 	for _, a := range pool {
 		for _, b := range pool {
-			if got, want := sameLiteral(&a, &b), a.Literal() == b.Literal(); got != want {
-				t.Errorf("sameLiteral(%s %s, %s %s) = %v, want %v", a.Kind(), a.Literal(), b.Kind(), b.Literal(), got, want)
+			if got, want := value.SameLiteral(&a, &b), a.Literal() == b.Literal(); got != want {
+				t.Errorf("SameLiteral(%s %s, %s %s) = %v, want %v", a.Kind(), a.Literal(), b.Kind(), b.Literal(), got, want)
 			}
 		}
 	}

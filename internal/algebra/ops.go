@@ -262,7 +262,7 @@ func (d *distinct) NextBatch(b *Batch) (bool, error) {
 				first = -1
 			}
 			k := first
-			for k >= 0 && !sameLiterals(d.row, d.vals[int(k)*w:int(k)*w+w]) {
+			for k >= 0 && !value.SameLiterals(d.row, d.vals[int(k)*w:int(k)*w+w]) {
 				k = d.next[k]
 			}
 			if k >= 0 {

@@ -2,9 +2,12 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -202,37 +205,50 @@ func TestBTreeVersusModel(t *testing.T) {
 	}
 }
 
+// TestHashIndex drives a hash index's chains through a float column, which
+// takes ints too: Equal values share one chain, lookups list
+// its live rows in ascending order, and a drained chain answers nothing.
 func TestHashIndex(t *testing.T) {
-	h := NewHashIndex()
-	h.Insert(value.Str("a"), 1)
-	h.Insert(value.Str("a"), 2)
-	h.Insert(value.Str("b"), 3)
-	h.Insert(value.Int(2), 4)
-	h.Insert(value.Float(2.0), 5) // equal to Int(2)
-	if h.Len() != 5 {
-		t.Fatalf("Len = %d", h.Len())
+	tbl := NewTable(schema.MustNew("h", []schema.Attr{{Name: "v", Kind: value.KindFloat}}), false)
+	if err := tbl.CreateIndex(IndexTarget{Attr: "v"}, IndexHash); err != nil {
+		t.Fatal(err)
 	}
-	if ids := h.Lookup(value.Str("a")); len(ids) != 2 {
-		t.Errorf("Lookup(a) = %v", ids)
+	for _, v := range []value.Value{value.Float(0.5), value.Float(0.5), value.Float(3), value.Int(2), value.Float(2.0)} {
+		if _, err := tbl.Insert(relation.Tuple{Cells: []relation.Cell{{V: v}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ids := h.Lookup(value.Int(2)); len(ids) != 2 {
+	lookup := func(v value.Value) []RowID {
+		t.Helper()
+		ids, err := tbl.LookupEq(IndexTarget{Attr: "v"}, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	if ids := lookup(value.Float(0.5)); !slices.Equal(ids, []RowID{0, 1}) {
+		t.Errorf("Lookup(0.5) = %v", ids)
+	}
+	if ids := lookup(value.Int(2)); !slices.Equal(ids, []RowID{3, 4}) {
 		t.Errorf("Lookup(2) should see Float(2.0) too: %v", ids)
 	}
-	if !h.Delete(value.Str("a"), 1) {
-		t.Error("Delete existing failed")
+	if err := tbl.Delete(0); err != nil {
+		t.Fatal(err)
 	}
-	if h.Delete(value.Str("a"), 1) {
-		t.Error("Delete twice should fail")
+	if ids := lookup(value.Float(0.5)); !slices.Equal(ids, []RowID{1}) {
+		t.Errorf("after delete Lookup(0.5) = %v", ids)
 	}
-	if h.Delete(value.Str("zz"), 1) {
-		t.Error("Delete absent key should fail")
+	// Drain the chain; a moved row joins its new chain in order.
+	if err := tbl.Update(1, relation.Tuple{Cells: []relation.Cell{{V: value.Float(2)}}}); err != nil {
+		t.Fatal(err)
 	}
-	if ids := h.Lookup(value.Str("a")); len(ids) != 1 || ids[0] != 2 {
-		t.Errorf("after delete Lookup(a) = %v", ids)
-	}
-	// Drain and verify bucket cleanup keeps lookups correct.
-	h.Delete(value.Str("a"), 2)
-	if ids := h.Lookup(value.Str("a")); ids != nil {
+	if ids := lookup(value.Float(0.5)); ids != nil {
 		t.Errorf("drained key lookup = %v", ids)
+	}
+	if ids := lookup(value.Float(2)); !slices.Equal(ids, []RowID{1, 3, 4}) {
+		t.Errorf("Lookup(2.0) after the update = %v", ids)
+	}
+	if ids := lookup(value.Str("zz")); ids != nil {
+		t.Errorf("absent key lookup = %v", ids)
 	}
 }

@@ -144,9 +144,11 @@ func boolByte(b bool) byte {
 
 func (w *ckptWriter) uvarint(x uint64) { w.b = binary.AppendUvarint(w.b, x) }
 
-func (w *ckptWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
+func (w *ckptWriter) str(s string) { w.b = appendStr(w.b, s) }
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // strDict codes a section's strings in order of first occurrence. The
@@ -205,30 +207,35 @@ func appendTagSet(b []byte, dict *strDict, s tag.Set) []byte {
 	return b
 }
 
-func (w *ckptWriter) table(tbl *Table) error {
-	// The definition is written field by field: MarshalTableDef's JSON
-	// would turn invalid UTF-8 in a name or doc into U+FFFD.
-	sc := tbl.Schema()
-	w.begin(secTable)
-	w.str(sc.Name)
-	w.str(sc.Doc)
-	w.uvarint(uint64(len(sc.Attrs)))
+// appendTableDef appends a table's definition and strictness field by
+// field, as secReader.schema reads it back. JSON would turn invalid UTF-8
+// in a name or doc into U+FFFD.
+func appendTableDef(b []byte, sc *schema.Schema, strict bool) []byte {
+	b = appendStr(b, sc.Name)
+	b = appendStr(b, sc.Doc)
+	b = binary.AppendUvarint(b, uint64(len(sc.Attrs)))
 	for _, a := range sc.Attrs {
-		w.str(a.Name)
-		w.b = append(w.b, byte(a.Kind), boolByte(a.Required))
-		w.str(a.Doc)
-		w.uvarint(uint64(len(a.Indicators)))
+		b = appendStr(b, a.Name)
+		b = append(b, byte(a.Kind), boolByte(a.Required))
+		b = appendStr(b, a.Doc)
+		b = binary.AppendUvarint(b, uint64(len(a.Indicators)))
 		for _, ind := range a.Indicators {
-			w.str(ind.Name)
-			w.b = append(w.b, byte(ind.Kind))
-			w.str(ind.Doc)
+			b = appendStr(b, ind.Name)
+			b = append(b, byte(ind.Kind))
+			b = appendStr(b, ind.Doc)
 		}
 	}
-	w.uvarint(uint64(len(sc.Key)))
+	b = binary.AppendUvarint(b, uint64(len(sc.Key)))
 	for _, k := range sc.Key {
-		w.str(k)
+		b = appendStr(b, k)
 	}
-	w.b = append(w.b, boolByte(tbl.Strict()))
+	return append(b, boolByte(strict))
+}
+
+func (w *ckptWriter) table(tbl *Table) error {
+	sc := tbl.Schema()
+	w.begin(secTable)
+	w.b = appendTableDef(w.b, sc, tbl.Strict())
 	tt := tbl.TableTags()
 	w.uvarint(uint64(tt.Len()))
 	for _, t := range tt.Tags() {
@@ -378,9 +385,10 @@ func (w *ckptWriter) present(n int, has func(k int) bool) {
 var errShortCheckpoint = errors.New("truncated")
 
 // LoadCheckpoint reads a catalog written by WriteCheckpoint. It hands
-// every row to Table.Insert through the rowLoader LoadCatalog uses, so
-// rows are checked against their schema and key, the indexes are rebuilt
-// as they load, and dead slots are put back so every row keeps its ID.
+// every row to the rowLoader LoadCatalog uses, so rows are checked
+// against their schema, dead slots are put back so every row keeps its
+// ID, and each table's key and indexes are built once after its rows,
+// refusing a duplicate key.
 // Any damage — a bad checksum, a section or file cut short, an unknown
 // kind, a row of the wrong arity, bytes after the end — is an error, and
 // no partly loaded catalog is returned.
@@ -519,7 +527,8 @@ func (l *ckptLoader) table(r *secReader) error {
 }
 
 // closeTable checks that the loading table got all its segments and its
-// saved slot count, and places its trailing dead slots.
+// saved slot count, places its trailing dead slots and builds its keys.
+// A duplicate key is reported in the section that closes the table.
 func (l *ckptLoader) closeTable() error {
 	if l.tbl == nil {
 		return nil
@@ -531,7 +540,9 @@ func (l *ckptLoader) closeTable() error {
 	if l.slots != l.rows+l.dead {
 		return fmt.Errorf("table %s: %d slots, but %d rows and %d dead", name, l.slots, l.rows, l.dead)
 	}
-	if err := l.rl.finish(); err != nil {
+	if row, err := l.rl.finish(); row >= 0 {
+		return fmt.Errorf("table %s row %d: %w", name, row, err)
+	} else if err != nil {
 		return fmt.Errorf("table %s: %w", name, err)
 	}
 	l.tbl = nil
@@ -558,7 +569,7 @@ func (l *ckptLoader) segment(r *secReader) error {
 		return fmt.Errorf("table %s: %w", sc.Name, r.err)
 	}
 	for k := 0; k < n; k++ {
-		if err := l.rl.insert(l.cells[k*width : (k+1)*width]); err != nil {
+		if err := l.rl.insert(l.cells[k*width:(k+1)*width], n-k); err != nil {
 			return fmt.Errorf("table %s row %d: %w", sc.Name, l.rows, err)
 		}
 		l.rows++

@@ -119,8 +119,9 @@ func decodeAttrs(jas []jsonAttr) ([]schema.Attr, error) {
 }
 
 // jsonTableDef is a schema-only table definition: what CREATE TABLE
-// establishes, without rows, tags, or indexes. The WAL logs DDL as one of
-// these so a replayed CreateTable record rebuilds the exact schema.
+// establishes, without rows, tags, or indexes. A table of the JSON
+// document embeds one, and WAL CreateTable records written before the
+// binary definition hold one.
 type jsonTableDef struct {
 	Name   string     `json:"name"`
 	Doc    string     `json:"doc,omitempty"`
@@ -129,15 +130,32 @@ type jsonTableDef struct {
 	Strict bool       `json:"strict,omitempty"`
 }
 
+// tableDefBinary opens a binary table definition. A JSON one opens with
+// '{', so UnmarshalTableDef tells the two apart by their first byte.
+const tableDefBinary = 0x01
+
 // MarshalTableDef serializes a schema + strictness for a logical DDL
-// record (the WAL's CreateTable payload).
+// record (the WAL's CreateTable payload): tableDefBinary, then the
+// checkpoint's field-by-field definition, which keeps every byte of a
+// name or doc.
 func MarshalTableDef(sc *schema.Schema, strict bool) ([]byte, error) {
-	def := jsonTableDef{Name: sc.Name, Doc: sc.Doc, Attrs: encodeAttrs(sc), Key: sc.Key, Strict: strict}
-	return json.Marshal(def)
+	return appendTableDef([]byte{tableDefBinary}, sc, strict), nil
 }
 
-// UnmarshalTableDef reverses MarshalTableDef.
+// UnmarshalTableDef reverses MarshalTableDef, and reads the JSON
+// definitions older logs hold.
 func UnmarshalTableDef(data []byte) (*schema.Schema, bool, error) {
+	if len(data) > 0 && data[0] == tableDefBinary {
+		r := secReader{b: data[1:]}
+		sc, strict := r.schema()
+		if r.err == nil && len(r.b) > 0 {
+			r.err = fmt.Errorf("%d bytes left over", len(r.b))
+		}
+		if r.err != nil {
+			return nil, false, fmt.Errorf("storage: table def: %w", r.err)
+		}
+		return sc, strict, nil
+	}
 	var def jsonTableDef
 	if err := json.Unmarshal(data, &def); err != nil {
 		return nil, false, fmt.Errorf("storage: table def: %w", err)
@@ -327,11 +345,13 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 				}
 				cells[i] = cell
 			}
-			if err := rl.insert(cells); err != nil {
+			if err := rl.insert(cells, len(jt.Rows)-rowNum); err != nil {
 				return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, rowNum, err)
 			}
 		}
-		if err := rl.finish(); err != nil {
+		if row, err := rl.finish(); row >= 0 {
+			return nil, fmt.Errorf("storage: load table %s row %d: %w", jt.Name, row, err)
+		} else if err != nil {
 			return nil, fmt.Errorf("storage: load table %s: %w", jt.Name, err)
 		}
 	}
@@ -339,8 +359,8 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 }
 
 // createTable creates the table sc defines in cat, with its table tags ts
-// and its indexes, which come before the rows so that loading populates
-// them incrementally.
+// and its indexes. A rowLoader then appends the rows and builds the keys
+// and indexes once, after the last row.
 func createTable(cat *Catalog, sc *schema.Schema, strict bool, ts tag.Set, indexes []jsonIndex) (*Table, error) {
 	tbl, err := cat.Create(sc, strict)
 	if err != nil {
@@ -374,33 +394,41 @@ func (k IndexKind) name() string {
 	return "btree"
 }
 
-// rowLoader inserts a table's saved rows in order and puts its dead
-// slots back where they were, so every row keeps its saved ID.
+// rowLoader appends a table's saved rows in order, without key upkeep,
+// and puts its dead slots back where they were, so every row keeps its
+// saved ID; finish builds the primary key and the indexes once.
 type rowLoader struct {
 	tbl  *Table
 	dead []RowID // dead slots not yet placed, ascending
 }
 
-func (l *rowLoader) fillDead() {
+// fillDead places the dead slots due before the next row; more counts the
+// live rows known to come, which with the dead slots size a new segment.
+func (l *rowLoader) fillDead(more int) {
 	for len(l.dead) > 0 && l.dead[0] == RowID(l.tbl.slots()) {
-		l.tbl.appendDead()
+		l.tbl.appendDead(more + len(l.dead))
 		l.dead = l.dead[1:]
 	}
 }
 
-// insert adds the next live row; cells may be reused once it returns.
-func (l *rowLoader) insert(cells []relation.Cell) error {
-	l.fillDead()
-	_, err := l.tbl.Insert(relation.Tuple{Cells: cells})
-	return err
+// insert appends the next live row; more counts it and the rows known to
+// follow it. cells may be reused once it returns.
+func (l *rowLoader) insert(cells []relation.Cell, more int) error {
+	l.fillDead(more)
+	return l.tbl.loadRow(relation.Tuple{Cells: cells}, more+len(l.dead))
 }
 
-// finish places the dead slots after the last row and refuses any that
-// could not be placed.
-func (l *rowLoader) finish() error {
-	l.fillDead()
+// finish places the dead slots after the last row, refusing any that
+// could not be placed, and builds the keys. A duplicate key fails at row,
+// the number of the live row in load order that repeats an earlier key,
+// as its insert would have; row is -1 for any other outcome.
+func (l *rowLoader) finish() (row int, err error) {
+	l.fillDead(0)
 	if len(l.dead) > 0 {
-		return fmt.Errorf("dead slot %d out of order", l.dead[0])
+		return -1, fmt.Errorf("dead slot %d out of order", l.dead[0])
 	}
-	return nil
+	if row, err := l.tbl.buildKeys(); err != nil {
+		return row, err
+	}
+	return -1, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -17,26 +18,24 @@ import (
 // decode: one durable_ingest round's largest checkpoint is of this order.
 const benchSaveRows = 20000
 
-// customerCatalog builds n rows shaped like the benchmark's customer
-// table: a keyed name, then an address and an employee count, each tagged
-// with creation_time and source and carrying its source as polygen
-// source, plus a hash index on the name.
-func customerCatalog(tb testing.TB, n int) *Catalog {
-	tb.Helper()
+// customerSchema is the benchmark's customer table: a keyed name, then
+// an address and an employee count, each tagged with creation_time and
+// source.
+func customerSchema() *schema.Schema {
 	inds := []tag.Indicator{
 		{Name: "creation_time", Kind: value.KindTime},
 		{Name: "source", Kind: value.KindString},
 	}
-	sc := schema.MustNew("customer", []schema.Attr{
+	return schema.MustNew("customer", []schema.Attr{
 		{Name: "co_name", Kind: value.KindString, Required: true},
 		{Name: "address", Kind: value.KindString, Indicators: inds},
 		{Name: "employees", Kind: value.KindInt, Indicators: inds},
 	}, "co_name")
-	cat := NewCatalog()
-	tbl, err := cat.Create(sc, false)
-	if err != nil {
-		tb.Fatal(err)
-	}
+}
+
+// customerRows draws n customer rows: each tagged cell carries its source
+// as polygen source too.
+func customerRows(n int) []relation.Tuple {
 	sources := []string{"sales", "accounting", "Nexis", "estimate"}
 	epoch := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
 	r := rand.New(rand.NewSource(1))
@@ -52,12 +51,26 @@ func customerCatalog(tb testing.TB, n int) *Catalog {
 			Sources: tag.NewSources(src),
 		}
 	}
-	for i := 0; i < n; i++ {
-		row := relation.Tuple{Cells: []relation.Cell{
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		rows[i] = relation.Tuple{Cells: []relation.Cell{
 			{V: value.Str("Fruit Co " + strconv.Itoa(i))},
 			tagged(value.Str(strconv.Itoa(1+r.Intn(999)) + " Main St")),
 			tagged(value.Int(int64(1 + r.Intn(10000)))),
 		}}
+	}
+	return rows
+}
+
+// customerCatalog builds n customer rows, plus a hash index on the name.
+func customerCatalog(tb testing.TB, n int) *Catalog {
+	tb.Helper()
+	cat := NewCatalog()
+	tbl, err := cat.Create(customerSchema(), false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, row := range customerRows(n) {
 		if _, err := tbl.Insert(row); err != nil {
 			tb.Fatal(err)
 		}
@@ -103,4 +116,52 @@ func BenchmarkLoadCatalog(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchSaveRows), "ns/row")
 	b.ReportMetric(float64(buf.Len())/benchSaveRows, "B/row")
+}
+
+// BenchmarkTableHeap measures what a 100k-row customer table costs: the
+// live heap it adds, read after two GCs, and the insert time, per row, for
+// each combination of the primary key and the hash index on the name. The
+// rows' strings and tag sets are shared with the input, so the heap is the
+// table's own: its column runs and its key structures.
+func BenchmarkTableHeap(b *testing.B) {
+	const n = 100000
+	rows := customerRows(n)
+	for _, shape := range []struct {
+		name       string
+		key, index bool
+	}{{"bare", false, false}, {"key", true, false}, {"index", false, true}, {"both", true, true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			sc := customerSchema()
+			if !shape.key {
+				sc = schema.MustNew(sc.Name, sc.Attrs)
+			}
+			var heap, elapsed float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				tbl := NewTable(sc, false)
+				if shape.index {
+					if err := tbl.CreateIndex(IndexTarget{Attr: "co_name"}, IndexHash); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, row := range rows {
+					if _, err := tbl.Insert(row); err != nil {
+						b.Fatal(err)
+					}
+				}
+				elapsed += float64(time.Since(start).Nanoseconds())
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				heap += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+				runtime.KeepAlive(tbl)
+			}
+			b.ReportMetric(heap/float64(b.N*n), "heapB/row")
+			b.ReportMetric(elapsed/float64(b.N*n), "insert-ns/row")
+		})
+	}
 }

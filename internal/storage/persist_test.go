@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -1135,4 +1136,44 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTableDefReadsJSON: UnmarshalTableDef reads the binary definition
+// MarshalTableDef writes, and the JSON definition logs written before it
+// hold.
+func TestTableDefReadsJSON(t *testing.T) {
+	old := `{"name":"customer","doc":"d","attrs":[{"name":"id","kind":"int","required":true},` +
+		`{"name":"name","kind":"string","indicators":[{"name":"source","kind":"string"}]}],"key":["id"],"strict":true}`
+	want, err := schema.New("customer", []schema.Attr{
+		{Name: "id", Kind: value.KindInt, Required: true},
+		{Name: "name", Kind: value.KindString, Indicators: []tag.Indicator{{Name: "source", Kind: value.KindString}}},
+	}, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Doc = "d"
+	bin, err := MarshalTableDef(want, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin[0] == '{' {
+		t.Fatalf("binary definition opens with %q", bin[0])
+	}
+	for _, data := range [][]byte{[]byte(old), bin} {
+		sc, strict, err := UnmarshalTableDef(data)
+		if err != nil {
+			t.Fatalf("%q: %v", data, err)
+		}
+		if !strict || !reflect.DeepEqual(sc, want) {
+			t.Errorf("%q: got %+v (strict %v), want %+v", data, sc, strict, want)
+		}
+	}
+	for n := 1; n < len(bin); n++ {
+		if _, _, err := UnmarshalTableDef(bin[:n]); err == nil {
+			t.Errorf("definition cut at %d of %d bytes: read", n, len(bin))
+		}
+	}
+	if _, _, err := UnmarshalTableDef(append(slices.Clip(bin), 0)); err == nil {
+		t.Error("definition with a trailing byte: read")
+	}
 }

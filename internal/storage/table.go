@@ -62,44 +62,25 @@ type index struct {
 	target IndexTarget
 	kind   IndexKind
 	col    int
-	hash   *HashIndex
+	// keys is a hash index's key table: its own chains, or the primary
+	// key's table when shared (see sharesKey).
+	keys   *keyTable
+	shared bool
 	btree  *BTree
 }
 
-func (ix *index) keyOf(t relation.Tuple) (value.Value, bool) {
-	c := t.Cells[ix.col]
-	if ix.target.Indicator == "" {
-		return c.V, true
+// sharesKey reports whether a hash index on target can be the primary
+// key's own table. The two equalities must agree: the key's is the
+// literal, the index's value.Equal. Every insert checks that a value is
+// null or of the column's kind, or an int in a float column, so they agree
+// on a one-column key of any kind but float, where Int(1000000) and
+// Float(1e6) are Equal but print differently.
+func (t *Table) sharesKey(target IndexTarget, kind IndexKind) bool {
+	if kind != IndexHash || target.Indicator != "" || len(t.keyCols) != 1 {
+		return false
 	}
-	return c.Tags.Get(ix.target.Indicator)
-}
-
-func (ix *index) insertKey(key value.Value, id RowID) {
-	if ix.kind == IndexHash {
-		ix.hash.Insert(key, id)
-	} else {
-		ix.btree.Insert(key, id)
-	}
-}
-
-func (ix *index) insert(t relation.Tuple, id RowID) {
-	key, ok := ix.keyOf(t)
-	if !ok {
-		return // untagged cells are simply absent from indicator indexes
-	}
-	ix.insertKey(key, id)
-}
-
-func (ix *index) remove(t relation.Tuple, id RowID) {
-	key, ok := ix.keyOf(t)
-	if !ok {
-		return
-	}
-	if ix.kind == IndexHash {
-		ix.hash.Delete(key, id)
-	} else {
-		ix.btree.Delete(key, id)
-	}
+	a := t.schema.Attrs[t.keyCols[0]]
+	return a.Name == target.Attr && a.Kind != value.KindFloat
 }
 
 // segment is one fixed-size run of the heap: up to SegmentSize row slots
@@ -112,8 +93,19 @@ type segment struct {
 	nDead int
 }
 
-func newSegment(width int) *segment {
-	return &segment{cols: make([]colRun, width), live: make([]bool, 0, SegmentSize)}
+// newSegment returns an empty segment. rows > 0 is the number of slots a
+// load knows are coming, and sizes the runs for them up front.
+func newSegment(width, rows int) *segment {
+	if rows <= 0 {
+		return &segment{cols: make([]colRun, width), live: make([]bool, 0, SegmentSize)}
+	}
+	rows = min(rows, SegmentSize)
+	seg := &segment{cols: make([]colRun, width), live: make([]bool, 0, rows)}
+	for j := range seg.cols {
+		seg.cols[j].vals = make([]value.Value, 0, rows)
+		seg.cols[j].nulls = make([]uint64, 0, (rows+63)/64)
+	}
+	return seg
 }
 
 // rowAt materializes slot off as a fresh row; the caller must hold t.mu.
@@ -145,7 +137,7 @@ type Table struct {
 	owner *Catalog
 
 	indexes []*index
-	pk      map[string]RowID // encoded key -> row, nil when schema has no key
+	pk      *keyTable // the primary key's table, nil when the schema has no key
 	keyCols []int
 	// tableTags holds table-level quality indicators (the paper's §1.2:
 	// tagging higher aggregations, e.g. the population method of the
@@ -167,7 +159,7 @@ func (t *Table) DataVersion() uint64 { return t.dataVer.Load() }
 func NewTable(s *schema.Schema, strict bool) *Table {
 	t := &Table{schema: s, strict: strict}
 	if len(s.Key) > 0 {
-		t.pk = make(map[string]RowID)
+		t.pk = &keyTable{}
 		t.keyCols = s.KeyIndexes()
 	}
 	return t
@@ -230,10 +222,11 @@ func (t *Table) locate(id RowID) (seg *segment, off int, ok bool) {
 }
 
 // appendLocked appends a row slot, copying the tuple's cells into the tail
-// segment's column runs; the caller must hold t.mu for writing.
-func (t *Table) appendLocked(tup relation.Tuple) RowID {
+// segment's column runs; the caller must hold t.mu for writing. rows sizes
+// a new segment as newSegment does.
+func (t *Table) appendLocked(tup relation.Tuple, rows int) RowID {
 	if len(t.segs) == 0 || t.segs[len(t.segs)-1].n == SegmentSize {
-		t.segs = append(t.segs, newSegment(len(t.schema.Attrs)))
+		t.segs = append(t.segs, newSegment(len(t.schema.Attrs), rows))
 	}
 	seg := t.segs[len(t.segs)-1]
 	for j := range seg.cols {
@@ -248,15 +241,179 @@ func (t *Table) appendLocked(tup relation.Tuple) RowID {
 	return id
 }
 
-func (t *Table) encodeKey(tup relation.Tuple) string {
+// encodeKey renders a key as its joined literals, for the duplicate-key
+// error.
+func encodeKey(key []value.Value) string {
 	var b strings.Builder
-	for i, c := range t.keyCols {
+	for i, v := range key {
 		if i > 0 {
 			b.WriteByte(0)
 		}
-		b.WriteString(tup.Cells[c].V.Literal())
+		b.WriteString(v.Literal())
 	}
 	return b.String()
+}
+
+// keyOf appends the primary key's values in cells to buf.
+func (t *Table) keyOf(cells []relation.Cell, buf []value.Value) []value.Value {
+	for _, c := range t.keyCols {
+		buf = append(buf, cells[c].V)
+	}
+	return buf
+}
+
+// heapKey appends row id's primary key values to buf; the caller must
+// hold t.mu.
+func (t *Table) heapKey(id RowID, buf []value.Value) []value.Value {
+	seg, off := t.segs[int(id)/SegmentSize], int(id)%SegmentSize
+	for _, c := range t.keyCols {
+		buf = append(buf, seg.cols[c].vals[off])
+	}
+	return buf
+}
+
+// hashKey combines the key values' hashes. A one-column key hashes as its
+// value does, so a hash index can share the key's table.
+func hashKey(key []value.Value) uint64 {
+	h := key[0].Hash()
+	for i := 1; i < len(key); i++ {
+		h = h*0x9e3779b97f4a7c15 ^ key[i].Hash()
+	}
+	return h
+}
+
+// findKey returns the row whose primary key has the same literals as
+// key: keys are equal exactly when their joined Literal() strings are.
+// The caller must hold t.mu.
+func (t *Table) findKey(key []value.Value, h uint64) (RowID, bool) {
+	p := t.pk.probe(h)
+	for id, ok := p.next(); ok; id, ok = p.next() {
+		seg, off := t.segs[int(id)/SegmentSize], int(id)%SegmentSize
+		same := true
+		for i, c := range t.keyCols {
+			if !value.SameLiteral(&seg.cols[c].vals[off], &key[i]) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// duplicateKey is the error for an insert or update that would give a
+// second row key.
+func (t *Table) duplicateKey(key []value.Value) error {
+	return fmt.Errorf("storage %s: duplicate key %s", t.schema.Name, encodeKey(key))
+}
+
+// indexKey reads row id's target of ix from the heap: the value, or one
+// indicator tagged on it; ok is false for an untagged cell, which an
+// indicator index leaves out. The caller must hold t.mu.
+func (t *Table) indexKey(ix *index, id RowID) (value.Value, bool) {
+	return t.segs[int(id)/SegmentSize].cols[ix.col].targetAt(int(id)%SegmentSize, ix.target.Indicator)
+}
+
+// chainOf returns the slot of key's chain in hash index ix, or -1: the
+// candidate whose target in the heap is value.Equal to key.
+func (t *Table) chainOf(ix *index, key *value.Value, h uint64) int {
+	p := ix.keys.probe(h)
+	for id, ok := p.next(); ok; id, ok = p.next() {
+		if got, ok := t.indexKey(ix, id); ok && value.EqualPtr(&got, key) {
+			return p.at
+		}
+	}
+	return -1
+}
+
+// file enters live row id, as the heap holds it, in ix. A shared index is
+// the primary key's table, which the key's own upkeep keeps.
+func (t *Table) file(ix *index, id RowID) {
+	key, ok := t.indexKey(ix, id)
+	switch {
+	case !ok || ix.shared:
+	case ix.kind == IndexBTree:
+		ix.btree.Insert(key, id)
+	default:
+		h := key.Hash()
+		if s := t.chainOf(ix, &key, h); s >= 0 {
+			ix.keys.link(s, id)
+		} else {
+			ix.keys.addChain(h, id)
+		}
+	}
+}
+
+// unfile removes row id from ix while the heap still holds it.
+func (t *Table) unfile(ix *index, id RowID) {
+	key, ok := t.indexKey(ix, id)
+	switch {
+	case !ok || ix.shared:
+	case ix.kind == IndexBTree:
+		ix.btree.Delete(key, id)
+	default:
+		if s := t.chainOf(ix, &key, key.Hash()); s >= 0 {
+			ix.keys.unlink(s, id)
+		}
+	}
+}
+
+// buildIndex fills ix from the live rows, in row-ID order, so a new row
+// heads each chain in O(1).
+func (t *Table) buildIndex(ix *index) {
+	switch {
+	case ix.kind == IndexBTree:
+		ix.btree = NewBTree()
+	case ix.shared:
+		ix.keys = t.pk
+		return
+	default:
+		ix.keys = &keyTable{next: make([]uint32, t.nRows)}
+	}
+	for id := range t.liveRows {
+		t.file(ix, id)
+	}
+}
+
+// liveRows yields every live row in row-ID order; the caller must hold
+// t.mu.
+func (t *Table) liveRows(yield func(RowID) bool) {
+	for si, seg := range t.segs {
+		for off := 0; off < seg.n; off++ {
+			if seg.live[off] && !yield(RowID(si*SegmentSize+off)) {
+				return
+			}
+		}
+	}
+}
+
+// buildKeys rebuilds the primary key and every index from the live rows,
+// once, after a load has put them in the heap: the key's table is sized
+// for them up front. A live row, in row-ID order, whose key an earlier
+// row holds fails with the duplicate-key error Insert gives it; row is its
+// number among the live rows.
+func (t *Table) buildKeys() (row int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pk != nil {
+		t.pk = newKeyTable(t.nLive)
+		var buf [4]value.Value
+		for id := range t.liveRows {
+			key := t.heapKey(id, buf[:0])
+			h := hashKey(key)
+			if _, dup := t.findKey(key, h); dup {
+				return row, t.duplicateKey(key)
+			}
+			t.pk.add(h, id)
+			row++
+		}
+	}
+	for _, ix := range t.indexes {
+		t.buildIndex(ix)
+	}
+	return 0, nil
 }
 
 // CreateIndex builds an index of the given kind over the target, populating
@@ -283,34 +440,8 @@ func (t *Table) createIndex(target IndexTarget, kind IndexKind) error {
 			return fmt.Errorf("storage %s: index on %s already exists", t.schema.Name, target)
 		}
 	}
-	ix := &index{target: target, kind: kind, col: col}
-	if kind == IndexHash {
-		ix.hash = NewHashIndex()
-	} else {
-		ix.btree = NewBTree()
-	}
-	// Populate from the one column run the index targets — no row
-	// materialization.
-	for si, seg := range t.segs {
-		r := &seg.cols[col]
-		for off := 0; off < seg.n; off++ {
-			if !seg.live[off] {
-				continue
-			}
-			var key value.Value
-			ok := true
-			if target.Indicator == "" {
-				key = r.vals[off]
-			} else if r.tags != nil {
-				key, ok = r.tags[off].Get(target.Indicator)
-			} else {
-				ok = false
-			}
-			if ok {
-				ix.insertKey(key, RowID(si*SegmentSize+off))
-			}
-		}
-	}
+	ix := &index{target: target, kind: kind, col: col, shared: t.sharesKey(target, kind)}
+	t.buildIndex(ix)
 	t.indexes = append(t.indexes, ix)
 	return nil
 }
@@ -353,20 +484,52 @@ func (t *Table) Insert(tup relation.Tuple) (RowID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.roomLocked(); err != nil {
+		return 0, err
+	}
+	var h uint64
 	if t.pk != nil {
-		k := t.encodeKey(tup)
-		if _, dup := t.pk[k]; dup {
-			return 0, fmt.Errorf("storage %s: duplicate key %s", t.schema.Name, k)
+		var buf [4]value.Value
+		key := t.keyOf(tup.Cells, buf[:0])
+		h = hashKey(key)
+		if _, dup := t.findKey(key, h); dup {
+			return 0, t.duplicateKey(key)
 		}
-		t.pk[k] = RowID(t.nRows)
 	}
 	// No defensive clone: appendLocked copies the cells by value into the
 	// segment's column runs, decoupling the heap from the caller's tuple.
-	id := t.appendLocked(tup)
+	id := t.appendLocked(tup, 0)
+	if t.pk != nil {
+		t.pk.add(h, id)
+	}
 	for _, ix := range t.indexes {
-		ix.insert(tup, id)
+		t.file(ix, id)
 	}
 	return id, nil
+}
+
+// loadRow appends a loaded row as Insert does, but leaves the keys to
+// buildKeys; rows sizes a new segment as newSegment does.
+func (t *Table) loadRow(tup relation.Tuple, rows int) error {
+	if err := relation.CheckTuple(t.schema, tup, t.strict); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.roomLocked(); err != nil {
+		return err
+	}
+	t.appendLocked(tup, rows)
+	return nil
+}
+
+// roomLocked refuses a row slot past the last one a key table can file;
+// the caller must hold t.mu.
+func (t *Table) roomLocked() error {
+	if t.nRows >= maxSlots {
+		return fmt.Errorf("storage %s: table full at %d row slots", t.schema.Name, t.nRows)
+	}
+	return nil
 }
 
 // Get returns a copy of the row and whether it is live.
@@ -381,8 +544,8 @@ func (t *Table) Get(id RowID) (relation.Tuple, bool) {
 	return seg.rowAt(off), true
 }
 
-// Update replaces the row at id with tup, maintaining indexes and the
-// primary key map.
+// Update replaces the row at id with tup, maintaining the primary key
+// and the indexes. A failed update changes nothing.
 func (t *Table) Update(id RowID, tup relation.Tuple) error {
 	if err := relation.CheckTuple(t.schema, tup, t.strict); err != nil {
 		return err
@@ -393,19 +556,24 @@ func (t *Table) Update(id RowID, tup relation.Tuple) error {
 	if !ok {
 		return fmt.Errorf("storage %s: update of dead row %d", t.schema.Name, id)
 	}
-	old := seg.rowAt(off)
+	// A key that keeps its literals keeps its slot. A moved key's probe
+	// cannot stop at the row's own slot, whose literals differ, so any row
+	// it finds is another's.
+	var oldBuf, newBuf [4]value.Value
+	var oldKey []value.Value // the key being moved, nil if kept
+	var newHash uint64
 	if t.pk != nil {
-		oldK, newK := t.encodeKey(old), t.encodeKey(tup)
-		if oldK != newK {
-			if _, dup := t.pk[newK]; dup {
-				return fmt.Errorf("storage %s: duplicate key %s", t.schema.Name, newK)
+		key := t.keyOf(tup.Cells, newBuf[:0])
+		if old := t.heapKey(id, oldBuf[:0]); !value.SameLiterals(old, key) {
+			newHash = hashKey(key)
+			if _, dup := t.findKey(key, newHash); dup {
+				return t.duplicateKey(key)
 			}
-			delete(t.pk, oldK)
-			t.pk[newK] = id
+			oldKey = old
 		}
 	}
 	for _, ix := range t.indexes {
-		ix.remove(old, id)
+		t.unfile(ix, id)
 	}
 	// Copy-on-write: published column runs are immutable, so replace the
 	// touched segment's runs wholesale rather than writing a slot in place.
@@ -415,20 +583,24 @@ func (t *Table) Update(id RowID, tup relation.Tuple) error {
 		ncols[j] = seg.cols[j].cowReplace(off, tup.Cells[j])
 	}
 	seg.cols = ncols
+	if oldKey != nil {
+		t.pk.remove(hashKey(oldKey), id)
+		t.pk.add(newHash, id)
+	}
 	for _, ix := range t.indexes {
-		ix.insert(tup, id)
+		t.file(ix, id)
 	}
 	t.dataVer.Add(1)
 	return nil
 }
 
 // appendDead appends a dead row slot: it takes the next row ID but is never
-// live, so no scan, index or key sees it. LoadCatalog uses it to give every
-// saved row its saved ID.
-func (t *Table) appendDead() {
+// live, so no scan, index or key sees it. The loaders use it to give every
+// saved row its saved ID; rows sizes a new segment as newSegment does.
+func (t *Table) appendDead(rows int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.appendLocked(relation.Tuple{Cells: make([]relation.Cell, len(t.schema.Attrs))})
+	t.appendLocked(relation.Tuple{Cells: make([]relation.Cell, len(t.schema.Attrs))}, rows)
 	seg := t.segs[len(t.segs)-1]
 	seg.live[seg.n-1] = false
 	seg.nDead++
@@ -450,12 +622,12 @@ func (t *Table) Delete(id RowID) error {
 	if !ok {
 		return fmt.Errorf("storage %s: delete of dead row %d", t.schema.Name, id)
 	}
-	old := seg.rowAt(off)
 	if t.pk != nil {
-		delete(t.pk, t.encodeKey(old))
+		var buf [4]value.Value
+		t.pk.remove(hashKey(t.heapKey(id, buf[:0])), id)
 	}
 	for _, ix := range t.indexes {
-		ix.remove(old, id)
+		t.unfile(ix, id)
 	}
 	seg.live[off] = false
 	seg.nDead++
@@ -471,15 +643,7 @@ func (t *Table) LookupKey(keyVals ...value.Value) (RowID, bool) {
 	if t.pk == nil || len(keyVals) != len(t.keyCols) {
 		return 0, false
 	}
-	var b strings.Builder
-	for i, v := range keyVals {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(v.Literal())
-	}
-	id, ok := t.pk[b.String()]
-	return id, ok
+	return t.findKey(keyVals, hashKey(keyVals))
 }
 
 // Scan visits every live row in row-ID order. Visit receives a copy it may
@@ -569,12 +733,14 @@ func (t *Table) LookupEq(target IndexTarget, key value.Value) ([]RowID, error) {
 		return nil, fmt.Errorf("storage %s: unknown attribute %q", t.schema.Name, target.Attr)
 	}
 	if ix := t.findIndex(target, false); ix != nil {
-		var ids []RowID
 		if ix.kind == IndexHash {
-			ids = ix.hash.Lookup(key)
-		} else {
-			ids = ix.btree.Lookup(key)
+			// A chain holds live rows only, in ascending order.
+			if s := t.chainOf(ix, &key, key.Hash()); s >= 0 {
+				return ix.keys.chain(s), nil
+			}
+			return nil, nil
 		}
+		ids := ix.btree.Lookup(key)
 		out := ids[:0]
 		for _, id := range ids {
 			if t.isLiveLocked(id) {

@@ -47,7 +47,8 @@ func (k Kind) String() string {
 
 // Record is one logical WAL entry. Which fields are meaningful depends on
 // Kind: Insert/Update carry Tuple, Update/Delete carry Row, CreateTable
-// carries Def (a storage.MarshalTableDef payload), CreateIndex carries
+// carries Def (a storage.MarshalTableDef payload, binary, or JSON in logs
+// written before the binary definition), CreateIndex carries
 // Target+Index, TagTable carries Indicator+TagValue.
 type Record struct {
 	Seq   uint64

@@ -898,3 +898,46 @@ func TestOpenJSONCheckpoint(t *testing.T) {
 		t.Fatalf("catalog after the binary checkpoint differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestCreateTableKeepsNameBytes: a table and attribute whose names are
+// not valid UTF-8 come back from the log byte for byte, so the records
+// that follow the CreateTable find their table after a reopen.
+func TestCreateTableKeepsNameBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := schema.MustNew("t\xff", []schema.Attr{
+		{Name: "k\xfe", Kind: value.KindInt, Required: true, Doc: "doc\xc3"},
+	}, "k\xfe")
+	sc.Doc = "table\xe2\x80"
+	if err := l.CreateTable(sc, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Insert("t\xff", relation.Tuple{Cells: []relation.Cell{{V: value.Int(7)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	tbl, ok := l2.Catalog().Get("t\xff")
+	if !ok {
+		t.Fatalf("table %q missing after reopen; tables %q", "t\xff", l2.Catalog().Names())
+	}
+	got := tbl.Schema()
+	if got.Doc != sc.Doc || got.Attrs[0].Name != "k\xfe" || got.Attrs[0].Doc != "doc\xc3" || !tbl.Strict() {
+		t.Errorf("reopened schema %+v (strict %v), want %+v", got, tbl.Strict(), sc)
+	}
+	if id, ok := tbl.LookupKey(value.Int(7)); !ok || id != 0 {
+		t.Errorf("LookupKey(7) = %d, %v; want row 0", id, ok)
+	}
+}

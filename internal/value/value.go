@@ -9,8 +9,9 @@
 //
 // The package defines a total order across comparable kinds (numeric
 // kinds compare with each other; all other cross-kind comparisons order by
-// kind rank so that sorting heterogeneous columns is deterministic), an
-// FNV-1a hash used by hash joins and hash indexes, and parsing/formatting
+// kind rank so that sorting heterogeneous columns is deterministic), a
+// hash that agrees with Equal, used by hash joins, grouping and the
+// storage key tables, and parsing/formatting
 // used by the QQL lexer and the renderers.
 package value
 
@@ -320,50 +321,95 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 // LessPtr is Less through pointers, for per-row loops (see ComparePtr).
 func LessPtr(a, b *Value) bool { return ComparePtr(a, b) < 0 }
 
-// Hash returns an FNV-1a hash of the value such that Equal values hash
-// equally (numeric kinds hash via their float64 widening when a float is
-// representable, and via int64 otherwise).
+// Hash returns a hash of the value such that Equal values hash equally:
+// numeric kinds hash through one canonical form (the int64 of an integral
+// float64 widening, else the float's bits with every NaN alike), so
+// Int(2), Float(2), Bool-as-1 and -0/0 agree, and a time hashes its
+// UnixNano, so times equal to the nanosecond agree. It is a pure, unseeded
+// function of the value. A kind tag and then the value's words are mixed
+// in eight bytes per step (see hashString), and a final avalanche makes
+// every bit of the result depend on every input bit, so tables that mask
+// the low bits spread well.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	mix64 := func(x uint64) {
-		for s := 0; s < 64; s += 8 {
-			mix(byte(x >> s))
-		}
-	}
 	switch v.kind {
 	case KindNull:
-		mix(0)
+		// The tag alone, below.
 	case KindBool, KindInt, KindDuration, KindFloat:
-		// Hash all numerics through a canonical form so Int(2),
-		// Float(2.0), and Bool-as-1 follow Equal's semantics.
 		f := v.AsFloat()
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 && !math.IsInf(f, 0) {
-			mix(1)
-			mix64(uint64(int64(f)))
-		} else {
-			if math.IsNaN(f) {
-				// Compare makes every NaN equal, whatever its payload.
-				f = math.NaN()
-			}
-			mix(2)
-			mix64(math.Float64bits(f))
+		if f == math.Trunc(f) && f >= math.MinInt64 && f < 0x1p63 {
+			return hashFinish(hashWord(hashNumInt, uint64(int64(f))))
 		}
+		if f != f {
+			// Compare makes every NaN equal, whatever its payload.
+			f = math.NaN()
+		}
+		return hashFinish(hashWord(hashNumFloat, math.Float64bits(f)))
 	case KindString:
-		mix(3)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
-		}
+		return hashString(v.s)
 	case KindTime:
-		mix(4)
 		// time.Time.UnixNano's arithmetic, wraparound included.
-		mix64(uint64(v.i*1e9 + int64(v.ns)))
+		return hashFinish(hashWord(hashTime, uint64(v.i*1e9+int64(v.ns))))
 	}
-	return h
+	return hashFinish(hashNull)
+}
+
+// Hash kind tags: the starting state for each canonical form.
+const (
+	hashNull uint64 = iota + 0x5a0c1d2e3f405162
+	hashNumInt
+	hashNumFloat
+	hashStr
+	hashTime
+)
+
+// hashWord mixes one 8-byte word into h. Both steps are bijections, so
+// distinct words from one state give distinct states.
+func hashWord(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// hashFinish is MurmurHash3's 64-bit finalizer.
+func hashFinish(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// hashString mixes in the length, then the bytes eight at a time, the last
+// word overlapping the one before it. A string of four to eight bytes is
+// one word of two overlapping halves, and a shorter one its first, middle
+// and last bytes: with the length mixed in, every byte counts.
+func hashString(s string) uint64 {
+	n := len(s)
+	h := hashWord(hashStr, uint64(n))
+	switch {
+	case n > 8:
+		for i := 0; i+8 < n; i += 8 {
+			h = hashWord(h, le64(s[i:]))
+		}
+		h = hashWord(h, le64(s[n-8:]))
+	case n >= 4:
+		h = hashWord(h, le32(s)<<32|le32(s[n-4:]))
+	case n > 0:
+		h = hashWord(h, uint64(s[0])<<16|uint64(s[n>>1])<<8|uint64(s[n-1]))
+	}
+	return hashFinish(h)
+}
+
+// le64 reads s's first eight bytes as a little-endian word.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// le32 reads s's first four bytes as a little-endian word.
+func le32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
 }
 
 // String renders the value for human output: null, true/false, decimal
@@ -402,6 +448,52 @@ func (v Value) Literal() string {
 	default:
 		return v.String()
 	}
+}
+
+// SameLiterals reports whether two key rows' joined literals match: no
+// literal contains the 0 byte outside a quoted string and a quoted string
+// delimits itself, so joined literals match exactly when each pair does.
+func SameLiterals(a, b []Value) bool {
+	for i := range a {
+		if !SameLiteral(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameLiteral reports whether a.Literal() == b.Literal() without building
+// either string. Within a kind that is Equal, except that a float's sign
+// of zero prints (-0 is not 0) and every NaN prints alike. Across kinds
+// only an int and a float can print alike — Float(1) prints as 1 but
+// Float(1e6) as 1e+06 — so that rare pair compares the two formats in
+// stack buffers. Values with the same literal are Equal, so they hash
+// alike.
+func SameLiteral(a, b *Value) bool {
+	if a.kind != b.kind {
+		switch {
+		case a.kind == KindInt && b.kind == KindFloat:
+			return intPrintsAsFloat(a.i, b.float())
+		case a.kind == KindFloat && b.kind == KindInt:
+			return intPrintsAsFloat(b.i, a.float())
+		}
+		return false
+	}
+	if a.kind == KindFloat {
+		fa, fb := a.float(), b.float()
+		if math.IsNaN(fa) || math.IsNaN(fb) {
+			return math.IsNaN(fa) && math.IsNaN(fb)
+		}
+		return fa == fb && math.Signbit(fa) == math.Signbit(fb)
+	}
+	return EqualPtr(a, b)
+}
+
+// intPrintsAsFloat reports whether Int(i) and Float(f) have the same
+// literal.
+func intPrintsAsFloat(i int64, f float64) bool {
+	var ib, fb [32]byte
+	return string(strconv.AppendInt(ib[:0], i, 10)) == string(strconv.AppendFloat(fb[:0], f, 'g', -1, 64))
 }
 
 // Parse converts text into a value of the requested kind. It is the inverse
